@@ -6,6 +6,10 @@ edge each. Node order follows the content file; labels map to indices by
 first appearance. Cites lines referencing unknown ids are skipped (a warning
 reports the count), duplicates and self-citations are dropped, so the edge
 list holds unique undirected pairs with no self-loops.
+
+``Dataset.features`` is a dense (n, f) array and stays the public form of
+the input; the model's entry points (``train``, ``predict_mc``,
+``forward_deterministic``) convert it to CSR once per call.
 """
 
 from __future__ import annotations

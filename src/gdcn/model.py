@@ -13,6 +13,12 @@ The edge-space and parameter-space views are equivalent: masking the
 adjacency entry for (v, u) and then applying W equals aggregating with the
 per-edge weight diag(z_vu) W. The test suite checks this identity against a
 dense per-edge oracle.
+
+``Dataset.features`` stays a dense array. The entry points ``predict_mc``
+and ``forward_deterministic`` (and ``training.train``) convert it to a CSR
+constant once per call, so the layer-0 matmuls run on sparse kernels and
+layer-0 DropOut draws one value per stored entry. ``forward`` never
+converts: a dense input keeps the dense path.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_array, issparse
 
 from .errors import ContractViolation
 from .graph import EdgeSet, SparseMatrix, build_adjacency, normalize
@@ -129,7 +136,9 @@ class PreparedGraph:
 class LayerMasks:
     """Masks drawn for one layer of one forward pass."""
 
-    feature: np.ndarray | None = None    # binary (n, f_in) or (n, 1) matrix
+    # Binary (n, f_in) or (n, 1) matrix; on a CSR input also a 1-D mask
+    # with one value per stored entry of the input.
+    feature: np.ndarray | None = None
     feature_scale: float | None = None   # deterministic-eval scaling of H
     edge: EdgeMask | None = None         # None reads as all-ones, 1 block
 
@@ -157,6 +166,21 @@ def block_bounds(f_in: int, n_blocks: int):
     """Contiguous near-equal feature blocks, original feature order kept."""
     edges = np.linspace(0, f_in, n_blocks + 1).astype(int)
     return [(int(edges[i]), int(edges[i + 1])) for i in range(n_blocks)]
+
+
+def sparse_input(x: Tensor) -> Tensor:
+    """The layer-0 input as a CSR constant (unchanged if sparse or taped)."""
+    if x.requires_grad or issparse(x.data):
+        return x
+    return constant(csr_array(x.data))
+
+
+def _mask_csr(x, mask: np.ndarray):
+    """Feature mask applied to a CSR input: a 1-D mask scales the stored
+    entries, a 2-D one multiplies elementwise with broadcasting."""
+    if mask.ndim == 1:
+        return csr_array((x.data * mask, x.indices, x.indptr), shape=x.shape)
+    return csr_array(x.multiply(mask))
 
 
 def _layer_matrix_for_block(graph: PreparedGraph, mask_block: Tensor,
@@ -196,7 +220,10 @@ def forward(params: list, x: Tensor, graph: PreparedGraph, masks: list,
                 f"layer {l}: input width {h.data.shape[1]} != weight rows {f_in}"
             )
         if lm.feature is not None:
-            h = record_mul(tape, h, constant(lm.feature))
+            if issparse(h.data):
+                h = constant(_mask_csr(h.data, lm.feature))
+            else:
+                h = record_mul(tape, h, constant(lm.feature))
         if lm.feature_scale is not None:
             h = record_scale(tape, h, lm.feature_scale)
         edge = lm.edge if lm.edge is not None else all_ones_mask(graph.edges)
@@ -248,17 +275,32 @@ def _keep_prob_for(spec: MaskSpec, p: LayerParams, mode: str, rng) -> tuple:
     return kuma_sample(p.kuma.a, p.kuma.b, u), u
 
 
+def _dropout_mask(n: int, f_in: int, keep_prob: float, rng,
+                  entries: int | None) -> np.ndarray:
+    """(n, f_in) DropOut mask, or a 1-D one over ``entries`` stored entries."""
+    if entries is not None:
+        return sample_dropout_mask(entries, 1, keep_prob, rng).ravel()
+    return sample_dropout_mask(n, f_in, keep_prob, rng)
+
+
 def sample_step_masks(config: GCNConfig, params: list, graph: PreparedGraph,
-                      rng: np.random.Generator, tape=None,
-                      mode: str = "train") -> StepDraws:
+                      rng: np.random.Generator | None = None, tape=None,
+                      mode: str = "train",
+                      input_nnz: int | None = None) -> StepDraws:
     """Draw one full set of per-layer masks.
 
     Modes: ``train`` (stochastic; relaxed masks for learned layers when the
     estimator is ``concrete``), ``mc`` (stochastic, binary everywhere), and
-    ``det`` (deterministic expected-keep evaluation).
+    ``det`` (deterministic expected-keep evaluation, which needs no ``rng``).
+
+    ``input_nnz`` is the stored-entry count of a CSR layer-0 input; layer-0
+    DropOut masks then hold one value per stored entry instead of an
+    (n, f_in) matrix.
     """
     if mode not in ("train", "mc", "det"):
         raise ContractViolation(f"unknown mask mode '{mode}'")
+    if mode != "det" and rng is None:
+        raise ContractViolation(f"mask mode '{mode}' needs an rng")
     n = graph.edges.n
     draws = StepDraws()
     prev_edge = all_ones_mask(graph.edges)  # random-walk layer coupling
@@ -266,6 +308,7 @@ def sample_step_masks(config: GCNConfig, params: list, graph: PreparedGraph,
         p = params[l]
         f_in = config.layer_dims[l]
         lm = LayerMasks()
+        entries = input_nnz if l == 0 else None  # per-entry DropOut
         pi_val, pi_tensor, u_pi = None, None, None
         relaxed = (mode == "train" and config.estimator == "concrete"
                    and spec.learned)
@@ -275,7 +318,8 @@ def sample_step_masks(config: GCNConfig, params: list, graph: PreparedGraph,
             if mode == "det":
                 lm.feature_scale = spec.keep_prob
             else:
-                lm.feature = sample_dropout_mask(n, f_in, spec.keep_prob, rng)
+                lm.feature = _dropout_mask(n, f_in, spec.keep_prob, rng,
+                                           entries)
             pi_val = spec.keep_prob
         elif spec.kind == MaskKind.NODE_SAMPLING:
             if mode == "det":
@@ -327,7 +371,10 @@ def sample_step_masks(config: GCNConfig, params: list, graph: PreparedGraph,
                 lm.feature_scale = (spec.dropout_keep if lm.feature_scale is None
                                     else lm.feature_scale * spec.dropout_keep)
             else:
-                extra = sample_dropout_mask(n, f_in, spec.dropout_keep, rng)
+                # A per-entry mask cannot combine with an (n, 1) node mask.
+                if lm.feature is not None and lm.feature.ndim == 2:
+                    entries = None
+                extra = _dropout_mask(n, f_in, spec.dropout_keep, rng, entries)
                 lm.feature = extra if lm.feature is None else lm.feature * extra
         draws.layer_masks.append(lm)
         draws.pi_values.append(pi_val)
@@ -373,10 +420,9 @@ def record_kl_terms(tape, config: GCNConfig, params: list) -> list:
 
 def forward_deterministic(params, x, graph, config, capture_hidden=False):
     """Expected-keep evaluation pass (no sampling, no tape)."""
-    draws = sample_step_masks(config, params, graph,
-                              np.random.default_rng(0), tape=None, mode="det")
-    return forward(params, x, graph, draws.layer_masks, tape=None,
-                   capture_hidden=capture_hidden,
+    draws = sample_step_masks(config, params, graph, mode="det")
+    return forward(params, sparse_input(x), graph, draws.layer_masks,
+                   tape=None, capture_hidden=capture_hidden,
                    renorm_after_mask=config.renorm_after_mask)
 
 
@@ -388,10 +434,12 @@ def predict_mc(params, x, graph, config, s: int, rng: np.random.Generator):
     """
     if s < 1:
         raise ContractViolation("need at least one Monte Carlo sample")
+    x = sparse_input(x)
+    nnz = x.data.nnz if issparse(x.data) else None
     per_sample = np.empty((s, x.data.shape[0], params[-1].m.data.shape[1]))
     for i in range(s):
         draws = sample_step_masks(config, params, graph, rng, tape=None,
-                                  mode="mc")
+                                  mode="mc", input_nnz=nnz)
         logprobs = forward(params, x, graph, draws.layer_masks, tape=None,
                            renorm_after_mask=config.renorm_after_mask)
         per_sample[i] = np.exp(logprobs.data)

@@ -1,7 +1,12 @@
 """Minimal reverse-mode differentiation over the op set used by the model.
 
 Every value is a 2-D float64 ``Tensor`` (scalars are 1x1, edge vectors are
-nnz x 1). Ops are free functions ``record_*(tape, ...) -> Tensor``; passing
+nnz x 1). The one exception is a constant holding a
+``scipy.sparse.csr_array``, such as the layer-0 feature input: it never
+requires grad, and ``record_matmul``, ``record_slice_cols`` and
+``record_scale`` accept it unchanged.
+
+Ops are free functions ``record_*(tape, ...) -> Tensor``; passing
 ``tape=None`` computes the value without recording, which is how inference
 passes run. A fresh tape is built for every training step, so there is no
 retained-graph machinery.
@@ -13,6 +18,7 @@ requires grad; constants cost nothing on the backward pass.
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse import csr_array, issparse
 from scipy.special import expit
 
 from .errors import ContractViolation
@@ -20,11 +26,20 @@ from .graph import SparseMatrix, spmm, spmm_t
 
 
 class Tensor:
-    """2-D float64 array with a grad-requirement flag. Hashed by identity."""
+    """2-D float64 array (or CSR constant) with a grad-requirement flag.
+
+    Hashed by identity.
+    """
 
     __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
+        if issparse(data):
+            if requires_grad:
+                raise ContractViolation("a sparse tensor cannot require grad")
+            self.data = csr_array(data).astype(np.float64, copy=False)
+            self.requires_grad = False
+            return
         arr = np.asarray(data, dtype=np.float64)
         if arr.ndim == 0:
             arr = arr.reshape(1, 1)

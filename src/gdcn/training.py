@@ -25,8 +25,8 @@ from .estimators import ArmDraw, arm_gradient, chain_to_kuma
 from .graph import EdgeSet
 from .masks import EdgeMask, MaskKind
 from .model import (GCNConfig, LayerMasks, PreparedGraph, forward,
-                    init_params, record_kl_terms, sample_step_masks,
-                    training_loss)
+                    forward_deterministic, init_params, record_kl_terms,
+                    sample_step_masks, sparse_input, training_loss)
 from .tape import Tape, backward, constant, record_masked_nll, record_scale
 from .variational import WarmupSchedule, kuma_mean, warmup_factor
 
@@ -122,11 +122,8 @@ class TrainResult:
 
 
 def _det_eval(params, x, graph, config, labels, split, capture_hidden=False):
-    out = sample_step_masks(config, params, graph, np.random.default_rng(0),
-                            tape=None, mode="det")
-    res = forward(params, x, graph, out.layer_masks, tape=None,
-                  capture_hidden=capture_hidden,
-                  renorm_after_mask=config.renorm_after_mask)
+    res = forward_deterministic(params, x, graph, config,
+                                capture_hidden=capture_hidden)
     logprobs, hidden = res if capture_hidden else (res, None)
     pred = logprobs.data.argmax(axis=1)
     val_acc = float(np.mean(pred[split.val] == labels[split.val]))
@@ -177,6 +174,8 @@ def train(dataset: Dataset, gcn_config: GCNConfig, train_config: TrainConfig,
           hidden_hook=None) -> TrainResult:
     """Train one model; returns the parameters of the best validation epoch.
 
+    The dense ``dataset.features`` are converted to CSR once per call.
+
     ``hidden_hook(epoch, hidden)`` receives the deterministic pass's hidden
     activations each epoch (used by the over-smoothing diagnostics).
     """
@@ -189,7 +188,7 @@ def train(dataset: Dataset, gcn_config: GCNConfig, train_config: TrainConfig,
     params = init_params(gcn_config, rng)
     tensors = [t for p in params for t in p.tensors()]
     state = AdamState()
-    x = constant(dataset.features)
+    x = sparse_input(constant(dataset.features))
     labels = dataset.labels
     split = dataset.split
     arm = gcn_config.estimator == "arm"
@@ -205,7 +204,7 @@ def train(dataset: Dataset, gcn_config: GCNConfig, train_config: TrainConfig,
         t0 = time.perf_counter()
         tape = Tape()
         draws = sample_step_masks(gcn_config, params, graph, rng, tape=tape,
-                                  mode="train")
+                                  mode="train", input_nnz=x.data.nnz)
 
         arm_layers = []  # (layer, spec, free_idx, u_flat)
         if arm:
