@@ -50,24 +50,33 @@ class ArmEstimate:
     per_layer_variance: np.ndarray
 
 
+def arm_z1(draw: ArmDraw) -> list:
+    """The first antithetic setting, Z1 = 1[u > sig(-a)], per layer."""
+    return [(u > expit(-a)).astype(np.float64) for u, a in zip(draw.u, draw.alpha)]
+
+
+def arm_z2(draw: ArmDraw) -> list:
+    """The second setting, Z2 = 1[u < sig(a)]: the recorded training pass's."""
+    return [(u < expit(a)).astype(np.float64) for u, a in zip(draw.u, draw.alpha)]
+
+
 def arm_pseudo_masks(draw: ArmDraw):
-    """The two antithetic variable settings: Z1 = 1[u > sig(-a)], Z2 = 1[u < sig(a)]."""
-    z1 = [(u > expit(-a)).astype(np.float64) for u, a in zip(draw.u, draw.alpha)]
-    z2 = [(u < expit(a)).astype(np.float64) for u, a in zip(draw.u, draw.alpha)]
-    return z1, z2
+    """The two antithetic variable settings (Z1, Z2)."""
+    return arm_z1(draw), arm_z2(draw)
 
 
-def arm_gradient(loss_eval, draw: ArmDraw) -> ArmEstimate:
+def arm_gradient(loss_eval, draw: ArmDraw, loss2: float) -> ArmEstimate:
     """Two-evaluation ARM estimate of d E[loss] / d alpha_l.
 
-    ``loss_eval`` maps a per-layer list of binary variable vectors to a
-    scalar loss and must be deterministic given those vectors (all other
-    noise frozen). The shared-parameter reduction is used: each layer's
-    estimate is (L(Z1) - L(Z2)) * sum_e(u_e - 1/2).
+    ``loss2`` is L(Z2), which the caller already has: the recorded training
+    pass runs on ``arm_z2(draw)``. ``loss_eval`` maps a per-layer list of
+    binary variable vectors to a scalar loss and must be deterministic given
+    those vectors (all other noise frozen); it is called once, for Z1. The
+    shared-parameter reduction is used: each layer's estimate is
+    (L(Z1) - L(Z2)) * sum_e(u_e - 1/2).
     """
-    z1, z2 = arm_pseudo_masks(draw)
-    loss1 = float(loss_eval(z1))
-    loss2 = float(loss_eval(z2))
+    loss1 = float(loss_eval(arm_z1(draw)))
+    loss2 = float(loss2)
     if not (np.isfinite(loss1) and np.isfinite(loss2)):
         raise EstimatorFailure(
             f"non-finite ARM losses: L(Z1)={loss1}, L(Z2)={loss2}"

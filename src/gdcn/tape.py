@@ -3,8 +3,8 @@
 Every value is a 2-D float64 ``Tensor`` (scalars are 1x1, edge vectors are
 nnz x 1). The one exception is a constant holding a
 ``scipy.sparse.csr_array``, such as the layer-0 feature input: it never
-requires grad, and ``record_matmul``, ``record_slice_cols`` and
-``record_scale`` accept it unchanged.
+requires grad, and ``record_gdc_aggregate`` and ``record_scale`` accept it
+unchanged.
 
 Ops are free functions ``record_*(tape, ...) -> Tensor``; passing
 ``tape=None`` computes the value without recording, which is how inference
@@ -22,7 +22,7 @@ from scipy.sparse import csr_array, issparse
 from scipy.special import expit
 
 from .errors import ContractViolation
-from .graph import SparseMatrix, spmm, spmm_t
+from .graph import spmm, spmm_t
 
 
 class Tensor:
@@ -130,44 +130,117 @@ def backward(tape: Tape, loss: Tensor) -> Gradients:
 # ops
 
 
-def record_matmul(tape, x: Tensor, w: Tensor) -> Tensor:
-    if x.data.shape[1] != w.data.shape[0]:
-        raise ContractViolation(
-            f"matmul inner dims disagree: {x.data.shape} @ {w.data.shape}"
-        )
-    out_data = x.data @ w.data
-
-    def bwd(g, acc):
-        if x.requires_grad:
-            acc(x, g @ w.data.T)
-        if w.requires_grad:
-            acc(w, x.data.T @ g)
-
-    return _maybe_record(tape, out_data, (x, w), bwd)
+def block_bounds(f_in: int, n_blocks: int):
+    """Contiguous near-equal feature blocks, original feature order kept."""
+    edges = np.linspace(0, f_in, n_blocks + 1).astype(int)
+    return [(int(edges[i]), int(edges[i + 1])) for i in range(n_blocks)]
 
 
-def record_masked_spmm(tape, a: SparseMatrix, mask: Tensor, h: Tensor,
-                       differentiate_mask: bool = False) -> Tensor:
-    """``(A ⊙ mask) @ H`` with adjoints to H and, optionally, the mask.
+def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", x, y)
 
-    The mask gradient is ``A_e * (G[row_e,:] . H[col_e,:])`` per stored entry.
+
+def record_gdc_aggregate(tape, mats: list, masks: list, h: Tensor, w: Tensor,
+                         differentiate_mask: bool = False) -> Tensor:
+    """``sum_b (mats[b] ⊙ masks[b]) (H[:, blk_b] W[blk_b, :])`` as one op.
+
+    ``blk_b`` is ``block_bounds(f_in, len(masks))[b]``; each block has its
+    own matrix and its own mask aligned to that matrix's stored entries.
+    The product order follows the shapes:
+
+    - *aggregate first* for a dense H with ``f_in < nb * f_out``: the
+      blocks ``(A ⊙ Z_b) H[:, blk_b]`` fill one (n, f_in) array M, and a
+      single ``M @ W`` follows;
+    - *multiply first* otherwise (a CSR H, or ``f_in >= nb * f_out``):
+      ``S_b = H_b W_b`` per block, and the ``(A ⊙ Z_b) S_b`` are summed in
+      place. With one block this is ``spmm(A ⊙ Z, H @ W)``.
+
+    The mask gradient is a sampled dense-dense product over the stored
+    entries: ``A_e * (dM[row_e, blk_b] . H[col_e, blk_b])`` aggregating
+    first, ``A_e * (G[row_e] . S_b[col_e])`` multiplying first.
     """
-    mvec = mask.data.ravel()
-    if len(mvec) != a.nnz:
-        raise ContractViolation(f"mask length {len(mvec)} != nnz {a.nnz}")
-    masked = a.with_values(a.values * mvec)
-    out_data = spmm(masked, h.data)
-    rows = a.row_indices()
-    cols = a.col_idx
+    nb = len(masks)
+    if nb == 0 or len(mats) != nb:
+        raise ContractViolation(
+            f"need one matrix per mask block, got {len(mats)} and {nb}")
+    hd, wd = h.data, w.data
+    f_in, f_out = wd.shape
+    if hd.shape[1] != f_in:
+        raise ContractViolation(
+            f"matmul inner dims disagree: {hd.shape} @ {wd.shape}")
+    masked = []
+    for a, z in zip(mats, masks):
+        zvec = z.data.ravel()
+        if len(zvec) != a.nnz:
+            raise ContractViolation(f"mask length {len(zvec)} != nnz {a.nnz}")
+        masked.append(a.with_values(a.values * zvec))
+    bounds = block_bounds(f_in, nb)
+    h_blocks = [hd if (c0, c1) == (0, f_in) else hd[:, c0:c1]
+                for c0, c1 in bounds]
+    mask_grad = [differentiate_mask and z.requires_grad for z in masks]
+    inputs = (h, w) + (tuple(masks) if differentiate_mask else ())
+
+    if not issparse(hd) and f_in < nb * f_out:
+        m = np.empty((masked[0].n_rows, f_in))
+        for am, h_b, (c0, c1) in zip(masked, h_blocks, bounds):
+            m[:, c0:c1] = spmm(am, h_b)
+        out_data = m @ wd
+
+        def bwd(g, acc):
+            if w.requires_grad:
+                acc(w, m.T @ g)
+            if not (h.requires_grad or any(mask_grad)):
+                return
+            dm = g @ wd.T
+            dh = np.empty_like(hd) if h.requires_grad else None
+            for b, (c0, c1) in enumerate(bounds):
+                if dh is not None:
+                    dh[:, c0:c1] = spmm_t(masked[b], dm[:, c0:c1])
+                if mask_grad[b]:
+                    a = mats[b]
+                    per_edge = a.values * _rowdot(dm[a.row_indices(), c0:c1],
+                                                  h_blocks[b][a.col_idx])
+                    acc(masks[b], per_edge.reshape(masks[b].data.shape))
+            if dh is not None:
+                acc(h, dh)
+
+        return _maybe_record(tape, out_data, inputs, bwd)
+
+    out_data = None
+    products = []  # S_b, kept only where a mask gradient needs it
+    for am, h_b, (c0, c1), keep in zip(masked, h_blocks, bounds, mask_grad):
+        s_b = h_b @ wd[c0:c1]
+        products.append(s_b if keep else None)
+        agg = spmm(am, s_b)
+        if out_data is None:
+            out_data = agg
+        else:
+            out_data += agg
 
     def bwd(g, acc):
-        if h.requires_grad:
-            acc(h, spmm_t(masked, g))
-        if differentiate_mask and mask.requires_grad:
-            per_edge = a.values * np.einsum("ij,ij->i", g[rows], h.data[cols])
-            acc(mask, per_edge.reshape(mask.data.shape))
+        dh = np.empty_like(hd) if h.requires_grad else None
+        dw = np.empty_like(wd) if w.requires_grad else None
+        gathered = {}  # G[rows], once per distinct matrix
+        for b, (c0, c1) in enumerate(bounds):
+            if dh is not None or dw is not None:
+                ds = spmm_t(masked[b], g)
+                if dw is not None:
+                    dw[c0:c1] = h_blocks[b].T @ ds
+                if dh is not None:
+                    dh[:, c0:c1] = ds @ wd[c0:c1].T
+            if mask_grad[b]:
+                a = mats[b]
+                if id(a) not in gathered:
+                    gathered[id(a)] = g[a.row_indices()]
+                per_edge = a.values * _rowdot(gathered[id(a)],
+                                              products[b][a.col_idx])
+                acc(masks[b], per_edge.reshape(masks[b].data.shape))
+        if dh is not None:
+            acc(h, dh)
+        if dw is not None:
+            acc(w, dw)
 
-    return _maybe_record(tape, out_data, (mask, h) if differentiate_mask else (h,), bwd)
+    return _maybe_record(tape, out_data, inputs, bwd)
 
 
 def record_relu(tape, x: Tensor) -> Tensor:
@@ -262,30 +335,6 @@ def record_frobenius_sq(tape, x: Tensor) -> Tensor:
     def bwd(g, acc):
         if x.requires_grad:
             acc(x, 2.0 * g[0, 0] * x.data)
-
-    return _maybe_record(tape, out_data, (x,), bwd)
-
-
-def record_slice_cols(tape, x: Tensor, start: int, stop: int) -> Tensor:
-    out_data = x.data[:, start:stop]
-
-    def bwd(g, acc):
-        if x.requires_grad:
-            full = np.zeros_like(x.data)
-            full[:, start:stop] = g
-            acc(x, full)
-
-    return _maybe_record(tape, out_data, (x,), bwd)
-
-
-def record_slice_rows(tape, x: Tensor, start: int, stop: int) -> Tensor:
-    out_data = x.data[start:stop, :]
-
-    def bwd(g, acc):
-        if x.requires_grad:
-            full = np.zeros_like(x.data)
-            full[start:stop, :] = g
-            acc(x, full)
 
     return _maybe_record(tape, out_data, (x,), bwd)
 

@@ -17,11 +17,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit, logit
+from scipy.special import logit
 
 from .data import Dataset
 from .errors import ContractViolation, DivergenceError
-from .estimators import ArmDraw, arm_gradient, chain_to_kuma
+from .estimators import ArmDraw, arm_gradient, arm_z2, chain_to_kuma
 from .graph import EdgeSet
 from .masks import EdgeMask, MaskKind
 from .model import (GCNConfig, LayerMasks, PreparedGraph, forward,
@@ -206,20 +206,23 @@ def train(dataset: Dataset, gcn_config: GCNConfig, train_config: TrainConfig,
         draws = sample_step_masks(gcn_config, params, graph, rng, tape=tape,
                                   mode="train", input_nnz=x.data.nnz)
 
-        arm_layers = []  # (layer, spec, free_idx, u_flat)
+        arm_layers = []  # (layer, spec, free_idx)
         if arm:
+            arm_u = []
             for l, spec in enumerate(gcn_config.masks):
                 if not spec.learned:
                     continue
                 free_idx = _arm_free_entries(spec, graph.edges)
                 nb = spec.n_blocks if spec.kind == MaskKind.GDC else 1
-                u = rng.random(nb * len(free_idx))
-                arm_layers.append((l, spec, free_idx, u))
+                arm_u.append(rng.random(nb * len(free_idx)))
+                arm_layers.append((l, spec, free_idx))
+            draw = ArmDraw(
+                u=arm_u,
+                alpha=np.array([logit(1.0 - draws.pi_values[l])
+                                for l, *_ in arm_layers]))
             # The recorded pass runs on the keep masks implied by this
             # step's u (the second ARM setting), keeping all noise shared.
-            for l, spec, free_idx, u in arm_layers:
-                alpha = logit(1.0 - draws.pi_values[l])
-                z2 = (u < expit(alpha)).astype(np.float64)
+            for (l, spec, free_idx), z2 in zip(arm_layers, arm_z2(draw)):
                 draws.layer_masks[l].edge = _arm_edge_mask(
                     graph.edges, spec, z2, free_idx)
 
@@ -262,7 +265,7 @@ def train(dataset: Dataset, gcn_config: GCNConfig, train_config: TrainConfig,
 
                 def loss_eval(z_list):
                     lm = list(base_masks)
-                    for (l, spec, free_idx, _), z in zip(arm_layers, z_list):
+                    for (l, spec, free_idx), z in zip(arm_layers, z_list):
                         lm[l] = LayerMasks(
                             feature=base_masks[l].feature,
                             edge=_arm_edge_mask(graph.edges, spec, z, free_idx))
@@ -271,11 +274,10 @@ def train(dataset: Dataset, gcn_config: GCNConfig, train_config: TrainConfig,
                     return record_masked_nll(None, lp, labels,
                                              split.train).item()
 
-                draw = ArmDraw(
-                    u=[u for *_, u in arm_layers],
-                    alpha=np.array([logit(1.0 - draws.pi_values[l])
-                                    for l, *_ in arm_layers]))
-                est = arm_gradient(loss_eval, draw)
+                # The recorded pass ran on Z2, so its NLL is L(Z2).
+                loss2 = record_masked_nll(None, logprobs, labels,
+                                          split.train).item()
+                est = arm_gradient(loss_eval, draw, loss2)
                 for (l, *_), g_alpha in zip(arm_layers, est.grad_alpha):
                     p = params[l]
                     g_a, g_b = chain_to_kuma(g_alpha, draws.pi_values[l],

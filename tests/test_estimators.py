@@ -14,12 +14,18 @@ from gdcn.graph import build_adjacency, normalize
 from gdcn.masks import sample_concrete_mask
 from gdcn.model import GCNConfig  # noqa: F401  (imported for API parity)
 from gdcn.tape import (Tape, backward, constant, parameter,
-                       record_frobenius_sq, record_masked_spmm)
+                       record_frobenius_sq, record_gdc_aggregate)
 from gdcn.variational import KumaraswamyParams, kuma_sample, record_kuma_sample
 
 from conftest import finite_diff, random_edges, rel_err
 
 mp.mp.dps = 25
+
+
+def arm_two_evals(loss_eval, draw):
+    """``arm_gradient`` with L(Z2) evaluated from ``arm_pseudo_masks``."""
+    _, z2 = arm_pseudo_masks(draw)
+    return arm_gradient(loss_eval, draw, loss_eval(z2))
 
 
 def exact_shared_alpha_gradient(loss_fn, n_vars: int, alpha: float) -> float:
@@ -42,7 +48,7 @@ class TestArmGradient:
         rng = np.random.default_rng(0)
         for _ in range(20):
             draw = ArmDraw(u=[rng.random(5)], alpha=np.array([rng.normal()]))
-            est = arm_gradient(lambda z: 3.25, draw)
+            est = arm_two_evals(lambda z: 3.25, draw)
             assert est.grad_alpha[0] == 0.0
             assert est.per_layer_variance[0] == 0.0
 
@@ -53,7 +59,8 @@ class TestArmGradient:
         n = 10 ** 5
         for _ in range(n):
             draw = ArmDraw(u=[rng.random(1)], alpha=np.array([0.0]))
-            total += arm_gradient(lambda z: float(z[0][0]), draw).grad_alpha[0]
+            total += arm_two_evals(lambda z: float(z[0][0]),
+                                   draw).grad_alpha[0]
         assert total / n == pytest.approx(0.25, abs=0.005)
 
     def test_three_edge_quadratic_against_enumeration(self):
@@ -69,7 +76,7 @@ class TestArmGradient:
         draws = np.empty(10 ** 5)
         for i in range(len(draws)):
             d = ArmDraw(u=[rng.random(3)], alpha=np.array([alpha]))
-            draws[i] = arm_gradient(lambda z: loss(z[0]), d).grad_alpha[0]
+            draws[i] = arm_two_evals(lambda z: loss(z[0]), d).grad_alpha[0]
         mean = draws.mean()
         se = draws.std(ddof=1) / np.sqrt(len(draws))
         assert abs(mean - exact) < 4.0 * se
@@ -95,20 +102,20 @@ class TestArmGradient:
         z1n, z2n = arm_pseudo_masks(d_neg)
         np.testing.assert_array_equal(z1n[0], 1.0 - z2p[0])
         np.testing.assert_array_equal(z2n[0], 1.0 - z1p[0])
-        gp = arm_gradient(loss, d_pos).grad_alpha[0]
-        gn = arm_gradient(loss, d_neg).grad_alpha[0]
+        gp = arm_two_evals(loss, d_pos).grad_alpha[0]
+        gn = arm_two_evals(loss, d_neg).grad_alpha[0]
         assert gp == pytest.approx(gn)
 
     def test_non_finite_loss_raises(self):
         draw = ArmDraw(u=[np.array([0.5])], alpha=np.array([0.0]))
         with pytest.raises(EstimatorFailure):
-            arm_gradient(lambda z: float("nan"), draw)
+            arm_two_evals(lambda z: float("nan"), draw)
 
     def test_estimates_and_variance_finite(self):
         rng = np.random.default_rng(4)
         draw = ArmDraw(u=[rng.random(6), rng.random(3)],
                        alpha=np.array([0.2, -0.5]))
-        est = arm_gradient(
+        est = arm_two_evals(
             lambda z: float(sum(np.sum(v) for v in z)), draw)
         assert np.all(np.isfinite(est.grad_alpha))
         assert np.all(np.isfinite(est.per_layer_variance))
@@ -174,7 +181,7 @@ class TestChainToKuma:
             pi = kuma_sample(a0, b0, u_pi)
             draw = ArmDraw(u=[rng.random(2)],
                            alpha=np.array([logit(1.0 - pi)]))
-            g_alpha = arm_gradient(lambda z: loss(z[0]), draw).grad_alpha[0]
+            g_alpha = arm_two_evals(lambda z: loss(z[0]), draw).grad_alpha[0]
             est[i] = chain_to_kuma(g_alpha, pi, a0, b0, u_pi)
         mean = est.mean(axis=0)
         se = est.std(axis=0, ddof=1) / np.sqrt(n)
@@ -193,8 +200,9 @@ class TestConcreteGradient:
     def _loss(self, tape, kp, graph, edges, h, u_pi, u_edges, t=0.67):
         pi = record_kuma_sample(tape, kp.log_a, kp.log_b, u_pi)
         mask = sample_concrete_mask(edges, 1, pi, t, _FixedRng(u_edges), tape)
-        out = record_masked_spmm(tape, graph, mask.blocks[0], constant(h),
-                                 differentiate_mask=True)
+        out = record_gdc_aggregate(tape, [graph], [mask.blocks[0]],
+                                   constant(h), constant(np.eye(h.shape[1])),
+                                   differentiate_mask=True)
         return record_frobenius_sq(tape, out)
 
     def test_matches_finite_differences(self):

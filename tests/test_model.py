@@ -8,12 +8,12 @@ from gdcn.graph import EdgeSet, build_adjacency, normalize
 from gdcn.masks import (EdgeMask, MaskKind, MaskSpec, all_ones_mask,
                         sample_dropout_mask, sample_gdc_masks,
                         sample_node_mask)
-from gdcn.model import (GCNConfig, LayerMasks, PreparedGraph, block_bounds,
-                        forward, forward_deterministic, glorot_bound,
+from gdcn.model import (GCNConfig, LayerMasks, PreparedGraph, forward,
+                        forward_deterministic, glorot_bound,
                         init_params, load_checkpoint, predict_mc,
                         record_kl_terms, sample_step_masks, save_checkpoint,
                         training_loss)
-from gdcn.tape import Tape, constant
+from gdcn.tape import Tape, block_bounds, constant
 from gdcn.variational import kl_kuma_beta
 
 from conftest import dense_normalize, random_edges

@@ -62,6 +62,23 @@ class TestSparseTensor:
         w = parameter(np.eye(3))
         assert sparse_input(w) is w
 
+    @pytest.mark.parametrize("shape,density", [
+        ((6, 5), 0.4), ((1, 9), 0.5), ((9, 1), 0.5), ((4, 3), 0.0),
+        ((3, 4), 1.0), ((300, 1433), 0.013)])
+    def test_sparse_input_arrays_equal_scipy_conversion(self, shape, density):
+        rng = np.random.default_rng(12)
+        x = np.where(rng.random(shape) < density, rng.normal(size=shape), 0.0)
+        if shape[0] > 2:
+            x[2] = 0.0                   # an empty row
+        if x.size > 2:
+            x.flat[1], x.flat[-1] = -0.0, np.inf  # -0.0 is not stored, inf is
+        got = sparse_input(constant(x)).data
+        want = csr_array(x)
+        assert got.shape == want.shape
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+            assert getattr(got, name).dtype == getattr(want, name).dtype
+
 
 class TestForwardEquivalence:
     """``forward`` on a CSR input equals the dense input within 1e-12."""

@@ -2,28 +2,56 @@
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_array
 
 from gdcn.errors import ContractViolation
-from gdcn.graph import build_adjacency, normalize
+from gdcn.graph import SparseMatrix, build_adjacency, normalize, spmm
 from gdcn.tape import (Tape, Tensor, backward, constant, parameter,
-                       record_add, record_frobenius_sq,
-                       record_log_softmax_rows, record_masked_nll,
-                       record_masked_spmm, record_matmul, record_mul,
-                       record_relu, record_scale, record_sigmoid,
-                       record_slice_cols, record_slice_rows)
+                       record_add, record_frobenius_sq, record_gdc_aggregate,
+                       record_log_softmax_rows, record_masked_nll, record_mul,
+                       record_relu, record_scale, record_sigmoid)
 
 from conftest import finite_diff, rel_err, random_edges
 
 
+def _ones(n_rows, n_cols):
+    """All-ones matrix with every entry stored."""
+    return SparseMatrix(n_rows, n_cols,
+                        np.arange(n_rows + 1, dtype=np.int64) * n_cols,
+                        np.tile(np.arange(n_cols, dtype=np.int64), n_rows),
+                        np.ones(n_rows * n_cols))
+
+
+def _eye(n):
+    return SparseMatrix(n, n, np.arange(n + 1, dtype=np.int64),
+                        np.arange(n, dtype=np.int64), np.ones(n))
+
+
+def _matmul(tape, x, w):
+    """``X @ W`` through the fused op: one block, identity aggregation."""
+    n = x.data.shape[0]
+    return record_gdc_aggregate(tape, [_eye(n)], [constant(np.ones(n))], x, w)
+
+
+def _masked_spmm(tape, a, mask, h, differentiate_mask=False):
+    """``(A ⊙ mask) @ H`` through the fused op: one block, W = I."""
+    return record_gdc_aggregate(tape, [a], [mask], h,
+                                constant(np.eye(h.data.shape[1])),
+                                differentiate_mask=differentiate_mask)
+
+
 class TestMatmul:
+    """The dense product inside the fused op (one block, A = I)."""
+
     def test_identity_times_w(self):
         t = Tape()
         w = parameter(np.arange(6.0).reshape(3, 2))
-        out = record_matmul(t, constant(np.eye(3)), w)
+        out = _matmul(t, constant(np.eye(3)), w)
         np.testing.assert_array_equal(out.data, w.data)
-        # gradient of sum(out) wrt w is all-ones
-        total = record_matmul(t, record_matmul(t, constant(np.ones((1, 3))), out),
-                              constant(np.ones((2, 1))))
+        # gradient of sum(out) wrt w is all-ones:
+        # sum(out) = ones(1, 3) @ out @ ones(2, 1)
+        total = record_gdc_aggregate(t, [_ones(1, 3)], [constant(np.ones(3))],
+                                     out, constant(np.ones((2, 1))))
         g = backward(t, total)
         np.testing.assert_array_equal(g.get(w), np.ones((3, 2)))
 
@@ -31,7 +59,7 @@ class TestMatmul:
         t = Tape()
         x = constant([[3.0]])
         w = parameter([[2.0]])
-        out = record_matmul(t, x, w)
+        out = _matmul(t, x, w)
         g = backward(t, out)
         assert g.get(w)[0, 0] == 3.0
 
@@ -43,12 +71,12 @@ class TestMatmul:
         def loss_of(w_flat):
             t = Tape()
             w = parameter(w_flat.reshape(4, 2))
-            out = record_matmul(t, constant(x0), w)
+            out = _matmul(t, constant(x0), w)
             return record_frobenius_sq(t, out).item()
 
         t = Tape()
         w = parameter(w0)
-        out = record_matmul(t, constant(x0), w)
+        out = _matmul(t, constant(x0), w)
         loss = record_frobenius_sq(t, out)
         g = backward(t, loss).get(w)
         fd = finite_diff(loss_of, w0.ravel()).reshape(4, 2)
@@ -56,10 +84,13 @@ class TestMatmul:
 
     def test_shape_mismatch(self):
         with pytest.raises(ContractViolation):
-            record_matmul(Tape(), constant(np.ones((2, 3))), constant(np.ones((2, 3))))
+            _matmul(Tape(), constant(np.ones((2, 3))),
+                    constant(np.ones((2, 3))))
 
 
 class TestMaskedSpmm:
+    """The masked aggregation inside the fused op (one block, W = I)."""
+
     def _graph(self, n=3, seed=1, p=0.9):
         rng = np.random.default_rng(seed)
         return normalize(build_adjacency(random_edges(rng, n, p), n))
@@ -71,7 +102,7 @@ class TestMaskedSpmm:
         t = Tape()
         h = parameter(h0)
         mask = constant(np.ones(a.nnz))
-        out = record_masked_spmm(t, a, mask, h)
+        out = _masked_spmm(t, a, mask, h)
         loss = record_frobenius_sq(t, out)
         g = backward(t, loss).get(h)
         dense = a.to_dense()
@@ -83,7 +114,7 @@ class TestMaskedSpmm:
         t = Tape()
         h = constant(np.zeros((3, 2)))
         mask = parameter(np.ones(a.nnz))
-        out = record_masked_spmm(t, a, mask, h, differentiate_mask=True)
+        out = _masked_spmm(t, a, mask, h, differentiate_mask=True)
         loss = record_frobenius_sq(t, out)
         g = backward(t, loss)
         np.testing.assert_array_equal(g.get(mask), np.zeros((a.nnz, 1)))
@@ -98,13 +129,13 @@ class TestMaskedSpmm:
         def loss_of(m_flat):
             t = Tape()
             mask = parameter(m_flat)
-            out = record_masked_spmm(t, a, mask, constant(h0),
-                                     differentiate_mask=True)
+            out = _masked_spmm(t, a, mask, constant(h0),
+                               differentiate_mask=True)
             return record_frobenius_sq(t, out).item()
 
         t = Tape()
         mask = parameter(m0)
-        out = record_masked_spmm(t, a, mask, constant(h0), differentiate_mask=True)
+        out = _masked_spmm(t, a, mask, constant(h0), differentiate_mask=True)
         loss = record_frobenius_sq(t, out)
         g = backward(t, loss).get(mask).ravel()
         fd = finite_diff(loss_of, m0)
@@ -113,8 +144,159 @@ class TestMaskedSpmm:
     def test_alignment_mismatch(self):
         a = self._graph(3)
         with pytest.raises(ContractViolation):
-            record_masked_spmm(Tape(), a, constant(np.ones(a.nnz + 2)),
-                               constant(np.ones((3, 1))))
+            _masked_spmm(Tape(), a, constant(np.ones(a.nnz + 2)),
+                         constant(np.ones((3, 1))))
+
+
+class TestGdcAggregate:
+    """``record_gdc_aggregate`` against dense and finite-difference oracles."""
+
+    def _setup(self, n=6, f_in=7, seed=0):
+        rng = np.random.default_rng(seed)
+        a = normalize(build_adjacency(random_edges(rng, n, 0.5), n))
+        h0 = rng.normal(size=(n, f_in))
+        return rng, a, h0
+
+    @staticmethod
+    def _oracle(mats, mask_vals, h, w):
+        nb = len(mats)
+        edges = np.linspace(0, w.shape[0], nb + 1).astype(int)
+        out = np.zeros((mats[0].n_rows, w.shape[1]))
+        for a, z, c0, c1 in zip(mats, mask_vals, edges[:-1], edges[1:]):
+            dense = a.with_values(a.values * z).to_dense()
+            out += dense @ h[:, c0:c1] @ w[c0:c1]
+        return out
+
+    @staticmethod
+    def _spmm_widths(monkeypatch):
+        """Column counts of the dense operands the op's forward aggregates."""
+        import gdcn.tape as gtape
+        widths = []
+        real = gtape.spmm
+
+        def spy(a, h):
+            widths.append(h.shape[1])
+            return real(a, h)
+
+        monkeypatch.setattr(gtape, "spmm", spy)
+        return widths
+
+    @pytest.mark.parametrize("f_in,nb,f_out,widths", [
+        (7, 3, 3, [2, 2, 3]),   # 7 < 9: aggregate first, unequal blocks
+        (7, 3, 2, [2, 2, 2]),   # 7 >= 6: multiply first
+        (6, 3, 2, [2, 2, 2]),   # tie 6 == 6: multiply first
+        (3, 1, 5, [3]),         # one block, 3 < 5: aggregate first
+    ])
+    def test_dense_oracle_and_product_order(self, monkeypatch, f_in, nb,
+                                            f_out, widths):
+        rng, a, h0 = self._setup(f_in=f_in)
+        w0 = rng.normal(size=(f_in, f_out))
+        zs = [rng.random(a.nnz) for _ in range(nb)]
+        seen = self._spmm_widths(monkeypatch)
+        out = record_gdc_aggregate(Tape(), [a] * nb, [constant(z) for z in zs],
+                                   constant(h0), parameter(w0))
+        assert seen == widths
+        want = self._oracle([a] * nb, zs, h0, w0)
+        np.testing.assert_allclose(out.data, want, atol=1e-12)
+
+    def test_csr_input_multiplies_first(self, monkeypatch):
+        rng, a, h0 = self._setup(f_in=7)
+        h0[rng.random(h0.shape) < 0.6] = 0.0
+        w0 = rng.normal(size=(7, 3))
+        zs = [rng.random(a.nnz) for _ in range(3)]
+        seen = self._spmm_widths(monkeypatch)
+        out = record_gdc_aggregate(Tape(), [a] * 3, [constant(z) for z in zs],
+                                   constant(csr_array(h0)), parameter(w0))
+        assert seen == [3, 3, 3]
+        np.testing.assert_allclose(out.data, self._oracle([a] * 3, zs, h0, w0),
+                                   atol=1e-12)
+
+    @pytest.mark.parametrize("f_out", [3, 1])
+    def test_per_block_matrices(self, f_out):
+        # renorm_after_mask gives each block its own matrix and pattern
+        from gdcn.model import PreparedGraph, _layer_matrix_for_block
+        rng = np.random.default_rng(4)
+        graph = PreparedGraph.from_edges(random_edges(rng, 6, 0.6), 6)
+        es = graph.edges
+        mats, masks = [], []
+        for _ in range(3):
+            keep = (rng.random(es.n_entries) < 0.6).astype(float)
+            canon = es.canonical()
+            keep[~canon] = keep[es.mirror[~canon]]
+            m, z = _layer_matrix_for_block(graph, constant(keep), True)
+            mats.append(m)
+            masks.append(z)
+        assert len({m.nnz for m in mats}) > 1
+        h0 = rng.normal(size=(6, 7))
+        w0 = rng.normal(size=(7, f_out))
+        out = record_gdc_aggregate(Tape(), mats, masks, constant(h0),
+                                   constant(w0))
+        want = self._oracle(mats, [z.data.ravel() for z in masks], h0, w0)
+        np.testing.assert_allclose(out.data, want, atol=1e-12)
+
+    @pytest.mark.parametrize("f_out", [3, 2])  # aggregate / multiply first
+    def test_gradients_match_finite_differences(self, f_out):
+        rng, a, h0 = self._setup(f_in=7, seed=2)
+        nb = 3
+        w0 = rng.normal(size=(7, f_out))
+        z0 = rng.random((nb, a.nnz))
+        weight = rng.normal(size=(a.n_rows, f_out))
+        sizes = (h0.size, w0.size, z0.size)
+
+        def split(flat):
+            h_flat, w_flat, z_flat = np.split(flat, np.cumsum(sizes)[:-1])
+            return (parameter(h_flat.reshape(h0.shape)),
+                    parameter(w_flat.reshape(w0.shape)),
+                    [parameter(z) for z in z_flat.reshape(z0.shape)])
+
+        def build(flat):
+            h, w, zs = split(flat)
+            t = Tape()
+            out = record_gdc_aggregate(t, [a] * nb, zs, h, w,
+                                       differentiate_mask=True)
+            loss = record_frobenius_sq(t, record_mul(t, out,
+                                                     constant(weight)))
+            return t, loss, [h, w] + zs
+
+        flat0 = np.concatenate([h0.ravel(), w0.ravel(), z0.ravel()])
+        t, loss, tensors = build(flat0)
+        g = backward(t, loss)
+        got = np.concatenate([g.get(v).ravel() for v in tensors])
+        fd = finite_diff(lambda f: build(f)[1].item(), flat0)
+        assert rel_err(got, fd) < 1e-5
+
+    def test_mask_gradient_needs_the_flag(self):
+        rng, a, h0 = self._setup()
+        z = parameter(rng.random(a.nnz))
+        t = Tape()
+        out = record_gdc_aggregate(t, [a], [z], constant(h0),
+                                   parameter(rng.normal(size=(7, 2))))
+        assert z not in backward(t, record_frobenius_sq(t, out))
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_one_block_is_bitwise_spmm_of_product(self, sparse):
+        rng, a, h0 = self._setup(f_in=7, seed=3)
+        h0[rng.random(h0.shape) < 0.5] = 0.0
+        w0 = rng.normal(size=(7, 4))
+        z = rng.random(a.nnz)
+        h = constant(csr_array(h0) if sparse else h0)
+        out = record_gdc_aggregate(Tape(), [a], [constant(z)], h,
+                                   parameter(w0))
+        want = spmm(a.with_values(a.values * z), h.data @ w0)
+        assert np.array_equal(out.data, want)
+
+    def test_mask_length_mismatch(self):
+        _, a, h0 = self._setup()
+        masks = [constant(np.ones(a.nnz)), constant(np.ones(a.nnz - 1))]
+        with pytest.raises(ContractViolation):
+            record_gdc_aggregate(Tape(), [a, a], masks, constant(h0),
+                                 constant(np.ones((7, 2))))
+
+    def test_matrix_count_mismatch(self):
+        _, a, h0 = self._setup()
+        with pytest.raises(ContractViolation):
+            record_gdc_aggregate(Tape(), [a], [constant(np.ones(a.nnz))] * 2,
+                                 constant(h0), constant(np.ones((7, 2))))
 
 
 class TestElementwise:
@@ -179,25 +361,30 @@ class TestElementwise:
         assert g.get(x).shape == (3, 2)
 
     def test_slices_scatter_gradients(self):
+        # Two column blocks of X and two row blocks of W: each block's
+        # gradient lands in its own slice of the full arrays.
         rng = np.random.default_rng(8)
         x0 = rng.normal(size=(3, 4))
+        w0 = rng.normal(size=(4, 2))
+        mats = [_eye(3), _eye(3)]
+        masks = [constant(np.ones(3)), constant(np.array([1.0, 0.0, 1.0]))]
 
         def loss_of(flat):
             t = Tape()
-            x = parameter(flat.reshape(3, 4))
-            a = record_slice_cols(t, x, 0, 2)
-            b = record_slice_rows(t, x, 1, 3)
-            return (record_frobenius_sq(t, a).item()
-                    + record_frobenius_sq(t, b).item())
+            x = parameter(flat[:12].reshape(3, 4))
+            w = parameter(flat[12:].reshape(4, 2))
+            out = record_gdc_aggregate(t, mats, masks, x, w)
+            return record_frobenius_sq(t, out).item()
 
         t = Tape()
         x = parameter(x0)
-        sa = record_frobenius_sq(t, record_slice_cols(t, x, 0, 2))
-        sb = record_frobenius_sq(t, record_slice_rows(t, x, 1, 3))
-        loss = record_add(t, sa, sb)
-        g = backward(t, loss).get(x)
-        fd = finite_diff(loss_of, x0.ravel()).reshape(3, 4)
-        assert rel_err(g, fd) < 1e-6
+        w = parameter(w0)
+        out = record_gdc_aggregate(t, mats, masks, x, w)
+        loss = record_frobenius_sq(t, out)
+        g = backward(t, loss)
+        got = np.concatenate([g.get(x).ravel(), g.get(w).ravel()])
+        fd = finite_diff(loss_of, np.concatenate([x0.ravel(), w0.ravel()]))
+        assert rel_err(got, fd) < 1e-6
 
 
 class TestLogSoftmax:
@@ -294,7 +481,7 @@ class TestBackward:
             t = Tape()
             x = constant(rng.normal(size=(5, 4)))
             w = parameter(rng.normal(size=(4, 3)))
-            lp = record_log_softmax_rows(t, record_matmul(t, x, w))
+            lp = record_log_softmax_rows(t, _matmul(t, x, w))
             loss = record_masked_nll(t, lp, np.array([0, 1, 2, 0, 1]),
                                      np.arange(5))
             return backward(t, loss).get(w)

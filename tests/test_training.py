@@ -137,6 +137,31 @@ class TestTrain:
         res = train(ds, cfg, tc, seed=0)
         assert res.best_test_acc >= 0.8
 
+    def test_arm_recorded_nll_equals_second_evaluation(self, monkeypatch):
+        # L(Z2) taken from the recorded pass must equal a separate forward
+        # on Z2, so the estimate matches the two-evaluation one bit for bit.
+        import gdcn.training as training
+        from gdcn.estimators import arm_gradient, arm_pseudo_masks
+        checked = []
+
+        def two_evals(loss_eval, draw, loss2):
+            got = arm_gradient(loss_eval, draw, loss2)
+            want = arm_gradient(loss_eval, draw,
+                                loss_eval(arm_pseudo_masks(draw)[1]))
+            checked.append(np.array_equal(got.grad_alpha, want.grad_alpha)
+                           and got.delta_loss == want.delta_loss)
+            return got
+
+        monkeypatch.setattr(training, "arm_gradient", two_evals)
+        ds = synthetic_dataset()
+        # hidden 3 with 2 blocks: layer 1 aggregates first (3 < 2 * 2)
+        cfg = small_config(ds.n_features, ds.class_count, kind=MaskKind.GDC,
+                           learned=True, estimator="arm", n_blocks=2,
+                           hidden=3)
+        tc = TrainConfig(epochs=8, lr=0.05, patience=8, seeds=(0,))
+        train(ds, cfg, tc, seed=0)
+        assert checked == [True] * 8
+
     def test_keep_probs_move_when_learned(self):
         ds = synthetic_dataset()
         cfg = small_config(ds.n_features, ds.class_count, kind=MaskKind.GDC,
