@@ -22,15 +22,6 @@ class ConfigError(MalformedInputError):
     pass
 
 
-_KINDS = {
-    "none": MaskKind.NONE,
-    "dropout": MaskKind.DROPOUT,
-    "dropedge": MaskKind.DROPEDGE,
-    "node": MaskKind.NODE_SAMPLING,
-    "gdc": MaskKind.GDC,
-    "randomwalk": MaskKind.RANDOM_WALK,
-}
-
 _SCHEMA = {
     "data": {
         "content": (str, None),
@@ -147,9 +138,11 @@ class RunConfig:
         layer_dims = [f_in] + hidden + [n_classes]
         n_layers = len(layer_dims) - 1
         kind_name = self.values["model.regularizer"]
-        if kind_name not in _KINDS:
-            raise ConfigError(f"model.regularizer: unknown kind {kind_name!r}")
-        kind = _KINDS[kind_name]
+        try:
+            kind = MaskKind(kind_name)
+        except ValueError as exc:
+            raise ConfigError(
+                f"model.regularizer: unknown kind {kind_name!r}") from exc
         learned = self.values["model.learned"]
         estimator = self.values["model.estimator"]
         if estimator not in ("none", "concrete", "arm"):

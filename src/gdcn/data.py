@@ -14,15 +14,12 @@ the input; the model's entry points (``train``, ``predict_mc``,
 
 from __future__ import annotations
 
-import struct
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, MalformedInputError
-
-CACHE_MAGIC = b"GDCD"
+from .errors import MalformedInputError
 
 
 @dataclass
@@ -178,41 +175,3 @@ def make_split(dataset: Dataset, per_class_train: int, n_val: int,
                    edges=dataset.edges, class_count=dataset.class_count,
                    split=Split(train=train, val=np.asarray(val, dtype=np.int64),
                                test=test))
-
-
-def save_cache(path, dataset: Dataset) -> None:
-    """Binary Dataset cache: magic "GDCD", u32 version, dims, row-major payloads."""
-    with open(path, "wb") as fh:
-        fh.write(CACHE_MAGIC)
-        n, f = dataset.features.shape
-        has_split = dataset.split is not None
-        fh.write(struct.pack("<IIIIIB", 1, n, f, dataset.class_count,
-                             len(dataset.edges), int(has_split)))
-        fh.write(dataset.features.astype("<f8").tobytes())
-        fh.write(dataset.labels.astype("<i8").tobytes())
-        fh.write(dataset.edges.astype("<i8").tobytes())
-        if has_split:
-            for idx in (dataset.split.train, dataset.split.val, dataset.split.test):
-                fh.write(struct.pack("<I", len(idx)))
-                fh.write(np.asarray(idx).astype("<i8").tobytes())
-
-
-def load_cache(path) -> Dataset:
-    with open(path, "rb") as fh:
-        if fh.read(4) != CACHE_MAGIC:
-            raise ContractViolation("bad dataset cache magic")
-        version, n, f, classes, m, has_split = struct.unpack("<IIIIIB", fh.read(21))
-        if version != 1:
-            raise ContractViolation(f"unsupported cache version {version}")
-        features = np.frombuffer(fh.read(8 * n * f), dtype="<f8").reshape(n, f).copy()
-        labels = np.frombuffer(fh.read(8 * n), dtype="<i8").copy()
-        edges = np.frombuffer(fh.read(16 * m), dtype="<i8").reshape(m, 2).copy()
-        split = None
-        if has_split:
-            sets = []
-            for _ in range(3):
-                (k,) = struct.unpack("<I", fh.read(4))
-                sets.append(np.frombuffer(fh.read(8 * k), dtype="<i8").copy())
-            split = Split(*sets)
-    return Dataset(features=features, labels=labels, edges=edges,
-                   class_count=classes, split=split)

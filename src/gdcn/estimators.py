@@ -1,9 +1,10 @@
 """Gradient estimators for the drop-rate parameters.
 
-Two routes: pathwise gradients through the concrete relaxation (a single
-recorded backward pass), and the ARM estimator, which differentiates the
-expectation over the binary masks directly from two antithetic forward
-evaluations of the loss.
+Two routes. Pathwise gradients through the concrete relaxation need no
+code here: the relaxed masks and the Kumaraswamy draw are recorded on the
+tape, so one backward pass reaches (log a, log b). The ARM estimator
+differentiates the expectation over the binary masks directly from two
+antithetic forward evaluations of the loss.
 
 ARM convention: alpha_l = logit(1 - pi_l) with pi the keep probability, so
 the estimator's Bernoulli(sigmoid(alpha)) variables are drop indicators.
@@ -19,8 +20,6 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import ContractViolation, EstimatorFailure
-from .tape import Tape, Tensor, backward
-from .variational import KumaraswamyParams
 
 _EPS = 1e-10
 
@@ -58,11 +57,6 @@ def arm_z1(draw: ArmDraw) -> list:
 def arm_z2(draw: ArmDraw) -> list:
     """The second setting, Z2 = 1[u < sig(a)]: the recorded training pass's."""
     return [(u < expit(a)).astype(np.float64) for u, a in zip(draw.u, draw.alpha)]
-
-
-def arm_pseudo_masks(draw: ArmDraw):
-    """The two antithetic variable settings (Z1, Z2)."""
-    return arm_z1(draw), arm_z2(draw)
 
 
 def arm_gradient(loss_eval, draw: ArmDraw, loss2: float) -> ArmEstimate:
@@ -111,19 +105,3 @@ def chain_to_kuma(grad_alpha: float, pi: float, a: float, b: float,
     d_alpha_d_pi = -1.0 / (pi * (1.0 - pi))
     d_pi_a, d_pi_b = kuma_partials(a, b, u_pi)
     return grad_alpha * d_alpha_d_pi * d_pi_a, grad_alpha * d_alpha_d_pi * d_pi_b
-
-
-def concrete_gradient(tape: Tape, loss: Tensor,
-                      kuma_params: list[KumaraswamyParams]):
-    """Pathwise (d loss/d a_l, d loss/d b_l) from one recorded backward pass.
-
-    The loss must have been recorded with concrete-relaxed masks whose keep
-    probabilities are Kumaraswamy draws of the given parameters.
-    """
-    grads = backward(tape, loss)
-    out = []
-    for kp in kuma_params:
-        g_log_a = float(grads.get(kp.log_a)[0, 0])
-        g_log_b = float(grads.get(kp.log_b)[0, 0])
-        out.append((g_log_a / kp.a, g_log_b / kp.b))
-    return out

@@ -1,4 +1,4 @@
-"""Sparse graph representation, adjacency normalization, and masked aggregation.
+"""Sparse graph representation, adjacency normalization and sparse products.
 
 The canonical storage is CSR with strictly increasing column indices per row,
 which fixes the iteration order of every masked product and therefore makes
@@ -53,18 +53,6 @@ class SparseMatrix:
         return SparseMatrix(self.n_rows, self.n_cols, self.row_ptr, self.col_idx,
                             np.asarray(values, dtype=np.float64))
 
-    def validate(self) -> None:
-        if self.row_ptr[0] != 0 or self.row_ptr[-1] != self.nnz:
-            raise ContractViolation("row_ptr endpoints inconsistent with nnz")
-        if np.any(np.diff(self.row_ptr) < 0):
-            raise ContractViolation("row_ptr must be non-decreasing")
-        for r in range(self.n_rows):
-            cols = self.col_idx[self.row_ptr[r]:self.row_ptr[r + 1]]
-            if len(cols) and (np.any(np.diff(cols) <= 0) or cols[0] < 0 or cols[-1] >= self.n_cols):
-                raise ContractViolation(f"row {r}: columns not strictly increasing in range")
-        if not np.all(np.isfinite(self.values)):
-            raise ContractViolation("values must be finite")
-
 
 @dataclass
 class EdgeSet:
@@ -81,6 +69,10 @@ class EdgeSet:
     cols: np.ndarray
     mirror: np.ndarray = field(repr=False)
     is_diag: np.ndarray = field(repr=False)
+    _lower: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._lower = np.flatnonzero(~self.canonical())
 
     @classmethod
     def from_sparse(cls, a: SparseMatrix) -> "EdgeSet":
@@ -110,6 +102,15 @@ class EdgeSet:
     def canonical(self) -> np.ndarray:
         """Mask of entries (r, c) with r <= c; one per undirected edge/loop."""
         return self.rows <= self.cols
+
+    def symmetrize(self, values: np.ndarray) -> np.ndarray:
+        """Copy each non-canonical entry from its mirror, in place.
+
+        A per-entry vector whose canonical entries were drawn becomes one
+        value per undirected edge; returns ``values``.
+        """
+        values[self._lower] = values[self.mirror[self._lower]]
+        return values
 
 
 def build_adjacency(edges, n: int, symmetrize: bool = True) -> SparseMatrix:
@@ -194,20 +195,6 @@ def spmm_t(a: SparseMatrix, g: np.ndarray) -> np.ndarray:
     if a.n_rows != g.shape[0]:
         raise ContractViolation("shape mismatch in transposed product")
     return a.to_scipy().T @ g
-
-
-def masked_spmm(a: SparseMatrix, mask: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """``(A ⊙ Z) @ H`` where Z carries ``mask`` on A's nonzero pattern.
-
-    An all-ones mask reproduces ``spmm(a, h)`` bitwise: the product runs
-    through the identical kernel with identical value bits.
-    """
-    mask = np.asarray(mask, dtype=np.float64).ravel()
-    if len(mask) != a.nnz:
-        raise ContractViolation(f"mask length {len(mask)} != nnz {a.nnz}")
-    if len(mask) and (mask.min() < 0.0 or mask.max() > 1.0):
-        raise ContractViolation("mask values must lie in [0, 1]")
-    return spmm(a.with_values(a.values * mask), h)
 
 
 def lambda_max(a: SparseMatrix, tol: float = 1e-8, max_iter: int = 1000):

@@ -8,7 +8,9 @@ concrete-relaxed (recorded on a tape so gradients reach the keep
 probability).
 
 Samplers are pure functions of an explicit ``numpy.random.Generator``;
-callers own stream splitting.
+callers own stream splitting. The ARM mask functions (``arm_free_entries``,
+``arm_edge_mask``) draw nothing: the estimator owns the uniform vector, and
+they only map its drop indicators onto the pattern.
 """
 
 from __future__ import annotations
@@ -35,23 +37,43 @@ class MaskKind(enum.Enum):
 
 @dataclass
 class MaskSpec:
-    """Per-layer regularizer description."""
+    """Per-layer regularizer description.
+
+    ``n_blocks`` is the number of GDC feature blocks, each with its own edge
+    mask; every other kind has one block. The flags:
+
+    - ``learned``: the keep probability is drawn from the layer's
+      Kumaraswamy posterior, the paper's adaptive (learned) sampling rate.
+    - ``symmetric``: one draw per undirected edge, so the masked adjacency
+      of an undirected graph (the paper's citation graphs) stays symmetric.
+    - ``relaxed``: declares concrete-relaxed masks, the paper's continuous
+      relaxation that lets gradients reach the drop rate. Sampling follows
+      the estimator instead (relaxed for learned layers under ``concrete``),
+      so the flag only enables the temperature check.
+    - ``protect_self_loops``: self-loops are never dropped, so the mask
+      covers only the graph's edges and each node keeps its own features.
+    - ``dropout_keep``: extra feature DropOut on top of the edge mask, the
+      DropOut-plus-DropEdge (DO-DE) baseline the paper compares against.
+    """
 
     kind: MaskKind = MaskKind.NONE
-    learned: bool = False          # keep prob from the Kumaraswamy posterior
+    learned: bool = False
     keep_prob: float = 1.0         # used when not learned
     n_blocks: int = 1
     symmetric: bool = False
     relaxed: bool = False
     temperature: float = 0.67
     protect_self_loops: bool = False
-    dropout_keep: float | None = None  # extra feature DropOut (DO-DE baseline)
+    dropout_keep: float | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.keep_prob <= 1.0:
             raise ContractViolation("keep_prob must lie in [0, 1]")
         if self.n_blocks < 1:
             raise ContractViolation("n_blocks must be >= 1")
+        if self.n_blocks != 1 and self.kind != MaskKind.GDC:
+            raise ContractViolation(f"n_blocks {self.n_blocks} needs kind "
+                                    f"gdc, got {self.kind.value}")
         if self.relaxed and self.temperature <= 0:
             raise ContractViolation("relaxed masks require temperature > 0")
         if self.dropout_keep is not None and not 0.0 <= self.dropout_keep <= 1.0:
@@ -104,8 +126,7 @@ def _binary_edge_values(edges: EdgeSet, keep_prob: float, symmetric: bool,
         canonical = edges.canonical()
         vals = np.empty(edges.n_entries)
         vals[canonical] = (rng.random(int(canonical.sum())) < keep_prob).astype(np.float64)
-        idx = np.flatnonzero(~canonical)
-        vals[idx] = vals[edges.mirror[idx]]
+        edges.symmetrize(vals)
     else:
         vals = (rng.random(edges.n_entries) < keep_prob).astype(np.float64)
     if protect_self_loops:
@@ -182,10 +203,9 @@ def record_concrete_mask(tape, pi: Tensor, u: np.ndarray, temperature: float,
     noise = np.log(u / (1.0 - u))
     if standard:
         arg = (logit_pi + noise) / temperature
-        dpi_scale = 1.0 / (temperature * p * (1.0 - p))
     else:
         arg = logit_pi / temperature + noise
-        dpi_scale = 1.0 / (temperature * p * (1.0 - p))
+    dpi_scale = 1.0 / (temperature * p * (1.0 - p))
     out = expit(arg)
     if force_one is not None:
         out = np.where(force_one, 1.0, out)
@@ -219,11 +239,41 @@ def sample_concrete_mask(edges: EdgeSet, n_blocks: int, pi, temperature: float,
     for _ in range(n_blocks):
         u = rng.random(edges.n_entries)
         if symmetric:
-            idx = np.flatnonzero(~edges.canonical())
-            u[idx] = u[edges.mirror[idx]]
+            edges.symmetrize(u)
         blocks.append(record_concrete_mask(tape, pi_t, u, temperature,
                                            standard=standard, force_one=force))
     return EdgeMask(blocks=blocks, relaxed=True)
+
+
+def arm_free_entries(edges: EdgeSet, spec: MaskSpec) -> np.ndarray:
+    """Positions holding an independent ARM variable in each block of a layer.
+
+    The other entries follow from these: a symmetric mask copies each
+    non-canonical entry from its mirror, and protected self-loops stay 1.
+    """
+    free = np.ones(edges.n_entries, dtype=bool)
+    if spec.symmetric:
+        free &= edges.canonical()
+    if spec.protect_self_loops:
+        free &= ~edges.is_diag
+    return np.flatnonzero(free)
+
+
+def arm_edge_mask(edges: EdgeSet, spec: MaskSpec, z_drop: np.ndarray,
+                  free_idx: np.ndarray) -> EdgeMask:
+    """Keep mask (1 - drop indicators) scattered onto the full pattern.
+
+    ``z_drop`` holds the ``spec.n_blocks`` blocks of ARM drop indicators,
+    concatenated, each over the entries ``free_idx``.
+    """
+    blocks = []
+    for z in z_drop.reshape(spec.n_blocks, len(free_idx)):
+        vals = np.ones(edges.n_entries)
+        vals[free_idx] = 1.0 - z
+        if spec.symmetric:
+            edges.symmetrize(vals)
+        blocks.append(constant(vals))
+    return EdgeMask(blocks=blocks, relaxed=False)
 
 
 def all_ones_mask(edges: EdgeSet, n_blocks: int = 1) -> EdgeMask:

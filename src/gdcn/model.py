@@ -59,7 +59,25 @@ CHECKPOINT_MAGIC = b"GDCN"
 
 @dataclass
 class GCNConfig:
-    """Architecture plus regularizer/estimator selection."""
+    """Architecture plus regularizer/estimator selection.
+
+    The flags:
+
+    - ``use_bias``: a per-layer bias row; the paper's layer is bias-free,
+      so it is off by default.
+    - ``renorm_trick``: normalize ``A + I`` by ``D + I`` (Kipf and Welling)
+      instead of adding ``I`` to the normalized ``A``.
+    - ``renorm_after_mask``: normalize each masked adjacency again, as
+      DropEdge does, instead of masking the normalized one.
+    - ``concrete_standard``: divide the whole concrete logit by the
+      temperature, the standard relaxation, instead of the paper's form
+      that tempers only the probability logit.
+    - ``kl_weight_scaling``: weigh ``||M_l||^2`` by ``|E| pi_l / 2``, the
+      weight part of the paper's KL, instead of a flat L2 factor.
+    - ``kl_full_series``: the Kumaraswamy-Beta KL series against the
+      paper's Beta(c/L, c(L-1)/L) prior, instead of the closed form that
+      is exact only for Beta(c/L, 1).
+    """
 
     layer_dims: list
     masks: list
@@ -337,7 +355,6 @@ def sample_step_masks(config: GCNConfig, params: list, graph: PreparedGraph,
                 lm.feature = sample_node_mask(n, spec.keep_prob, rng).reshape(-1, 1)
             pi_val = spec.keep_prob
         elif spec.kind in (MaskKind.DROPEDGE, MaskKind.GDC):
-            nb = spec.n_blocks if spec.kind == MaskKind.GDC else 1
             if (mode == "train" and config.estimator == "arm" and spec.learned):
                 # ARM owns the edge variables; only the keep prob is drawn
                 # here. The trainer installs masks built from the step's
@@ -349,7 +366,8 @@ def sample_step_masks(config: GCNConfig, params: list, graph: PreparedGraph,
                                                p.kuma.log_b, u_pi)
                 pi_val = pi_tensor.item()
                 lm.edge = sample_concrete_mask(
-                    graph.edges, nb, pi_tensor, spec.temperature, rng, tape,
+                    graph.edges, spec.n_blocks, pi_tensor, spec.temperature,
+                    rng, tape,
                     symmetric=spec.symmetric,
                     standard=config.concrete_standard,
                     protect_self_loops=spec.protect_self_loops)
@@ -357,7 +375,7 @@ def sample_step_masks(config: GCNConfig, params: list, graph: PreparedGraph,
                 pi_val, u_pi = _keep_prob_for(spec, p, mode, rng)
                 if mode == "det":
                     lm.edge = expected_keep_mask(
-                        graph.edges, pi_val, nb,
+                        graph.edges, pi_val, spec.n_blocks,
                         protect_self_loops=spec.protect_self_loops)
                 elif spec.kind == MaskKind.DROPEDGE:
                     lm.edge = sample_dropedge_mask(
@@ -365,8 +383,8 @@ def sample_step_masks(config: GCNConfig, params: list, graph: PreparedGraph,
                         protect_self_loops=spec.protect_self_loops)
                 else:
                     lm.edge = sample_gdc_masks(
-                        graph.edges, nb, pi_val, spec.symmetric, rng,
-                        protect_self_loops=spec.protect_self_loops)
+                        graph.edges, spec.n_blocks, pi_val, spec.symmetric,
+                        rng, protect_self_loops=spec.protect_self_loops)
         elif spec.kind == MaskKind.RANDOM_WALK:
             pi_val = spec.keep_prob
             if mode == "det":

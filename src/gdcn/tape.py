@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.sparse import csr_array, issparse
-from scipy.special import expit
 
 from .errors import ContractViolation
 from .graph import spmm, spmm_t
@@ -101,9 +100,6 @@ class Gradients:
     def get(self, t: Tensor) -> np.ndarray:
         g = self._store.get(t)
         return np.zeros_like(t.data) if g is None else g
-
-    def __contains__(self, t: Tensor) -> bool:
-        return t in self._store
 
 
 def backward(tape: Tape, loss: Tensor) -> Gradients:
@@ -249,16 +245,6 @@ def record_relu(tape, x: Tensor) -> Tensor:
     def bwd(g, acc):
         if x.requires_grad:
             acc(x, g * (x.data > 0.0))  # subgradient 0 at 0
-
-    return _maybe_record(tape, out_data, (x,), bwd)
-
-
-def record_sigmoid(tape, x: Tensor) -> Tensor:
-    out_data = expit(x.data)
-
-    def bwd(g, acc):
-        if x.requires_grad:
-            acc(x, g * out_data * (1.0 - out_data))
 
     return _maybe_record(tape, out_data, (x,), bwd)
 

@@ -4,14 +4,13 @@ Each epoch rebuilds a fresh tape, samples masks (and keep probabilities
 where learned), and takes one Adam step. Model selection uses a
 deterministic expected-keep evaluation pass so that early stopping does not
 chase mask noise. With the ARM estimator the recorded pass uses the keep
-masks implied by the step's shared uniform vector, and two additional
-unrecorded passes estimate the drop-rate gradients.
+masks implied by the step's shared uniform vector (the second ARM setting,
+Z2), and one additional unrecorded pass, on Z1, completes the drop-rate
+gradient estimate.
 """
 
 from __future__ import annotations
 
-import copy
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -22,8 +21,7 @@ from scipy.special import logit
 from .data import Dataset
 from .errors import ContractViolation, DivergenceError
 from .estimators import ArmDraw, arm_gradient, arm_z2, chain_to_kuma
-from .graph import EdgeSet
-from .masks import EdgeMask, MaskKind
+from .masks import MaskKind, arm_edge_mask, arm_free_entries
 from .model import (GCNConfig, LayerMasks, PreparedGraph, forward,
                     forward_deterministic, init_params, record_kl_terms,
                     sample_step_masks, sparse_input, training_loss)
@@ -143,32 +141,6 @@ def _expected_keeps(config, params) -> list:
     return keeps
 
 
-def _arm_free_entries(spec, edges: EdgeSet) -> np.ndarray:
-    """Positions holding an independent ARM variable for this layer."""
-    free = np.ones(edges.n_entries, dtype=bool)
-    if spec.symmetric:
-        free &= edges.canonical()
-    if spec.protect_self_loops:
-        free &= ~edges.is_diag
-    return np.flatnonzero(free)
-
-
-def _arm_edge_mask(edges: EdgeSet, spec, z_drop: np.ndarray,
-                   free_idx: np.ndarray) -> EdgeMask:
-    """Keep mask (1 - drop indicators) scattered onto the full pattern."""
-    nb = spec.n_blocks if spec.kind == MaskKind.GDC else 1
-    z_drop = z_drop.reshape(nb, len(free_idx))
-    blocks = []
-    for b in range(nb):
-        vals = np.ones(edges.n_entries)
-        vals[free_idx] = 1.0 - z_drop[b]
-        if spec.symmetric:
-            idx = np.flatnonzero(~edges.canonical())
-            vals[idx] = vals[edges.mirror[idx]]
-        blocks.append(constant(vals))
-    return EdgeMask(blocks=blocks, relaxed=False)
-
-
 def train(dataset: Dataset, gcn_config: GCNConfig, train_config: TrainConfig,
           seed: int, graph: PreparedGraph | None = None,
           hidden_hook=None) -> TrainResult:
@@ -192,13 +164,17 @@ def train(dataset: Dataset, gcn_config: GCNConfig, train_config: TrainConfig,
     labels = dataset.labels
     split = dataset.split
     arm = gcn_config.estimator == "arm"
-    n_layers = gcn_config.n_layers
 
     logs = []
     best = {"val": -1.0, "test": 0.0, "epoch": -1,
             "snapshot": [t.data.copy() for t in tensors]}
     nonfinite_run = 0
     capture = hidden_hook is not None
+    # (layer, spec, free_idx) per learned layer; the pattern is fixed, so
+    # the ARM variable positions are too.
+    arm_layers = [(l, spec, arm_free_entries(graph.edges, spec))
+                  for l, spec in enumerate(gcn_config.masks)
+                  if arm and spec.learned]
 
     for epoch in range(train_config.epochs):
         t0 = time.perf_counter()
@@ -206,24 +182,16 @@ def train(dataset: Dataset, gcn_config: GCNConfig, train_config: TrainConfig,
         draws = sample_step_masks(gcn_config, params, graph, rng, tape=tape,
                                   mode="train", input_nnz=x.data.nnz)
 
-        arm_layers = []  # (layer, spec, free_idx)
         if arm:
-            arm_u = []
-            for l, spec in enumerate(gcn_config.masks):
-                if not spec.learned:
-                    continue
-                free_idx = _arm_free_entries(spec, graph.edges)
-                nb = spec.n_blocks if spec.kind == MaskKind.GDC else 1
-                arm_u.append(rng.random(nb * len(free_idx)))
-                arm_layers.append((l, spec, free_idx))
             draw = ArmDraw(
-                u=arm_u,
+                u=[rng.random(spec.n_blocks * len(free_idx))
+                   for _, spec, free_idx in arm_layers],
                 alpha=np.array([logit(1.0 - draws.pi_values[l])
                                 for l, *_ in arm_layers]))
             # The recorded pass runs on the keep masks implied by this
             # step's u (the second ARM setting), keeping all noise shared.
             for (l, spec, free_idx), z2 in zip(arm_layers, arm_z2(draw)):
-                draws.layer_masks[l].edge = _arm_edge_mask(
+                draws.layer_masks[l].edge = arm_edge_mask(
                     graph.edges, spec, z2, free_idx)
 
         logprobs = forward(params, x, graph, draws.layer_masks, tape=tape,
@@ -268,7 +236,7 @@ def train(dataset: Dataset, gcn_config: GCNConfig, train_config: TrainConfig,
                     for (l, spec, free_idx), z in zip(arm_layers, z_list):
                         lm[l] = LayerMasks(
                             feature=base_masks[l].feature,
-                            edge=_arm_edge_mask(graph.edges, spec, z, free_idx))
+                            edge=arm_edge_mask(graph.edges, spec, z, free_idx))
                     lp = forward(params, x, graph, lm, tape=None,
                                  renorm_after_mask=gcn_config.renorm_after_mask)
                     return record_masked_nll(None, lp, labels,
@@ -332,21 +300,21 @@ class RunSummary:
 
 def run_seeds(dataset: Dataset, gcn_config: GCNConfig,
               train_config: TrainConfig, graph: PreparedGraph | None = None,
-              workers: int | None = None) -> RunSummary:
-    """Train once per seed; summary is mean +/- sample std of test accuracy."""
+              workers: int = 1) -> RunSummary:
+    """Train once per seed; summary is mean +/- sample std of test accuracy.
+
+    ``workers`` > 1 trains that many seeds at once on threads.
+    """
     seeds = list(train_config.seeds)
     if not seeds:
         raise ContractViolation("at least one seed is required")
     if graph is None:
         graph = PreparedGraph.from_edges(dataset.edges, dataset.n_nodes,
                                          renorm_trick=gcn_config.renorm_trick)
-    if workers is None:
-        workers = int(os.environ.get("GDC_THREADS", "1"))
     workers = max(1, min(workers, len(seeds)))
 
     def one(seed):
-        cfg = copy.deepcopy(gcn_config)
-        res = train(dataset, cfg, train_config, seed, graph=graph)
+        res = train(dataset, gcn_config, train_config, seed, graph=graph)
         return SeedResult(seed=seed, best_val_acc=res.best_val_acc,
                           test_acc=res.best_test_acc,
                           epochs_run=len(res.logs), result=res)

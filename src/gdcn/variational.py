@@ -99,17 +99,6 @@ def kuma_sample(a: float, b: float, u: float) -> float:
     return _clamp_unit((1.0 - u ** (1.0 / b)) ** (1.0 / a))
 
 
-def kuma_pdf(pi, a: float, b: float):
-    """Density ``a b pi^(a-1) (1 - pi^a)^(b-1)`` on (0, 1)."""
-    if a <= 0 or b <= 0:
-        raise ContractViolation("Kumaraswamy parameters must be positive")
-    pi = np.asarray(pi, dtype=np.float64)
-    if np.any(pi <= 0.0) or np.any(pi >= 1.0):
-        raise ContractViolation("kuma_pdf requires pi strictly inside (0, 1)")
-    out = a * b * pi ** (a - 1.0) * (1.0 - pi ** a) ** (b - 1.0)
-    return float(out) if out.ndim == 0 else out
-
-
 def kuma_mean(a: float, b: float) -> float:
     """E[pi] = b * B(1 + 1/a, b)."""
     return float(b * beta_fn(1.0 + 1.0 / a, b))
@@ -162,22 +151,6 @@ def kl_kuma_beta_partials(a: float, b: float, c: float, L: int,
         d_a += (beta_p - 1.0) * b * np.sum(dbm_da / denom - bm * b / denom ** 2)
         d_b += (beta_p - 1.0) * np.sum(bm * m / denom ** 2 + b * dbm_db / denom)
     return float(d_a), float(d_b)
-
-
-def weight_kl_term(m, pi_keep: float, n_edges: int,
-                   paper_literal: bool = False) -> float:
-    """Weight part of the layer KL: ``coef * ||M||^2``.
-
-    With the package's keep-probability convention the coefficient is
-    ``n_edges * pi_keep / 2`` (probability mass on the nonzero weight value).
-    ``paper_literal`` plugs pi_keep straight into the printed ``(1 - pi)/2``
-    instead, for side-by-side comparison.
-    """
-    if not 0.0 <= pi_keep <= 1.0:
-        raise ContractViolation("pi_keep must lie in [0, 1]")
-    data = m.data if isinstance(m, Tensor) else np.asarray(m, dtype=np.float64)
-    coef = (1.0 - pi_keep) if paper_literal else pi_keep
-    return float(n_edges * coef / 2.0 * np.sum(data * data))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from scipy.special import expit
 
 import gdcn.data as data_io
 from gdcn.cli import main
-from gdcn.estimators import ArmDraw, arm_gradient, arm_pseudo_masks
+from gdcn.estimators import ArmDraw, arm_gradient, arm_z2
 from gdcn.graph import build_adjacency, lambda_max
 from gdcn.masks import (EdgeMask, MaskKind, MaskSpec, all_ones_mask,
                         sample_dropedge_mask, sample_dropout_mask,
@@ -142,9 +142,8 @@ def test_criterion_2_arm_unbiasedness():
     draws = np.empty(n)
     for i in range(n):
         d = ArmDraw(u=[rng.random(3)], alpha=np.array([alpha]))
-        _, z2 = arm_pseudo_masks(d)
         draws[i] = arm_gradient(lambda z: loss(z[0]), d,
-                                loss(z2[0])).grad_alpha[0]
+                                loss(arm_z2(d)[0])).grad_alpha[0]
     mean = draws.mean()
     se = draws.std(ddof=1) / np.sqrt(n)
     assert abs(mean - exact) < 4.0 * se, (mean, exact, se)

@@ -74,6 +74,16 @@ class TestConfigErrors:
         rc = main(["train", "--config", cfg])
         assert rc == 2
 
+    def test_unknown_regularizer_exit_2(self, tmp_path, synthetic_files,
+                                        capsys):
+        content, cites = synthetic_files
+        cfg = write_config(tmp_path / "bad.ini", content, cites,
+                           tmp_path / "o", **{"model.regularizer": "Dropout"})
+        rc = main(["train", "--config", cfg])
+        assert rc == 2
+        assert ("model.regularizer: unknown kind 'Dropout'"
+                in capsys.readouterr().err)
+
 
 class TestTrain:
     def test_artifacts_and_summary(self, config, capsys):

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from gdcn.data import (Dataset, load_cache, load_content_cites, make_split,
-                       row_normalize, save_cache)
-from gdcn.errors import ContractViolation, MalformedInputError
+from gdcn.data import Dataset, load_content_cites, make_split, row_normalize
+from gdcn.errors import MalformedInputError
 
 
 def write(path, text):
@@ -138,24 +137,3 @@ class TestMakeSplit:
     def test_overlap_rejected(self):
         with pytest.raises(MalformedInputError):
             make_split(self._toy(n=12), per_class_train=2, n_val=4, n_test=6)
-
-
-class TestCache:
-    def test_roundtrip(self, tmp_path, synthetic_files):
-        ds = load_content_cites(*synthetic_files)
-        ds = make_split(ds, per_class_train=2, n_val=4, n_test=6)
-        path = tmp_path / "ds.bin"
-        save_cache(path, ds)
-        back = load_cache(path)
-        assert np.array_equal(back.features, ds.features)
-        assert np.array_equal(back.labels, ds.labels)
-        assert np.array_equal(back.edges, ds.edges)
-        assert back.class_count == ds.class_count
-        assert np.array_equal(back.split.test, ds.split.test)
-        assert path.read_bytes()[:4] == b"GDCD"
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.bin"
-        path.write_bytes(b"XXXX" + b"\x00" * 30)
-        with pytest.raises(ContractViolation):
-            load_cache(path)

@@ -8,8 +8,9 @@ from scipy.special import expit, logit
 
 from gdcn.errors import ContractViolation
 from gdcn.graph import EdgeSet, build_adjacency, normalize
-from gdcn.masks import (MaskKind, MaskSpec, all_ones_mask,
-                        expected_keep_mask, record_concrete_mask,
+from gdcn.masks import (MaskKind, MaskSpec, all_ones_mask, arm_edge_mask,
+                        arm_free_entries, expected_keep_mask,
+                        record_concrete_mask,
                         sample_concrete_mask, sample_dropedge_mask,
                         sample_dropout_mask, sample_gdc_masks,
                         sample_node_mask, sample_randomwalk_mask)
@@ -208,6 +209,22 @@ class TestConcrete:
         assert np.all(vals[es.is_diag] == 1.0)
 
 
+class TestArmMask:
+    def test_symmetric_protected_blocks(self):
+        es = edge_set(7, seed=4)
+        spec = MaskSpec(kind=MaskKind.GDC, learned=True, n_blocks=2,
+                        symmetric=True, protect_self_loops=True)
+        free = arm_free_entries(es, spec)
+        np.testing.assert_array_equal(
+            free, np.flatnonzero(es.rows < es.cols))
+        rng = np.random.default_rng(5)
+        z = (rng.random(2 * len(free)) < 0.5).astype(np.float64)
+        vals = arm_edge_mask(es, spec, z, free).values()
+        np.testing.assert_array_equal(vals[:, free], 1.0 - z.reshape(2, -1))
+        np.testing.assert_array_equal(vals, vals[:, es.mirror])
+        assert np.all(vals[:, es.is_diag] == 1.0)
+
+
 class TestMaskSpec:
     def test_learned_requires_edge_kind(self):
         with pytest.raises(ContractViolation):
@@ -216,3 +233,11 @@ class TestMaskSpec:
     def test_temperature_validation(self):
         with pytest.raises(ContractViolation):
             MaskSpec(kind=MaskKind.GDC, relaxed=True, temperature=0.0)
+
+    def test_blocks_require_gdc_kind(self):
+        for kind in MaskKind:
+            if kind != MaskKind.GDC:
+                assert MaskSpec(kind=kind, n_blocks=1).n_blocks == 1
+                with pytest.raises(ContractViolation, match="needs kind gdc"):
+                    MaskSpec(kind=kind, n_blocks=2)
+        assert MaskSpec(kind=MaskKind.GDC, n_blocks=2).n_blocks == 2

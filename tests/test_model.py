@@ -13,10 +13,10 @@ from gdcn.model import (GCNConfig, LayerMasks, PreparedGraph, forward,
                         init_params, load_checkpoint, predict_mc,
                         record_kl_terms, sample_step_masks, save_checkpoint,
                         training_loss)
-from gdcn.tape import Tape, block_bounds, constant
+from gdcn.tape import Tape, backward, block_bounds, constant
 from gdcn.variational import kl_kuma_beta
 
-from conftest import dense_normalize, random_edges
+from conftest import dense_normalize, finite_diff, random_edges, rel_err
 
 
 def prepared(n=5, seed=0, p=0.6):
@@ -292,6 +292,39 @@ class TestTrainingLoss:
         assert loss.item() == pytest.approx(np.log(2.0), abs=1e-12)
 
 
+class TestBias:
+    def test_bias_gradient_matches_finite_differences(self):
+        g = prepared(5, seed=7)
+        cfg = GCNConfig(layer_dims=[3, 4, 2], use_bias=True,
+                        masks=[MaskSpec(), MaskSpec()])
+        params = init_params(cfg, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        x = constant(rng.normal(size=(5, 3)))
+        labels = np.array([0, 1, 1, 0, 1])
+        b0 = rng.normal(size=6)
+        masks = [LayerMasks()] * 2
+
+        def set_bias(flat):
+            params[0].bias.data[:] = flat[:4]
+            params[1].bias.data[:] = flat[4:]
+
+        def loss_of(flat):
+            set_bias(flat)
+            lp = forward(params, x, g, masks)
+            return training_loss(None, lp, labels, np.arange(5), params,
+                                 [], 0.0, 0.0).item()
+
+        set_bias(b0)
+        t = Tape()
+        lp = forward(params, x, g, masks, tape=t)
+        grads = backward(t, training_loss(t, lp, labels, np.arange(5),
+                                          params, [], 0.0, 0.0))
+        got = np.concatenate([grads.get(p.bias).ravel() for p in params])
+        fd = finite_diff(loss_of, b0)
+        assert np.all(got != 0.0)
+        assert rel_err(got, fd) < 1e-6
+
+
 class TestPredictMc:
     def test_keep_one_matches_deterministic(self):
         g = prepared(5, seed=4)
@@ -339,6 +372,22 @@ class TestCheckpoint:
         assert loaded[0].kuma.a == pytest.approx(params[0].kuma.a)
         assert loaded[1].kuma is None
         assert loaded[1].fixed_keep == pytest.approx(0.4)
+
+    def test_bias_roundtrip_version_2(self, tmp_path):
+        cfg = GCNConfig(layer_dims=[3, 4, 2], use_bias=True,
+                        masks=[MaskSpec(), MaskSpec()])
+        params = init_params(cfg, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        for p in params:
+            p.bias.data[:] = rng.normal(size=p.bias.data.shape)
+        path = tmp_path / "model.bin"
+        save_checkpoint(path, params)
+        import struct
+        assert struct.unpack("<I", path.read_bytes()[4:8]) == (2,)
+        loaded = load_checkpoint(path)
+        for a, b in zip(params, loaded):
+            assert np.array_equal(a.m.data, b.m.data)
+            assert np.array_equal(a.bias.data, b.bias.data)
 
     def test_magic_enforced(self, tmp_path):
         path = tmp_path / "bad.bin"

@@ -1,11 +1,13 @@
 """Adam, the training loop, early stopping, and seed summaries."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from gdcn.data import Dataset, Split, make_split
 from gdcn.masks import MaskKind, MaskSpec
-from gdcn.model import GCNConfig
+from gdcn.model import GCNConfig, PreparedGraph
 from gdcn.synthetic import cluster_graph
 from gdcn.tape import parameter
 from gdcn.training import (AdamState, EpochLog, TrainConfig, adam_step,
@@ -141,13 +143,13 @@ class TestTrain:
         # L(Z2) taken from the recorded pass must equal a separate forward
         # on Z2, so the estimate matches the two-evaluation one bit for bit.
         import gdcn.training as training
-        from gdcn.estimators import arm_gradient, arm_pseudo_masks
+        from gdcn.estimators import arm_gradient, arm_z2
         checked = []
 
         def two_evals(loss_eval, draw, loss2):
             got = arm_gradient(loss_eval, draw, loss2)
             want = arm_gradient(loss_eval, draw,
-                                loss_eval(arm_pseudo_masks(draw)[1]))
+                                loss_eval(arm_z2(draw)))
             checked.append(np.array_equal(got.grad_alpha, want.grad_alpha)
                            and got.delta_loss == want.delta_loss)
             return got
@@ -161,6 +163,41 @@ class TestTrain:
         tc = TrainConfig(epochs=8, lr=0.05, patience=8, seeds=(0,))
         train(ds, cfg, tc, seed=0)
         assert checked == [True] * 8
+
+    def test_kl_weight_scaling_loss(self, monkeypatch):
+        # One epoch at lr 0 on one draw: with the flag the weight penalty is
+        # sum_l |E| pi_l / 2 ||M_l||^2, without it l2_factor * sum ||M_l||^2.
+        import gdcn.training as training
+        sample = training.sample_step_masks
+        drawn = []
+
+        def recording(*args, **kwargs):
+            drawn.append(sample(*args, **kwargs))
+            return drawn[-1]
+
+        monkeypatch.setattr(training, "sample_step_masks", recording)
+        ds = synthetic_dataset()
+        graph = PreparedGraph.from_edges(ds.edges, ds.n_nodes)
+        flat = small_config(ds.n_features, ds.class_count, kind=MaskKind.GDC,
+                            learned=True, estimator="concrete", n_blocks=2)
+        tc = TrainConfig(epochs=1, lr=0.0, l2_factor=0.01, seeds=(0,))
+        logs, pis, fros = [], [], []
+        for cfg in (flat, dataclasses.replace(flat, kl_weight_scaling=True)):
+            drawn.clear()
+            res = train(ds, cfg, tc, seed=0, graph=graph)
+            logs.append(res.logs[0])
+            pis.append(drawn[0].pi_values)
+            fros.append([np.sum(p.m.data ** 2) for p in res.params])
+        assert pis[0] == pis[1] and fros[0] == fros[1]
+        flat_log, scaled_log = logs
+        n_e = graph.edges.n_entries
+        want = (scaled_log.nll + scaled_log.kl
+                + sum(n_e * pi / 2.0 * f for pi, f in zip(pis[1], fros[1])))
+        assert scaled_log.train_loss == pytest.approx(want, rel=1e-12)
+        assert flat_log.train_loss == pytest.approx(
+            flat_log.nll + flat_log.kl + 0.01 * sum(fros[0]), rel=1e-12)
+        assert scaled_log.nll == flat_log.nll and scaled_log.kl == flat_log.kl
+        assert scaled_log.train_loss != pytest.approx(flat_log.train_loss)
 
     def test_keep_probs_move_when_learned(self):
         ds = synthetic_dataset()

@@ -7,12 +7,13 @@ from scipy import stats
 from scipy.special import beta as beta_fn
 
 from gdcn.errors import ContractViolation
-from gdcn.tape import Tape, backward, parameter
+from gdcn.model import LayerParams, training_loss
+from gdcn.tape import Tape, backward, constant, parameter, record_scale
 from gdcn.variational import (BetaPrior, KumaraswamyParams, WarmupSchedule,
                               kl_kuma_beta, kl_kuma_beta_partials,
-                              kuma_mean, kuma_pdf, kuma_sample,
+                              kuma_mean, kuma_sample,
                               record_kl_kuma_beta, record_kuma_sample,
-                              warmup_factor, weight_kl_term)
+                              warmup_factor)
 
 from conftest import finite_diff, rel_err
 
@@ -59,12 +60,6 @@ class TestKumaSample:
 
 
 class TestKumaPdf:
-    def test_uniform_density(self):
-        assert kuma_pdf(0.3, 1.0, 1.0) == pytest.approx(1.0)
-
-    def test_plug_in(self):
-        assert kuma_pdf(0.5, 2.0, 1.0) == pytest.approx(1.0)
-
     def test_integrates_to_one(self):
         for a in (0.5, 1.0, 2.0, 5.0):
             for b in (0.5, 1.0, 2.0, 5.0):
@@ -72,10 +67,6 @@ class TestKumaPdf:
                     lambda x, a=a, b=b: mp.mpf(a) * b * x ** (a - 1)
                     * (1 - x ** a) ** (b - 1), [0, 1]))
                 assert total == pytest.approx(1.0, abs=1e-8)
-
-    def test_boundary_rejected(self):
-        with pytest.raises(ContractViolation):
-            kuma_pdf(0.0, 1.0, 1.0)
 
     def test_sample_pdf_consistency_chisquare(self):
         """Histogram of draws matches the density (chi^2 p > 0.01)."""
@@ -169,19 +160,26 @@ class TestRecordedOps:
 
 
 class TestWeightKl:
-    def test_zero_weights(self):
-        assert weight_kl_term(np.zeros((3, 3)), 0.5, 10) == 0.0
+    """Weight part of the layer KL, ``|E| pi / 2 * ||M||^2``, as the
+    training loss applies it through per-layer ``weight_coefs``."""
 
-    def test_paper_literal_at_keep_one(self):
-        assert weight_kl_term(np.eye(2), 1.0, 10, paper_literal=True) == 0.0
+    @staticmethod
+    def weight_term(m, pi_keep, n_edges):
+        t = Tape()
+        coef = record_scale(t, constant(pi_keep), n_edges / 2.0)
+        # one node, one class: log-probability 0, so the NLL is 0
+        nll_free = constant(np.zeros((1, 1)))
+        loss = training_loss(t, nll_free, np.array([0]), np.array([0]),
+                             [LayerParams(m=parameter(m))], [], 0.0, 1.0,
+                             weight_coefs=[coef])
+        return loss.item()
+
+    def test_zero_weights(self):
+        assert self.weight_term(np.zeros((3, 3)), 0.5, 10) == 0.0
 
     def test_plug_in(self):
         # coefficient 0.5 with |E| = 1: 0.5 * ||I_2||^2 = 1.0
-        assert weight_kl_term(np.eye(2), 1.0, 1) == pytest.approx(1.0)
-
-    def test_range(self):
-        with pytest.raises(ContractViolation):
-            weight_kl_term(np.eye(2), 1.5, 1)
+        assert self.weight_term(np.eye(2), 1.0, 1) == pytest.approx(1.0)
 
 
 class TestWarmup:
