@@ -2,7 +2,8 @@
 
 Every run writes its artifacts (CSV files, checkpoints, and a
 ``config_resolved.ini`` capturing all defaults) into the output directory.
-Exit codes: 0 success, 2 configuration error, 3 training divergence.
+Exit codes: 0 success, 2 configuration or input error (a malformed
+data file or checkpoint included), 3 training divergence.
 """
 
 from __future__ import annotations

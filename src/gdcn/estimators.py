@@ -1,10 +1,12 @@
 """Gradient estimators for the drop-rate parameters.
 
-Two routes. Pathwise gradients through the concrete relaxation need no
-code here: the relaxed masks and the Kumaraswamy draw are recorded on the
-tape, so one backward pass reaches (log a, log b). The ARM estimator
-differentiates the expectation over the binary masks directly from two
-antithetic forward evaluations of the loss.
+Both reach (log a, log b) by one route: the keep probability draw pi is
+recorded on the tape (``variational.record_kuma_sample``), and one backward
+pass differentiates it. Pathwise gradients through the concrete relaxation
+need no code here: the relaxed masks hang off the recorded draw. The ARM
+estimator differentiates the expectation over the binary masks directly
+from two antithetic forward evaluations of the loss; its estimate enters
+the backward pass as dL/dpi on the recorded draw (``arm_pi_term``).
 
 ARM convention: alpha_l = logit(1 - pi_l) with pi the keep probability, so
 the estimator's Bernoulli(sigmoid(alpha)) variables are drop indicators.
@@ -20,8 +22,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import ContractViolation, EstimatorFailure
-
-_EPS = 1e-10
+from .tape import Tensor, record_scale
 
 
 @dataclass
@@ -82,26 +83,13 @@ def arm_gradient(loss_eval, draw: ArmDraw, loss2: float) -> ArmEstimate:
                        per_layer_variance=variances)
 
 
-def kuma_partials(a: float, b: float, u: float):
-    """Exact (d pi/d a, d pi/d b) of the draw pi = (1 - u^(1/b))^(1/a)."""
-    u = min(max(u, _EPS), 1.0 - _EPS)
-    u_pow = u ** (1.0 / b)
-    g = 1.0 - u_pow
-    pi = g ** (1.0 / a)
-    d_a = pi * (-np.log(g)) / a ** 2
-    d_b = pi * u_pow * np.log(u) / (a * g * b ** 2)
-    return d_a, d_b
+def arm_pi_term(tape, pi: Tensor, grad_alpha: float) -> Tensor:
+    """A term whose gradient on the recorded draw ``pi`` is ARM's dL/dpi.
 
-
-def chain_to_kuma(grad_alpha: float, pi: float, a: float, b: float,
-                  u_pi: float):
-    """Map d loss/d alpha to (d loss/d a, d loss/d b).
-
-    alpha = logit(1 - pi) gives d alpha/d pi = -1/(pi (1 - pi)); pi must be
-    this step's Kumaraswamy draw for u_pi. Boundary pi values are clamped
-    to [1e-10, 1 - 1e-10] before differentiating.
+    alpha = logit(1 - pi) gives dL/dpi = -grad_alpha / (pi (1 - pi)); the
+    term is that constant times ``pi``. Added to the loss before backward,
+    it carries the estimate to (log a, log b) through the tape. Its value
+    is not part of the loss.
     """
-    pi = min(max(pi, _EPS), 1.0 - _EPS)
-    d_alpha_d_pi = -1.0 / (pi * (1.0 - pi))
-    d_pi_a, d_pi_b = kuma_partials(a, b, u_pi)
-    return grad_alpha * d_alpha_d_pi * d_pi_a, grad_alpha * d_alpha_d_pi * d_pi_b
+    p = pi.item()
+    return record_scale(tape, pi, -grad_alpha / (p * (1.0 - p)))

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import csr_array, issparse
 
-from .errors import ContractViolation
+from .errors import ContractViolation, MalformedInputError
 from .graph import EdgeSet, SparseMatrix, build_adjacency, normalize
 from .masks import (EdgeMask, MaskKind, MaskSpec, all_ones_mask,
                     expected_keep_mask, sample_concrete_mask,
@@ -51,8 +51,8 @@ from .tape import (Tensor, constant, parameter, record_add, record_add_rowvec,
                    record_frobenius_sq, record_gdc_aggregate,
                    record_log_softmax_rows, record_masked_nll, record_mul,
                    record_relu, record_scale)
-from .variational import (KumaraswamyParams, kuma_mean, kuma_sample,
-                          record_kl_kuma_beta, record_kuma_sample)
+from .variational import (KumaraswamyParams, kuma_mean, record_kl_kuma_beta,
+                          record_kuma_sample)
 
 CHECKPOINT_MAGIC = b"GDCN"
 
@@ -119,9 +119,9 @@ class GCNConfig:
                     raise ContractViolation(
                         "renorm_after_mask requires symmetric edge masks"
                     )
-        if self.estimator != "none" and not any(s.learned for s in self.masks):
+        if (self.estimator != "none") != any(s.learned for s in self.masks):
             raise ContractViolation(
-                "an estimator is selected but no layer has learned drop rates"
+                "an estimator is needed exactly when a layer learns its drop rate"
             )
 
     @property
@@ -287,19 +287,29 @@ class StepDraws:
     """Everything sampled for one training step's mask realization."""
 
     layer_masks: list = field(default_factory=list)
-    pi_values: list = field(default_factory=list)   # float per layer (or None)
-    pi_tensors: list = field(default_factory=list)  # recorded draw (or None)
-    u_pi: list = field(default_factory=list)        # uniform behind each draw
+    pi_tensors: list = field(default_factory=list)  # keep probability per layer
 
 
-def _keep_prob_for(spec: MaskSpec, p: LayerParams, mode: str, rng) -> tuple:
-    """Resolve (pi_value, u_pi) for one layer in a non-concrete mode."""
-    if not spec.learned:
-        return spec.keep_prob, None
-    if mode == "det":
-        return kuma_mean(p.kuma.a, p.kuma.b), None
-    u = float(rng.random())
-    return kuma_sample(p.kuma.a, p.kuma.b, u), u
+def expected_keep(spec: MaskSpec, p: LayerParams) -> float:
+    """E[pi] of one layer: the Kumaraswamy mean when learned, 1.0 for no
+    mask, the fixed keep probability otherwise."""
+    if spec.learned:
+        return kuma_mean(p.kuma.a, p.kuma.b)
+    return 1.0 if spec.kind == MaskKind.NONE else spec.keep_prob
+
+
+def _keep_prob_for(spec: MaskSpec, p: LayerParams, mode: str, rng,
+                   tape) -> Tensor:
+    """One layer's keep probability for this pass.
+
+    A learned layer in a stochastic mode draws it from its Kumaraswamy
+    posterior, recorded on ``tape`` so that gradients reach (log a, log b);
+    every other case is the constant ``expected_keep``.
+    """
+    if mode == "det" or not spec.learned:
+        return constant(expected_keep(spec, p))
+    return record_kuma_sample(tape, p.kuma.log_a, p.kuma.log_b,
+                              float(rng.random()))
 
 
 def _dropout_mask(n: int, f_in: int, keep_prob: float, rng,
@@ -316,9 +326,14 @@ def sample_step_masks(config: GCNConfig, params: list, graph: PreparedGraph,
                       input_nnz: int | None = None) -> StepDraws:
     """Draw one full set of per-layer masks.
 
-    Modes: ``train`` (stochastic; relaxed masks for learned layers when the
-    estimator is ``concrete``), ``mc`` (stochastic, binary everywhere), and
-    ``det`` (deterministic expected-keep evaluation, which needs no ``rng``).
+    Modes: ``train`` (stochastic), ``mc`` (stochastic, binary everywhere),
+    and ``det`` (deterministic expected-keep evaluation, which needs no
+    ``rng``). In ``train`` mode every learned layer records its keep
+    probability draw on ``tape``, whatever the estimator, and the estimator
+    owns that layer's edge masks: ``concrete`` draws relaxed masks around
+    the recorded draw here, while under ``arm`` the edge mask is left unset
+    and the trainer installs binary masks built from the step's shared
+    uniforms.
 
     ``input_nnz`` is the stored-entry count of a CSR layer-0 input; layer-0
     DropOut masks then hold one value per stored entry instead of an
@@ -332,61 +347,41 @@ def sample_step_masks(config: GCNConfig, params: list, graph: PreparedGraph,
     draws = StepDraws()
     prev_edge = all_ones_mask(graph.edges)  # random-walk layer coupling
     for l, spec in enumerate(config.masks):
-        p = params[l]
         f_in = config.layer_dims[l]
         lm = LayerMasks()
         entries = input_nnz if l == 0 else None  # per-entry DropOut
-        pi_val, pi_tensor, u_pi = None, None, None
-        relaxed = (mode == "train" and config.estimator == "concrete"
-                   and spec.learned)
-        if spec.kind == MaskKind.NONE:
-            pass
-        elif spec.kind == MaskKind.DROPOUT:
+        pi_tensor = _keep_prob_for(spec, params[l], mode, rng, tape)
+        pi_val = pi_tensor.item()
+        if spec.kind in (MaskKind.DROPOUT, MaskKind.NODE_SAMPLING):
             if mode == "det":
-                lm.feature_scale = spec.keep_prob
+                lm.feature_scale = pi_val
+            elif spec.kind == MaskKind.DROPOUT:
+                lm.feature = _dropout_mask(n, f_in, pi_val, rng, entries)
             else:
-                lm.feature = _dropout_mask(n, f_in, spec.keep_prob, rng,
-                                           entries)
-            pi_val = spec.keep_prob
-        elif spec.kind == MaskKind.NODE_SAMPLING:
-            if mode == "det":
-                lm.feature_scale = spec.keep_prob
-            else:
-                lm.feature = sample_node_mask(n, spec.keep_prob, rng).reshape(-1, 1)
-            pi_val = spec.keep_prob
+                lm.feature = sample_node_mask(n, pi_val, rng).reshape(-1, 1)
         elif spec.kind in (MaskKind.DROPEDGE, MaskKind.GDC):
-            if (mode == "train" and config.estimator == "arm" and spec.learned):
-                # ARM owns the edge variables; only the keep prob is drawn
-                # here. The trainer installs masks built from the step's
-                # shared uniform vector before the forward pass.
-                pi_val, u_pi = _keep_prob_for(spec, p, mode, rng)
-            elif relaxed:
-                u_pi = float(rng.random())
-                pi_tensor = record_kuma_sample(tape, p.kuma.log_a,
-                                               p.kuma.log_b, u_pi)
-                pi_val = pi_tensor.item()
-                lm.edge = sample_concrete_mask(
-                    graph.edges, spec.n_blocks, pi_tensor, spec.temperature,
-                    rng, tape,
-                    symmetric=spec.symmetric,
-                    standard=config.concrete_standard,
+            if mode == "det":
+                lm.edge = expected_keep_mask(
+                    graph.edges, pi_val, spec.n_blocks,
+                    protect_self_loops=spec.protect_self_loops)
+            elif mode == "train" and spec.learned:
+                # ARM's binary masks are installed by the trainer.
+                if config.estimator == "concrete":
+                    lm.edge = sample_concrete_mask(
+                        graph.edges, spec.n_blocks, pi_tensor,
+                        spec.temperature, rng, tape,
+                        symmetric=spec.symmetric,
+                        standard=config.concrete_standard,
+                        protect_self_loops=spec.protect_self_loops)
+            elif spec.kind == MaskKind.DROPEDGE:
+                lm.edge = sample_dropedge_mask(
+                    graph.edges, pi_val, spec.symmetric, rng,
                     protect_self_loops=spec.protect_self_loops)
             else:
-                pi_val, u_pi = _keep_prob_for(spec, p, mode, rng)
-                if mode == "det":
-                    lm.edge = expected_keep_mask(
-                        graph.edges, pi_val, spec.n_blocks,
-                        protect_self_loops=spec.protect_self_loops)
-                elif spec.kind == MaskKind.DROPEDGE:
-                    lm.edge = sample_dropedge_mask(
-                        graph.edges, pi_val, spec.symmetric, rng,
-                        protect_self_loops=spec.protect_self_loops)
-                else:
-                    lm.edge = sample_gdc_masks(
-                        graph.edges, spec.n_blocks, pi_val, spec.symmetric,
-                        rng, protect_self_loops=spec.protect_self_loops)
+                lm.edge = sample_gdc_masks(
+                    graph.edges, spec.n_blocks, pi_val, spec.symmetric,
+                    rng, protect_self_loops=spec.protect_self_loops)
         elif spec.kind == MaskKind.RANDOM_WALK:
-            pi_val = spec.keep_prob
             if mode == "det":
                 lm.edge = expected_keep_mask(graph.edges, pi_val, 1)
             else:
@@ -404,9 +399,7 @@ def sample_step_masks(config: GCNConfig, params: list, graph: PreparedGraph,
                 extra = _dropout_mask(n, f_in, spec.dropout_keep, rng, entries)
                 lm.feature = extra if lm.feature is None else lm.feature * extra
         draws.layer_masks.append(lm)
-        draws.pi_values.append(pi_val)
         draws.pi_tensors.append(pi_tensor)
-        draws.u_pi.append(u_pi)
     return draws
 
 
@@ -501,31 +494,56 @@ def save_checkpoint(path, params: list) -> None:
 
 
 def load_checkpoint(path) -> list:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != CHECKPOINT_MAGIC:
-            raise ContractViolation(f"bad checkpoint magic {magic!r}")
-        version, n_layers = struct.unpack("<II", fh.read(8))
-        if version not in (1, 2):
-            raise ContractViolation(f"unsupported checkpoint version {version}")
-        dims = struct.unpack(f"<{n_layers + 1}I", fh.read(4 * (n_layers + 1)))
-        params = []
-        for l in range(n_layers):
-            f_in, f_out = dims[l], dims[l + 1]
-            m = np.frombuffer(fh.read(8 * f_in * f_out),
-                              dtype="<f8").reshape(f_in, f_out)
-            bias = None
-            if version == 2:
-                bias = np.frombuffer(fh.read(8 * f_out), dtype="<f8").reshape(1, f_out)
-            params.append(LayerParams(
-                m=parameter(m.copy()),
-                bias=parameter(bias.copy()) if bias is not None else None))
-        for p in params:
-            (kind,) = struct.unpack("<B", fh.read(1))
-            if kind == 1:
-                log_a, log_b = struct.unpack("<dd", fh.read(16))
-                p.kuma = KumaraswamyParams(float(np.exp(log_a)),
-                                           float(np.exp(log_b)))
-            else:
-                (p.fixed_keep,) = struct.unpack("<d", fh.read(8))
+    """Parameters from ``save_checkpoint``'s file.
+
+    An unreadable file, a bad magic number, an unknown version or layer
+    kind, a short read or trailing bytes raise ``MalformedInputError``.
+    """
+    try:
+        with open(path, "rb") as fh:
+            buf = fh.read()
+    except OSError as exc:
+        raise MalformedInputError(f"cannot read checkpoint {path}: {exc}")
+    pos = 0
+
+    def take(size: int) -> bytes:
+        nonlocal pos
+        if size > len(buf) - pos:
+            raise MalformedInputError(
+                f"checkpoint {path} is truncated: {size} bytes needed at "
+                f"offset {pos}, {len(buf) - pos} left")
+        pos += size
+        return buf[pos - size:pos]
+
+    def unpack(fmt):
+        return struct.unpack(fmt, take(struct.calcsize(fmt)))
+
+    def floats(rows: int, cols: int) -> Tensor:
+        return parameter(np.frombuffer(take(8 * rows * cols), dtype="<f8")
+                         .reshape(rows, cols).copy())
+
+    magic = take(4)
+    if magic != CHECKPOINT_MAGIC:
+        raise MalformedInputError(f"bad checkpoint magic {magic!r}")
+    version, n_layers = unpack("<II")
+    if version not in (1, 2) or n_layers < 1:
+        raise MalformedInputError(
+            f"unsupported checkpoint version {version} with {n_layers} layers")
+    dims = np.frombuffer(take(4 * (n_layers + 1)), dtype="<u4").tolist()
+    params = [LayerParams(m=floats(f_in, f_out),
+                          bias=floats(1, f_out) if version == 2 else None)
+              for f_in, f_out in zip(dims, dims[1:])]
+    for l, p in enumerate(params):
+        (kind,) = unpack("<B")
+        if kind == 1:
+            log_a, log_b = unpack("<dd")
+            p.kuma = KumaraswamyParams(float(np.exp(log_a)),
+                                       float(np.exp(log_b)))
+        elif kind == 0:
+            (p.fixed_keep,) = unpack("<d")
+        else:
+            raise MalformedInputError(f"layer {l}: unknown drop kind {kind}")
+    if pos != len(buf):
+        raise MalformedInputError(
+            f"checkpoint {path} has {len(buf) - pos} trailing bytes")
     return params

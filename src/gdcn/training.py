@@ -1,12 +1,16 @@
 """Full-batch training loop: Adam, early stopping, seed management.
 
-Each epoch rebuilds a fresh tape, samples masks (and keep probabilities
-where learned), and takes one Adam step. Model selection uses a
-deterministic expected-keep evaluation pass so that early stopping does not
-chase mask noise. With the ARM estimator the recorded pass uses the keep
-masks implied by the step's shared uniform vector (the second ARM setting,
-Z2), and one additional unrecorded pass, on Z1, completes the drop-rate
-gradient estimate.
+Each epoch rebuilds a fresh tape, samples masks (recording the keep
+probability draw of every learned layer), and takes one Adam step. Model
+selection uses a deterministic expected-keep evaluation pass so that early
+stopping does not chase mask noise.
+
+Both estimators reach (log a, log b) through the recorded Kumaraswamy draw
+and one backward pass. Concrete differentiates its relaxed masks on the
+tape. With ARM the recorded pass uses the keep masks implied by the step's
+shared uniform vector (the second ARM setting, Z2), one additional
+unrecorded pass on Z1 completes the estimate g_alpha, and g_alpha enters
+the backward pass as dL/dpi on the recorded draw.
 """
 
 from __future__ import annotations
@@ -20,13 +24,15 @@ from scipy.special import logit
 
 from .data import Dataset
 from .errors import ContractViolation, DivergenceError
-from .estimators import ArmDraw, arm_gradient, arm_z2, chain_to_kuma
-from .masks import MaskKind, arm_edge_mask, arm_free_entries
-from .model import (GCNConfig, LayerMasks, PreparedGraph, forward,
-                    forward_deterministic, init_params, record_kl_terms,
-                    sample_step_masks, sparse_input, training_loss)
-from .tape import Tape, backward, constant, record_masked_nll, record_scale
-from .variational import WarmupSchedule, kuma_mean, warmup_factor
+from .estimators import ArmDraw, arm_gradient, arm_pi_term, arm_z2
+from .masks import arm_edge_mask, arm_free_entries
+from .model import (GCNConfig, LayerMasks, PreparedGraph, expected_keep,
+                    forward, forward_deterministic, init_params,
+                    record_kl_terms, sample_step_masks, sparse_input,
+                    training_loss)
+from .tape import (Tape, backward, constant, record_add, record_masked_nll,
+                   record_scale)
+from .variational import WarmupSchedule, warmup_factor
 
 _DIVERGENCE_LIMIT = 5
 
@@ -129,18 +135,6 @@ def _det_eval(params, x, graph, config, labels, split, capture_hidden=False):
     return val_acc, test_acc, hidden
 
 
-def _expected_keeps(config, params) -> list:
-    keeps = []
-    for spec, p in zip(config.masks, params):
-        if p.kuma is not None:
-            keeps.append(kuma_mean(p.kuma.a, p.kuma.b))
-        elif spec.kind == MaskKind.NONE:
-            keeps.append(1.0)
-        else:
-            keeps.append(spec.keep_prob)
-    return keeps
-
-
 def train(dataset: Dataset, gcn_config: GCNConfig, train_config: TrainConfig,
           seed: int, graph: PreparedGraph | None = None,
           hidden_hook=None) -> TrainResult:
@@ -163,7 +157,6 @@ def train(dataset: Dataset, gcn_config: GCNConfig, train_config: TrainConfig,
     x = sparse_input(constant(dataset.features))
     labels = dataset.labels
     split = dataset.split
-    arm = gcn_config.estimator == "arm"
 
     logs = []
     best = {"val": -1.0, "test": 0.0, "epoch": -1,
@@ -174,7 +167,7 @@ def train(dataset: Dataset, gcn_config: GCNConfig, train_config: TrainConfig,
     # the ARM variable positions are too.
     arm_layers = [(l, spec, arm_free_entries(graph.edges, spec))
                   for l, spec in enumerate(gcn_config.masks)
-                  if arm and spec.learned]
+                  if gcn_config.estimator == "arm" and spec.learned]
 
     for epoch in range(train_config.epochs):
         t0 = time.perf_counter()
@@ -182,11 +175,11 @@ def train(dataset: Dataset, gcn_config: GCNConfig, train_config: TrainConfig,
         draws = sample_step_masks(gcn_config, params, graph, rng, tape=tape,
                                   mode="train", input_nnz=x.data.nnz)
 
-        if arm:
+        if arm_layers:
             draw = ArmDraw(
                 u=[rng.random(spec.n_blocks * len(free_idx))
                    for _, spec, free_idx in arm_layers],
-                alpha=np.array([logit(1.0 - draws.pi_values[l])
+                alpha=np.array([logit(1.0 - draws.pi_tensors[l].item())
                                 for l, *_ in arm_layers]))
             # The recorded pass runs on the keep masks implied by this
             # step's u (the second ARM setting), keeping all noise shared.
@@ -200,14 +193,8 @@ def train(dataset: Dataset, gcn_config: GCNConfig, train_config: TrainConfig,
         wf = warmup_factor(epoch, train_config.warmup)
         weight_coefs = None
         if gcn_config.kl_weight_scaling:
-            weight_coefs = []
-            for l, p in enumerate(params):
-                pi_t = draws.pi_tensors[l]
-                if pi_t is None:
-                    pi_t = constant(draws.pi_values[l]
-                                    if draws.pi_values[l] is not None else 1.0)
-                weight_coefs.append(
-                    record_scale(tape, pi_t, graph.edges.n_entries / 2.0))
+            weight_coefs = [record_scale(tape, pi, graph.edges.n_entries / 2.0)
+                            for pi in draws.pi_tensors]
         loss = training_loss(tape, logprobs, labels, split.train, params,
                              kl_terms, train_config.l2_factor, wf,
                              weight_coefs=weight_coefs)
@@ -225,10 +212,7 @@ def train(dataset: Dataset, gcn_config: GCNConfig, train_config: TrainConfig,
                 )
         else:
             nonfinite_run = 0
-            grads = backward(tape, loss)
-            grad_map = {t: grads.get(t) for t in tensors}
-
-            if arm and arm_layers:
+            if arm_layers:
                 base_masks = draws.layer_masks
 
                 def loss_eval(z_list):
@@ -246,17 +230,14 @@ def train(dataset: Dataset, gcn_config: GCNConfig, train_config: TrainConfig,
                 loss2 = record_masked_nll(None, logprobs, labels,
                                           split.train).item()
                 est = arm_gradient(loss_eval, draw, loss2)
+                # Added after loss_val was read: these terms only carry
+                # the estimate into backward.
                 for (l, *_), g_alpha in zip(arm_layers, est.grad_alpha):
-                    p = params[l]
-                    g_a, g_b = chain_to_kuma(g_alpha, draws.pi_values[l],
-                                             p.kuma.a, p.kuma.b,
-                                             draws.u_pi[l])
-                    grad_map[p.kuma.log_a] = (grad_map[p.kuma.log_a]
-                                              + g_a * p.kuma.a)
-                    grad_map[p.kuma.log_b] = (grad_map[p.kuma.log_b]
-                                              + g_b * p.kuma.b)
-
-            adam_step(tensors, grad_map, state, train_config.lr)
+                    loss = record_add(tape, loss, arm_pi_term(
+                        tape, draws.pi_tensors[l], g_alpha))
+            grads = backward(tape, loss)
+            adam_step(tensors, {t: grads.get(t) for t in tensors}, state,
+                      train_config.lr)
 
         val_acc, test_acc, hidden = _det_eval(params, x, graph, gcn_config,
                                               labels, split,
@@ -266,7 +247,8 @@ def train(dataset: Dataset, gcn_config: GCNConfig, train_config: TrainConfig,
         logs.append(EpochLog(
             epoch=epoch, train_loss=loss_val, nll=nll_val, kl=kl_val,
             val_acc=val_acc, test_acc=test_acc,
-            keep_probs=_expected_keeps(gcn_config, params),
+            keep_probs=[expected_keep(spec, p) for spec, p
+                        in zip(gcn_config.masks, params)],
             wall_time=time.perf_counter() - t0))
         if val_acc > best["val"]:
             best.update(val=val_acc, test=test_acc, epoch=epoch,

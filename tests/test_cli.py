@@ -163,6 +163,23 @@ class TestEvalUq:
         assert "dims" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("raw, message", [
+        (b"GDCN\x01\x00", "truncated"),
+        (None, "cannot read checkpoint"),
+    ])
+    def test_eval_bad_checkpoint_exit_2(self, config, tmp_path, capsys, raw,
+                                        message):
+        cfg, _ = config
+        ckpt = tmp_path / "model.bin"
+        if raw is not None:
+            ckpt.write_bytes(raw)
+        rc = main(["eval", "--config", cfg, "--checkpoint", str(ckpt)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
+
 class TestDiagnose:
     def test_tracking_mode_tracks_all_hidden_layers(self, tmp_path,
                                                     synthetic_files):

@@ -8,8 +8,8 @@ import pytest
 from scipy.special import expit, logit
 
 from gdcn.errors import EstimatorFailure
-from gdcn.estimators import (ArmDraw, arm_gradient, arm_z1, arm_z2,
-                             chain_to_kuma, kuma_partials)
+from gdcn.estimators import (ArmDraw, arm_gradient, arm_pi_term, arm_z1,
+                             arm_z2)
 from gdcn.graph import build_adjacency, normalize
 from gdcn.masks import sample_concrete_mask
 from gdcn.model import GCNConfig  # noqa: F401  (imported for API parity)
@@ -121,32 +121,34 @@ class TestArmGradient:
         assert est.per_layer_variance.shape == (2,)
 
 
+def arm_kuma_gradient(g_alpha, a, b, u):
+    """ARM's d/d alpha carried to (d/da, d/db) the way ``train`` does it:
+    ``arm_pi_term`` on the recorded draw, then one backward pass."""
+    kp = KumaraswamyParams(a, b)
+    tape = Tape()
+    pi = record_kuma_sample(tape, kp.log_a, kp.log_b, u)
+    grads = backward(tape, arm_pi_term(tape, pi, g_alpha))
+    return np.array([grads.get(kp.log_a)[0, 0] / kp.a,
+                     grads.get(kp.log_b)[0, 0] / kp.b])
+
+
 class TestChainToKuma:
-    def test_zero_in_zero_out(self):
-        assert chain_to_kuma(0.0, 0.5, 1.0, 1.0, 0.3) == (0.0, 0.0)
+    """ARM's alpha-gradient chained to (a, b) through the recorded draw."""
 
     def test_matches_fd_of_composition(self):
         # alpha(a, b) = logit(1 - kuma_sample(a, b, u)) at fixed u
         u = 0.25
         a0, b0 = 1.0, 1.0
-        pi = kuma_sample(a0, b0, u)
-        g_a, g_b = chain_to_kuma(1.0, pi, a0, b0, u)
+        got = arm_kuma_gradient(1.0, a0, b0, u)
 
         def f(v):
             return float(logit(1.0 - kuma_sample(v[0], v[1], u)))
 
         fd = finite_diff(f, np.array([a0, b0]), h=1e-7)
-        assert rel_err(np.array([g_a, g_b]), fd, floor=1e-3) < 1e-6
-
-    def test_kuma_partials_fd(self):
-        for a, b, u in ((1.5, 2.5, 0.4), (0.7, 1.1, 0.8), (2.0, 0.5, 0.15)):
-            d_a, d_b = kuma_partials(a, b, u)
-            fd = finite_diff(lambda v: kuma_sample(v[0], v[1], u),
-                             np.array([a, b]), h=1e-7)
-            assert rel_err(np.array([d_a, d_b]), fd, floor=1e-3) < 1e-5
+        assert rel_err(got, fd, floor=1e-3) < 1e-6
 
     def test_full_pipeline_unbiased_for_kuma_parameters(self):
-        """ARM + chain rule vs a quadrature-FD oracle on a 2-variable toy."""
+        """ARM + tape route vs a quadrature-FD oracle on a 2-variable toy."""
         a0, b0 = 1.2, 2.0
         w = np.array([1.3, -0.7])
 
@@ -181,7 +183,7 @@ class TestChainToKuma:
             draw = ArmDraw(u=[rng.random(2)],
                            alpha=np.array([logit(1.0 - pi)]))
             g_alpha = arm_two_evals(lambda z: loss(z[0]), draw).grad_alpha[0]
-            est[i] = chain_to_kuma(g_alpha, pi, a0, b0, u_pi)
+            est[i] = arm_kuma_gradient(g_alpha, a0, b0, u_pi)
         mean = est.mean(axis=0)
         se = est.std(axis=0, ddof=1) / np.sqrt(n)
         assert np.all(np.abs(mean - oracle) < 4.0 * se)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gdcn.errors import ContractViolation
+from gdcn.errors import ContractViolation, MalformedInputError
 from gdcn.graph import EdgeSet, build_adjacency, normalize
 from gdcn.masks import (EdgeMask, MaskKind, MaskSpec, all_ones_mask,
                         sample_dropout_mask, sample_gdc_masks,
@@ -220,6 +220,13 @@ class TestBlocks:
         with pytest.raises(ContractViolation):
             plain_config([2, 4, 2], kind=MaskKind.GDC, n_blocks=3)
 
+    @pytest.mark.parametrize("learned, estimator", [(True, "none"),
+                                                    (False, "arm")])
+    def test_estimator_needed_exactly_when_learned(self, learned, estimator):
+        masks = [MaskSpec(kind=MaskKind.GDC, learned=learned)] * 2
+        with pytest.raises(ContractViolation, match="estimator"):
+            GCNConfig(layer_dims=[3, 4, 2], masks=masks, estimator=estimator)
+
 
 class TestKeepProbOne:
     def test_every_sampler_reduces_to_plain_layer(self):
@@ -392,7 +399,46 @@ class TestCheckpoint:
     def test_magic_enforced(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 32)
-        with pytest.raises(ContractViolation):
+        with pytest.raises(MalformedInputError):
+            load_checkpoint(path)
+
+    @staticmethod
+    def _small_checkpoint(tmp_path) -> bytes:
+        # version 2 (bias), one learned and one fixed layer: every section
+        masks = [MaskSpec(kind=MaskKind.GDC, learned=True, relaxed=True),
+                 MaskSpec(kind=MaskKind.DROPEDGE, keep_prob=0.4)]
+        cfg = GCNConfig(layer_dims=[3, 4, 2], masks=masks,
+                        estimator="concrete", use_bias=True)
+        path = tmp_path / "model.bin"
+        save_checkpoint(path, init_params(cfg, np.random.default_rng(0)))
+        return path.read_bytes()
+
+    def test_every_truncation_is_malformed(self, tmp_path):
+        raw = self._small_checkpoint(tmp_path)
+        path = tmp_path / "cut.bin"
+        for length in range(len(raw)):
+            path.write_bytes(raw[:length])
+            with pytest.raises(MalformedInputError, match="truncated"):
+                load_checkpoint(path)
+
+    def test_trailing_byte_is_malformed(self, tmp_path):
+        path = tmp_path / "long.bin"
+        path.write_bytes(self._small_checkpoint(tmp_path) + b"\x00")
+        with pytest.raises(MalformedInputError, match="1 trailing bytes"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("offset, value, message", [
+        (4, b"\x03\x00\x00\x00", "version 3"),
+        (8, b"\x00\x00\x00\x00", "0 layers"),
+        (-26, b"\x02", "layer 0: unknown drop kind 2"),  # 17 + 9 bytes left
+    ])
+    def test_bad_header_field_is_malformed(self, tmp_path, offset, value,
+                                           message):
+        raw = bytearray(self._small_checkpoint(tmp_path))
+        raw[offset:offset + len(value) or None] = value
+        path = tmp_path / "bad.bin"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(MalformedInputError, match=message):
             load_checkpoint(path)
 
     def test_header_layout(self, tmp_path):

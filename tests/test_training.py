@@ -12,7 +12,9 @@ from gdcn.synthetic import cluster_graph
 from gdcn.tape import parameter
 from gdcn.training import (AdamState, EpochLog, TrainConfig, adam_step,
                            epoch_log_rows, run_seeds, train)
-from gdcn.variational import WarmupSchedule
+from gdcn.variational import WarmupSchedule, kuma_sample
+
+from conftest import finite_diff, rel_err
 
 
 class TestAdam:
@@ -186,7 +188,7 @@ class TestTrain:
             drawn.clear()
             res = train(ds, cfg, tc, seed=0, graph=graph)
             logs.append(res.logs[0])
-            pis.append(drawn[0].pi_values)
+            pis.append([pi.item() for pi in drawn[0].pi_tensors])
             fros.append([np.sum(p.m.data ** 2) for p in res.params])
         assert pis[0] == pis[1] and fros[0] == fros[1]
         flat_log, scaled_log = logs
@@ -198,6 +200,84 @@ class TestTrain:
             flat_log.nll + flat_log.kl + 0.01 * sum(fros[0]), rel=1e-12)
         assert scaled_log.nll == flat_log.nll and scaled_log.kl == flat_log.kl
         assert scaled_log.train_loss != pytest.approx(flat_log.train_loss)
+
+    def test_arm_kl_weight_scaling_reaches_drop_rate(self, monkeypatch):
+        # One ARM epoch at lr 0 on one draw, with and without the flag. The
+        # ARM and KL parts of the (log a, log b) gradients are the same in
+        # both runs, so they differ by the pathwise gradient of the flag's
+        # |E| pi_l / 2 ||M_l||^2, that is |E|/2 ||M_l||^2 d pi_l/d(log a, log b).
+        import gdcn.training as training
+        sample, adam = training.sample_step_masks, training.adam_step
+        drawn, steps = [], []
+
+        def recording(*args, **kwargs):
+            drawn.append(sample(*args, **kwargs))
+            return drawn[-1]
+
+        def capturing(tensors, grads, state, lr):
+            steps.append([grads[t].copy() for t in tensors])
+            return adam(tensors, grads, state, lr)
+
+        monkeypatch.setattr(training, "sample_step_masks", recording)
+        monkeypatch.setattr(training, "adam_step", capturing)
+        ds = synthetic_dataset()
+        graph = PreparedGraph.from_edges(ds.edges, ds.n_nodes)
+        flat = small_config(ds.n_features, ds.class_count, kind=MaskKind.GDC,
+                            learned=True, estimator="arm", n_blocks=2)
+        tc = TrainConfig(epochs=1, lr=0.0, seeds=(0,))
+        runs = []
+        for cfg in (flat, dataclasses.replace(flat, kl_weight_scaling=True)):
+            drawn.clear()
+            steps.clear()
+            res = train(ds, cfg, tc, seed=0, graph=graph)
+            runs.append(([pi.item() for pi in drawn[0].pi_tensors], steps[0],
+                         res.params))
+        (pis, g_flat, _), (pis_scaled, g_scaled, params) = runs
+        assert pis == pis_scaled
+        n_e = graph.edges.n_entries
+        for l, (p, pi) in enumerate(zip(params, pis)):
+            log_ab = np.array([p.kuma.log_a.item(), p.kuma.log_b.item()])
+            # the step's uniform, recovered from its draw by the inverse map
+            u = (1.0 - pi ** p.kuma.a) ** p.kuma.b
+            assert kuma_sample(p.kuma.a, p.kuma.b, u) == pytest.approx(
+                pi, rel=1e-12)
+            d_pi = finite_diff(
+                lambda v: kuma_sample(np.exp(v[0]), np.exp(v[1]), u),
+                log_ab, h=1e-7)
+            want = n_e / 2.0 * np.sum(p.m.data ** 2) * d_pi
+            # tensors per layer: m, log_a, log_b
+            got = np.array([g_scaled[3 * l + k][0, 0] - g_flat[3 * l + k][0, 0]
+                            for k in (1, 2)])
+            assert rel_err(got, want, floor=1e-3) < 1e-5
+
+    def test_kl_full_series_changes_kl_only(self):
+        # With c = 2 and two layers the prior Beta(c/L, c(L-1)/L) is
+        # Beta(1, 1), for which the closed form is exact; c = 4 gives
+        # Beta(2, 2), where the two forms differ.
+        ds = synthetic_dataset()
+        tc = TrainConfig(epochs=1, lr=0.0, seeds=(0,))
+        for c, differs in ((2.0, False), (4.0, True)):
+            base = dataclasses.replace(
+                small_config(ds.n_features, ds.class_count, kind=MaskKind.GDC,
+                             learned=True, estimator="concrete", n_blocks=2),
+                beta_prior_c=c)
+            closed, series = (
+                train(ds, cfg, tc, seed=0).logs[0]
+                for cfg in (base, dataclasses.replace(base,
+                                                      kl_full_series=True)))
+            assert series.nll == closed.nll
+            assert (series.kl != pytest.approx(closed.kl, rel=1e-9)) == differs
+
+    def test_concrete_standard_changes_relaxed_masks(self):
+        ds = synthetic_dataset()
+        base = small_config(ds.n_features, ds.class_count, kind=MaskKind.GDC,
+                            learned=True, estimator="concrete", n_blocks=2)
+        tc = TrainConfig(epochs=1, lr=0.0, seeds=(0,))
+        paper, standard = (
+            train(ds, cfg, tc, seed=0).logs[0]
+            for cfg in (base, dataclasses.replace(base, concrete_standard=True)))
+        assert standard.kl == paper.kl
+        assert standard.nll != pytest.approx(paper.nll)
 
     def test_keep_probs_move_when_learned(self):
         ds = synthetic_dataset()
