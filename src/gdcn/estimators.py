@@ -43,11 +43,10 @@ class ArmDraw:
 
 @dataclass
 class ArmEstimate:
-    """Per-layer gradient estimates plus step diagnostics."""
+    """Per-layer gradient estimates plus the step's L(Z1) - L(Z2)."""
 
     grad_alpha: np.ndarray
     delta_loss: float
-    per_layer_variance: np.ndarray
 
 
 def arm_z1(draw: ArmDraw) -> list:
@@ -78,9 +77,7 @@ def arm_gradient(loss_eval, draw: ArmDraw, loss2: float) -> ArmEstimate:
         )
     delta = loss1 - loss2
     grads = np.array([delta * np.sum(u - 0.5) for u in draw.u])
-    variances = np.array([np.var(delta * (u - 0.5)) for u in draw.u])
-    return ArmEstimate(grad_alpha=grads, delta_loss=delta,
-                       per_layer_variance=variances)
+    return ArmEstimate(grad_alpha=grads, delta_loss=delta)
 
 
 def arm_pi_term(tape, pi: Tensor, grad_alpha: float) -> Tensor:

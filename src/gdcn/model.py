@@ -30,6 +30,16 @@ and ``forward_deterministic`` (and ``training.train``) convert it to a CSR
 constant once per call, so the layer-0 matmuls run on sparse kernels and
 layer-0 DropOut draws one value per stored entry. ``forward`` never
 converts: a dense input keeps the dense path.
+
+Layer 0's block products ``S_b = X[:, blk_b] W_0[blk_b]`` depend on the
+masks only when the layer-0 input is masked or scaled. When layer 0 draws
+edge masks only (no mask, DropEdge, GDC, random walk; no ``dropout_keep``)
+and multiplies first, ``layer0_blocks`` splits the input once and
+``layer0_products`` computes the products for the current weights, and
+``forward(..., layer0=...)`` hands them to the fused op. ``predict_mc``
+does this once per call; ``training.train`` once per weight state.
+DropOut and node sampling at layer 0 mask the input, so their products are
+computed in every pass.
 """
 
 from __future__ import annotations
@@ -47,10 +57,11 @@ from .masks import (EdgeMask, MaskKind, MaskSpec, all_ones_mask,
                     sample_dropedge_mask, sample_dropout_mask,
                     sample_gdc_masks, sample_node_mask,
                     sample_randomwalk_mask)
-from .tape import (Tensor, constant, parameter, record_add, record_add_rowvec,
+from .tape import (BlockProducts, Tensor, block_products, constant,
+                   multiplies_first, parameter, record_add, record_add_rowvec,
                    record_frobenius_sq, record_gdc_aggregate,
                    record_log_softmax_rows, record_masked_nll, record_mul,
-                   record_relu, record_scale)
+                   record_relu, record_scale, split_columns)
 from .variational import (KumaraswamyParams, kuma_mean, record_kl_kuma_beta,
                           record_kuma_sample)
 
@@ -147,17 +158,23 @@ class LayerParams:
 
 @dataclass
 class PreparedGraph:
-    """Raw adjacency, its normalization, and the aligned edge set."""
+    """Raw adjacency, its normalization, and the aligned edge set.
+
+    ``renorm_trick`` records which normalization ``a_norm`` holds, so that
+    renormalizing a masked adjacency uses the same one.
+    """
 
     a_raw: SparseMatrix
     a_norm: SparseMatrix
     edges: EdgeSet
+    renorm_trick: bool = False
 
     @classmethod
     def from_edges(cls, edge_list, n: int, renorm_trick: bool = False) -> "PreparedGraph":
         a_raw = build_adjacency(edge_list, n, symmetrize=True)
         a_norm = normalize(a_raw, renorm_trick=renorm_trick)
-        return cls(a_raw=a_raw, a_norm=a_norm, edges=EdgeSet.from_sparse(a_norm))
+        return cls(a_raw=a_raw, a_norm=a_norm, edges=EdgeSet.from_sparse(a_norm),
+                   renorm_trick=renorm_trick)
 
 
 @dataclass
@@ -231,17 +248,51 @@ def _layer_matrix_for_block(graph: PreparedGraph, mask_block: Tensor,
     kept = vals != 0.0
     masked = build_adjacency(np.stack([rows[kept], cols[kept]], axis=1),
                              graph.edges.n, symmetrize=False)
-    renormed = normalize(masked)
+    renormed = normalize(masked, renorm_trick=graph.renorm_trick)
     return renormed, constant(np.ones(renormed.nnz))
+
+
+def layer0_blocks(config: GCNConfig, x: Tensor) -> list | None:
+    """Layer 0's input split into its column blocks ``H_b``, or None when
+    its block products cannot be reused across passes.
+
+    Reuse needs a layer-0 input that no mask touches and no factor scales,
+    in every mode: the layer-0 spec draws edge masks only (no mask,
+    DropEdge, GDC or random walk) and has no ``dropout_keep``. DropOut and
+    node sampling mask the input of a stochastic pass and scale it in the
+    deterministic one. It also needs the multiply-first product order,
+    which a CSR input always takes.
+    """
+    spec = config.masks[0]
+    if (spec.kind in (MaskKind.DROPOUT, MaskKind.NODE_SAMPLING)
+            or spec.dropout_keep is not None
+            or not multiplies_first(x.data, config.layer_dims[1],
+                                    spec.n_blocks)):
+        return None
+    return split_columns(x.data, spec.n_blocks)
+
+
+def layer0_products(params: list, blocks: list | None) -> BlockProducts | None:
+    """``S_b = H_b W_0[blk_b]`` on the layer-0 weights as they are now.
+
+    ``blocks`` comes from ``layer0_blocks`` (None gives None). The products
+    hold the weights' current values: after any change to ``params[0].m``,
+    such as an Adam step, which updates it in place, call this again.
+    """
+    return None if blocks is None else block_products(blocks, params[0].m.data)
 
 
 def forward(params: list, x: Tensor, graph: PreparedGraph, masks: list,
             tape=None, capture_hidden: bool = False,
-            renorm_after_mask: bool = False):
+            renorm_after_mask: bool = False,
+            layer0: BlockProducts | None = None):
     """Stack forward pass; returns log-probabilities (and hidden outputs).
 
     ``masks`` is one ``LayerMasks`` per layer. Hidden outputs are captured
-    post-activation for the over-smoothing diagnostics.
+    post-activation for the over-smoothing diagnostics. ``layer0`` holds
+    layer 0's precomputed block products (``layer0_products`` on this
+    ``x`` and these weights); they apply only to an unmasked, unscaled
+    layer-0 input and must have as many blocks as the layer-0 edge mask.
     """
     n_layers = len(params)
     if len(masks) != n_layers:
@@ -254,6 +305,11 @@ def forward(params: list, x: Tensor, graph: PreparedGraph, masks: list,
             raise ContractViolation(
                 f"layer {l}: input width {h.data.shape[1]} != weight rows {f_in}"
             )
+        products = layer0 if l == 0 else None
+        if products is not None and (lm.feature is not None
+                                     or lm.feature_scale is not None):
+            raise ContractViolation(
+                "layer 0: block products need an unmasked, unscaled input")
         if lm.feature is not None:
             if issparse(h.data):
                 h = constant(_mask_csr(h.data, lm.feature))
@@ -270,7 +326,8 @@ def forward(params: list, x: Tensor, graph: PreparedGraph, masks: list,
             _layer_matrix_for_block(graph, blk, renorm_after_mask)
             for blk in edge.blocks))
         out = record_gdc_aggregate(tape, mats, mask_ts, h, p.m,
-                                   differentiate_mask=edge.relaxed)
+                                   differentiate_mask=edge.relaxed,
+                                   products=products)
         if p.bias is not None:
             out = record_add_rowvec(tape, out, p.bias)
         if l < n_layers - 1:
@@ -438,30 +495,39 @@ def record_kl_terms(tape, config: GCNConfig, params: list) -> list:
     return terms
 
 
-def forward_deterministic(params, x, graph, config, capture_hidden=False):
-    """Expected-keep evaluation pass (no sampling, no tape)."""
+def forward_deterministic(params, x, graph, config, capture_hidden=False,
+                          layer0: BlockProducts | None = None):
+    """Expected-keep evaluation pass (no sampling, no tape).
+
+    ``layer0`` is passed on to ``forward``; ``train`` supplies the products
+    it already holds for the current weights.
+    """
     draws = sample_step_masks(config, params, graph, mode="det")
     return forward(params, sparse_input(x), graph, draws.layer_masks,
                    tape=None, capture_hidden=capture_hidden,
-                   renorm_after_mask=config.renorm_after_mask)
+                   renorm_after_mask=config.renorm_after_mask, layer0=layer0)
 
 
 def predict_mc(params, x, graph, config, s: int, rng: np.random.Generator):
     """Monte-Carlo predictive distribution from ``s`` stochastic passes.
 
     Returns (mean class probabilities, per-sample probabilities); keep
-    probabilities of learned layers are drawn fresh per pass.
+    probabilities of learned layers are drawn fresh per pass. The weights
+    are fixed for the call, so where layer 0 draws edge masks only its
+    block products are computed once and shared by every pass.
     """
     if s < 1:
         raise ContractViolation("need at least one Monte Carlo sample")
     x = sparse_input(x)
     nnz = x.data.nnz if issparse(x.data) else None
+    layer0 = layer0_products(params, layer0_blocks(config, x))
     per_sample = np.empty((s, x.data.shape[0], params[-1].m.data.shape[1]))
     for i in range(s):
         draws = sample_step_masks(config, params, graph, rng, tape=None,
                                   mode="mc", input_nnz=nnz)
         logprobs = forward(params, x, graph, draws.layer_masks, tape=None,
-                           renorm_after_mask=config.renorm_after_mask)
+                           renorm_after_mask=config.renorm_after_mask,
+                           layer0=layer0)
         per_sample[i] = np.exp(logprobs.data)
     return per_sample.mean(axis=0), per_sample
 
@@ -497,7 +563,11 @@ def load_checkpoint(path) -> list:
     """Parameters from ``save_checkpoint``'s file.
 
     An unreadable file, a bad magic number, an unknown version or layer
-    kind, a short read or trailing bytes raise ``MalformedInputError``.
+    kind, a short read or trailing bytes raise ``MalformedInputError``, and
+    so do values no model can hold: a non-finite weight or bias, a
+    Kumaraswamy ``log a`` or ``log b`` whose ``exp`` is not a positive
+    finite number, or a fixed keep probability outside [0, 1]. The stored
+    log values are kept bit for bit.
     """
     try:
         with open(path, "rb") as fh:
@@ -518,9 +588,12 @@ def load_checkpoint(path) -> list:
     def unpack(fmt):
         return struct.unpack(fmt, take(struct.calcsize(fmt)))
 
-    def floats(rows: int, cols: int) -> Tensor:
-        return parameter(np.frombuffer(take(8 * rows * cols), dtype="<f8")
-                         .reshape(rows, cols).copy())
+    def floats(rows: int, cols: int, what: str) -> Tensor:
+        arr = np.frombuffer(take(8 * rows * cols), dtype="<f8")
+        if not np.all(np.isfinite(arr)):
+            raise MalformedInputError(
+                f"checkpoint {path}: {what} holds a non-finite value")
+        return parameter(arr.reshape(rows, cols).copy())
 
     magic = take(4)
     if magic != CHECKPOINT_MAGIC:
@@ -530,17 +603,23 @@ def load_checkpoint(path) -> list:
         raise MalformedInputError(
             f"unsupported checkpoint version {version} with {n_layers} layers")
     dims = np.frombuffer(take(4 * (n_layers + 1)), dtype="<u4").tolist()
-    params = [LayerParams(m=floats(f_in, f_out),
-                          bias=floats(1, f_out) if version == 2 else None)
-              for f_in, f_out in zip(dims, dims[1:])]
+    params = [LayerParams(
+        m=floats(f_in, f_out, f"layer {l} weights"),
+        bias=floats(1, f_out, f"layer {l} bias") if version == 2 else None)
+        for l, (f_in, f_out) in enumerate(zip(dims, dims[1:]))]
     for l, p in enumerate(params):
         (kind,) = unpack("<B")
         if kind == 1:
-            log_a, log_b = unpack("<dd")
-            p.kuma = KumaraswamyParams(float(np.exp(log_a)),
-                                       float(np.exp(log_b)))
+            try:
+                p.kuma = KumaraswamyParams.from_logs(*unpack("<dd"))
+            except ContractViolation as exc:
+                raise MalformedInputError(f"layer {l}: {exc}") from exc
         elif kind == 0:
             (p.fixed_keep,) = unpack("<d")
+            if not 0.0 <= p.fixed_keep <= 1.0:  # NaN fails too
+                raise MalformedInputError(
+                    f"layer {l}: keep probability {p.fixed_keep} outside "
+                    f"[0, 1]")
         else:
             raise MalformedInputError(f"layer {l}: unknown drop kind {kind}")
     if pos != len(buf):

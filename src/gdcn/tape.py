@@ -13,9 +13,18 @@ retained-graph machinery.
 
 Gradients for an op's inputs are only computed when that input (transitively)
 requires grad; constants cost nothing on the backward pass.
+
+``record_gdc_aggregate`` can take its multiply-first products ``H_b W[blk_b]``
+precomputed (``BlockProducts``), for passes that repeat over one input and
+one set of weights. Ops keep no cache of their own: a weight update such as
+Adam's changes ``W.data`` in place, so reuse keyed on array identity would
+serve stale products. The caller passes the products explicitly and
+computes them again after every update.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_array, issparse
@@ -132,17 +141,52 @@ def block_bounds(f_in: int, n_blocks: int):
     return [(int(edges[i]), int(edges[i + 1])) for i in range(n_blocks)]
 
 
+def split_columns(h_data, n_blocks: int) -> list:
+    """``H[:, blk_b]`` for every block; one block is H itself."""
+    f_in = h_data.shape[1]
+    return [h_data if (c0, c1) == (0, f_in) else h_data[:, c0:c1]
+            for c0, c1 in block_bounds(f_in, n_blocks)]
+
+
+def multiplies_first(h_data, f_out: int, n_blocks: int) -> bool:
+    """Whether ``record_gdc_aggregate`` multiplies before it aggregates."""
+    return issparse(h_data) or h_data.shape[1] >= n_blocks * f_out
+
+
+@dataclass(frozen=True)
+class BlockProducts:
+    """The column blocks ``H_b`` of a layer input and ``S_b = H_b W[blk_b]``.
+
+    ``record_gdc_aggregate`` builds these itself when multiplying first; a
+    caller that runs several passes over the same input and the same
+    weights can build them once (``block_products``) and pass them in. The
+    products hold the weights' values at the time of the call, so they go
+    stale when the weights change, in place or not.
+    """
+
+    h_blocks: tuple
+    products: tuple
+
+
+def block_products(h_blocks, w_data: np.ndarray) -> BlockProducts:
+    """``S_b = H_b W[blk_b]`` for column blocks from ``split_columns``."""
+    bounds = block_bounds(w_data.shape[0], len(h_blocks))
+    return BlockProducts(tuple(h_blocks), tuple(
+        h_b @ w_data[c0:c1] for h_b, (c0, c1) in zip(h_blocks, bounds)))
+
+
 def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", x, y)
 
 
 def record_gdc_aggregate(tape, mats: list, masks: list, h: Tensor, w: Tensor,
-                         differentiate_mask: bool = False) -> Tensor:
+                         differentiate_mask: bool = False,
+                         products: BlockProducts | None = None) -> Tensor:
     """``sum_b (mats[b] ⊙ masks[b]) (H[:, blk_b] W[blk_b, :])`` as one op.
 
     ``blk_b`` is ``block_bounds(f_in, len(masks))[b]``; each block has its
     own matrix and its own mask aligned to that matrix's stored entries.
-    The product order follows the shapes:
+    The product order follows the shapes (``multiplies_first``):
 
     - *aggregate first* for a dense H with ``f_in < nb * f_out``: the
       blocks ``(A ⊙ Z_b) H[:, blk_b]`` fill one (n, f_in) array M, and a
@@ -150,6 +194,14 @@ def record_gdc_aggregate(tape, mats: list, masks: list, h: Tensor, w: Tensor,
     - *multiply first* otherwise (a CSR H, or ``f_in >= nb * f_out``):
       ``S_b = H_b W_b`` per block, and the ``(A ⊙ Z_b) S_b`` are summed in
       place. With one block this is ``spmm(A ⊙ Z, H @ W)``.
+
+    ``products`` supplies the ``H_b`` and ``S_b`` of the multiply-first
+    order, built by ``block_products`` from this ``h`` and this ``w`` as
+    they are now; the op then uses them instead of computing them, with the
+    same arithmetic, so value and gradients are bit for bit those of a call
+    without them. Nothing here can tell stale products from fresh ones.
+    Supplying them in the aggregate-first order, or with another block
+    count, raises ``ContractViolation``.
 
     The mask gradient is a sampled dense-dense product over the stored
     entries: ``A_e * (dM[row_e, blk_b] . H[col_e, blk_b])`` aggregating
@@ -171,12 +223,14 @@ def record_gdc_aggregate(tape, mats: list, masks: list, h: Tensor, w: Tensor,
             raise ContractViolation(f"mask length {len(zvec)} != nnz {a.nnz}")
         masked.append(a.with_values(a.values * zvec))
     bounds = block_bounds(f_in, nb)
-    h_blocks = [hd if (c0, c1) == (0, f_in) else hd[:, c0:c1]
-                for c0, c1 in bounds]
     mask_grad = [differentiate_mask and z.requires_grad for z in masks]
     inputs = (h, w) + (tuple(masks) if differentiate_mask else ())
 
-    if not issparse(hd) and f_in < nb * f_out:
+    if not multiplies_first(hd, f_out, nb):
+        if products is not None:
+            raise ContractViolation(
+                "block products apply only when multiplying first")
+        h_blocks = split_columns(hd, nb)
         m = np.empty((masked[0].n_rows, f_in))
         for am, h_b, (c0, c1) in zip(masked, h_blocks, bounds):
             m[:, c0:c1] = spmm(am, h_b)
@@ -202,16 +256,23 @@ def record_gdc_aggregate(tape, mats: list, masks: list, h: Tensor, w: Tensor,
 
         return _maybe_record(tape, out_data, inputs, bwd)
 
+    if products is None:
+        products = block_products(split_columns(hd, nb), wd)
+    elif len(products.products) != nb:
+        raise ContractViolation(
+            f"{len(products.products)} block products for {nb} mask blocks")
+    h_blocks = products.h_blocks
     out_data = None
-    products = []  # S_b, kept only where a mask gradient needs it
-    for am, h_b, (c0, c1), keep in zip(masked, h_blocks, bounds, mask_grad):
-        s_b = h_b @ wd[c0:c1]
-        products.append(s_b if keep else None)
+    for am, s_b in zip(masked, products.products):
         agg = spmm(am, s_b)
         if out_data is None:
             out_data = agg
         else:
             out_data += agg
+    # S_b stays reachable from the backward only where a mask gradient
+    # needs it.
+    kept = [s_b if keep else None
+            for s_b, keep in zip(products.products, mask_grad)]
 
     def bwd(g, acc):
         dh = np.empty_like(hd) if h.requires_grad else None
@@ -229,7 +290,7 @@ def record_gdc_aggregate(tape, mats: list, masks: list, h: Tensor, w: Tensor,
                 if id(a) not in gathered:
                     gathered[id(a)] = g[a.row_indices()]
                 per_edge = a.values * _rowdot(gathered[id(a)],
-                                              products[b][a.col_idx])
+                                              kept[b][a.col_idx])
                 acc(masks[b], per_edge.reshape(masks[b].data.shape))
         if dh is not None:
             acc(h, dh)

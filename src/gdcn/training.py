@@ -11,6 +11,14 @@ tape. With ARM the recorded pass uses the keep masks implied by the step's
 shared uniform vector (the second ARM setting, Z2), one additional
 unrecorded pass on Z1 completes the estimate g_alpha, and g_alpha enters
 the backward pass as dL/dpi on the recorded draw.
+
+Where layer 0 draws edge masks only, its block products ``H_b W_0[blk_b]``
+depend on the weights alone. ``train`` splits the input into its column
+blocks once per call and computes the products once per weight state: once
+before the first epoch, and again after every Adam step, which updates
+``W_0`` in place. The deterministic evaluation is the first pass on each
+new state, so it computes them and hands them to the next epoch's recorded
+pass and ARM's Z1 pass.
 """
 
 from __future__ import annotations
@@ -28,8 +36,8 @@ from .estimators import ArmDraw, arm_gradient, arm_pi_term, arm_z2
 from .masks import arm_edge_mask, arm_free_entries
 from .model import (GCNConfig, LayerMasks, PreparedGraph, expected_keep,
                     forward, forward_deterministic, init_params,
-                    record_kl_terms, sample_step_masks, sparse_input,
-                    training_loss)
+                    layer0_blocks, layer0_products, record_kl_terms,
+                    sample_step_masks, sparse_input, training_loss)
 from .tape import (Tape, backward, constant, record_add, record_masked_nll,
                    record_scale)
 from .variational import WarmupSchedule, warmup_factor
@@ -125,14 +133,22 @@ class TrainResult:
     best_test_acc: float
 
 
-def _det_eval(params, x, graph, config, labels, split, capture_hidden=False):
+def _det_eval(params, x, graph, config, labels, split, blocks,
+              capture_hidden=False):
+    """Accuracies of the expected-keep pass on the current weights.
+
+    Also returns, for the passes that follow on the same weights, the
+    layer-0 block products of ``blocks`` (``layer0_blocks``), which the
+    pass itself uses.
+    """
+    layer0 = layer0_products(params, blocks)
     res = forward_deterministic(params, x, graph, config,
-                                capture_hidden=capture_hidden)
+                                capture_hidden=capture_hidden, layer0=layer0)
     logprobs, hidden = res if capture_hidden else (res, None)
     pred = logprobs.data.argmax(axis=1)
     val_acc = float(np.mean(pred[split.val] == labels[split.val]))
     test_acc = float(np.mean(pred[split.test] == labels[split.test]))
-    return val_acc, test_acc, hidden
+    return val_acc, test_acc, hidden, layer0
 
 
 def train(dataset: Dataset, gcn_config: GCNConfig, train_config: TrainConfig,
@@ -155,6 +171,8 @@ def train(dataset: Dataset, gcn_config: GCNConfig, train_config: TrainConfig,
     tensors = [t for p in params for t in p.tensors()]
     state = AdamState()
     x = sparse_input(constant(dataset.features))
+    blocks = layer0_blocks(gcn_config, x)
+    layer0 = layer0_products(params, blocks)
     labels = dataset.labels
     split = dataset.split
 
@@ -188,7 +206,8 @@ def train(dataset: Dataset, gcn_config: GCNConfig, train_config: TrainConfig,
                     graph.edges, spec, z2, free_idx)
 
         logprobs = forward(params, x, graph, draws.layer_masks, tape=tape,
-                           renorm_after_mask=gcn_config.renorm_after_mask)
+                           renorm_after_mask=gcn_config.renorm_after_mask,
+                           layer0=layer0)
         kl_terms = record_kl_terms(tape, gcn_config, params)
         wf = warmup_factor(epoch, train_config.warmup)
         weight_coefs = None
@@ -222,7 +241,8 @@ def train(dataset: Dataset, gcn_config: GCNConfig, train_config: TrainConfig,
                             feature=base_masks[l].feature,
                             edge=arm_edge_mask(graph.edges, spec, z, free_idx))
                     lp = forward(params, x, graph, lm, tape=None,
-                                 renorm_after_mask=gcn_config.renorm_after_mask)
+                                 renorm_after_mask=gcn_config.renorm_after_mask,
+                                 layer0=layer0)
                     return record_masked_nll(None, lp, labels,
                                              split.train).item()
 
@@ -239,9 +259,10 @@ def train(dataset: Dataset, gcn_config: GCNConfig, train_config: TrainConfig,
             adam_step(tensors, {t: grads.get(t) for t in tensors}, state,
                       train_config.lr)
 
-        val_acc, test_acc, hidden = _det_eval(params, x, graph, gcn_config,
-                                              labels, split,
-                                              capture_hidden=capture)
+        # adam_step updates W_0 in place: the det-eval rebuilds the products.
+        val_acc, test_acc, hidden, layer0 = _det_eval(
+            params, x, graph, gcn_config, labels, split, blocks,
+            capture_hidden=capture)
         if capture:
             hidden_hook(epoch, hidden)
         logs.append(EpochLog(

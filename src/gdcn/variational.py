@@ -75,6 +75,19 @@ class KumaraswamyParams:
         self.log_a = parameter(np.log(a))
         self.log_b = parameter(np.log(b))
 
+    @classmethod
+    def from_logs(cls, log_a: float, log_b: float) -> "KumaraswamyParams":
+        """Parameters from their log values, kept bit for bit."""
+        with np.errstate(over="ignore"):
+            scale = np.exp([log_a, log_b])
+        if not np.all((scale > 0.0) & (scale < np.inf)):  # NaN fails too
+            raise ContractViolation(
+                f"Kumaraswamy (log a, log b) = ({log_a}, {log_b}) gives no "
+                f"positive finite (a, b)")
+        kuma = cls()
+        kuma.log_a, kuma.log_b = parameter(log_a), parameter(log_b)
+        return kuma
+
     @property
     def a(self) -> float:
         return float(np.exp(self.log_a.item()))

@@ -6,10 +6,13 @@ compare the package's sparse/taped paths against these.
 """
 
 import os
+import struct
 
 import numpy as np
 import pytest
 
+from gdcn.masks import MaskKind, MaskSpec
+from gdcn.model import GCNConfig, init_params, save_checkpoint
 from gdcn.synthetic import make_synthetic_files
 
 
@@ -48,6 +51,41 @@ def dense_normalize(a_dense: np.ndarray, renorm_trick: bool = False) -> np.ndarr
     with np.errstate(divide="ignore"):
         inv = np.where(d > 0, 1.0 / np.sqrt(d), 0.0)
     return np.eye(n) + np.diag(inv) @ a @ np.diag(inv)
+
+
+def small_checkpoint(tmp_path) -> bytes:
+    """A version-2 (bias) checkpoint of dims 3-4-2 with one learned and one
+    fixed layer, so that every section is present. Its 258 bytes: header
+    [0, 24), layer 0 weights [24, 120) and bias [120, 152), layer 1
+    weights [152, 216) and bias [216, 232), layer 0 kind byte 232 with
+    log a [233, 241) and log b [241, 249), layer 1 kind byte 249 with its
+    keep probability [250, 258)."""
+    masks = [MaskSpec(kind=MaskKind.GDC, learned=True, relaxed=True),
+             MaskSpec(kind=MaskKind.DROPEDGE, keep_prob=0.4)]
+    cfg = GCNConfig(layer_dims=[3, 4, 2], masks=masks,
+                    estimator="concrete", use_bias=True)
+    path = tmp_path / "small.bin"
+    save_checkpoint(path, init_params(cfg, np.random.default_rng(0)))
+    return path.read_bytes()
+
+
+# (offset into ``small_checkpoint``, float64 written there, error text)
+CHECKPOINT_VALUE_FAULTS = [
+    (24, np.inf, "layer 0 weights holds a non-finite value"),
+    (200, np.nan, "layer 1 weights holds a non-finite value"),
+    (120, -np.inf, "layer 0 bias holds a non-finite value"),
+    (233, -1000.0, "layer 0: Kumaraswamy"),
+    (233, np.nan, "layer 0: Kumaraswamy"),
+    (241, 1000.0, "layer 0: Kumaraswamy"),
+    (250, 1.5, "layer 1: keep probability 1.5 outside [0, 1]"),
+    (250, -0.25, "layer 1: keep probability -0.25 outside [0, 1]"),
+    (250, np.nan, "layer 1: keep probability nan outside [0, 1]"),
+]
+
+
+def with_float(raw: bytes, offset: int, value: float) -> bytes:
+    """``raw`` with the little-endian float64 at ``offset`` replaced."""
+    return raw[:offset] + struct.pack("<d", value) + raw[offset + 8:]
 
 
 def random_edges(rng: np.random.Generator, n: int, p: float = 0.5):

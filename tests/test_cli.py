@@ -7,6 +7,8 @@ import pytest
 
 from gdcn.cli import main
 
+from conftest import CHECKPOINT_VALUE_FAULTS, small_checkpoint, with_float
+
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
 
@@ -173,6 +175,19 @@ class TestEvalUq:
         ckpt = tmp_path / "model.bin"
         if raw is not None:
             ckpt.write_bytes(raw)
+        rc = main(["eval", "--config", cfg, "--checkpoint", str(ckpt)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
+
+    @pytest.mark.parametrize("offset, value, message", CHECKPOINT_VALUE_FAULTS)
+    def test_eval_bad_checkpoint_value_exit_2(self, config, tmp_path, capsys,
+                                              offset, value, message):
+        cfg, _ = config
+        ckpt = tmp_path / "model.bin"
+        ckpt.write_bytes(with_float(small_checkpoint(tmp_path), offset, value))
         rc = main(["eval", "--config", cfg, "--checkpoint", str(ckpt)])
         assert rc == 2
         err = capsys.readouterr().err

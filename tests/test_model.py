@@ -1,22 +1,27 @@
 """Forward pass against dense oracles of all regularizer forms."""
 
+import re
+
 import numpy as np
 import pytest
 
 from gdcn.errors import ContractViolation, MalformedInputError
 from gdcn.graph import EdgeSet, build_adjacency, normalize
 from gdcn.masks import (EdgeMask, MaskKind, MaskSpec, all_ones_mask,
-                        sample_dropout_mask, sample_gdc_masks,
-                        sample_node_mask)
+                        sample_dropedge_mask, sample_dropout_mask,
+                        sample_gdc_masks, sample_node_mask)
 from gdcn.model import (GCNConfig, LayerMasks, PreparedGraph, forward,
                         forward_deterministic, glorot_bound,
-                        init_params, load_checkpoint, predict_mc,
-                        record_kl_terms, sample_step_masks, save_checkpoint,
+                        init_params, layer0_blocks, layer0_products,
+                        load_checkpoint, predict_mc, record_kl_terms,
+                        sample_step_masks, save_checkpoint, sparse_input,
                         training_loss)
-from gdcn.tape import Tape, backward, block_bounds, constant
+from gdcn.tape import (Tape, backward, block_bounds, block_products,
+                       constant, split_columns)
 from gdcn.variational import kl_kuma_beta
 
-from conftest import dense_normalize, finite_diff, random_edges, rel_err
+from conftest import (CHECKPOINT_VALUE_FAULTS, dense_normalize, finite_diff,
+                      random_edges, rel_err, small_checkpoint, with_float)
 
 
 def prepared(n=5, seed=0, p=0.6):
@@ -167,6 +172,46 @@ class TestForwardOracles:
         a = dense_normalize(a_raw)
         want = log_softmax(a @ h1 @ params[1].m.data)
         np.testing.assert_allclose(got, want, atol=1e-12)
+
+    def test_renorm_after_mask_with_renorm_trick_matches_eq2_oracle(self):
+        """With ``renorm_trick``, the masked raw adjacency is renormalized
+        as D~^{-1/2} (A ⊙ Z + I) D~^{-1/2}, the graph's own normalization."""
+        rng = np.random.default_rng(21)
+        g = PreparedGraph.from_edges(random_edges(rng, 6, 0.7), 6,
+                                     renorm_trick=True)
+        cfg, params = self._params([3, 4, 2], seed=7)
+        x = rng.normal(size=(6, 3))
+        can = np.flatnonzero(g.edges.canonical() & ~g.edges.is_diag)
+        vals = np.ones(g.edges.n_entries)
+        vals[can] = (rng.random(len(can)) < 0.6).astype(np.float64)
+        g.edges.symmetrize(vals)
+        masks = [LayerMasks(edge=EdgeMask(blocks=[constant(vals)])),
+                 LayerMasks(edge=all_ones_mask(g.edges))]
+        got = forward(params, constant(x), g, masks,
+                      renorm_after_mask=True).data
+
+        a_raw = g.a_raw.to_dense()
+        z_off = dense_mask(g.edges, vals) * (1 - np.eye(6))
+        renormed = dense_normalize(a_raw * z_off, renorm_trick=True)
+        h1 = np.maximum(renormed @ x @ params[0].m.data, 0.0)
+        a = dense_normalize(a_raw, renorm_trick=True)
+        want = log_softmax(a @ h1 @ params[1].m.data)
+        np.testing.assert_allclose(got, want, atol=1e-12)
+
+    @pytest.mark.parametrize("renorm_trick", [False, True])
+    def test_renorm_after_mask_keep_one_changes_nothing(self, renorm_trick):
+        """Renormalizing a mask that keeps every edge gives back the
+        prepared matrix, whichever normalization the graph holds."""
+        rng = np.random.default_rng(29)
+        g = PreparedGraph.from_edges(random_edges(rng, 30, 0.2), 30,
+                                     renorm_trick=renorm_trick)
+        cfg, params = self._params([3, 4, 2], seed=7)
+        x = constant(rng.normal(size=(30, 3)))
+        keep = sample_dropedge_mask(g.edges, 1.0, True, rng)
+        masks = [LayerMasks(edge=keep), LayerMasks(edge=all_ones_mask(g.edges))]
+        plain = forward(params, x, g, masks).data
+        renormed = forward(params, x, g, masks, renorm_after_mask=True).data
+        np.testing.assert_allclose(renormed, plain, atol=1e-12)
 
 
 class TestParameterSpaceEquivalence:
@@ -364,6 +409,98 @@ class TestPredictMc:
         assert np.any(max_prob_var > 0)
 
 
+class TestLayer0Products:
+    """Layer-0 block products computed once and passed into ``forward``."""
+
+    @staticmethod
+    def _gdc(learned=False, n_blocks=3):
+        masks = [MaskSpec(kind=MaskKind.GDC, n_blocks=n_blocks, keep_prob=0.6,
+                          learned=learned, relaxed=learned, symmetric=True),
+                 MaskSpec(kind=MaskKind.DROPEDGE, keep_prob=0.7)]
+        return GCNConfig(layer_dims=[7, 4, 2], masks=masks,
+                         estimator="concrete" if learned else "none")
+
+    @staticmethod
+    def _input(n=6, seed=1):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, 7))
+        x[rng.random(x.shape) < 0.5] = 0.0
+        return x
+
+    @pytest.mark.parametrize("spec, reused", [
+        (MaskSpec(), True),
+        (MaskSpec(kind=MaskKind.DROPEDGE, keep_prob=0.5), True),
+        (MaskSpec(kind=MaskKind.GDC, n_blocks=3, keep_prob=0.5), True),
+        (MaskSpec(kind=MaskKind.RANDOM_WALK, keep_prob=0.5), True),
+        (MaskSpec(kind=MaskKind.DROPOUT, keep_prob=0.5), False),
+        (MaskSpec(kind=MaskKind.NODE_SAMPLING, keep_prob=0.5), False),
+        (MaskSpec(kind=MaskKind.DROPEDGE, dropout_keep=0.8), False),
+    ])
+    def test_only_unmasked_unscaled_inputs_qualify(self, spec, reused):
+        cfg = GCNConfig(layer_dims=[7, 4, 2], masks=[spec, MaskSpec()])
+        blocks = layer0_blocks(cfg, sparse_input(constant(self._input())))
+        assert (blocks is not None) == reused
+        if reused:
+            assert len(blocks) == spec.n_blocks
+
+    def test_aggregate_first_input_does_not_qualify(self):
+        # dense 7 < 3 * 4 aggregates first; the CSR input multiplies first
+        x = constant(self._input())
+        cfg = self._gdc()
+        assert layer0_blocks(cfg, x) is None
+        assert layer0_blocks(cfg, sparse_input(x)) is not None
+
+    @pytest.mark.parametrize("learned", [False, True])
+    def test_predict_mc_equals_passes_without_products(self, monkeypatch,
+                                                       learned):
+        import gdcn.model as gmodel
+        g = prepared(6, seed=13)
+        cfg = self._gdc(learned=learned)
+        params = init_params(cfg, np.random.default_rng(0))
+        x = constant(self._input())
+        supplied = []
+
+        def spy(params, blocks):
+            out = layer0_products(params, blocks)
+            supplied.append(out is not None)
+            return out
+
+        monkeypatch.setattr(gmodel, "layer0_products", spy)
+        _, per = predict_mc(params, x, g, cfg, 5, np.random.default_rng(3))
+        assert supplied == [True]
+        xs, rng = sparse_input(x), np.random.default_rng(3)
+        for s in range(5):
+            draws = sample_step_masks(cfg, params, g, rng, mode="mc",
+                                      input_nnz=xs.data.nnz)
+            want = np.exp(forward(params, xs, g, draws.layer_masks).data)
+            assert np.array_equal(per[s], want)
+
+    def test_block_count_mismatch_raises(self):
+        g = prepared(6, seed=13)
+        cfg = self._gdc()
+        params = init_params(cfg, np.random.default_rng(0))
+        x = sparse_input(constant(self._input()))
+        two = block_products(split_columns(x.data, 2), params[0].m.data)
+        draws = sample_step_masks(cfg, params, g, np.random.default_rng(1),
+                                  mode="mc", input_nnz=x.data.nnz)
+        with pytest.raises(ContractViolation, match="2 block products"):
+            forward(params, x, g, draws.layer_masks, layer0=two)
+
+    def test_masked_input_rejects_products(self):
+        g = prepared(6, seed=13)
+        cfg = GCNConfig(layer_dims=[7, 4, 2],
+                        masks=[MaskSpec(kind=MaskKind.DROPOUT, keep_prob=0.5),
+                               MaskSpec()])
+        params = init_params(cfg, np.random.default_rng(0))
+        x = sparse_input(constant(self._input()))
+        products = block_products(split_columns(x.data, 1), params[0].m.data)
+        for mode, rng in (("mc", np.random.default_rng(1)), ("det", None)):
+            draws = sample_step_masks(cfg, params, g, rng, mode=mode,
+                                      input_nnz=x.data.nnz)
+            with pytest.raises(ContractViolation, match="unmasked, unscaled"):
+                forward(params, x, g, draws.layer_masks, layer0=products)
+
+
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         masks = [MaskSpec(kind=MaskKind.GDC, learned=True, relaxed=True),
@@ -402,19 +539,8 @@ class TestCheckpoint:
         with pytest.raises(MalformedInputError):
             load_checkpoint(path)
 
-    @staticmethod
-    def _small_checkpoint(tmp_path) -> bytes:
-        # version 2 (bias), one learned and one fixed layer: every section
-        masks = [MaskSpec(kind=MaskKind.GDC, learned=True, relaxed=True),
-                 MaskSpec(kind=MaskKind.DROPEDGE, keep_prob=0.4)]
-        cfg = GCNConfig(layer_dims=[3, 4, 2], masks=masks,
-                        estimator="concrete", use_bias=True)
-        path = tmp_path / "model.bin"
-        save_checkpoint(path, init_params(cfg, np.random.default_rng(0)))
-        return path.read_bytes()
-
     def test_every_truncation_is_malformed(self, tmp_path):
-        raw = self._small_checkpoint(tmp_path)
+        raw = small_checkpoint(tmp_path)
         path = tmp_path / "cut.bin"
         for length in range(len(raw)):
             path.write_bytes(raw[:length])
@@ -423,7 +549,7 @@ class TestCheckpoint:
 
     def test_trailing_byte_is_malformed(self, tmp_path):
         path = tmp_path / "long.bin"
-        path.write_bytes(self._small_checkpoint(tmp_path) + b"\x00")
+        path.write_bytes(small_checkpoint(tmp_path) + b"\x00")
         with pytest.raises(MalformedInputError, match="1 trailing bytes"):
             load_checkpoint(path)
 
@@ -434,12 +560,33 @@ class TestCheckpoint:
     ])
     def test_bad_header_field_is_malformed(self, tmp_path, offset, value,
                                            message):
-        raw = bytearray(self._small_checkpoint(tmp_path))
+        raw = bytearray(small_checkpoint(tmp_path))
         raw[offset:offset + len(value) or None] = value
         path = tmp_path / "bad.bin"
         path.write_bytes(bytes(raw))
         with pytest.raises(MalformedInputError, match=message):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("offset, value, message", CHECKPOINT_VALUE_FAULTS)
+    def test_bad_value_is_malformed(self, tmp_path, offset, value, message):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(with_float(small_checkpoint(tmp_path), offset, value))
+        with pytest.raises(MalformedInputError, match=re.escape(message)):
+            load_checkpoint(path)
+
+    def test_log_values_roundtrip_bitwise(self, tmp_path):
+        cfg = GCNConfig(layer_dims=[3, 2], estimator="concrete",
+                        masks=[MaskSpec(kind=MaskKind.GDC, learned=True,
+                                        relaxed=True)])
+        params = init_params(cfg, np.random.default_rng(0))
+        path = tmp_path / "model.bin"
+        for log_a, log_b in np.random.default_rng(31).normal(
+                scale=3.0, size=(100, 2)):
+            params[0].kuma.log_a.data[0, 0] = log_a
+            params[0].kuma.log_b.data[0, 0] = log_b
+            save_checkpoint(path, params)
+            kuma = load_checkpoint(path)[0].kuma
+            assert (kuma.log_a.item(), kuma.log_b.item()) == (log_a, log_b)
 
     def test_header_layout(self, tmp_path):
         cfg = plain_config([3, 4, 2])

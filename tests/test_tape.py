@@ -6,10 +6,11 @@ from scipy.sparse import csr_array
 
 from gdcn.errors import ContractViolation
 from gdcn.graph import SparseMatrix, build_adjacency, normalize, spmm
-from gdcn.tape import (Tape, Tensor, backward, constant, parameter,
-                       record_add, record_frobenius_sq, record_gdc_aggregate,
-                       record_log_softmax_rows, record_masked_nll, record_mul,
-                       record_relu, record_scale)
+from gdcn.tape import (Tape, Tensor, backward, block_products, constant,
+                       parameter, record_add, record_frobenius_sq,
+                       record_gdc_aggregate, record_log_softmax_rows,
+                       record_masked_nll, record_mul, record_relu,
+                       record_scale, split_columns)
 
 from conftest import finite_diff, rel_err, random_edges
 
@@ -298,6 +299,64 @@ class TestGdcAggregate:
         with pytest.raises(ContractViolation):
             record_gdc_aggregate(Tape(), [a], [constant(np.ones(a.nnz))] * 2,
                                  constant(h0), constant(np.ones((7, 2))))
+
+
+class TestSuppliedProducts:
+    """``record_gdc_aggregate`` with precomputed ``H_b`` and ``S_b``."""
+
+    @staticmethod
+    def _setup(seed=5):
+        rng = np.random.default_rng(seed)
+        a = normalize(build_adjacency(random_edges(rng, 6, 0.5), 6))
+        h0 = rng.normal(size=(6, 7))
+        h0[rng.random(h0.shape) < 0.5] = 0.0
+        return rng, a, h0
+
+    @pytest.mark.parametrize("nb", [1, 3])
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_bitwise_equal_to_plain_call(self, sparse, nb):
+        rng, a, h0 = self._setup()
+        w0 = rng.normal(size=(7, 2))  # 7 >= 3 * 2: multiply first
+        z0 = rng.random((nb, a.nnz))
+        weight = rng.normal(size=(6, 2))
+
+        def run(supply):
+            h = constant(csr_array(h0)) if sparse else parameter(h0)
+            w = parameter(w0)
+            zs = [parameter(z) for z in z0]
+            products = (block_products(split_columns(h.data, nb), w.data)
+                        if supply else None)
+            t = Tape()
+            out = record_gdc_aggregate(t, [a] * nb, zs, h, w,
+                                       differentiate_mask=True,
+                                       products=products)
+            g = backward(t, record_frobenius_sq(
+                t, record_mul(t, out, constant(weight))))
+            wrt = [w] + zs + ([] if sparse else [h])
+            return [out.data] + [g.get(v) for v in wrt]
+
+        for got, want in zip(run(True), run(False)):
+            assert np.array_equal(got, want)
+
+    def test_aggregate_first_rejects_products(self):
+        rng, a, h0 = self._setup()
+        w0 = rng.normal(size=(7, 3))  # 7 < 3 * 3: aggregate first
+        products = block_products(split_columns(h0, 3), w0)
+        with pytest.raises(ContractViolation, match="multiplying first"):
+            record_gdc_aggregate(Tape(), [a] * 3,
+                                 [constant(np.ones(a.nnz))] * 3,
+                                 constant(h0), constant(w0),
+                                 products=products)
+
+    def test_block_count_mismatch(self):
+        rng, a, h0 = self._setup()
+        w0 = rng.normal(size=(7, 2))
+        products = block_products(split_columns(h0, 2), w0)
+        with pytest.raises(ContractViolation, match="2 block products"):
+            record_gdc_aggregate(Tape(), [a] * 3,
+                                 [constant(np.ones(a.nnz))] * 3,
+                                 constant(h0), constant(w0),
+                                 products=products)
 
 
 class TestElementwise:

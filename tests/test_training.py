@@ -166,6 +166,37 @@ class TestTrain:
         train(ds, cfg, tc, seed=0)
         assert checked == [True] * 8
 
+    @pytest.mark.parametrize("estimator", ["arm", "concrete"])
+    def test_reused_layer0_products_change_nothing(self, monkeypatch,
+                                                   estimator):
+        # Products reused across passes must give, bit for bit, the run in
+        # which every pass computes its own; products left stale by an
+        # Adam step would not.
+        import gdcn.training as training
+        real = training.layer0_products
+        supplied = []
+
+        def spy(params, blocks):
+            out = real(params, blocks)
+            supplied.append(out is not None)
+            return out
+
+        ds = synthetic_dataset()
+        cfg = small_config(ds.n_features, ds.class_count, kind=MaskKind.GDC,
+                           learned=True, estimator=estimator, n_blocks=2)
+        tc = TrainConfig(epochs=4, lr=0.05, patience=4, seeds=(0,))
+        monkeypatch.setattr(training, "layer0_products", spy)
+        reused = train(ds, cfg, tc, seed=0)
+        assert supplied == [True] * 5  # before the loop, then each epoch
+        monkeypatch.setattr(training, "layer0_products",
+                            lambda params, blocks: None)
+        plain = train(ds, cfg, tc, seed=0)
+        assert [dataclasses.replace(e, wall_time=0.0) for e in reused.logs] \
+            == [dataclasses.replace(e, wall_time=0.0) for e in plain.logs]
+        for a, b in zip(reused.params, plain.params):
+            for t, u in zip(a.tensors(), b.tensors()):
+                assert np.array_equal(t.data, u.data)
+
     def test_kl_weight_scaling_loss(self, monkeypatch):
         # One epoch at lr 0 on one draw: with the flag the weight penalty is
         # sum_l |E| pi_l / 2 ||M_l||^2, without it l2_factor * sum ||M_l||^2.
