@@ -7,6 +7,16 @@ first appearance. Cites lines referencing unknown ids are skipped (a warning
 reports the count), duplicates and self-citations are dropped, so the edge
 list holds unique undirected pairs with no self-loops.
 
+Each file is read line by line, but each line is only split into its
+fields; the structural checks (field count, duplicate id, feature count)
+run there. The feature fields are then parsed in bulk: every field made of
+single ``0``/``1`` characters joined by tabs is checked and converted
+through one byte buffer for all such lines. Any other field (``1.0``, a
+non-binary or non-numeric token, a non-ASCII character) is parsed token by
+token with ``float``. Either way a fault names the file and the first
+faulty line, and blank lines count in line numbers. A file that is not
+valid UTF-8 raises ``MalformedInputError`` naming it.
+
 ``Dataset.features`` is a dense (n, f) array and stays the public form of
 the input; the model's entry points (``train``, ``predict_mc``,
 ``forward_deterministic``) convert it to CSR once per call.
@@ -50,68 +60,57 @@ def load_content_cites(content_path, cites_path) -> Dataset:
     """Parse content/cites files into an unsplit Dataset."""
     ids: dict = {}
     label_index: dict = {}
-    feature_rows = []
     labels = []
-    with open(content_path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) < 3:
-                raise MalformedInputError(
-                    f"{content_path}:{lineno}: expected id, features, label"
-                )
-            node_id, feats, label = parts[0], parts[1:-1], parts[-1]
-            if node_id in ids:
-                raise MalformedInputError(
-                    f"{content_path}:{lineno}: duplicate node id {node_id!r}"
-                )
-            if feature_rows and len(feats) != len(feature_rows[0]):
-                raise MalformedInputError(
-                    f"{content_path}:{lineno}: expected {len(feature_rows[0])} "
-                    f"features, got {len(feats)}"
-                )
-            try:
-                row = np.array([float(v) for v in feats])
-            except ValueError as exc:
-                raise MalformedInputError(
-                    f"{content_path}:{lineno}: non-numeric feature"
-                ) from exc
-            if not np.all((row == 0.0) | (row == 1.0)):
-                raise MalformedInputError(
-                    f"{content_path}:{lineno}: features must be binary"
-                )
-            ids[node_id] = len(ids)
-            if label not in label_index:
-                label_index[label] = len(label_index)
-            labels.append(label_index[label])
-            feature_rows.append(row)
-    if not feature_rows:
+    fields = []                 # the feature field of each accepted line
+    linenos = []
+    fault = None
+    for lineno, line in _lines(content_path):
+        node_id, sep, rest = line.partition("\t")
+        feats, sep2, label = rest.rpartition("\t")
+        if not (sep and sep2):
+            fault = f"{content_path}:{lineno}: expected id, features, label"
+            break
+        if node_id in ids:
+            fault = f"{content_path}:{lineno}: duplicate node id {node_id!r}"
+            break
+        count = feats.count("\t") + 1
+        if fields and count != n_features:
+            fault = (f"{content_path}:{lineno}: expected {n_features} "
+                     f"features, got {count}")
+            break
+        n_features = count
+        ids[node_id] = len(ids)
+        if label not in label_index:
+            label_index[label] = len(label_index)
+        labels.append(label_index[label])
+        fields.append(feats)
+        linenos.append(lineno)
+    # Parsing the fields before raising ``fault`` reports a feature fault on
+    # an earlier line first, as a line-by-line parse would.
+    if fields:
+        features = _parse_features(content_path, fields, linenos, n_features)
+    if fault is not None:
+        raise MalformedInputError(fault)
+    if not fields:
         raise MalformedInputError(f"{content_path}: no content lines")
 
     skipped_unknown = 0
     dropped_self = 0
-    pairs = set()
-    with open(cites_path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise MalformedInputError(
-                    f"{cites_path}:{lineno}: expected two tab-separated ids"
-                )
-            a, b = parts
-            if a not in ids or b not in ids:
-                skipped_unknown += 1
-                continue
-            u, v = ids[a], ids[b]
-            if u == v:
-                dropped_self += 1
-                continue
-            pairs.add((min(u, v), max(u, v)))
+    us, vs = [], []
+    for lineno, line in _lines(cites_path):
+        a, sep, b = line.partition("\t")
+        if not sep or "\t" in b:
+            raise MalformedInputError(
+                f"{cites_path}:{lineno}: expected two tab-separated ids"
+            )
+        u, v = ids.get(a), ids.get(b)
+        if u is None or v is None:
+            skipped_unknown += 1
+        elif u == v:
+            dropped_self += 1
+        else:
+            us.append(u)
+            vs.append(v)
     if skipped_unknown:
         warnings.warn(
             f"{cites_path}: skipped {skipped_unknown} lines referencing unknown ids"
@@ -119,23 +118,85 @@ def load_content_cites(content_path, cites_path) -> Dataset:
     if dropped_self:
         warnings.warn(f"{cites_path}: dropped {dropped_self} self-citation lines")
 
-    edges = (np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
-             if pairs else np.zeros((0, 2), dtype=np.int64))
+    # One key per undirected pair; np.unique drops repeats and sorts, which
+    # orders the edges by (u, v).
+    n = len(ids)
+    us = np.array(us, dtype=np.int64)
+    vs = np.array(vs, dtype=np.int64)
+    keys = np.unique(np.minimum(us, vs) * n + np.maximum(us, vs))
     return Dataset(
-        features=np.array(feature_rows, dtype=np.float64),
+        features=features,
         labels=np.array(labels, dtype=np.int64),
-        edges=edges,
+        edges=np.stack([keys // n, keys % n], axis=1),
         class_count=len(label_index),
     )
+
+
+def _lines(path):
+    """Yield (line number, line) for the non-blank lines of a UTF-8 text
+    file, newline stripped; a decoding fault raises ``MalformedInputError``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if line:
+                    yield lineno, line
+        except UnicodeDecodeError as exc:
+            raise MalformedInputError(
+                f"{path}: not valid UTF-8 ({exc.reason})"
+            ) from exc
+
+
+_ZERO, _ONE = b"01"
+
+
+def _parse_features(path, fields, linenos, n_features: int) -> np.ndarray:
+    """The float64 (len(fields), n_features) matrix of the feature fields.
+
+    A field of single ``0``/``1`` characters joined by tabs takes the bulk
+    path: all such fields are joined into one byte buffer, checked and
+    converted at once. Every other field is parsed token by token with
+    ``float``, which raises its line's fault; the first fault by line number
+    is the one raised.
+    """
+    out = np.empty((len(fields), n_features))
+    width = 2 * n_features - 1
+    slow = np.array([len(f) != width or not f.isascii() for f in fields])
+    rows = np.flatnonzero(~slow)
+    if rows.size:
+        joined = "\t".join([fields[i] for i in rows]) + "\t"
+        buf = np.frombuffer(joined.encode("ascii"), dtype=np.uint8)
+        del joined
+        # Each field holds n_features - 1 tabs, so in one of this width whose
+        # even positions are all '0'/'1' the tabs fill the odd positions.
+        tokens = buf.reshape(rows.size, 2 * n_features)[:, 0::2]
+        ok = ((tokens == _ZERO) | (tokens == _ONE)).all(axis=1)
+        out[rows[ok]] = tokens[ok] == _ONE
+        slow[rows[~ok]] = True
+    for i in np.flatnonzero(slow):
+        out[i] = _parse_row(path, linenos[i], fields[i])
+    return out
+
+
+def _parse_row(path, lineno: int, field: str) -> np.ndarray:
+    try:
+        row = np.array([float(v) for v in field.split("\t")])
+    except ValueError as exc:
+        raise MalformedInputError(
+            f"{path}:{lineno}: non-numeric feature"
+        ) from exc
+    if not np.all((row == 0.0) | (row == 1.0)):
+        raise MalformedInputError(f"{path}:{lineno}: features must be binary")
+    return row
 
 
 def row_normalize(features: np.ndarray) -> np.ndarray:
     """Divide each row by its sum; all-zero rows stay zero."""
     features = np.asarray(features, dtype=np.float64)
     sums = features.sum(axis=1, keepdims=True)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.where(sums > 0, features / sums, 0.0)
-    return out
+    with np.errstate(invalid="ignore"):
+        return np.divide(features, sums, out=np.zeros_like(features),
+                         where=sums > 0)
 
 
 def make_split(dataset: Dataset, per_class_train: int, n_val: int,

@@ -86,6 +86,23 @@ class TestConfigErrors:
         assert ("model.regularizer: unknown kind 'Dropout'"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_invalid_utf8_input_exit_2(self, tmp_path, synthetic_files,
+                                       capsys, which):
+        paths = []
+        for i, src in enumerate(synthetic_files):
+            data = open(src, "rb").read()
+            if i == which:
+                data = data[:40] + b"\xff" + data[40:]
+            paths.append(tmp_path / os.path.basename(src))
+            paths[-1].write_bytes(data)
+        cfg = write_config(tmp_path / "run.ini", *paths, tmp_path / "o")
+        rc = main(["train", "--config", cfg])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {paths[which]}: not valid UTF-8")
+        assert "Traceback" not in err
+
 
 class TestTrain:
     def test_artifacts_and_summary(self, config, capsys):

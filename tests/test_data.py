@@ -12,6 +12,15 @@ def write(path, text):
     return str(path)
 
 
+def assert_same_dataset(got, want):
+    """Equal shapes, dtypes and bits in every array, and equal class counts."""
+    for name in ("features", "labels", "edges"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+    assert got.class_count == want.class_count
+
+
 class TestLoadContentCites:
     def test_two_nodes_one_edge(self, tmp_path):
         content = write(tmp_path / "c.content",
@@ -67,6 +76,75 @@ class TestLoadContentCites:
         with pytest.raises(MalformedInputError, match="binary"):
             load_content_cites(content, cites)
 
+    def test_feature_count_mismatch_reports_line(self, tmp_path):
+        content = write(tmp_path / "c.content", "a\t1\t0\tml\nb\t1\t0\t1\tdb\n")
+        cites = write(tmp_path / "c.cites", "")
+        with pytest.raises(MalformedInputError,
+                           match=r"c\.content:2: expected 2 features, got 3$"):
+            load_content_cites(content, cites)
+
+    def test_non_numeric_feature_rejected(self, tmp_path):
+        content = write(tmp_path / "c.content", "a\t1\t0\tml\nb\t1\tx\tdb\n")
+        cites = write(tmp_path / "c.cites", "")
+        with pytest.raises(MalformedInputError,
+                           match=r"c\.content:2: non-numeric feature$"):
+            load_content_cites(content, cites)
+
+    def test_no_content_lines(self, tmp_path):
+        content = write(tmp_path / "c.content", "\n\n")
+        cites = write(tmp_path / "c.cites", "")
+        with pytest.raises(MalformedInputError,
+                           match=r"c\.content: no content lines$"):
+            load_content_cites(content, cites)
+
+    @pytest.mark.parametrize("line", ["a", "a\tb\ta"])
+    def test_cites_line_needs_two_fields(self, tmp_path, line):
+        content = write(tmp_path / "c.content", "a\t1\tml\nb\t0\tdb\n")
+        cites = write(tmp_path / "c.cites", f"a\tb\n{line}\n")
+        with pytest.raises(MalformedInputError,
+                           match=r"c\.cites:2: expected two tab-separated ids$"):
+            load_content_cites(content, cites)
+
+    def test_decimal_tokens_equal_integer_tokens(self, tmp_path):
+        cites = write(tmp_path / "c.cites", "a\tb\n")
+        ints = load_content_cites(
+            write(tmp_path / "i.content", "a\t1\t0\tml\nb\t0\t1\tdb\n"), cites)
+        decimals = load_content_cites(
+            write(tmp_path / "d.content", "a\t1.0\t0.0\tml\nb\t0\t1.0\tdb\n"),
+            cites)
+        assert_same_dataset(decimals, ints)
+
+    def test_crlf_equals_lf(self, tmp_path):
+        lf = "a\t1\t0\tml\nb\t0\t1\tdb\n"
+        (tmp_path / "crlf.content").write_bytes(lf.replace("\n", "\r\n").encode())
+        (tmp_path / "crlf.cites").write_bytes(b"a\tb\r\n")
+        crlf = load_content_cites(str(tmp_path / "crlf.content"),
+                                  str(tmp_path / "crlf.cites"))
+        plain = load_content_cites(write(tmp_path / "lf.content", lf),
+                                   write(tmp_path / "lf.cites", "a\tb\n"))
+        assert_same_dataset(crlf, plain)
+
+    def test_blank_lines_count_in_line_numbers(self, tmp_path):
+        content = write(tmp_path / "c.content", "\na\t1\tml\n\n\nb\t2\tdb\n")
+        cites = write(tmp_path / "c.cites", "")
+        with pytest.raises(MalformedInputError, match=r"c\.content:5: "):
+            load_content_cites(content, cites)
+        content = write(tmp_path / "d.content", "a\t1\tml\nb\t0\tdb\n")
+        cites = write(tmp_path / "d.cites", "\n\na\tb\n\nb\n")
+        with pytest.raises(MalformedInputError, match=r"d\.cites:5: "):
+            load_content_cites(content, cites)
+
+    @pytest.mark.parametrize("text, message", [
+        ("a\t1\tml\nb\tx\tdb\nb\t1\tdb\n", ":2: non-numeric"),
+        ("a\t1\tml\na\tx\tdb\nb\t2\tdb\n", ":2: duplicate node id"),
+    ])
+    def test_first_fault_by_line_number_reported(self, tmp_path, text,
+                                                 message):
+        content = write(tmp_path / "c.content", text)
+        cites = write(tmp_path / "c.cites", "")
+        with pytest.raises(MalformedInputError, match=message):
+            load_content_cites(content, cites)
+
     def test_label_order_is_first_appearance(self, tmp_path):
         content = write(tmp_path / "c.content",
                         "a\t1\tzeta\nb\t1\talpha\nc\t1\tzeta\n")
@@ -102,6 +180,19 @@ class TestRowNormalize:
         f = (rng.random((20, 8)) < 0.3).astype(np.float64)
         sums = row_normalize(f).sum(axis=1)
         assert np.all((np.abs(sums - 1.0) < 1e-12) | (sums == 0.0))
+
+    def test_bitwise_equal_to_where_formula(self):
+        rng = np.random.default_rng(3)
+        for shape in [(50, 30), (7, 1), (1, 200)]:
+            f = (rng.random(shape) < 0.1).astype(np.float64)
+            f[::3] = 0.0
+            before = f.copy()
+            sums = f.sum(axis=1, keepdims=True)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                want = np.where(sums > 0, f / sums, 0.0)
+            got = row_normalize(f)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert np.array_equal(f.view(np.uint64), before.view(np.uint64))
 
 
 class TestMakeSplit:
