@@ -33,8 +33,9 @@ def _load_dataset(cfg: RunConfig):
         ds.features = data_io.row_normalize(ds.features)
     ds = data_io.make_split(ds, cfg["data.per_class_train"],
                             cfg["data.n_val"], cfg["data.n_test"])
-    graph = PreparedGraph.from_edges(ds.edges, ds.n_nodes,
-                                     renorm_trick=cfg["model.renorm_trick"])
+    graph = PreparedGraph.from_edges(
+        ds.edges, ds.n_nodes, renorm_trick=cfg["model.renorm_trick"],
+        renorm_after_mask=cfg["model.renorm_after_mask"])
     return ds, graph
 
 
@@ -62,6 +63,11 @@ def _load_params_checked(cfg, ds, checkpoint_path):
         if spec.learned != (p.kuma is not None):
             raise ConfigError(
                 f"layer {l}: checkpoint drop parameterization does not match config"
+            )
+        if not spec.learned and p.fixed_keep != spec.keep_prob:
+            raise ConfigError(
+                f"layer {l}: checkpoint keep probability {p.fixed_keep} does "
+                f"not match config keep_prob {spec.keep_prob}"
             )
     return params, gcn_config
 

@@ -1,11 +1,13 @@
-"""Sparse graph representation, adjacency normalization and sparse products.
+"""Adjacency construction, the normalization rule and sparse products.
 
-The canonical storage is CSR with strictly increasing column indices per row,
-which fixes the iteration order of every masked product and therefore makes
-training reproducible. COO-style edge lists are accepted only at ingestion
-(`build_adjacency`). The normalizing operator is ``I + D^{-1/2} A D^{-1/2}``
-by default; the Kipf-style renormalization ``D~^{-1/2} (A+I) D~^{-1/2}`` is
-available behind the ``renorm_trick`` flag.
+Matrices are ``scipy.sparse.csr_array``s with sorted column indices per
+row, which fixes the iteration order of every product and therefore makes
+training reproducible; their indices are int32 unless a size overflows it.
+COO-style edge lists are accepted only at ingestion (`build_adjacency`).
+Every normalized adjacency, the prepared one and each renormalized mask,
+stores the one pattern ``A + I`` (an ``EdgeSet``) and holds the values of
+one rule, ``EdgeSet.normalized_values``: ``I + D^{-1/2} A D^{-1/2}`` by
+default, ``D~^{-1/2} (A+I) D~^{-1/2}`` behind ``renorm_trick``.
 """
 
 from __future__ import annotations
@@ -18,40 +20,22 @@ import scipy.sparse as sp
 from .errors import ContractViolation, MalformedInputError
 
 
-@dataclass
-class SparseMatrix:
-    """CSR matrix with float64 values and sorted column indices per row."""
+def index_dtype(*sizes: int):
+    """int32 when every size fits in it, else int64 (scipy's choice)."""
+    return np.int32 if max(sizes, default=0) <= np.iinfo(np.int32).max else np.int64
 
-    n_rows: int
-    n_cols: int
-    row_ptr: np.ndarray
-    col_idx: np.ndarray
-    values: np.ndarray
 
-    @property
-    def nnz(self) -> int:
-        return len(self.col_idx)
+def entry_rows(a: sp.csr_array) -> np.ndarray:
+    """Row index of every stored entry of a CSR array, in storage order."""
+    return np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
 
-    def row_indices(self) -> np.ndarray:
-        """Row index of every stored entry, in storage order."""
-        return np.repeat(np.arange(self.n_rows), np.diff(self.row_ptr))
 
-    def to_scipy(self) -> sp.csr_matrix:
-        return sp.csr_matrix(
-            (self.values, self.col_idx, self.row_ptr), shape=(self.n_rows, self.n_cols)
-        )
-
-    def to_dense(self) -> np.ndarray:
-        return self.to_scipy().toarray()
-
-    def with_values(self, values: np.ndarray) -> "SparseMatrix":
-        """Same pattern, different values (no copy of the index arrays)."""
-        if len(values) != self.nnz:
-            raise ContractViolation(
-                f"value vector length {len(values)} != nnz {self.nnz}"
-            )
-        return SparseMatrix(self.n_rows, self.n_cols, self.row_ptr, self.col_idx,
-                            np.asarray(values, dtype=np.float64))
+def _from_keys(keys: np.ndarray, n: int, data: np.ndarray) -> sp.csr_array:
+    """n x n CSR array from sorted, distinct flat keys ``row * n + col``."""
+    idx = index_dtype(n, len(keys))
+    indptr = np.zeros(n + 1, dtype=idx)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+    return sp.csr_array((data, (keys % n).astype(idx), indptr), shape=(n, n))
 
 
 @dataclass
@@ -75,13 +59,13 @@ class EdgeSet:
         self._lower = np.flatnonzero(~self.canonical())
 
     @classmethod
-    def from_sparse(cls, a: SparseMatrix) -> "EdgeSet":
-        if a.n_rows != a.n_cols:
+    def from_sparse(cls, a: sp.csr_array) -> "EdgeSet":
+        n, n_cols = a.shape
+        if n != n_cols:
             raise ContractViolation("edge set requires a square matrix")
-        n = a.n_rows
-        rows = a.row_indices()
-        cols = a.col_idx.copy()
-        keys = rows.astype(np.int64) * n + cols
+        rows = entry_rows(a)
+        cols = a.indices.copy()
+        keys = rows * n + cols
         mirror_keys = cols.astype(np.int64) * n + rows
         mirror = np.searchsorted(keys, mirror_keys)
         if np.any(mirror >= len(keys)) or np.any(keys[mirror] != mirror_keys):
@@ -112,8 +96,35 @@ class EdgeSet:
         values[self._lower] = values[self.mirror[self._lower]]
         return values
 
+    def normalized_values(self, z: np.ndarray,
+                          renorm_trick: bool = False) -> np.ndarray:
+        """Normalized adjacency of the off-diagonal entries with ``z != 0``.
 
-def build_adjacency(edges, n: int, symmetrize: bool = True) -> SparseMatrix:
+        ``deg`` counts the kept off-diagonal entries of each row. A kept
+        entry (r, c) holds ``d[r] * d[c]``: by default ``d = deg^{-1/2}``
+        (0 for a node with nothing kept) and the diagonal is 1; under
+        ``renorm_trick`` ``d = (deg + 1)^{-1/2}`` and the diagonal holds
+        ``d^2``. Dropped entries hold 0, so the pattern stays this one. Only
+        which off-diagonal entries of ``z`` are nonzero matters. A kept set
+        that is not symmetric raises ``ContractViolation``.
+        """
+        kept = (np.asarray(z).ravel() != 0.0) & ~self.is_diag
+        if np.any(kept != kept[self.mirror]):
+            raise ContractViolation("kept edges must be symmetric to renormalize")
+        rows, cols = self.rows[kept], self.cols[kept]
+        deg = np.bincount(rows, minlength=self.n).astype(np.float64)
+        if renorm_trick:
+            d = 1.0 / np.sqrt(deg + 1.0)
+        else:
+            with np.errstate(divide="ignore"):
+                d = np.where(deg > 0, 1.0 / np.sqrt(deg), 0.0)
+        values = np.zeros(self.n_entries)
+        values[kept] = d[rows] * d[cols]
+        values[self.is_diag] = d * d if renorm_trick else 1.0
+        return values
+
+
+def build_adjacency(edges, n: int, symmetrize: bool = True) -> sp.csr_array:
     """Binary adjacency from an edge list; duplicates collapsed, no diagonal.
 
     Parameters
@@ -128,76 +139,52 @@ def build_adjacency(edges, n: int, symmetrize: bool = True) -> SparseMatrix:
             f"edge endpoint out of range [0, {n}): "
             f"min {pairs.min()}, max {pairs.max()}"
         )
-    if symmetrize and len(pairs):
+    if symmetrize:
         pairs = np.vstack([pairs, pairs[:, ::-1]])
-    if len(pairs):
-        pairs = pairs[pairs[:, 0] != pairs[:, 1]]  # diagonal absent by contract
-    if len(pairs) == 0:
-        return SparseMatrix(n, n, np.zeros(n + 1, dtype=np.int64),
-                            np.zeros(0, dtype=np.int64), np.zeros(0))
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]  # diagonal absent by contract
     keys = np.unique(pairs[:, 0] * n + pairs[:, 1])
-    rows, cols = keys // n, keys % n
-    row_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=row_ptr[1:])
-    return SparseMatrix(n, n, row_ptr, cols.astype(np.int64), np.ones(len(keys)))
+    return _from_keys(keys, n, np.ones(len(keys)))
 
 
-def degree_vector(a: SparseMatrix) -> np.ndarray:
-    """Per-node degree counts of a binary symmetric adjacency."""
-    return np.diff(a.row_ptr).astype(np.int64)
+def normalize(a: sp.csr_array, renorm_trick: bool = False) -> sp.csr_array:
+    """Normalized adjacency of a binary symmetric ``a`` with a zero diagonal.
 
-
-def _check_symmetric_binary(a: SparseMatrix) -> None:
-    s = a.to_scipy()
-    if (s != s.T).nnz != 0:
-        raise ContractViolation("adjacency must be symmetric")
-    if s.diagonal().any():
-        raise ContractViolation("adjacency must have a zero diagonal")
-    if len(a.values) and not np.all(a.values == 1.0):
-        raise ContractViolation("adjacency must be binary (values == 1)")
-
-
-def normalize(a: SparseMatrix, renorm_trick: bool = False) -> SparseMatrix:
-    """Normalized adjacency with a full diagonal.
-
-    Default: ``I + D^{-1/2} A D^{-1/2}``. Isolated nodes (degree 0) get a
-    diagonal entry of 1 and no neighbors (0/0 := 0 in ``D^{-1/2}``). With
-    ``renorm_trick``, returns ``D~^{-1/2} (A + I) D~^{-1/2}`` with
-    ``D~ = D + I`` instead.
+    The result stores ``A + I`` and holds ``EdgeSet.normalized_values`` with
+    every entry kept: ``I + D^{-1/2} A D^{-1/2}`` by default, where an
+    isolated node gets a diagonal entry of 1 and no neighbors, or
+    ``D~^{-1/2} (A + I) D~^{-1/2}`` with ``D~ = D + I`` under
+    ``renorm_trick``.
     """
-    _check_symmetric_binary(a)
-    n = a.n_rows
-    s = a.to_scipy()
-    deg = degree_vector(a).astype(np.float64)
-    if renorm_trick:
-        d_inv_sqrt = 1.0 / np.sqrt(deg + 1.0)
-        scaled = sp.diags(d_inv_sqrt) @ (s + sp.identity(n, format="csr")) @ sp.diags(d_inv_sqrt)
-    else:
-        with np.errstate(divide="ignore"):
-            d_inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(deg), 0.0)
-        scaled = sp.identity(n, format="csr") + sp.diags(d_inv_sqrt) @ s @ sp.diags(d_inv_sqrt)
-    scaled = sp.csr_matrix(scaled)
-    scaled.sort_indices()
-    return SparseMatrix(n, n, scaled.indptr.astype(np.int64),
-                        scaled.indices.astype(np.int64), scaled.data.astype(np.float64))
+    if a.diagonal().any():
+        raise ContractViolation("adjacency must have a zero diagonal")
+    if not np.all(a.data == 1.0):
+        raise ContractViolation("adjacency must be binary (values == 1)")
+    n = a.shape[0]
+    keys = np.sort(np.concatenate([entry_rows(a) * n + a.indices,
+                                   np.arange(n) * (n + 1)]))
+    out = _from_keys(keys, n, np.ones(len(keys)))
+    out.data = EdgeSet.from_sparse(out).normalized_values(out.data, renorm_trick)
+    return out
 
 
-def spmm(a: SparseMatrix, h: np.ndarray) -> np.ndarray:
+def spmm(a: sp.csr_array, h: np.ndarray) -> np.ndarray:
     """Sparse-dense product ``A @ H``."""
     h = np.asarray(h, dtype=np.float64)
-    if a.n_cols != h.shape[0]:
-        raise ContractViolation(f"shape mismatch: A is {a.n_rows}x{a.n_cols}, H has {h.shape[0]} rows")
-    return a.to_scipy() @ h
+    if a.shape[1] != h.shape[0]:
+        raise ContractViolation(
+            f"shape mismatch: A is {a.shape[0]}x{a.shape[1]}, H has {h.shape[0]} rows")
+    return a @ h
 
-def spmm_t(a: SparseMatrix, g: np.ndarray) -> np.ndarray:
+
+def spmm_t(a: sp.csr_array, g: np.ndarray) -> np.ndarray:
     """Transposed product ``A.T @ G`` (used by reverse-mode adjoints)."""
     g = np.asarray(g, dtype=np.float64)
-    if a.n_rows != g.shape[0]:
+    if a.shape[0] != g.shape[0]:
         raise ContractViolation("shape mismatch in transposed product")
-    return a.to_scipy().T @ g
+    return a.T @ g
 
 
-def lambda_max(a: SparseMatrix, tol: float = 1e-8, max_iter: int = 1000):
+def lambda_max(a: sp.csr_array, tol: float = 1e-8, max_iter: int = 1000):
     """Largest-magnitude eigenvalue of a symmetric matrix by power iteration.
 
     Starts from the all-ones vector. Returns ``(estimate, converged)``;
@@ -205,16 +192,15 @@ def lambda_max(a: SparseMatrix, tol: float = 1e-8, max_iter: int = 1000):
     """
     if tol <= 0:
         raise ContractViolation("tol must be positive")
-    s = a.to_scipy()
-    if (s != s.T).nnz != 0:
+    if (a != a.T).nnz != 0:
         raise ContractViolation("lambda_max requires a symmetric matrix")
-    n = a.n_rows
+    n = a.shape[0]
     if n == 0 or a.nnz == 0:
         return 0.0, True
     v = np.full(n, 1.0 / np.sqrt(n))
     lam_prev = 0.0
     for _ in range(max_iter):
-        w = s @ v
+        w = a @ v
         lam = float(np.linalg.norm(w))
         if lam == 0.0:
             return 0.0, True

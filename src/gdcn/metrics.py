@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
-from .graph import SparseMatrix, spmm
+from .graph import spmm
 
 
 @dataclass
@@ -90,7 +90,7 @@ def uncertainty_report(mean_probs: np.ndarray, labels: np.ndarray,
                              p_acc_given_cert=p_ac, p_cert_given_inacc=p_ci)
 
 
-def total_variation(h: np.ndarray, a: SparseMatrix, lam: float,
+def total_variation(h: np.ndarray, a, lam: float,
                     normalized: bool = False) -> float:
     """``||H - (1/lam) A H||_F^2`` on the raw adjacency.
 

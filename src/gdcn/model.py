@@ -5,8 +5,9 @@ A layer computes
     H_out = act( sum_b  (N(A) ⊙ Z_b) (H[:, block_b] W[block_b, :]) )
 
 where Z_b is the edge mask of feature block b. Masks default to multiplying
-the pre-normalized adjacency; ``renorm_after_mask`` renormalizes the masked
-raw adjacency per draw instead (binary symmetric masks only). Hidden
+the pre-normalized adjacency. A ``PreparedGraph`` with ``renorm_after_mask``
+instead gives each block the normalization rule's values for the edges its
+mask keeps, on the same pattern; the graph owns both rules. Hidden
 activations use ReLU, the head is a row-wise log-softmax.
 
 The whole block sum is one tape op, ``tape.record_gdc_aggregate``. Both
@@ -51,7 +52,7 @@ import numpy as np
 from scipy.sparse import csr_array, issparse
 
 from .errors import ContractViolation, MalformedInputError
-from .graph import EdgeSet, SparseMatrix, build_adjacency, normalize
+from .graph import EdgeSet, build_adjacency, index_dtype, normalize
 from .masks import (EdgeMask, MaskKind, MaskSpec, all_ones_mask,
                     expected_keep_mask, sample_concrete_mask,
                     sample_dropedge_mask, sample_dropout_mask,
@@ -79,7 +80,8 @@ class GCNConfig:
     - ``renorm_trick``: normalize ``A + I`` by ``D + I`` (Kipf and Welling)
       instead of adding ``I`` to the normalized ``A``.
     - ``renorm_after_mask``: normalize each masked adjacency again, as
-      DropEdge does, instead of masking the normalized one.
+      DropEdge does, instead of masking the normalized one. It needs binary
+      symmetric masks: no concrete estimator, no random-walk layer.
     - ``concrete_standard``: divide the whole concrete logit by the
       temperature, the standard relaxation, instead of the paper's form
       that tempers only the probability logit.
@@ -125,10 +127,12 @@ class GCNConfig:
                     "combined with the concrete estimator"
                 )
             for spec in self.masks:
-                if spec.kind in (MaskKind.DROPEDGE, MaskKind.GDC,
-                                 MaskKind.RANDOM_WALK) and not spec.symmetric:
+                if spec.kind == MaskKind.RANDOM_WALK or (
+                        spec.kind in (MaskKind.DROPEDGE, MaskKind.GDC)
+                        and not spec.symmetric):
                     raise ContractViolation(
-                        "renorm_after_mask requires symmetric edge masks"
+                        "renorm_after_mask requires symmetric edge masks, "
+                        "which random-walk masks never are"
                     )
         if (self.estimator != "none") != any(s.learned for s in self.masks):
             raise ContractViolation(
@@ -160,21 +164,35 @@ class LayerParams:
 class PreparedGraph:
     """Raw adjacency, its normalization, and the aligned edge set.
 
-    ``renorm_trick`` records which normalization ``a_norm`` holds, so that
-    renormalizing a masked adjacency uses the same one.
+    ``renorm_trick`` records which normalization ``a_norm`` holds, and
+    ``renorm_after_mask`` whether ``forward`` renormalizes each block's
+    masked adjacency by that rule; both must match the config's.
     """
 
-    a_raw: SparseMatrix
-    a_norm: SparseMatrix
+    a_raw: csr_array
+    a_norm: csr_array
     edges: EdgeSet
     renorm_trick: bool = False
+    renorm_after_mask: bool = False
 
     @classmethod
-    def from_edges(cls, edge_list, n: int, renorm_trick: bool = False) -> "PreparedGraph":
+    def from_edges(cls, edge_list, n: int, renorm_trick: bool = False,
+                   renorm_after_mask: bool = False) -> "PreparedGraph":
         a_raw = build_adjacency(edge_list, n, symmetrize=True)
         a_norm = normalize(a_raw, renorm_trick=renorm_trick)
         return cls(a_raw=a_raw, a_norm=a_norm, edges=EdgeSet.from_sparse(a_norm),
-                   renorm_trick=renorm_trick)
+                   renorm_trick=renorm_trick,
+                   renorm_after_mask=renorm_after_mask)
+
+
+def check_graph(graph: PreparedGraph, config: GCNConfig) -> None:
+    """Raise ``ContractViolation`` when ``graph`` was prepared with another
+    ``renorm_trick`` or ``renorm_after_mask`` than ``config`` asks for."""
+    for name in ("renorm_trick", "renorm_after_mask"):
+        have, want = getattr(graph, name), getattr(config, name)
+        if have != want:
+            raise ContractViolation(
+                f"graph was prepared with {name}={have}, config has {want}")
 
 
 @dataclass
@@ -211,17 +229,15 @@ def sparse_input(x: Tensor) -> Tensor:
     """The layer-0 input as a CSR constant (unchanged if sparse or taped).
 
     The stored entries come from one ``flatnonzero`` scan, which gives the
-    same arrays as ``csr_array(dense)`` in about a third of its time. The
-    index dtype follows scipy's rule for that conversion: int32 unless the
-    entry count or a dimension overflows it.
+    same arrays as ``csr_array(dense)``, index dtype included, in about a
+    third of its time.
     """
     if x.requires_grad or issparse(x.data):
         return x
     dense = x.data
     n, f = dense.shape
     flat = np.flatnonzero(dense != 0.0)
-    fits = max(len(flat), n, f) <= np.iinfo(np.int32).max
-    idx = np.int32 if fits else np.int64
+    idx = index_dtype(len(flat), n, f)
     indptr = np.searchsorted(flat, np.arange(n + 1) * f).astype(idx)
     return constant(csr_array((dense.ravel()[flat], (flat % f).astype(idx),
                                indptr), shape=(n, f)))
@@ -233,23 +249,6 @@ def _mask_csr(x, mask: np.ndarray):
     if mask.ndim == 1:
         return csr_array((x.data * mask, x.indices, x.indptr), shape=x.shape)
     return csr_array(x.multiply(mask))
-
-
-def _layer_matrix_for_block(graph: PreparedGraph, mask_block: Tensor,
-                            renorm_after_mask: bool):
-    """Resolve the aggregation matrix and the mask tensor for one block."""
-    if not renorm_after_mask:
-        return graph.a_norm, mask_block
-    # Rebuild N(A ⊙ Z): mask the raw off-diagonal entries, renormalize.
-    offdiag = ~graph.edges.is_diag
-    vals = mask_block.data.ravel()[offdiag]
-    rows = graph.edges.rows[offdiag]
-    cols = graph.edges.cols[offdiag]
-    kept = vals != 0.0
-    masked = build_adjacency(np.stack([rows[kept], cols[kept]], axis=1),
-                             graph.edges.n, symmetrize=False)
-    renormed = normalize(masked, renorm_trick=graph.renorm_trick)
-    return renormed, constant(np.ones(renormed.nnz))
 
 
 def layer0_blocks(config: GCNConfig, x: Tensor) -> list | None:
@@ -284,7 +283,6 @@ def layer0_products(params: list, blocks: list | None) -> BlockProducts | None:
 
 def forward(params: list, x: Tensor, graph: PreparedGraph, masks: list,
             tape=None, capture_hidden: bool = False,
-            renorm_after_mask: bool = False,
             layer0: BlockProducts | None = None):
     """Stack forward pass; returns log-probabilities (and hidden outputs).
 
@@ -322,9 +320,14 @@ def forward(params: list, x: Tensor, graph: PreparedGraph, masks: list,
             raise ContractViolation(
                 f"layer {l}: {edge.n_blocks} mask blocks exceed width {f_in}"
             )
-        mats, mask_ts = zip(*(
-            _layer_matrix_for_block(graph, blk, renorm_after_mask)
-            for blk in edge.blocks))
+        if graph.renorm_after_mask:
+            a = graph.a_norm
+            mats = [csr_array((graph.edges.normalized_values(
+                blk.data, graph.renorm_trick), a.indices, a.indptr),
+                shape=a.shape) for blk in edge.blocks]
+            mask_ts = [constant(np.ones(graph.edges.n_entries))] * len(mats)
+        else:
+            mats, mask_ts = [graph.a_norm] * edge.n_blocks, edge.blocks
         out = record_gdc_aggregate(tape, mats, mask_ts, h, p.m,
                                    differentiate_mask=edge.relaxed,
                                    products=products)
@@ -502,10 +505,10 @@ def forward_deterministic(params, x, graph, config, capture_hidden=False,
     ``layer0`` is passed on to ``forward``; ``train`` supplies the products
     it already holds for the current weights.
     """
+    check_graph(graph, config)
     draws = sample_step_masks(config, params, graph, mode="det")
     return forward(params, sparse_input(x), graph, draws.layer_masks,
-                   tape=None, capture_hidden=capture_hidden,
-                   renorm_after_mask=config.renorm_after_mask, layer0=layer0)
+                   tape=None, capture_hidden=capture_hidden, layer0=layer0)
 
 
 def predict_mc(params, x, graph, config, s: int, rng: np.random.Generator):
@@ -518,6 +521,7 @@ def predict_mc(params, x, graph, config, s: int, rng: np.random.Generator):
     """
     if s < 1:
         raise ContractViolation("need at least one Monte Carlo sample")
+    check_graph(graph, config)
     x = sparse_input(x)
     nnz = x.data.nnz if issparse(x.data) else None
     layer0 = layer0_products(params, layer0_blocks(config, x))
@@ -526,7 +530,6 @@ def predict_mc(params, x, graph, config, s: int, rng: np.random.Generator):
         draws = sample_step_masks(config, params, graph, rng, tape=None,
                                   mode="mc", input_nnz=nnz)
         logprobs = forward(params, x, graph, draws.layer_masks, tape=None,
-                           renorm_after_mask=config.renorm_after_mask,
                            layer0=layer0)
         per_sample[i] = np.exp(logprobs.data)
     return per_sample.mean(axis=0), per_sample

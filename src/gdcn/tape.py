@@ -4,7 +4,8 @@ Every value is a 2-D float64 ``Tensor`` (scalars are 1x1, edge vectors are
 nnz x 1). The one exception is a constant holding a
 ``scipy.sparse.csr_array``, such as the layer-0 feature input: it never
 requires grad, and ``record_gdc_aggregate`` and ``record_scale`` accept it
-unchanged.
+unchanged. A masked aggregation matrix shares the CSR index arrays of its
+matrix and carries new values.
 
 Ops are free functions ``record_*(tape, ...) -> Tensor``; passing
 ``tape=None`` computes the value without recording, which is how inference
@@ -30,7 +31,7 @@ import numpy as np
 from scipy.sparse import csr_array, issparse
 
 from .errors import ContractViolation
-from .graph import spmm, spmm_t
+from .graph import entry_rows, spmm, spmm_t
 
 
 class Tensor:
@@ -185,7 +186,7 @@ def record_gdc_aggregate(tape, mats: list, masks: list, h: Tensor, w: Tensor,
     """``sum_b (mats[b] ⊙ masks[b]) (H[:, blk_b] W[blk_b, :])`` as one op.
 
     ``blk_b`` is ``block_bounds(f_in, len(masks))[b]``; each block has its
-    own matrix and its own mask aligned to that matrix's stored entries.
+    own CSR matrix and its own mask aligned to that matrix's stored entries.
     The product order follows the shapes (``multiplies_first``):
 
     - *aggregate first* for a dense H with ``f_in < nb * f_out``: the
@@ -221,7 +222,8 @@ def record_gdc_aggregate(tape, mats: list, masks: list, h: Tensor, w: Tensor,
         zvec = z.data.ravel()
         if len(zvec) != a.nnz:
             raise ContractViolation(f"mask length {len(zvec)} != nnz {a.nnz}")
-        masked.append(a.with_values(a.values * zvec))
+        masked.append(csr_array((a.data * zvec, a.indices, a.indptr),
+                                shape=a.shape))
     bounds = block_bounds(f_in, nb)
     mask_grad = [differentiate_mask and z.requires_grad for z in masks]
     inputs = (h, w) + (tuple(masks) if differentiate_mask else ())
@@ -231,7 +233,7 @@ def record_gdc_aggregate(tape, mats: list, masks: list, h: Tensor, w: Tensor,
             raise ContractViolation(
                 "block products apply only when multiplying first")
         h_blocks = split_columns(hd, nb)
-        m = np.empty((masked[0].n_rows, f_in))
+        m = np.empty((hd.shape[0], f_in))
         for am, h_b, (c0, c1) in zip(masked, h_blocks, bounds):
             m[:, c0:c1] = spmm(am, h_b)
         out_data = m @ wd
@@ -248,8 +250,8 @@ def record_gdc_aggregate(tape, mats: list, masks: list, h: Tensor, w: Tensor,
                     dh[:, c0:c1] = spmm_t(masked[b], dm[:, c0:c1])
                 if mask_grad[b]:
                     a = mats[b]
-                    per_edge = a.values * _rowdot(dm[a.row_indices(), c0:c1],
-                                                  h_blocks[b][a.col_idx])
+                    per_edge = a.data * _rowdot(dm[entry_rows(a), c0:c1],
+                                                h_blocks[b][a.indices])
                     acc(masks[b], per_edge.reshape(masks[b].data.shape))
             if dh is not None:
                 acc(h, dh)
@@ -288,9 +290,9 @@ def record_gdc_aggregate(tape, mats: list, masks: list, h: Tensor, w: Tensor,
             if mask_grad[b]:
                 a = mats[b]
                 if id(a) not in gathered:
-                    gathered[id(a)] = g[a.row_indices()]
-                per_edge = a.values * _rowdot(gathered[id(a)],
-                                              kept[b][a.col_idx])
+                    gathered[id(a)] = g[entry_rows(a)]
+                per_edge = a.data * _rowdot(gathered[id(a)],
+                                            kept[b][a.indices])
                 acc(masks[b], per_edge.reshape(masks[b].data.shape))
         if dh is not None:
             acc(h, dh)

@@ -34,8 +34,8 @@ from .data import Dataset
 from .errors import ContractViolation, DivergenceError
 from .estimators import ArmDraw, arm_gradient, arm_pi_term, arm_z2
 from .masks import arm_edge_mask, arm_free_entries
-from .model import (GCNConfig, LayerMasks, PreparedGraph, expected_keep,
-                    forward, forward_deterministic, init_params,
+from .model import (GCNConfig, LayerMasks, PreparedGraph, check_graph,
+                    expected_keep, forward, forward_deterministic, init_params,
                     layer0_blocks, layer0_products, record_kl_terms,
                     sample_step_masks, sparse_input, training_loss)
 from .tape import (Tape, backward, constant, record_add, record_masked_nll,
@@ -164,8 +164,10 @@ def train(dataset: Dataset, gcn_config: GCNConfig, train_config: TrainConfig,
     if dataset.split is None:
         raise ContractViolation("dataset has no split")
     if graph is None:
-        graph = PreparedGraph.from_edges(dataset.edges, dataset.n_nodes,
-                                         renorm_trick=gcn_config.renorm_trick)
+        graph = PreparedGraph.from_edges(
+            dataset.edges, dataset.n_nodes, renorm_trick=gcn_config.renorm_trick,
+            renorm_after_mask=gcn_config.renorm_after_mask)
+    check_graph(graph, gcn_config)
     rng = np.random.default_rng(seed)
     params = init_params(gcn_config, rng)
     tensors = [t for p in params for t in p.tensors()]
@@ -206,7 +208,6 @@ def train(dataset: Dataset, gcn_config: GCNConfig, train_config: TrainConfig,
                     graph.edges, spec, z2, free_idx)
 
         logprobs = forward(params, x, graph, draws.layer_masks, tape=tape,
-                           renorm_after_mask=gcn_config.renorm_after_mask,
                            layer0=layer0)
         kl_terms = record_kl_terms(tape, gcn_config, params)
         wf = warmup_factor(epoch, train_config.warmup)
@@ -241,7 +242,6 @@ def train(dataset: Dataset, gcn_config: GCNConfig, train_config: TrainConfig,
                             feature=base_masks[l].feature,
                             edge=arm_edge_mask(graph.edges, spec, z, free_idx))
                     lp = forward(params, x, graph, lm, tape=None,
-                                 renorm_after_mask=gcn_config.renorm_after_mask,
                                  layer0=layer0)
                     return record_masked_nll(None, lp, labels,
                                              split.train).item()
@@ -312,8 +312,10 @@ def run_seeds(dataset: Dataset, gcn_config: GCNConfig,
     if not seeds:
         raise ContractViolation("at least one seed is required")
     if graph is None:
-        graph = PreparedGraph.from_edges(dataset.edges, dataset.n_nodes,
-                                         renorm_trick=gcn_config.renorm_trick)
+        graph = PreparedGraph.from_edges(
+            dataset.edges, dataset.n_nodes, renorm_trick=gcn_config.renorm_trick,
+            renorm_after_mask=gcn_config.renorm_after_mask)
+    check_graph(graph, gcn_config)
     workers = max(1, min(workers, len(seeds)))
 
     def one(seed):

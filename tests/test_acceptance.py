@@ -196,7 +196,7 @@ def test_criterion_4_regularizer_equivalences():
     rng = np.random.default_rng(3)
     n, f_in, classes = 5, 4, 3
     graph = PreparedGraph.from_edges(random_edges(rng, n, 0.7), n)
-    a = graph.a_norm.to_dense()
+    a = graph.a_norm.toarray()
     x = rng.normal(size=(n, f_in))
     params = _plain_params([f_in, classes], seed=5)
     w = params[0].m.data

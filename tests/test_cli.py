@@ -182,6 +182,26 @@ class TestEvalUq:
         assert "dims" in capsys.readouterr().err
 
 
+    def test_eval_keep_prob_mismatch_exit_2(self, tmp_path, synthetic_files,
+                                            capsys):
+        content, cites = synthetic_files
+        fixed = {"model.regularizer": "dropout", "model.learned": "false",
+                 "model.estimator": "none", "model.n_blocks": "1",
+                 "train.epochs": "1", "train.seeds": "0"}
+        trained = write_config(tmp_path / "a.ini", content, cites,
+                               tmp_path / "a", **fixed,
+                               **{"model.keep_prob": "0.5"})
+        assert main(["train", "--config", trained]) == 0
+        other = write_config(tmp_path / "b.ini", content, cites,
+                             tmp_path / "b", **fixed,
+                             **{"model.keep_prob": "0.8"})
+        rc = main(["eval", "--config", other, "--checkpoint",
+                   str(tmp_path / "a" / "ckpt_seed0.bin")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "keep probability 0.5" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("raw, message", [
         (b"GDCN\x01\x00", "truncated"),
         (None, "cannot read checkpoint"),

@@ -6,11 +6,13 @@ block with W = I (``test_tape._masked_spmm``).
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_array
 
 from gdcn.errors import ContractViolation, MalformedInputError
-from gdcn.graph import (EdgeSet, SparseMatrix, build_adjacency, lambda_max,
+from gdcn.graph import (EdgeSet, build_adjacency, entry_rows, lambda_max,
                         normalize, spmm)
 from gdcn.tape import Tape, constant
 
@@ -19,24 +21,23 @@ from test_tape import _masked_spmm
 
 
 def identity_sparse(n):
-    return SparseMatrix(n, n, np.arange(n + 1, dtype=np.int64),
-                        np.arange(n, dtype=np.int64), np.ones(n))
+    return csr_array(np.eye(n))
 
 
 class TestBuildAdjacency:
     def test_single_edge_symmetrized(self):
         a = build_adjacency([(0, 1)], 2)
-        np.testing.assert_array_equal(a.to_dense(), [[0, 1], [1, 0]])
+        np.testing.assert_array_equal(a.toarray(), [[0, 1], [1, 0]])
 
     def test_empty(self):
         a = build_adjacency([], 3)
         assert a.nnz == 0
-        np.testing.assert_array_equal(a.to_dense(), np.zeros((3, 3)))
+        np.testing.assert_array_equal(a.toarray(), np.zeros((3, 3)))
 
     def test_duplicates_collapse(self):
         a = build_adjacency([(0, 1), (1, 0), (0, 1)], 2)
         b = build_adjacency([(0, 1)], 2)
-        np.testing.assert_array_equal(a.to_dense(), b.to_dense())
+        np.testing.assert_array_equal(a.toarray(), b.toarray())
         assert a.nnz == 2
 
     def test_out_of_range(self):
@@ -45,39 +46,40 @@ class TestBuildAdjacency:
 
     def test_self_loops_dropped(self):
         a = build_adjacency([(0, 0), (0, 1)], 2)
-        assert np.all(a.to_dense().diagonal() == 0)
+        assert np.all(a.toarray().diagonal() == 0)
 
     def test_csr_invariants_on_random_graphs(self):
         rng = np.random.default_rng(3)
         for n in (2, 5, 9):
             a = build_adjacency(random_edges(rng, n), n)
-            assert a.row_ptr[0] == 0 and a.row_ptr[-1] == a.nnz
-            assert np.all(np.diff(a.row_ptr) >= 0)
+            assert a.indptr[0] == 0 and a.indptr[-1] == a.nnz
+            assert np.all(np.diff(a.indptr) >= 0)
             for r in range(n):
-                cols = a.col_idx[a.row_ptr[r]:a.row_ptr[r + 1]]
+                cols = a.indices[a.indptr[r]:a.indptr[r + 1]]
                 assert np.all(np.diff(cols) > 0)
                 assert np.all((cols >= 0) & (cols < n))
-            assert np.all(np.isfinite(a.values))
+            assert np.all(np.isfinite(a.data))
 
 
 class TestNormalize:
     def test_two_node_path(self):
         n = normalize(build_adjacency([(0, 1)], 2))
-        np.testing.assert_allclose(n.to_dense(), [[1, 1], [1, 1]])
+        np.testing.assert_allclose(n.toarray(), [[1, 1], [1, 1]])
 
     def test_empty_graph_is_identity(self):
         n = normalize(build_adjacency([], 3))
-        np.testing.assert_array_equal(n.to_dense(), np.eye(3))
+        np.testing.assert_array_equal(n.toarray(), np.eye(3))
 
     def test_three_node_star(self):
         # center 0 has degree 2, leaves degree 1: entry (0,1) = 1/sqrt(2)
         n = normalize(build_adjacency([(0, 1), (0, 2)], 3))
-        d = n.to_dense()
+        d = n.toarray()
         assert d[0, 1] == pytest.approx(0.7071, abs=1e-4)
         np.testing.assert_allclose(np.diag(d), 1.0)
 
     def test_asymmetric_rejected(self):
-        a = SparseMatrix(2, 2, np.array([0, 1, 1]), np.array([1]), np.ones(1))
+        a = csr_array((np.ones(1), np.array([1]), np.array([0, 1, 1])),
+                      shape=(2, 2))
         with pytest.raises(ContractViolation):
             normalize(a)
 
@@ -90,20 +92,84 @@ class TestNormalize:
         for n in (3, 6, 8):
             a = build_adjacency(random_edges(rng, n, 0.4), n)
             nm = normalize(a)
-            dense = nm.to_dense()
-            expected_pattern = (a.to_dense() + np.eye(n)) != 0
+            dense = nm.toarray()
+            expected_pattern = (a.toarray() + np.eye(n)) != 0
             np.testing.assert_array_equal(dense != 0, expected_pattern)
-            vals = nm.values
+            vals = nm.data
             assert np.all(vals > 0) and np.all(vals <= 1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1), st.booleans())
+    def test_equals_scipy_diags_formula_bitwise(self, seed, renorm):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 12))
+        a = build_adjacency(random_edges(rng, n, rng.random()), n)
+        got, want = normalize(a, renorm_trick=renorm), diags_normalize(a, renorm)
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.data, want.data)
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(5)
         for renorm in (False, True):
             for n in (4, 7):
                 a = build_adjacency(random_edges(rng, n, 0.5), n)
-                got = normalize(a, renorm_trick=renorm).to_dense()
-                want = dense_normalize(a.to_dense(), renorm_trick=renorm)
+                got = normalize(a, renorm_trick=renorm).toarray()
+                want = dense_normalize(a.toarray(), renorm_trick=renorm)
                 np.testing.assert_allclose(got, want, atol=1e-14)
+
+
+def diags_normalize(a, renorm_trick):
+    """``normalize`` as scipy ``diags`` products, the formula it had before
+    its values came from ``EdgeSet.normalized_values``."""
+    n = a.shape[0]
+    s = sp.csr_matrix(a)
+    deg = np.diff(s.indptr).astype(np.float64)
+    if renorm_trick:
+        d = 1.0 / np.sqrt(deg + 1.0)
+        scaled = sp.diags(d) @ (s + sp.identity(n, format="csr")) @ sp.diags(d)
+    else:
+        with np.errstate(divide="ignore"):
+            d = np.where(deg > 0, 1.0 / np.sqrt(deg), 0.0)
+        scaled = sp.identity(n, format="csr") + sp.diags(d) @ s @ sp.diags(d)
+    scaled = sp.csr_matrix(scaled)
+    scaled.sort_indices()
+    return scaled
+
+
+class TestNormalizedValues:
+    """The one normalization rule on masked graphs, against dense oracles."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1), st.booleans())
+    def test_masked_matches_dense_oracle(self, seed, renorm):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 12))
+        isolated = rng.random(n) < 0.2
+        edges = [(u, v) for u, v in random_edges(rng, n, rng.random())
+                 if not (isolated[u] or isolated[v])]
+        a_raw = build_adjacency(edges, n)
+        a_norm = normalize(a_raw, renorm_trick=renorm)
+        es = EdgeSet.from_sparse(a_norm)
+        # an expected-keep value or 0 per entry; only z != 0 counts
+        z = (rng.random(es.n_entries) < 0.6) * rng.uniform(0.05, 1.0)
+        cut = rng.random(n) < 0.3  # nodes whose every edge drops
+        z[cut[es.rows] | cut[es.cols]] = 0.0
+        es.symmetrize(z)
+        got = csr_array((es.normalized_values(z, renorm), a_norm.indices,
+                         a_norm.indptr), shape=a_norm.shape).toarray()
+        kept = np.zeros((n, n))
+        kept[es.rows, es.cols] = z != 0
+        z_off = kept * (1 - np.eye(n))
+        want = dense_normalize(a_raw.toarray() * z_off, renorm_trick=renorm)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_asymmetric_kept_set_rejected(self):
+        es = EdgeSet.from_sparse(normalize(build_adjacency([(0, 1)], 2)))
+        z = np.ones(es.n_entries)
+        z[np.flatnonzero(~es.is_diag)[0]] = 0.0
+        with pytest.raises(ContractViolation, match="symmetric"):
+            es.normalized_values(z)
 
 
 class TestSpmm:
@@ -129,7 +195,7 @@ class TestSpmm:
         rng = np.random.default_rng(seed)
         a = normalize(build_adjacency(random_edges(rng, 5, 0.6), 5))
         h = rng.normal(size=(5, 3))
-        np.testing.assert_allclose(spmm(a, h), a.to_dense() @ h, atol=1e-12)
+        np.testing.assert_allclose(spmm(a, h), a.toarray() @ h, atol=1e-12)
 
 
 def masked_spmm(a, mask, h):
@@ -158,7 +224,7 @@ class TestMaskedSpmm:
         a = normalize(build_adjacency(random_edges(rng, 4, 0.8), 4))
         mask = (rng.random(a.nnz) < 0.5).astype(np.float64)
         h = rng.normal(size=(4, 3))
-        dense_masked = a.to_dense() * _scatter(a, mask)
+        dense_masked = a.toarray() * _scatter(a, mask)
         np.testing.assert_allclose(masked_spmm(a, mask, h), dense_masked @ h,
                                    atol=1e-12)
 
@@ -170,8 +236,8 @@ class TestMaskedSpmm:
 
 def _scatter(a, mask):
     """Binary matrix carrying mask values on A's pattern (dense oracle aid)."""
-    out = np.zeros((a.n_rows, a.n_cols))
-    out[a.row_indices(), a.col_idx] = mask
+    out = np.zeros(a.shape)
+    out[entry_rows(a), a.indices] = mask
     return out
 
 
@@ -188,7 +254,7 @@ class TestLambdaMax:
         edges = [(i, j) for i in range(4) for j in range(i + 1, 4)]
         a = build_adjacency(edges, 4)
         lam, conv = lambda_max(a)
-        dense_lam = np.max(np.abs(np.linalg.eigvalsh(a.to_dense())))
+        dense_lam = np.max(np.abs(np.linalg.eigvalsh(a.toarray())))
         assert conv
         assert lam == pytest.approx(dense_lam, rel=1e-6)
         assert lam == pytest.approx(3.0, rel=1e-6)
@@ -226,5 +292,5 @@ class TestEdgeSet:
         n = normalize(a)
         es = EdgeSet.from_sparse(n)
         assert es.n_entries == n.nnz
-        np.testing.assert_array_equal(es.rows, n.row_indices())
-        np.testing.assert_array_equal(es.cols, n.col_idx)
+        np.testing.assert_array_equal(es.rows, [0, 0, 1, 1, 1, 2, 2, 3])
+        np.testing.assert_array_equal(es.cols, n.indices)

@@ -120,7 +120,7 @@ class TestTotalVariation:
         a = build_adjacency([(0, 1), (1, 2)], 3)
         x = np.array([1.0, 0.0, -1.0])
         got = total_variation(x, a, np.sqrt(2.0))
-        dense = a.to_dense()
+        dense = a.toarray()
         want = float(np.sum((x - dense @ x / np.sqrt(2.0)) ** 2))
         assert got == pytest.approx(want, abs=1e-12)
         assert got == pytest.approx(2.0, abs=1e-12)

@@ -1,5 +1,6 @@
 """Forward pass against dense oracles of all regularizer forms."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -27,6 +28,11 @@ from conftest import (CHECKPOINT_VALUE_FAULTS, dense_normalize, finite_diff,
 def prepared(n=5, seed=0, p=0.6):
     rng = np.random.default_rng(seed)
     return PreparedGraph.from_edges(random_edges(rng, n, p), n)
+
+
+def renormalizing(g: PreparedGraph) -> PreparedGraph:
+    """``g`` with ``renorm_after_mask`` set."""
+    return dataclasses.replace(g, renorm_after_mask=True)
 
 
 def dense_mask(es: EdgeSet, vals: np.ndarray) -> np.ndarray:
@@ -79,7 +85,7 @@ class TestForwardOracles:
         x = rng.normal(size=(5, 4))
         masks = [LayerMasks(edge=all_ones_mask(g.edges)) for _ in range(2)]
         got = forward(params, constant(x), g, masks).data
-        a = g.a_norm.to_dense()
+        a = g.a_norm.toarray()
         h1 = np.maximum(a @ x @ params[0].m.data, 0.0)
         want = log_softmax(a @ h1 @ params[1].m.data)
         np.testing.assert_allclose(got, want, atol=1e-12)
@@ -107,7 +113,7 @@ class TestForwardOracles:
         masks = [LayerMasks(edge=em), LayerMasks(edge=all_ones_mask(g.edges))]
         got = forward(params, constant(x), g, masks).data
 
-        a = g.a_norm.to_dense()
+        a = g.a_norm.toarray()
         w = params[0].m.data
         pre = np.zeros((4, 3))
         for b, (c0, c1) in enumerate(block_bounds(4, 2)):
@@ -127,7 +133,7 @@ class TestForwardOracles:
         masks = [LayerMasks(feature=z0, edge=all_ones_mask(g.edges)),
                  LayerMasks(feature=z1, edge=all_ones_mask(g.edges))]
         got = forward(params, constant(x), g, masks).data
-        a = g.a_norm.to_dense()
+        a = g.a_norm.toarray()
         h1 = np.maximum(a @ (z0 * x) @ params[0].m.data, 0.0)
         want = log_softmax(a @ (z1 * h1) @ params[1].m.data)
         np.testing.assert_allclose(got, want, atol=1e-12)
@@ -142,7 +148,7 @@ class TestForwardOracles:
                             edge=all_ones_mask(g.edges)),
                  LayerMasks(edge=all_ones_mask(g.edges))]
         got = forward(params, constant(x), g, masks).data
-        a = g.a_norm.to_dense()
+        a = g.a_norm.toarray()
         h1 = np.maximum(a @ np.diag(z) @ x @ params[0].m.data, 0.0)
         want = log_softmax(a @ h1 @ params[1].m.data)
         np.testing.assert_allclose(got, want, atol=1e-12)
@@ -162,10 +168,9 @@ class TestForwardOracles:
         vals[idx] = vals[g.edges.mirror[idx]]
         em = EdgeMask(blocks=[constant(vals)])
         masks = [LayerMasks(edge=em), LayerMasks(edge=all_ones_mask(g.edges))]
-        got = forward(params, constant(x), g, masks,
-                      renorm_after_mask=True).data
+        got = forward(params, constant(x), renormalizing(g), masks).data
 
-        a_raw = g.a_raw.to_dense()
+        a_raw = g.a_raw.toarray()
         z_off = dense_mask(g.edges, vals) * (1 - np.eye(5))
         renormed = dense_normalize(a_raw * z_off)
         h1 = np.maximum(renormed @ x @ params[0].m.data, 0.0)
@@ -187,10 +192,9 @@ class TestForwardOracles:
         g.edges.symmetrize(vals)
         masks = [LayerMasks(edge=EdgeMask(blocks=[constant(vals)])),
                  LayerMasks(edge=all_ones_mask(g.edges))]
-        got = forward(params, constant(x), g, masks,
-                      renorm_after_mask=True).data
+        got = forward(params, constant(x), renormalizing(g), masks).data
 
-        a_raw = g.a_raw.to_dense()
+        a_raw = g.a_raw.toarray()
         z_off = dense_mask(g.edges, vals) * (1 - np.eye(6))
         renormed = dense_normalize(a_raw * z_off, renorm_trick=True)
         h1 = np.maximum(renormed @ x @ params[0].m.data, 0.0)
@@ -210,7 +214,7 @@ class TestForwardOracles:
         keep = sample_dropedge_mask(g.edges, 1.0, True, rng)
         masks = [LayerMasks(edge=keep), LayerMasks(edge=all_ones_mask(g.edges))]
         plain = forward(params, x, g, masks).data
-        renormed = forward(params, x, g, masks, renorm_after_mask=True).data
+        renormed = forward(params, x, renormalizing(g), masks).data
         np.testing.assert_allclose(renormed, plain, atol=1e-12)
 
 
@@ -234,7 +238,7 @@ class TestParameterSpaceEquivalence:
         masks = [LayerMasks(edge=em)]
         got = forward(params, constant(x), g, masks).data  # head: log-softmax
 
-        a = g.a_norm.to_dense()
+        a = g.a_norm.toarray()
         vals = em.values()
         pre = np.zeros((n, f_out))
         for v in range(n):
@@ -264,6 +268,13 @@ class TestBlocks:
     def test_block_count_exceeding_width_rejected(self):
         with pytest.raises(ContractViolation):
             plain_config([2, 4, 2], kind=MaskKind.GDC, n_blocks=3)
+
+    def test_renorm_after_mask_rejects_random_walk(self):
+        masks = [MaskSpec(kind=MaskKind.RANDOM_WALK, keep_prob=0.5,
+                          symmetric=True), MaskSpec()]
+        with pytest.raises(ContractViolation, match="random-walk"):
+            GCNConfig(layer_dims=[3, 4, 2], masks=masks,
+                      renorm_after_mask=True)
 
     @pytest.mark.parametrize("learned, estimator", [(True, "none"),
                                                     (False, "arm")])
@@ -407,6 +418,18 @@ class TestPredictMc:
         assert np.all(mean >= 0)
         max_prob_var = per.max(axis=2).var(axis=0)
         assert np.any(max_prob_var > 0)
+
+
+    @pytest.mark.parametrize("flag", ["renorm_trick", "renorm_after_mask"])
+    def test_graph_with_other_rules_rejected(self, flag):
+        g = prepared(5, seed=4)
+        cfg = dataclasses.replace(plain_config([3, 4, 2]), **{flag: True})
+        params = init_params(cfg, np.random.default_rng(0))
+        x = constant(np.random.default_rng(1).normal(size=(5, 3)))
+        with pytest.raises(ContractViolation, match=flag):
+            predict_mc(params, x, g, cfg, 2, np.random.default_rng(2))
+        with pytest.raises(ContractViolation, match=flag):
+            forward_deterministic(params, x, g, cfg)
 
 
 class TestLayer0Products:

@@ -5,7 +5,7 @@ import pytest
 from scipy.sparse import csr_array
 
 from gdcn.errors import ContractViolation
-from gdcn.graph import SparseMatrix, build_adjacency, normalize, spmm
+from gdcn.graph import build_adjacency, normalize, spmm
 from gdcn.tape import (Tape, Tensor, backward, block_products, constant,
                        parameter, record_add, record_frobenius_sq,
                        record_gdc_aggregate, record_log_softmax_rows,
@@ -17,15 +17,16 @@ from conftest import finite_diff, rel_err, random_edges
 
 def _ones(n_rows, n_cols):
     """All-ones matrix with every entry stored."""
-    return SparseMatrix(n_rows, n_cols,
-                        np.arange(n_rows + 1, dtype=np.int64) * n_cols,
-                        np.tile(np.arange(n_cols, dtype=np.int64), n_rows),
-                        np.ones(n_rows * n_cols))
+    return csr_array(np.ones((n_rows, n_cols)))
 
 
 def _eye(n):
-    return SparseMatrix(n, n, np.arange(n + 1, dtype=np.int64),
-                        np.arange(n, dtype=np.int64), np.ones(n))
+    return csr_array(np.eye(n))
+
+
+def _with_data(a, data):
+    """``a``'s pattern carrying ``data``."""
+    return csr_array((data, a.indices, a.indptr), shape=a.shape)
 
 
 def _matmul(tape, x, w):
@@ -106,7 +107,7 @@ class TestMaskedSpmm:
         out = _masked_spmm(t, a, mask, h)
         loss = record_frobenius_sq(t, out)
         g = backward(t, loss).get(h)
-        dense = a.to_dense()
+        dense = a.toarray()
         want = dense.T @ (2.0 * (dense @ h0))
         np.testing.assert_allclose(g, want, atol=1e-12)
 
@@ -162,9 +163,9 @@ class TestGdcAggregate:
     def _oracle(mats, mask_vals, h, w):
         nb = len(mats)
         edges = np.linspace(0, w.shape[0], nb + 1).astype(int)
-        out = np.zeros((mats[0].n_rows, w.shape[1]))
+        out = np.zeros((mats[0].shape[0], w.shape[1]))
         for a, z, c0, c1 in zip(mats, mask_vals, edges[:-1], edges[1:]):
-            dense = a.with_values(a.values * z).to_dense()
+            dense = _with_data(a, a.data * z).toarray()
             out += dense @ h[:, c0:c1] @ w[c0:c1]
         return out
 
@@ -214,8 +215,8 @@ class TestGdcAggregate:
 
     @pytest.mark.parametrize("f_out", [3, 1])
     def test_per_block_matrices(self, f_out):
-        # renorm_after_mask gives each block its own matrix and pattern
-        from gdcn.model import PreparedGraph, _layer_matrix_for_block
+        # renorm_after_mask gives each block its own values on one pattern
+        from gdcn.model import PreparedGraph
         rng = np.random.default_rng(4)
         graph = PreparedGraph.from_edges(random_edges(rng, 6, 0.6), 6)
         es = graph.edges
@@ -224,10 +225,9 @@ class TestGdcAggregate:
             keep = (rng.random(es.n_entries) < 0.6).astype(float)
             canon = es.canonical()
             keep[~canon] = keep[es.mirror[~canon]]
-            m, z = _layer_matrix_for_block(graph, constant(keep), True)
-            mats.append(m)
-            masks.append(z)
-        assert len({m.nnz for m in mats}) > 1
+            mats.append(_with_data(graph.a_norm, es.normalized_values(keep)))
+            masks.append(constant(np.ones(es.n_entries)))
+        assert len({m.data.tobytes() for m in mats}) > 1
         h0 = rng.normal(size=(6, 7))
         w0 = rng.normal(size=(7, f_out))
         out = record_gdc_aggregate(Tape(), mats, masks, constant(h0),
@@ -241,7 +241,7 @@ class TestGdcAggregate:
         nb = 3
         w0 = rng.normal(size=(7, f_out))
         z0 = rng.random((nb, a.nnz))
-        weight = rng.normal(size=(a.n_rows, f_out))
+        weight = rng.normal(size=(a.shape[0], f_out))
         sizes = (h0.size, w0.size, z0.size)
 
         def split(flat):
@@ -284,7 +284,7 @@ class TestGdcAggregate:
         h = constant(csr_array(h0) if sparse else h0)
         out = record_gdc_aggregate(Tape(), [a], [constant(z)], h,
                                    parameter(w0))
-        want = spmm(a.with_values(a.values * z), h.data @ w0)
+        want = spmm(_with_data(a, a.data * z), h.data @ w0)
         assert np.array_equal(out.data, want)
 
     def test_mask_length_mismatch(self):
