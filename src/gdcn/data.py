@@ -7,15 +7,16 @@ first appearance. Cites lines referencing unknown ids are skipped (a warning
 reports the count), duplicates and self-citations are dropped, so the edge
 list holds unique undirected pairs with no self-loops.
 
-Each file is read line by line, but each line is only split into its
-fields; the structural checks (field count, duplicate id, feature count)
-run there. The feature fields are then parsed in bulk: every field made of
-single ``0``/``1`` characters joined by tabs is checked and converted
-through one byte buffer for all such lines. Any other field (``1.0``, a
-non-binary or non-numeric token, a non-ASCII character) is parsed token by
-token with ``float``. Either way a fault names the file and the first
-faulty line, and blank lines count in line numbers. A file that is not
-valid UTF-8 raises ``MalformedInputError`` naming it.
+Each file is read line by line (only ``\n`` or ``\r\n`` ends a line), but
+each line is only split into its fields; the structural checks (field
+count, duplicate id, feature count) run there. The feature fields are then
+parsed in bulk: every field made of single ``0``/``1`` characters joined by
+tabs is checked and converted through one byte buffer for all such lines.
+Any other field (``1.0``, a non-binary or non-numeric token, a non-ASCII
+character) is parsed token by token with ``float``. Either way a fault
+names the file and the first faulty line, and blank lines count in line
+numbers. A file that is not valid UTF-8 raises ``MalformedInputError``
+naming it.
 
 ``Dataset.features`` is a dense (n, f) array and stays the public form of
 the input; the model's entry points (``train``, ``predict_mc``,
@@ -134,11 +135,13 @@ def load_content_cites(content_path, cites_path) -> Dataset:
 
 def _lines(path):
     """Yield (line number, line) for the non-blank lines of a UTF-8 text
-    file, newline stripped; a decoding fault raises ``MalformedInputError``."""
-    with open(path, "r", encoding="utf-8") as fh:
+    file, its ``\n`` or ``\r\n`` stripped (a lone ``\r`` ends no line); a
+    decoding fault raises ``MalformedInputError``."""
+    with open(path, "r", encoding="utf-8", newline="\n") as fh:
         try:
             for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
+                line = (line[:-2] if line.endswith("\r\n")
+                        else line.removesuffix("\n"))
                 if line:
                     yield lineno, line
         except UnicodeDecodeError as exc:

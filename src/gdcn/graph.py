@@ -129,11 +129,12 @@ def build_adjacency(edges, n: int, symmetrize: bool = True) -> sp.csr_array:
 
     Parameters
     ----------
-    edges : iterable of (u, v) pairs
+    edges : (m, 2) array, taken as it is, or iterable of (u, v) pairs
     n : node count
     symmetrize : mirror every pair so (u, v) is present iff (v, u) is
     """
-    pairs = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
+    pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges),
+                       dtype=np.int64).reshape(-1, 2)
     if len(pairs) and (pairs.min() < 0 or pairs.max() >= n):
         raise MalformedInputError(
             f"edge endpoint out of range [0, {n}): "
@@ -155,6 +156,11 @@ def normalize(a: sp.csr_array, renorm_trick: bool = False) -> sp.csr_array:
     ``D~^{-1/2} (A + I) D~^{-1/2}`` with ``D~ = D + I`` under
     ``renorm_trick``.
     """
+    return normalize_with_edges(a, renorm_trick)[0]
+
+
+def normalize_with_edges(a: sp.csr_array, renorm_trick: bool = False):
+    """``normalize`` and the ``EdgeSet`` of its pattern, built once."""
     if a.diagonal().any():
         raise ContractViolation("adjacency must have a zero diagonal")
     if not np.all(a.data == 1.0):
@@ -163,8 +169,9 @@ def normalize(a: sp.csr_array, renorm_trick: bool = False) -> sp.csr_array:
     keys = np.sort(np.concatenate([entry_rows(a) * n + a.indices,
                                    np.arange(n) * (n + 1)]))
     out = _from_keys(keys, n, np.ones(len(keys)))
-    out.data = EdgeSet.from_sparse(out).normalized_values(out.data, renorm_trick)
-    return out
+    edges = EdgeSet.from_sparse(out)
+    out.data = edges.normalized_values(out.data, renorm_trick)
+    return out, edges
 
 
 def spmm(a: sp.csr_array, h: np.ndarray) -> np.ndarray:

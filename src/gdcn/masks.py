@@ -4,8 +4,9 @@ All four regularizers (DropOut, DropEdge, node sampling, GDC) plus the
 random-walk variant are expressed as masks: feature masks multiply the layer
 input, edge masks multiply the pre-normalized adjacency values. Edge masks
 are aligned to the ``EdgeSet`` storage order and may be binary or
-concrete-relaxed (recorded on a tape so gradients reach the keep
-probability).
+concrete-relaxed. A relaxed mask records nothing on a tape: it carries its
+keep probability and each block's tangent ``dz/dpi``, which the aggregation
+pushes forward to give ``dL/dpi``.
 
 Samplers are pure functions of an explicit ``numpy.random.Generator``;
 callers own stream splitting. The ARM mask functions (``arm_free_entries``,
@@ -23,7 +24,7 @@ from scipy.special import expit
 
 from .errors import ContractViolation
 from .graph import EdgeSet
-from .tape import Tensor, _maybe_record, constant
+from .tape import Tensor, constant
 
 
 class MaskKind(enum.Enum):
@@ -86,10 +87,12 @@ class MaskSpec:
 
 @dataclass
 class EdgeMask:
-    """Per-block keep values on the EdgeSet pattern, each block (nnz, 1)."""
+    """Per-block keep values on the EdgeSet pattern, each block (nnz, 1);
+    a concrete mask also holds its ``pi`` and per-block tangents dz_b/dpi."""
 
     blocks: list = field(default_factory=list)
-    relaxed: bool = False
+    pi: Tensor | None = None
+    tangents: list | None = None
 
     @property
     def n_blocks(self) -> int:
@@ -143,7 +146,7 @@ def sample_dropedge_mask(edges: EdgeSet, keep_prob: float, symmetric: bool,
     """
     _check_prob(keep_prob)
     vals = _binary_edge_values(edges, keep_prob, symmetric, rng, protect_self_loops)
-    return EdgeMask(blocks=[constant(vals)], relaxed=False)
+    return EdgeMask(blocks=[constant(vals)])
 
 
 def sample_gdc_masks(edges: EdgeSet, n_blocks: int, keep_prob: float,
@@ -161,7 +164,7 @@ def sample_gdc_masks(edges: EdgeSet, n_blocks: int, keep_prob: float,
         _binary_edge_values(edges, keep_prob, symmetric, rng, protect_self_loops)
         for _ in range(n_blocks)
     ]
-    return EdgeMask(blocks=[constant(v) for v in blocks], relaxed=False)
+    return EdgeMask(blocks=[constant(v) for v in blocks])
 
 
 def sample_randomwalk_mask(edges: EdgeSet, keep_prob: float, prev: EdgeMask,
@@ -181,68 +184,63 @@ def sample_randomwalk_mask(edges: EdgeSet, keep_prob: float, prev: EdgeMask,
     row_alive = np.bincount(edges.rows, weights=prev_vals, minlength=edges.n) > 0
     vals = (rng.random(edges.n_entries) < keep_prob).astype(np.float64)
     vals *= row_alive[edges.rows]
-    return EdgeMask(blocks=[constant(vals)], relaxed=False)
+    return EdgeMask(blocks=[constant(vals)])
 
 
-def record_concrete_mask(tape, pi: Tensor, u: np.ndarray, temperature: float,
-                         standard: bool = False,
-                         force_one: np.ndarray | None = None) -> Tensor:
-    """Concrete-relaxed edge mask from a scalar keep probability.
+def concrete_mask(pi: float, u: np.ndarray, temperature: float,
+                  standard: bool = False,
+                  force_one: np.ndarray | None = None):
+    """Concrete-relaxed keep values and their tangent ``dz/dpi``.
 
-    Computes ``sigmoid(logit(pi)/t + logit(u))`` per entry; the printed form
-    tempers only the probability logit. ``standard=True`` divides the whole
-    argument by t instead. Gradients flow to ``pi``.
+    Computes ``z = sigmoid(logit(pi)/t + logit(u))`` per entry; the printed
+    form tempers only the probability logit. ``standard=True`` divides the
+    whole argument by t instead. Either way the tangent is
+    ``z (1 - z) / (t pi (1 - pi))``; entries in ``force_one`` hold 1 with
+    tangent 0. Returns both as (nnz,) arrays.
     """
     if temperature <= 0:
         raise ContractViolation("temperature must be positive")
-    p = pi.item()
-    if p <= 0.0 or p >= 1.0:
+    if pi <= 0.0 or pi >= 1.0:
         raise ContractViolation("concrete relaxation requires pi in (0, 1)")
     u = np.clip(np.asarray(u, dtype=np.float64).ravel(), 1e-10, 1.0 - 1e-10)
-    logit_pi = np.log(p / (1.0 - p))
+    logit_pi = np.log(pi / (1.0 - pi))
     noise = np.log(u / (1.0 - u))
     if standard:
         arg = (logit_pi + noise) / temperature
     else:
         arg = logit_pi / temperature + noise
-    dpi_scale = 1.0 / (temperature * p * (1.0 - p))
-    out = expit(arg)
+    z = expit(arg)
+    tangent = z * (1.0 - z) / (temperature * pi * (1.0 - pi))
     if force_one is not None:
-        out = np.where(force_one, 1.0, out)
-    out = out.reshape(-1, 1)
-
-    def bwd(grad, acc):
-        if pi.requires_grad:
-            dz = out * (1.0 - out)
-            if force_one is not None:
-                dz = np.where(force_one.reshape(-1, 1), 0.0, dz)
-            acc(pi, np.array([[np.sum(grad * dz) * dpi_scale]]))
-
-    return _maybe_record(tape, out, (pi,), bwd)
+        z[force_one] = 1.0
+        tangent[force_one] = 0.0
+    return z, tangent
 
 
 def sample_concrete_mask(edges: EdgeSet, n_blocks: int, pi, temperature: float,
-                         rng: np.random.Generator, tape,
+                         rng: np.random.Generator,
                          symmetric: bool = False, standard: bool = False,
                          protect_self_loops: bool = False) -> EdgeMask:
     """Relaxed GDC mask: n_blocks concrete draws sharing one keep probability.
 
     ``pi`` may be a plain float or a tape tensor (e.g. a recorded
-    Kumaraswamy draw); in the latter case gradients reach the drop
-    parameters through the recorded sigmoid.
+    Kumaraswamy draw). The blocks are constants; ``record_gdc_aggregate``
+    turns ``pi`` and the tangents the mask carries into ``dL/dpi``.
     """
     if n_blocks < 1:
         raise ContractViolation("n_blocks must be >= 1")
     pi_t = pi if isinstance(pi, Tensor) else constant(pi)
     force = edges.is_diag if protect_self_loops else None
-    blocks = []
+    blocks, tangents = [], []
     for _ in range(n_blocks):
         u = rng.random(edges.n_entries)
         if symmetric:
             edges.symmetrize(u)
-        blocks.append(record_concrete_mask(tape, pi_t, u, temperature,
-                                           standard=standard, force_one=force))
-    return EdgeMask(blocks=blocks, relaxed=True)
+        z, tangent = concrete_mask(pi_t.item(), u, temperature,
+                                   standard=standard, force_one=force)
+        blocks.append(constant(z))
+        tangents.append(tangent)
+    return EdgeMask(blocks=blocks, pi=pi_t, tangents=tangents)
 
 
 def arm_free_entries(edges: EdgeSet, spec: MaskSpec) -> np.ndarray:
@@ -273,14 +271,12 @@ def arm_edge_mask(edges: EdgeSet, spec: MaskSpec, z_drop: np.ndarray,
         if spec.symmetric:
             edges.symmetrize(vals)
         blocks.append(constant(vals))
-    return EdgeMask(blocks=blocks, relaxed=False)
+    return EdgeMask(blocks=blocks)
 
 
 def all_ones_mask(edges: EdgeSet, n_blocks: int = 1) -> EdgeMask:
-    return EdgeMask(
-        blocks=[constant(np.ones(edges.n_entries)) for _ in range(n_blocks)],
-        relaxed=False,
-    )
+    return EdgeMask(blocks=[constant(np.ones(edges.n_entries))
+                            for _ in range(n_blocks)])
 
 
 def expected_keep_mask(edges: EdgeSet, keep_prob: float,
@@ -291,5 +287,4 @@ def expected_keep_mask(edges: EdgeSet, keep_prob: float,
     vals = np.full(edges.n_entries, keep_prob)
     if protect_self_loops:
         vals[edges.is_diag] = 1.0
-    return EdgeMask(blocks=[constant(vals.copy()) for _ in range(n_blocks)],
-                    relaxed=False)
+    return EdgeMask(blocks=[constant(vals.copy()) for _ in range(n_blocks)])

@@ -10,9 +10,11 @@ instead gives each block the normalization rule's values for the edges its
 mask keeps, on the same pattern; the graph owns both rules. Hidden
 activations use ReLU, the head is a row-wise log-softmax.
 
-The whole block sum is one tape op, ``tape.record_gdc_aggregate``. Both
-product orders cost the same dense work, n * f_in * f_out; the sparse
-products touch nnz * f_in entries when aggregating first and
+The whole block sum is one tape op, ``tape.record_gdc_aggregate``. Concrete
+masks are constants carrying the recorded keep probability pi and tangents
+``dZ_b/dpi``, which the op turns into ``dL/dpi`` with one product per
+block. Both product orders cost the same dense work, n * f_in * f_out; the
+sparse products touch nnz * f_in entries when aggregating first and
 nnz * nb * f_out when multiplying first. So a dense input with
 f_in < nb * f_out aggregates first, and anything else (a CSR input, or
 f_in >= nb * f_out) multiplies first. At the tie both orders cost the same,
@@ -52,7 +54,7 @@ import numpy as np
 from scipy.sparse import csr_array, issparse
 
 from .errors import ContractViolation, MalformedInputError
-from .graph import EdgeSet, build_adjacency, index_dtype, normalize
+from .graph import EdgeSet, build_adjacency, index_dtype, normalize_with_edges
 from .masks import (EdgeMask, MaskKind, MaskSpec, all_ones_mask,
                     expected_keep_mask, sample_concrete_mask,
                     sample_dropedge_mask, sample_dropout_mask,
@@ -179,8 +181,8 @@ class PreparedGraph:
     def from_edges(cls, edge_list, n: int, renorm_trick: bool = False,
                    renorm_after_mask: bool = False) -> "PreparedGraph":
         a_raw = build_adjacency(edge_list, n, symmetrize=True)
-        a_norm = normalize(a_raw, renorm_trick=renorm_trick)
-        return cls(a_raw=a_raw, a_norm=a_norm, edges=EdgeSet.from_sparse(a_norm),
+        a_norm, edges = normalize_with_edges(a_raw, renorm_trick=renorm_trick)
+        return cls(a_raw=a_raw, a_norm=a_norm, edges=edges,
                    renorm_trick=renorm_trick,
                    renorm_after_mask=renorm_after_mask)
 
@@ -328,9 +330,8 @@ def forward(params: list, x: Tensor, graph: PreparedGraph, masks: list,
             mask_ts = [constant(np.ones(graph.edges.n_entries))] * len(mats)
         else:
             mats, mask_ts = [graph.a_norm] * edge.n_blocks, edge.blocks
-        out = record_gdc_aggregate(tape, mats, mask_ts, h, p.m,
-                                   differentiate_mask=edge.relaxed,
-                                   products=products)
+        out = record_gdc_aggregate(tape, mats, mask_ts, h, p.m, pi=edge.pi,
+                                   tangents=edge.tangents, products=products)
         if p.bias is not None:
             out = record_add_rowvec(tape, out, p.bias)
         if l < n_layers - 1:
@@ -390,10 +391,10 @@ def sample_step_masks(config: GCNConfig, params: list, graph: PreparedGraph,
     and ``det`` (deterministic expected-keep evaluation, which needs no
     ``rng``). In ``train`` mode every learned layer records its keep
     probability draw on ``tape``, whatever the estimator, and the estimator
-    owns that layer's edge masks: ``concrete`` draws relaxed masks around
-    the recorded draw here, while under ``arm`` the edge mask is left unset
-    and the trainer installs binary masks built from the step's shared
-    uniforms.
+    owns that layer's edge masks: ``concrete`` draws relaxed masks and
+    their tangents from the recorded draw here, while under ``arm`` the edge
+    mask is left unset and the trainer installs binary masks built from the
+    step's shared uniforms.
 
     ``input_nnz`` is the stored-entry count of a CSR layer-0 input; layer-0
     DropOut masks then hold one value per stored entry instead of an
@@ -429,8 +430,7 @@ def sample_step_masks(config: GCNConfig, params: list, graph: PreparedGraph,
                 if config.estimator == "concrete":
                     lm.edge = sample_concrete_mask(
                         graph.edges, spec.n_blocks, pi_tensor,
-                        spec.temperature, rng, tape,
-                        symmetric=spec.symmetric,
+                        spec.temperature, rng, symmetric=spec.symmetric,
                         standard=config.concrete_standard,
                         protect_self_loops=spec.protect_self_loops)
             elif spec.kind == MaskKind.DROPEDGE:

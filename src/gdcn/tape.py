@@ -15,6 +15,10 @@ retained-graph machinery.
 Gradients for an op's inputs are only computed when that input (transitively)
 requires grad; constants cost nothing on the backward pass.
 
+Concrete-relaxed edge masks are constants too: ``record_gdc_aggregate``
+takes their keep probability pi and tangents ``dZ_b/dpi`` and gives pi its
+gradient directly, with no per-entry mask gradient.
+
 ``record_gdc_aggregate`` can take its multiply-first products ``H_b W[blk_b]``
 precomputed (``BlockProducts``), for passes that repeat over one input and
 one set of weights. Ops keep no cache of their own: a weight update such as
@@ -31,7 +35,7 @@ import numpy as np
 from scipy.sparse import csr_array, issparse
 
 from .errors import ContractViolation
-from .graph import entry_rows, spmm, spmm_t
+from .graph import spmm, spmm_t
 
 
 class Tensor:
@@ -176,12 +180,8 @@ def block_products(h_blocks, w_data: np.ndarray) -> BlockProducts:
         h_b @ w_data[c0:c1] for h_b, (c0, c1) in zip(h_blocks, bounds)))
 
 
-def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ij->i", x, y)
-
-
 def record_gdc_aggregate(tape, mats: list, masks: list, h: Tensor, w: Tensor,
-                         differentiate_mask: bool = False,
+                         pi: Tensor | None = None, tangents: list | None = None,
                          products: BlockProducts | None = None) -> Tensor:
     """``sum_b (mats[b] ⊙ masks[b]) (H[:, blk_b] W[blk_b, :])`` as one op.
 
@@ -204,9 +204,11 @@ def record_gdc_aggregate(tape, mats: list, masks: list, h: Tensor, w: Tensor,
     Supplying them in the aggregate-first order, or with another block
     count, raises ``ContractViolation``.
 
-    The mask gradient is a sampled dense-dense product over the stored
-    entries: ``A_e * (dM[row_e, blk_b] . H[col_e, blk_b])`` aggregating
-    first, ``A_e * (G[row_e] . S_b[col_e])`` multiplying first.
+    The masks are constants. Concrete masks hang off one keep probability
+    ``pi``, and ``tangents[b]`` holds ``T_b = dZ_b/dpi`` per stored entry;
+    the backward adds to ``pi`` one product per block on the op's pattern:
+    ``<dM[:, blk_b], (A ⊙ T_b) H_b>`` aggregating first, ``<G, (A ⊙ T_b)
+    S_b>`` multiplying first. Without ``tangents`` pi gets no gradient.
     """
     nb = len(masks)
     if nb == 0 or len(mats) != nb:
@@ -225,8 +227,18 @@ def record_gdc_aggregate(tape, mats: list, masks: list, h: Tensor, w: Tensor,
         masked.append(csr_array((a.data * zvec, a.indices, a.indptr),
                                 shape=a.shape))
     bounds = block_bounds(f_in, nb)
-    mask_grad = [differentiate_mask and z.requires_grad for z in masks]
-    inputs = (h, w) + (tuple(masks) if differentiate_mask else ())
+    grad_pi = pi is not None and tangents is not None and pi.requires_grad
+    if grad_pi and len(tangents) != nb:
+        raise ContractViolation(f"{len(tangents)} tangents for {nb} blocks")
+    inputs = (h, w) + ((pi,) if grad_pi else ())
+
+    def acc_pi(acc, lefts, rights):
+        """Add ``sum_b <lefts[b], (A_b ⊙ T_b) rights[b]>`` to pi's grad."""
+        dpi = 0.0
+        for a, t_b, left, right in zip(mats, tangents, lefts, rights):
+            a_t = csr_array((a.data * t_b, a.indices, a.indptr), shape=a.shape)
+            dpi += np.vdot(left, spmm(a_t, right))
+        acc(pi, np.array([[dpi]]))
 
     if not multiplies_first(hd, f_out, nb):
         if products is not None:
@@ -241,19 +253,15 @@ def record_gdc_aggregate(tape, mats: list, masks: list, h: Tensor, w: Tensor,
         def bwd(g, acc):
             if w.requires_grad:
                 acc(w, m.T @ g)
-            if not (h.requires_grad or any(mask_grad)):
+            if not (h.requires_grad or grad_pi):
                 return
             dm = g @ wd.T
-            dh = np.empty_like(hd) if h.requires_grad else None
-            for b, (c0, c1) in enumerate(bounds):
-                if dh is not None:
-                    dh[:, c0:c1] = spmm_t(masked[b], dm[:, c0:c1])
-                if mask_grad[b]:
-                    a = mats[b]
-                    per_edge = a.data * _rowdot(dm[entry_rows(a), c0:c1],
-                                                h_blocks[b][a.indices])
-                    acc(masks[b], per_edge.reshape(masks[b].data.shape))
-            if dh is not None:
+            if grad_pi:
+                acc_pi(acc, [dm[:, c0:c1] for c0, c1 in bounds], h_blocks)
+            if h.requires_grad:
+                dh = np.empty_like(hd)
+                for am, (c0, c1) in zip(masked, bounds):
+                    dh[:, c0:c1] = spmm_t(am, dm[:, c0:c1])
                 acc(h, dh)
 
         return _maybe_record(tape, out_data, inputs, bwd)
@@ -271,29 +279,22 @@ def record_gdc_aggregate(tape, mats: list, masks: list, h: Tensor, w: Tensor,
             out_data = agg
         else:
             out_data += agg
-    # S_b stays reachable from the backward only where a mask gradient
-    # needs it.
-    kept = [s_b if keep else None
-            for s_b, keep in zip(products.products, mask_grad)]
+    # The S_b stay reachable from the backward only where dL/dpi needs them.
+    kept = products.products if grad_pi else None
 
     def bwd(g, acc):
         dh = np.empty_like(hd) if h.requires_grad else None
         dw = np.empty_like(wd) if w.requires_grad else None
-        gathered = {}  # G[rows], once per distinct matrix
+        if grad_pi:
+            acc_pi(acc, [g] * nb, kept)
+        if dh is None and dw is None:
+            return
         for b, (c0, c1) in enumerate(bounds):
-            if dh is not None or dw is not None:
-                ds = spmm_t(masked[b], g)
-                if dw is not None:
-                    dw[c0:c1] = h_blocks[b].T @ ds
-                if dh is not None:
-                    dh[:, c0:c1] = ds @ wd[c0:c1].T
-            if mask_grad[b]:
-                a = mats[b]
-                if id(a) not in gathered:
-                    gathered[id(a)] = g[entry_rows(a)]
-                per_edge = a.data * _rowdot(gathered[id(a)],
-                                            kept[b][a.indices])
-                acc(masks[b], per_edge.reshape(masks[b].data.shape))
+            ds = spmm_t(masked[b], g)
+            if dw is not None:
+                dw[c0:c1] = h_blocks[b].T @ ds
+            if dh is not None:
+                dh[:, c0:c1] = ds @ wd[c0:c1].T
         if dh is not None:
             acc(h, dh)
         if dw is not None:

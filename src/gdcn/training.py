@@ -6,11 +6,12 @@ selection uses a deterministic expected-keep evaluation pass so that early
 stopping does not chase mask noise.
 
 Both estimators reach (log a, log b) through the recorded Kumaraswamy draw
-and one backward pass. Concrete differentiates its relaxed masks on the
-tape. With ARM the recorded pass uses the keep masks implied by the step's
-shared uniform vector (the second ARM setting, Z2), one additional
-unrecorded pass on Z1 completes the estimate g_alpha, and g_alpha enters
-the backward pass as dL/dpi on the recorded draw.
+and one backward pass. Concrete's masks carry the draw and their tangents
+dZ/dpi, which the fused aggregation turns into dL/dpi. With ARM the
+recorded pass uses the keep masks implied by the step's shared uniform
+vector (the second ARM setting, Z2), one additional unrecorded pass on Z1
+completes the estimate g_alpha, and g_alpha enters the backward pass as
+dL/dpi on the recorded draw.
 
 Where layer 0 draws edge masks only, its block products ``H_b W_0[blk_b]``
 depend on the weights alone. ``train`` splits the input into its column

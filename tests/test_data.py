@@ -124,6 +124,21 @@ class TestLoadContentCites:
                                    write(tmp_path / "lf.cites", "a\tb\n"))
         assert_same_dataset(crlf, plain)
 
+    def test_lone_carriage_return_does_not_end_a_line(self, tmp_path):
+        # Two lines; the lone \r sits inside line 1's feature field.
+        content = tmp_path / "c.content"
+        content.write_bytes(b"a\t1\tml\rb\t0\tdb\nc\tx\tdb\n")
+        cites = write(tmp_path / "c.cites", "")
+        with pytest.raises(MalformedInputError,
+                           match=r"c\.content:1: non-numeric feature$"):
+            load_content_cites(str(content), cites)
+        cites = tmp_path / "d.cites"
+        cites.write_bytes(b"a\tb\rb\ta\n")
+        with pytest.raises(MalformedInputError,
+                           match=r"d\.cites:1: expected two tab-separated"):
+            load_content_cites(write(tmp_path / "d.content",
+                                     "a\t1\tml\nb\t0\tdb\n"), str(cites))
+
     def test_blank_lines_count_in_line_numbers(self, tmp_path):
         content = write(tmp_path / "c.content", "\na\t1\tml\n\n\nb\t2\tdb\n")
         cites = write(tmp_path / "c.cites", "")

@@ -11,10 +11,13 @@ from gdcn.errors import EstimatorFailure
 from gdcn.estimators import (ArmDraw, arm_gradient, arm_pi_term, arm_z1,
                              arm_z2)
 from gdcn.graph import build_adjacency, normalize
-from gdcn.masks import sample_concrete_mask
-from gdcn.model import GCNConfig  # noqa: F401  (imported for API parity)
+from gdcn.masks import MaskKind, MaskSpec, sample_concrete_mask
+from gdcn.model import (GCNConfig, PreparedGraph, forward, init_params,
+                        layer0_blocks, layer0_products, sample_step_masks,
+                        sparse_input)
 from gdcn.tape import (Tape, backward, constant, parameter,
-                       record_frobenius_sq, record_gdc_aggregate)
+                       record_frobenius_sq, record_gdc_aggregate,
+                       record_masked_nll)
 from gdcn.variational import KumaraswamyParams, kuma_sample, record_kuma_sample
 
 from conftest import finite_diff, random_edges, rel_err
@@ -197,10 +200,10 @@ class TestConcreteGradient:
 
     def _loss(self, tape, kp, graph, edges, h, u_pi, u_edges, t=0.67):
         pi = record_kuma_sample(tape, kp.log_a, kp.log_b, u_pi)
-        mask = sample_concrete_mask(edges, 1, pi, t, _FixedRng(u_edges), tape)
-        out = record_gdc_aggregate(tape, [graph], [mask.blocks[0]],
+        mask = sample_concrete_mask(edges, 1, pi, t, _FixedRng(u_edges))
+        out = record_gdc_aggregate(tape, [graph], mask.blocks,
                                    constant(h), constant(np.eye(h.shape[1])),
-                                   differentiate_mask=True)
+                                   pi=mask.pi, tangents=mask.tangents)
         return record_frobenius_sq(tape, out)
 
     def test_matches_finite_differences(self):
@@ -247,6 +250,46 @@ class TestConcreteGradient:
         g_a = grads.get(kp.log_a)[0, 0] / kp.a
         g_b = grads.get(kp.log_b)[0, 0] / kp.b
         assert g_a != 0.0 and g_b != 0.0
+
+
+class TestConcreteForward:
+    def test_three_layer_gdc4_matches_finite_differences(self):
+        # (log a, log b) of all three layers through the masks and forward
+        # of a training step. Layer 0 multiplies first on a CSR input with
+        # supplied products, layer 1 (4 -> 8) aggregates first, layer 2
+        # (8 -> 2) multiplies first.
+        rng = np.random.default_rng(11)
+        n = 9
+        graph = PreparedGraph.from_edges(random_edges(rng, n, 0.4), n)
+        cfg = GCNConfig(
+            layer_dims=[16, 4, 8, 2], estimator="concrete",
+            masks=[MaskSpec(kind=MaskKind.GDC, learned=True, relaxed=True,
+                            n_blocks=4, symmetric=True) for _ in range(3)])
+        params = init_params(cfg, np.random.default_rng(0))
+        x0 = rng.random((n, 16))
+        x0[x0 < 0.5] = 0.0
+        x = sparse_input(constant(x0))
+        labels = rng.integers(0, 2, n)
+        logs0 = np.log([1.3, 2.4, 0.8, 3.1, 1.7, 1.2])
+
+        def loss_at(logs):
+            for l, p in enumerate(params):
+                p.kuma = KumaraswamyParams.from_logs(*logs[2 * l:2 * l + 2])
+            t = Tape()
+            draws = sample_step_masks(cfg, params, graph,
+                                      np.random.default_rng(3), tape=t)
+            lp = forward(params, x, graph, draws.layer_masks, tape=t,
+                         layer0=layer0_products(params,
+                                                layer0_blocks(cfg, x)))
+            return t, record_masked_nll(t, lp, labels, np.arange(n))
+
+        t, loss = loss_at(logs0)
+        grads = backward(t, loss)
+        got = np.array([grads.get(v)[0, 0] for p in params
+                        for v in (p.kuma.log_a, p.kuma.log_b)])
+        fd = finite_diff(lambda v: loss_at(v)[1].item(), logs0, h=1e-6)
+        assert np.all(got != 0.0)
+        assert rel_err(got, fd, floor=1e-3) < 1e-4
 
 
 class _FixedRng:

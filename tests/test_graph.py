@@ -61,6 +61,43 @@ class TestBuildAdjacency:
             assert np.all(np.isfinite(a.data))
 
 
+class TestBuildAdjacencyInputs:
+    """An (m, 2) array is taken as it is and any other iterable goes
+    through ``list``; every kind gives the same CSR arrays."""
+
+    N = 12
+
+    @classmethod
+    def _pairs(cls):
+        rng = np.random.default_rng(8)
+        pairs = random_edges(rng, cls.N, 0.3) + [(3, 3), (1, 0), (0, 1)]
+        return np.array(pairs, dtype=np.int64)
+
+    @classmethod
+    def _check(cls, edges):
+        a = build_adjacency(edges, cls.N)
+        dense = np.zeros((cls.N, cls.N))
+        for u, v in cls._pairs():
+            dense[u, v] = dense[v, u] = 1.0
+        np.fill_diagonal(dense, 0.0)
+        want = csr_array(dense)
+        for got, ref in ((a.indptr, want.indptr), (a.indices, want.indices),
+                         (a.data, want.data)):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+    def test_int64_array(self):
+        self._check(self._pairs())
+
+    def test_int32_array(self):
+        self._check(self._pairs().astype(np.int32))
+
+    def test_list_of_tuples(self):
+        self._check([tuple(p) for p in self._pairs().tolist()])
+
+    def test_generator(self):
+        self._check(tuple(p) for p in self._pairs().tolist())
+
+
 class TestNormalize:
     def test_two_node_path(self):
         n = normalize(build_adjacency([(0, 1)], 2))

@@ -1,7 +1,8 @@
 """Differential test of ``load_content_cites`` against a line-by-line parser.
 
 ``reference_load`` is the plain per-line parser the bulk loader replaced,
-kept here as the oracle. Small valid content/cites files and single-byte or
+kept here as the oracle; its line split (``reference_lines``) ends a line
+only at ``\n``, as the loader does, so a lone ``\r`` stays in its line. Small valid content/cites files and single-byte or
 single-token mutations of them must give either an equal ``Dataset`` (every
 array equal bit for bit), the same warnings, or the same exception type
 with the same message. The one intended difference: a file that is not
@@ -20,71 +21,78 @@ from gdcn.data import Dataset, load_content_cites
 from gdcn.errors import MalformedInputError
 
 
+def reference_lines(path):
+    """(line number, line) of every line of a UTF-8 file; only ``\n`` ends
+    a line, and a ``\n`` or ``\r\n`` ending is stripped."""
+    with open(path, "r", encoding="utf-8", newline="\n") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.endswith("\r\n"):
+                yield lineno, line[:-2]
+            else:
+                yield lineno, line.removesuffix("\n")
+
+
 def reference_load(content_path, cites_path) -> Dataset:
     ids: dict = {}
     label_index: dict = {}
     feature_rows = []
     labels = []
-    with open(content_path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) < 3:
-                raise MalformedInputError(
-                    f"{content_path}:{lineno}: expected id, features, label"
-                )
-            node_id, feats, label = parts[0], parts[1:-1], parts[-1]
-            if node_id in ids:
-                raise MalformedInputError(
-                    f"{content_path}:{lineno}: duplicate node id {node_id!r}"
-                )
-            if feature_rows and len(feats) != len(feature_rows[0]):
-                raise MalformedInputError(
-                    f"{content_path}:{lineno}: expected {len(feature_rows[0])} "
-                    f"features, got {len(feats)}"
-                )
-            try:
-                row = np.array([float(v) for v in feats])
-            except ValueError as exc:
-                raise MalformedInputError(
-                    f"{content_path}:{lineno}: non-numeric feature"
-                ) from exc
-            if not np.all((row == 0.0) | (row == 1.0)):
-                raise MalformedInputError(
-                    f"{content_path}:{lineno}: features must be binary"
-                )
-            ids[node_id] = len(ids)
-            if label not in label_index:
-                label_index[label] = len(label_index)
-            labels.append(label_index[label])
-            feature_rows.append(row)
+    for lineno, line in reference_lines(content_path):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) < 3:
+            raise MalformedInputError(
+                f"{content_path}:{lineno}: expected id, features, label"
+            )
+        node_id, feats, label = parts[0], parts[1:-1], parts[-1]
+        if node_id in ids:
+            raise MalformedInputError(
+                f"{content_path}:{lineno}: duplicate node id {node_id!r}"
+            )
+        if feature_rows and len(feats) != len(feature_rows[0]):
+            raise MalformedInputError(
+                f"{content_path}:{lineno}: expected {len(feature_rows[0])} "
+                f"features, got {len(feats)}"
+            )
+        try:
+            row = np.array([float(v) for v in feats])
+        except ValueError as exc:
+            raise MalformedInputError(
+                f"{content_path}:{lineno}: non-numeric feature"
+            ) from exc
+        if not np.all((row == 0.0) | (row == 1.0)):
+            raise MalformedInputError(
+                f"{content_path}:{lineno}: features must be binary"
+            )
+        ids[node_id] = len(ids)
+        if label not in label_index:
+            label_index[label] = len(label_index)
+        labels.append(label_index[label])
+        feature_rows.append(row)
     if not feature_rows:
         raise MalformedInputError(f"{content_path}: no content lines")
 
     skipped_unknown = 0
     dropped_self = 0
     pairs = set()
-    with open(cites_path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise MalformedInputError(
-                    f"{cites_path}:{lineno}: expected two tab-separated ids"
-                )
-            a, b = parts
-            if a not in ids or b not in ids:
-                skipped_unknown += 1
-                continue
-            u, v = ids[a], ids[b]
-            if u == v:
-                dropped_self += 1
-                continue
-            pairs.add((min(u, v), max(u, v)))
+    for lineno, line in reference_lines(cites_path):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise MalformedInputError(
+                f"{cites_path}:{lineno}: expected two tab-separated ids"
+            )
+        a, b = parts
+        if a not in ids or b not in ids:
+            skipped_unknown += 1
+            continue
+        u, v = ids[a], ids[b]
+        if u == v:
+            dropped_self += 1
+            continue
+        pairs.add((min(u, v), max(u, v)))
     if skipped_unknown:
         warnings.warn(
             f"{cites_path}: skipped {skipped_unknown} lines referencing unknown ids"

@@ -9,14 +9,14 @@ from scipy.special import expit, logit
 from gdcn.errors import ContractViolation
 from gdcn.graph import EdgeSet, build_adjacency, normalize
 from gdcn.masks import (MaskKind, MaskSpec, all_ones_mask, arm_edge_mask,
-                        arm_free_entries, expected_keep_mask,
-                        record_concrete_mask,
+                        arm_free_entries, concrete_mask, expected_keep_mask,
                         sample_concrete_mask, sample_dropedge_mask,
                         sample_dropout_mask, sample_gdc_masks,
                         sample_node_mask, sample_randomwalk_mask)
-from gdcn.tape import Tape, backward, constant, parameter, record_frobenius_sq
+from gdcn.tape import (Tape, backward, constant, parameter,
+                       record_frobenius_sq, record_gdc_aggregate)
 
-from conftest import random_edges
+from conftest import finite_diff, random_edges, rel_err
 
 
 def edge_set(n=5, seed=0, p=0.6):
@@ -148,18 +148,18 @@ class TestConcrete:
     def test_pi_half_is_identity_in_u(self):
         # paper-literal placement: logit(0.5)=0 makes z = u exactly
         u = np.random.default_rng(3).random(1000)
-        z = record_concrete_mask(None, constant(0.5), u, 0.67)
-        np.testing.assert_allclose(z.data.ravel(), u, atol=1e-15)
+        z, _ = concrete_mask(0.5, u, 0.67)
+        np.testing.assert_allclose(z, u, atol=1e-15)
 
     def test_pi_half_not_identity_under_standard(self):
         u = np.random.default_rng(3).random(1000)
-        z = record_concrete_mask(None, constant(0.5), u, 0.67, standard=True)
-        assert np.max(np.abs(z.data.ravel() - u)) > 0.01
+        z, _ = concrete_mask(0.5, u, 0.67, standard=True)
+        assert np.max(np.abs(z - u)) > 0.01
 
     def test_mean_at_half(self):
         u = np.random.default_rng(11).random(100000)
-        z = record_concrete_mask(None, constant(0.5), u, 0.67)
-        assert z.data.mean() == pytest.approx(0.5, abs=0.005)
+        z, _ = concrete_mask(0.5, u, 0.67)
+        assert z.mean() == pytest.approx(0.5, abs=0.005)
 
     def test_temperature_placement_saturation(self):
         # frozen from an empirical oracle run: at t=0.01, pi=0.9 BOTH variants
@@ -169,44 +169,64 @@ class TestConcrete:
         lit = expit(logit(0.9) / 0.01 + logit(u))
         std = expit((logit(0.9) + logit(u)) / 0.01)
         near = lambda z: np.mean((z < 1e-3) | (z > 1.0 - 1e-3))
-        got_lit = record_concrete_mask(None, constant(0.9), u, 0.01).data.ravel()
-        got_std = record_concrete_mask(None, constant(0.9), u, 0.01,
-                                       standard=True).data.ravel()
+        got_lit = concrete_mask(0.9, u, 0.01)[0]
+        got_std = concrete_mask(0.9, u, 0.01, standard=True)[0]
         np.testing.assert_allclose(got_lit, lit, atol=1e-12)
         np.testing.assert_allclose(got_std, std, atol=1e-12)
         assert near(got_lit) == pytest.approx(1.0, abs=1e-3)
         assert near(got_std) == pytest.approx(0.9872, abs=2e-3)
 
+    @pytest.mark.parametrize("standard", [False, True])
+    def test_tangent_matches_finite_differences(self, standard):
+        u = np.random.default_rng(6).random(50)
+        force = np.arange(50) % 7 == 0
+        _, tangent = concrete_mask(0.3, u, 0.67, standard=standard,
+                                   force_one=force)
+        fd = np.array([finite_diff(
+            lambda p: concrete_mask(p[0], u, 0.67, standard=standard,
+                                    force_one=force)[0][i], np.array([0.3]))[0]
+            for i in range(50)])
+        assert rel_err(tangent, fd) < 1e-6
+        assert np.all(tangent[force] == 0.0)
+
     def test_boundary_pi_rejected(self):
         with pytest.raises(ContractViolation):
-            record_concrete_mask(None, constant(1.0), np.array([0.5]), 0.67)
+            concrete_mask(1.0, np.array([0.5]), 0.67)
 
     def test_gradient_reaches_pi(self):
-        es = edge_set(4, seed=2)
+        rng = np.random.default_rng(2)
+        a = normalize(build_adjacency(random_edges(rng, 4, 0.6), 4))
+        es = EdgeSet.from_sparse(a)
         t = Tape()
         pi = parameter(0.6)
-        mask = sample_concrete_mask(es, 2, pi, 0.67, np.random.default_rng(0), t)
-        assert mask.relaxed and mask.n_blocks == 2
-        loss = record_frobenius_sq(t, mask.blocks[0])
-        g = backward(t, loss).get(pi)
+        mask = sample_concrete_mask(es, 2, pi, 0.67, np.random.default_rng(0))
+        assert mask.pi is pi and mask.n_blocks == len(mask.tangents) == 2
+        assert not any(b.requires_grad for b in mask.blocks) and not t.records
+        out = record_gdc_aggregate(t, [a] * 2, mask.blocks,
+                                   constant(rng.normal(size=(4, 2))),
+                                   constant(np.eye(2)), pi=mask.pi,
+                                   tangents=mask.tangents)
+        g = backward(t, record_frobenius_sq(t, out)).get(pi)
         assert g[0, 0] != 0.0
 
     def test_symmetric_noise_sharing(self):
         es = edge_set(6, seed=8)
         mask = sample_concrete_mask(es, 1, constant(0.7), 0.67,
-                                    np.random.default_rng(4), None,
-                                    symmetric=True)
+                                    np.random.default_rng(4), symmetric=True)
         vals = mask.values()[0]
         np.testing.assert_allclose(vals, vals[es.mirror], atol=1e-15)
+        np.testing.assert_array_equal(mask.tangents[0],
+                                      mask.tangents[0][es.mirror])
 
     def test_protected_self_loops_fixed_at_one(self):
         es = edge_set(5, seed=1)
-        t = Tape()
         pi = parameter(0.3)
         mask = sample_concrete_mask(es, 1, pi, 0.67, np.random.default_rng(2),
-                                    t, protect_self_loops=True)
+                                    protect_self_loops=True)
         vals = mask.values()[0]
         assert np.all(vals[es.is_diag] == 1.0)
+        assert np.all(mask.tangents[0][es.is_diag] == 0.0)
+        assert np.all(mask.tangents[0][~es.is_diag] > 0.0)
 
 
 class TestArmMask:

@@ -51,6 +51,26 @@ def plain_config(dims, kind=MaskKind.NONE, **mask_kw):
     return GCNConfig(layer_dims=dims, masks=masks)
 
 
+class TestPreparedGraph:
+    def test_from_edges_builds_the_edge_set_once(self, monkeypatch):
+        real = EdgeSet.from_sparse
+        built = []
+
+        def counting(a):
+            built.append(a)
+            return real(a)
+
+        monkeypatch.setattr(EdgeSet, "from_sparse", counting)
+        edges = np.array(random_edges(np.random.default_rng(4), 9, 0.4))
+        g = PreparedGraph.from_edges(edges, 9)
+        assert len(built) == 1
+        fresh = real(g.a_norm)
+        for name in ("rows", "cols", "mirror", "is_diag"):
+            assert np.array_equal(getattr(g.edges, name), getattr(fresh, name))
+        np.testing.assert_array_equal(g.a_norm.toarray(),
+                                      normalize(g.a_raw).toarray())
+
+
 class TestInitParams:
     def test_deterministic(self):
         cfg = plain_config([4, 8, 3])

@@ -2,15 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse import csr_array
 
 from gdcn.errors import ContractViolation
-from gdcn.graph import build_adjacency, normalize, spmm
+from gdcn.graph import EdgeSet, build_adjacency, normalize, spmm
+from gdcn.masks import sample_concrete_mask
 from gdcn.tape import (Tape, Tensor, backward, block_products, constant,
                        parameter, record_add, record_frobenius_sq,
                        record_gdc_aggregate, record_log_softmax_rows,
                        record_masked_nll, record_mul, record_relu,
-                       record_scale, split_columns)
+                       multiplies_first, record_scale, split_columns)
 
 from conftest import finite_diff, rel_err, random_edges
 
@@ -35,11 +38,19 @@ def _matmul(tape, x, w):
     return record_gdc_aggregate(tape, [_eye(n)], [constant(np.ones(n))], x, w)
 
 
-def _masked_spmm(tape, a, mask, h, differentiate_mask=False):
-    """``(A ⊙ mask) @ H`` through the fused op: one block, W = I."""
+def _masked_spmm(tape, a, mask, h, pi=None, tangent=None):
+    """``(A ⊙ mask) @ H`` through the fused op: one block, W = I; with a
+    keep probability ``pi`` and the mask's ``tangent`` dmask/dpi."""
     return record_gdc_aggregate(tape, [a], [mask], h,
-                                constant(np.eye(h.data.shape[1])),
-                                differentiate_mask=differentiate_mask)
+                                constant(np.eye(h.data.shape[1])), pi=pi,
+                                tangents=None if tangent is None else [tangent])
+
+
+def _pi_fd(loss_of, zs, tangents):
+    """dL/dpi by central differences along the tangents: each mask block
+    ``z_b`` moves by ``eps * t_b``."""
+    return finite_diff(lambda eps: loss_of(
+        [z + eps[0] * t for z, t in zip(zs, tangents)]), np.zeros(1))[0]
 
 
 class TestMatmul:
@@ -115,11 +126,12 @@ class TestMaskedSpmm:
         a = self._graph(3)
         t = Tape()
         h = constant(np.zeros((3, 2)))
-        mask = parameter(np.ones(a.nnz))
-        out = _masked_spmm(t, a, mask, h, differentiate_mask=True)
+        pi = parameter(0.5)
+        out = _masked_spmm(t, a, constant(np.ones(a.nnz)), h, pi=pi,
+                           tangent=np.ones(a.nnz))
         loss = record_frobenius_sq(t, out)
         g = backward(t, loss)
-        np.testing.assert_array_equal(g.get(mask), np.zeros((a.nnz, 1)))
+        np.testing.assert_array_equal(g.get(pi), np.zeros((1, 1)))
         np.testing.assert_array_equal(out.data, np.zeros((3, 2)))
 
     def test_mask_gradient_matches_finite_differences(self):
@@ -127,20 +139,19 @@ class TestMaskedSpmm:
         rng = np.random.default_rng(3)
         h0 = rng.normal(size=(3, 2))
         m0 = rng.random(a.nnz)
+        t0 = rng.normal(size=a.nnz)
 
-        def loss_of(m_flat):
+        def loss_of(ms):
             t = Tape()
-            mask = parameter(m_flat)
-            out = _masked_spmm(t, a, mask, constant(h0),
-                               differentiate_mask=True)
+            out = _masked_spmm(t, a, constant(ms[0]), constant(h0))
             return record_frobenius_sq(t, out).item()
 
         t = Tape()
-        mask = parameter(m0)
-        out = _masked_spmm(t, a, mask, constant(h0), differentiate_mask=True)
+        pi = parameter(0.5)
+        out = _masked_spmm(t, a, constant(m0), constant(h0), pi=pi, tangent=t0)
         loss = record_frobenius_sq(t, out)
-        g = backward(t, loss).get(mask).ravel()
-        fd = finite_diff(loss_of, m0)
+        g = backward(t, loss).get(pi)[0, 0]
+        fd = _pi_fd(loss_of, [m0], [t0])
         assert rel_err(g, fd) < 1e-5
 
     def test_alignment_mismatch(self):
@@ -237,43 +248,51 @@ class TestGdcAggregate:
 
     @pytest.mark.parametrize("f_out", [3, 2])  # aggregate / multiply first
     def test_gradients_match_finite_differences(self, f_out):
+        # h and w entry by entry; pi along the tangents: z_b + eps * t_b
         rng, a, h0 = self._setup(f_in=7, seed=2)
         nb = 3
         w0 = rng.normal(size=(7, f_out))
         z0 = rng.random((nb, a.nnz))
+        t0 = rng.normal(size=(nb, a.nnz))
         weight = rng.normal(size=(a.shape[0], f_out))
-        sizes = (h0.size, w0.size, z0.size)
-
-        def split(flat):
-            h_flat, w_flat, z_flat = np.split(flat, np.cumsum(sizes)[:-1])
-            return (parameter(h_flat.reshape(h0.shape)),
-                    parameter(w_flat.reshape(w0.shape)),
-                    [parameter(z) for z in z_flat.reshape(z0.shape)])
+        sizes = (h0.size, w0.size, 1)
 
         def build(flat):
-            h, w, zs = split(flat)
+            h_flat, w_flat, eps = np.split(flat, np.cumsum(sizes)[:-1])
+            h = parameter(h_flat.reshape(h0.shape))
+            w = parameter(w_flat.reshape(w0.shape))
+            pi = parameter(0.5)
+            zs = [constant(z + eps[0] * tb) for z, tb in zip(z0, t0)]
             t = Tape()
-            out = record_gdc_aggregate(t, [a] * nb, zs, h, w,
-                                       differentiate_mask=True)
+            out = record_gdc_aggregate(t, [a] * nb, zs, h, w, pi=pi,
+                                       tangents=list(t0))
             loss = record_frobenius_sq(t, record_mul(t, out,
                                                      constant(weight)))
-            return t, loss, [h, w] + zs
+            return t, loss, [h, w, pi]
 
-        flat0 = np.concatenate([h0.ravel(), w0.ravel(), z0.ravel()])
+        flat0 = np.concatenate([h0.ravel(), w0.ravel(), np.zeros(1)])
         t, loss, tensors = build(flat0)
         g = backward(t, loss)
         got = np.concatenate([g.get(v).ravel() for v in tensors])
         fd = finite_diff(lambda f: build(f)[1].item(), flat0)
         assert rel_err(got, fd) < 1e-5
 
-    def test_mask_gradient_needs_the_flag(self):
+    def test_pi_gradient_needs_tangents(self):
         rng, a, h0 = self._setup()
-        z = parameter(rng.random(a.nnz))
+        pi = parameter(0.5)
         t = Tape()
-        out = record_gdc_aggregate(t, [a], [z], constant(h0),
-                                   parameter(rng.normal(size=(7, 2))))
+        out = record_gdc_aggregate(t, [a], [constant(rng.random(a.nnz))],
+                                   constant(h0),
+                                   parameter(rng.normal(size=(7, 2))), pi=pi)
         g = backward(t, record_frobenius_sq(t, out))
-        np.testing.assert_array_equal(g.get(z), np.zeros((a.nnz, 1)))
+        np.testing.assert_array_equal(g.get(pi), np.zeros((1, 1)))
+
+    def test_tangent_count_mismatch(self):
+        _, a, h0 = self._setup()
+        with pytest.raises(ContractViolation, match="1 tangents for 2 blocks"):
+            record_gdc_aggregate(Tape(), [a, a], [constant(np.ones(a.nnz))] * 2,
+                                 constant(h0), constant(np.ones((7, 2))),
+                                 pi=parameter(0.5), tangents=[np.ones(a.nnz)])
 
     @pytest.mark.parametrize("sparse", [False, True])
     def test_one_block_is_bitwise_spmm_of_product(self, sparse):
@@ -318,21 +337,23 @@ class TestSuppliedProducts:
         rng, a, h0 = self._setup()
         w0 = rng.normal(size=(7, 2))  # 7 >= 3 * 2: multiply first
         z0 = rng.random((nb, a.nnz))
+        t0 = rng.normal(size=(nb, a.nnz))
         weight = rng.normal(size=(6, 2))
 
         def run(supply):
             h = constant(csr_array(h0)) if sparse else parameter(h0)
             w = parameter(w0)
-            zs = [parameter(z) for z in z0]
+            pi = parameter(0.5)
             products = (block_products(split_columns(h.data, nb), w.data)
                         if supply else None)
             t = Tape()
-            out = record_gdc_aggregate(t, [a] * nb, zs, h, w,
-                                       differentiate_mask=True,
+            out = record_gdc_aggregate(t, [a] * nb,
+                                       [constant(z) for z in z0], h, w,
+                                       pi=pi, tangents=list(t0),
                                        products=products)
             g = backward(t, record_frobenius_sq(
                 t, record_mul(t, out, constant(weight))))
-            wrt = [w] + zs + ([] if sparse else [h])
+            wrt = [w, pi] + ([] if sparse else [h])
             return [out.data] + [g.get(v) for v in wrt]
 
         for got, want in zip(run(True), run(False)):
@@ -357,6 +378,59 @@ class TestSuppliedProducts:
                                  [constant(np.ones(a.nnz))] * 3,
                                  constant(h0), constant(w0),
                                  products=products)
+
+
+def _per_edge_pi_gradient(mats, tangents, g, s_blocks):
+    """dL/dpi by the per-entry rule: each block's mask gradient
+    ``A_e * (G[r_e] . S_b[c_e])``, contracted with that block's tangent."""
+    total = 0.0
+    for a, t_b, s_b in zip(mats, tangents, s_blocks):
+        rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+        per_edge = a.data * np.einsum("ij,ij->i", g[rows], s_b[a.indices])
+        total += per_edge @ t_b
+    return total
+
+
+class TestPiTangent:
+    """dL/dpi from the tangent pushed through the fused op, against the
+    per-entry mask gradient contracted with the tangent."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 31 - 1), nb=st.integers(1, 4),
+           f_out=st.integers(1, 4), sparse=st.booleans(),
+           supply=st.booleans(), symmetric=st.booleans(),
+           protect=st.booleans(), standard=st.booleans())
+    def test_matches_per_edge_rule(self, seed, nb, f_out, sparse, supply,
+                                   symmetric, protect, standard):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 9))
+        a = normalize(build_adjacency(random_edges(rng, n, 0.5), n))
+        edges = EdgeSet.from_sparse(a)
+        f_in = int(rng.integers(nb, 2 * nb * f_out + 1))  # either order
+        h0 = rng.normal(size=(n, f_in))
+        h0[rng.random(h0.shape) < 0.4] = 0.0
+        w0 = rng.normal(size=(f_in, f_out))
+        pi = parameter(rng.uniform(0.05, 0.95))
+        mask = sample_concrete_mask(edges, nb, pi, rng.uniform(0.1, 1.0), rng,
+                                    symmetric=symmetric, standard=standard,
+                                    protect_self_loops=protect)
+        h = constant(csr_array(h0) if sparse else h0)
+        products = None
+        if supply and multiplies_first(h.data, f_out, nb):
+            products = block_products(split_columns(h.data, nb), w0)
+        t = Tape()
+        out = record_gdc_aggregate(t, [a] * nb, mask.blocks, h, parameter(w0),
+                                   pi=mask.pi, tangents=mask.tangents,
+                                   products=products)
+        weight = rng.normal(size=out.shape)
+        loss = record_frobenius_sq(t, record_mul(t, out, constant(weight)))
+        got = backward(t, loss).get(pi)[0, 0]
+        bounds = np.linspace(0, f_in, nb + 1).astype(int)
+        s_blocks = [h0[:, c0:c1] @ w0[c0:c1]
+                    for c0, c1 in zip(bounds[:-1], bounds[1:])]
+        g = 2.0 * weight ** 2 * out.data  # dL/dout
+        want = _per_edge_pi_gradient([a] * nb, mask.tangents, g, s_blocks)
+        assert abs(got - want) <= 1e-12 * abs(want)
 
 
 class TestElementwise:
