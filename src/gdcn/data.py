@@ -12,8 +12,9 @@ each line is only split into its fields; the structural checks (field
 count, duplicate id, feature count) run there. The feature fields are then
 parsed in bulk: every field made of single ``0``/``1`` characters joined by
 tabs is checked and converted through one byte buffer for all such lines.
-Any other field (``1.0``, a non-binary or non-numeric token, a non-ASCII
-character) is parsed token by token with ``float``. Either way a fault
+Any other field (``1.0``, a non-binary or non-numeric token) is parsed
+token by token with ``float``; a field holding a non-ASCII character is
+non-numeric, whatever ``float`` would make of it. Either way a fault
 names the file and the first faulty line, and blank lines count in line
 numbers. A file that is not valid UTF-8 raises ``MalformedInputError``
 naming it.
@@ -182,12 +183,16 @@ def _parse_features(path, fields, linenos, n_features: int) -> np.ndarray:
 
 
 def _parse_row(path, lineno: int, field: str) -> np.ndarray:
+    """One feature field parsed token by token. A token ``float`` cannot
+    read is non-numeric, and so is any non-ASCII token: ``float`` would
+    read digits of other scripts, such as ``١``, as numbers."""
+    non_numeric = f"{path}:{lineno}: non-numeric feature"
+    if not field.isascii():
+        raise MalformedInputError(non_numeric)
     try:
         row = np.array([float(v) for v in field.split("\t")])
     except ValueError as exc:
-        raise MalformedInputError(
-            f"{path}:{lineno}: non-numeric feature"
-        ) from exc
+        raise MalformedInputError(non_numeric) from exc
     if not np.all((row == 0.0) | (row == 1.0)):
         raise MalformedInputError(f"{path}:{lineno}: features must be binary")
     return row

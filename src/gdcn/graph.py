@@ -7,7 +7,8 @@ COO-style edge lists are accepted only at ingestion (`build_adjacency`).
 Every normalized adjacency, the prepared one and each renormalized mask,
 stores the one pattern ``A + I`` (an ``EdgeSet``) and holds the values of
 one rule, ``EdgeSet.normalized_values``: ``I + D^{-1/2} A D^{-1/2}`` by
-default, ``D~^{-1/2} (A+I) D~^{-1/2}`` behind ``renorm_trick``.
+default, ``D~^{-1/2} (A+I) D~^{-1/2}`` behind ``renorm_trick``. A masked
+matrix that enters a product (``kept``) stores only its nonzero entries.
 """
 
 from __future__ import annotations
@@ -172,6 +173,26 @@ def normalize_with_edges(a: sp.csr_array, renorm_trick: bool = False):
     edges = EdgeSet.from_sparse(out)
     out.data = edges.normalized_values(out.data, renorm_trick)
     return out, edges
+
+
+def kept(a: sp.csr_array, values: np.ndarray) -> sp.csr_array:
+    """``a``'s pattern holding ``values``, storing only the nonzero ones.
+
+    The kept entries stay in storage order, so a product with the result
+    (``spmm`` or ``spmm_t``) adds the same nonzero terms in the same order
+    as one with every entry stored, and equals it bit for bit on finite
+    operands: its sums start at +0.0, and adding an exact zero term changes
+    no bit of a sum. With no zero in ``values`` the result shares ``a``'s
+    index arrays.
+    """
+    nz = values != 0.0
+    if nz.all():
+        return sp.csr_array((values, a.indices, a.indptr), shape=a.shape)
+    keep = np.flatnonzero(nz)  # a gather by position beats a boolean mask
+    before = np.zeros(len(values) + 1, dtype=a.indptr.dtype)
+    np.cumsum(nz, out=before[1:])
+    return sp.csr_array((values[keep], a.indices[keep], before[a.indptr]),
+                        shape=a.shape)
 
 
 def spmm(a: sp.csr_array, h: np.ndarray) -> np.ndarray:

@@ -43,6 +43,14 @@ and multiplies first, ``layer0_blocks`` splits the input once and
 does this once per call; ``training.train`` once per weight state.
 DropOut and node sampling at layer 0 mask the input, so their products are
 computed in every pass.
+
+A loss that reads only some nodes, such as the semi-supervised NLL on the
+labelled ones, needs at layer l of L only the rows within L - 1 - l hops
+of them. ``loss_rows`` plans those rows, and ``forward(..., rows=plan)``
+computes only them, into compact arrays whose row i is plan row
+``out[i]``. Every masked matrix, and a masked CSR layer-0 input, stores
+only its nonzero entries (``graph.kept``), so a binary mask also skips
+the connections it drops.
 """
 
 from __future__ import annotations
@@ -54,17 +62,19 @@ import numpy as np
 from scipy.sparse import csr_array, issparse
 
 from .errors import ContractViolation, MalformedInputError
-from .graph import EdgeSet, build_adjacency, index_dtype, normalize_with_edges
+from .graph import (EdgeSet, build_adjacency, entry_rows, index_dtype, kept,
+                    normalize_with_edges)
 from .masks import (EdgeMask, MaskKind, MaskSpec, all_ones_mask,
                     expected_keep_mask, sample_concrete_mask,
                     sample_dropedge_mask, sample_dropout_mask,
                     sample_gdc_masks, sample_node_mask,
                     sample_randomwalk_mask)
-from .tape import (BlockProducts, Tensor, block_products, constant,
-                   multiplies_first, parameter, record_add, record_add_rowvec,
-                   record_frobenius_sq, record_gdc_aggregate,
-                   record_log_softmax_rows, record_masked_nll, record_mul,
-                   record_relu, record_scale, split_columns)
+from .tape import (BlockProducts, CompactRows, Tensor, block_products,
+                   constant, multiplies_first, parameter, record_add,
+                   record_add_rowvec, record_frobenius_sq,
+                   record_gdc_aggregate, record_log_softmax_rows,
+                   record_masked_nll, record_mul, record_relu, record_scale,
+                   split_columns)
 from .variational import (KumaraswamyParams, kuma_mean, record_kl_kuma_beta,
                           record_kuma_sample)
 
@@ -246,11 +256,12 @@ def sparse_input(x: Tensor) -> Tensor:
 
 
 def _mask_csr(x, mask: np.ndarray):
-    """Feature mask applied to a CSR input: a 1-D mask scales the stored
-    entries, a 2-D one multiplies elementwise with broadcasting."""
-    if mask.ndim == 1:
-        return csr_array((x.data * mask, x.indices, x.indptr), shape=x.shape)
-    return csr_array(x.multiply(mask))
+    """Feature mask applied to a CSR input, storing only the nonzero
+    products (``graph.kept``): a 1-D mask scales the stored entries, a 2-D
+    one ((n, 1) or (n, f)) multiplies each stored entry by its own value."""
+    if mask.ndim == 2:
+        mask = np.broadcast_to(mask, x.shape)[entry_rows(x), x.indices]
+    return kept(x, x.data * mask)
 
 
 def layer0_blocks(config: GCNConfig, x: Tensor) -> list | None:
@@ -283,9 +294,91 @@ def layer0_products(params: list, blocks: list | None) -> BlockProducts | None:
     return None if blocks is None else block_products(blocks, params[0].m.data)
 
 
+@dataclass(frozen=True)
+class LayerRows(CompactRows):
+    """One layer of a ``LossRows`` plan.
+
+    The layer computes output rows ``out`` (sorted node ids) from input
+    rows ``inp`` (the previous layer's ``out``; None at layer 0, whose
+    input keeps all n rows). ``entries`` are the storage positions, in the
+    graph's ``A + I`` pattern, of the stored entries of rows ``out``, in
+    storage order, and ``a`` is the normalized adjacency on them: a
+    (len(out), len(inp)) CSR array whose columns are renumbered into
+    ``inp``.
+    """
+
+    entries: np.ndarray
+    a: csr_array
+
+
+@dataclass(frozen=True)
+class LossRows:
+    """The rows each layer must compute for a loss that reads some nodes.
+
+    ``layers`` holds one ``LayerRows`` per layer. The last layer's rows
+    are the loss's nodes, sorted and unique, and ``observed`` gives each
+    loss node's position among them, in the order the nodes were given.
+    """
+
+    layers: tuple
+    observed: np.ndarray
+
+
+def loss_rows(graph: PreparedGraph, observed, n_layers: int) -> LossRows:
+    """The loss-row plan of an ``n_layers`` stack whose loss reads the rows
+    ``observed`` of its output.
+
+    Walking back from the last layer, a layer's input rows are the columns
+    its output rows store. Masks never change the pattern, so one plan
+    serves every draw.
+    """
+    a = graph.a_norm
+    n = a.shape[0]
+    observed = np.asarray(observed, dtype=np.int64)
+    if observed.size and (observed.min() < 0 or observed.max() >= n):
+        raise ContractViolation(f"observed node outside [0, {n})")
+
+    def reached(ids):
+        """The sorted distinct node ids among ``ids``, and the position
+        among them of every node id (a bucket pass, no sort)."""
+        mark = np.zeros(n, dtype=bool)
+        mark[ids] = True
+        return np.flatnonzero(mark), np.cumsum(mark) - 1
+
+    out, position = reached(observed)
+    last_position = position
+    layers = []
+    for l in reversed(range(n_layers)):
+        starts = a.indptr[out]
+        counts = a.indptr[out + 1] - starts
+        indptr = np.zeros(len(out) + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        entries = (np.repeat(starts - indptr[:-1], counts)
+                   + np.arange(indptr[-1]))
+        cols = a.indices[entries]
+        inp = None
+        if l > 0:
+            inp, position = reached(cols)
+            cols = position[cols]
+        width = n if inp is None else len(inp)
+        idx = index_dtype(len(entries), width)
+        mat = csr_array((a.data[entries], cols.astype(idx), indptr.astype(idx)),
+                        shape=(len(out), width))
+        layers.append(LayerRows(n=n, out=out, inp=inp, entries=entries, a=mat))
+        out = inp
+    layers.reverse()
+    return LossRows(layers=tuple(layers), observed=last_position[observed])
+
+
+def _at_plan(plan: LayerRows | None, values: np.ndarray) -> np.ndarray:
+    """``values`` (one per stored entry of ``A + I``) at the plan's entries."""
+    return values if plan is None else values[plan.entries]
+
+
 def forward(params: list, x: Tensor, graph: PreparedGraph, masks: list,
             tape=None, capture_hidden: bool = False,
-            layer0: BlockProducts | None = None):
+            layer0: BlockProducts | None = None,
+            rows: LossRows | None = None):
     """Stack forward pass; returns log-probabilities (and hidden outputs).
 
     ``masks`` is one ``LayerMasks`` per layer. Hidden outputs are captured
@@ -293,10 +386,21 @@ def forward(params: list, x: Tensor, graph: PreparedGraph, masks: list,
     layer 0's precomputed block products (``layer0_products`` on this
     ``x`` and these weights); they apply only to an unmasked, unscaled
     layer-0 input and must have as many blocks as the layer-0 edge mask.
+
+    ``rows`` (``loss_rows``) restricts the pass to the rows its loss can
+    reach: each layer computes only its plan rows, into compact arrays, so
+    the result holds the last layer's plan rows (read them through
+    ``rows.observed``) and hidden outputs hold their layer's rows. The
+    masks stay drawn over all n rows and the whole pattern; each layer
+    takes its rows and entries of them. The result rows, and every
+    gradient through them, are bit for bit those of the full pass.
     """
     n_layers = len(params)
     if len(masks) != n_layers:
         raise ContractViolation("one LayerMasks per layer is required")
+    if rows is not None and len(rows.layers) != n_layers:
+        raise ContractViolation(
+            f"a plan of {len(rows.layers)} layers for {n_layers} layers")
     h = x
     hidden = []
     for l, (p, lm) in enumerate(zip(params, masks)):
@@ -310,11 +414,15 @@ def forward(params: list, x: Tensor, graph: PreparedGraph, masks: list,
                                      or lm.feature_scale is not None):
             raise ContractViolation(
                 "layer 0: block products need an unmasked, unscaled input")
+        plan = rows.layers[l] if rows is not None else None
         if lm.feature is not None:
+            feature = lm.feature
+            if plan is not None and plan.inp is not None:
+                feature = feature[plan.inp]
             if issparse(h.data):
-                h = constant(_mask_csr(h.data, lm.feature))
+                h = constant(_mask_csr(h.data, feature))
             else:
-                h = record_mul(tape, h, constant(lm.feature))
+                h = record_mul(tape, h, constant(feature))
         if lm.feature_scale is not None:
             h = record_scale(tape, h, lm.feature_scale)
         edge = lm.edge if lm.edge is not None else all_ones_mask(graph.edges)
@@ -322,16 +430,21 @@ def forward(params: list, x: Tensor, graph: PreparedGraph, masks: list,
             raise ContractViolation(
                 f"layer {l}: {edge.n_blocks} mask blocks exceed width {f_in}"
             )
+        a = graph.a_norm if plan is None else plan.a
         if graph.renorm_after_mask:
-            a = graph.a_norm
-            mats = [csr_array((graph.edges.normalized_values(
-                blk.data, graph.renorm_trick), a.indices, a.indptr),
+            mats = [csr_array((_at_plan(plan, graph.edges.normalized_values(
+                blk.data, graph.renorm_trick)), a.indices, a.indptr),
                 shape=a.shape) for blk in edge.blocks]
-            mask_ts = [constant(np.ones(graph.edges.n_entries))] * len(mats)
+            mask_ts = [constant(np.ones(a.nnz))] * len(mats)
         else:
-            mats, mask_ts = [graph.a_norm] * edge.n_blocks, edge.blocks
+            mats = [a] * edge.n_blocks
+            mask_ts = [constant(_at_plan(plan, blk.data))
+                       for blk in edge.blocks]
+        tangents = (None if edge.tangents is None
+                    else [_at_plan(plan, t) for t in edge.tangents])
         out = record_gdc_aggregate(tape, mats, mask_ts, h, p.m, pi=edge.pi,
-                                   tangents=edge.tangents, products=products)
+                                   tangents=tangents, products=products,
+                                   rows=plan)
         if p.bias is not None:
             out = record_add_rowvec(tape, out, p.bias)
         if l < n_layers - 1:

@@ -4,8 +4,9 @@ Every value is a 2-D float64 ``Tensor`` (scalars are 1x1, edge vectors are
 nnz x 1). The one exception is a constant holding a
 ``scipy.sparse.csr_array``, such as the layer-0 feature input: it never
 requires grad, and ``record_gdc_aggregate`` and ``record_scale`` accept it
-unchanged. A masked aggregation matrix shares the CSR index arrays of its
-matrix and carries new values.
+unchanged. A masked aggregation matrix holds its matrix's entries that
+the mask keeps nonzero, in storage order (``graph.kept``), and shares its
+index arrays when the mask keeps them all.
 
 Ops are free functions ``record_*(tape, ...) -> Tensor``; passing
 ``tape=None`` computes the value without recording, which is how inference
@@ -25,6 +26,11 @@ one set of weights. Ops keep no cache of their own: a weight update such as
 Adam's changes ``W.data`` in place, so reuse keyed on array identity would
 serve stale products. The caller passes the products explicitly and
 computes them again after every update.
+
+A compact ``record_gdc_aggregate`` call (``CompactRows``) computes only
+some rows of an n-row layer, such as the rows a loss reads, from a
+rectangular matrix; its value rows and its gradients are bit for bit those
+of the n-row call.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ import numpy as np
 from scipy.sparse import csr_array, issparse
 
 from .errors import ContractViolation
-from .graph import spmm, spmm_t
+from .graph import kept, spmm, spmm_t
 
 
 class Tensor:
@@ -180,18 +186,48 @@ def block_products(h_blocks, w_data: np.ndarray) -> BlockProducts:
         h_b @ w_data[c0:c1] for h_b, (c0, c1) in zip(h_blocks, bounds)))
 
 
+@dataclass(frozen=True)
+class CompactRows:
+    """Where the rows of a compact ``record_gdc_aggregate`` call sit in an
+    n-row pass.
+
+    ``out`` holds the sorted node ids of the op's output rows, ``inp`` those
+    of its input rows, or None when the input holds all n rows in order.
+    """
+
+    n: int
+    out: np.ndarray
+    inp: np.ndarray | None
+
+
+def _padded(x: np.ndarray, ids: np.ndarray | None, n: int) -> np.ndarray:
+    """``x``'s rows placed at rows ``ids`` of n zero rows; ``x`` if ids is
+    None."""
+    if ids is None:
+        return x
+    full = np.zeros((n, x.shape[1]))
+    full[ids] = x
+    return full
+
+
 def record_gdc_aggregate(tape, mats: list, masks: list, h: Tensor, w: Tensor,
                          pi: Tensor | None = None, tangents: list | None = None,
-                         products: BlockProducts | None = None) -> Tensor:
+                         products: BlockProducts | None = None,
+                         rows: CompactRows | None = None) -> Tensor:
     """``sum_b (mats[b] ⊙ masks[b]) (H[:, blk_b] W[blk_b, :])`` as one op.
 
     ``blk_b`` is ``block_bounds(f_in, len(masks))[b]``; each block has its
     own CSR matrix and its own mask aligned to that matrix's stored entries.
+    The matrices may be rectangular, (rows_out, rows_in) with rows_in the
+    rows of H, and all have one shape. Each masked matrix stores only its
+    nonzero entries (``graph.kept``), so a binary mask skips the entries it
+    drops and the sums stay bit for bit those of the full pattern.
+
     The product order follows the shapes (``multiplies_first``):
 
     - *aggregate first* for a dense H with ``f_in < nb * f_out``: the
-      blocks ``(A ⊙ Z_b) H[:, blk_b]`` fill one (n, f_in) array M, and a
-      single ``M @ W`` follows;
+      blocks ``(A ⊙ Z_b) H[:, blk_b]`` fill one (rows_out, f_in) array M,
+      and a single ``M @ W`` follows;
     - *multiply first* otherwise (a CSR H, or ``f_in >= nb * f_out``):
       ``S_b = H_b W_b`` per block, and the ``(A ⊙ Z_b) S_b`` are summed in
       place. With one block this is ``spmm(A ⊙ Z, H @ W)``.
@@ -203,6 +239,13 @@ def record_gdc_aggregate(tape, mats: list, masks: list, h: Tensor, w: Tensor,
     without them. Nothing here can tell stale products from fresh ones.
     Supplying them in the aggregate-first order, or with another block
     count, raises ``ContractViolation``.
+
+    ``rows`` marks a compact call: the matrices hold rows ``rows.out`` of
+    an n-row pass, with columns renumbered into ``rows.inp``. The value
+    rows equal those rows of the n-row call. The dense reductions over
+    rows (``M^T G``, ``H_b^T dS_b`` and dL/dpi's inner products) are
+    padded to the n rows, zeros elsewhere, so that they group their sums
+    as the n-row call does and the gradients are bit for bit its own.
 
     The masks are constants. Concrete masks hang off one keep probability
     ``pi``, and ``tangents[b]`` holds ``T_b = dZ_b/dpi`` per stored entry;
@@ -219,25 +262,32 @@ def record_gdc_aggregate(tape, mats: list, masks: list, h: Tensor, w: Tensor,
     if hd.shape[1] != f_in:
         raise ContractViolation(
             f"matmul inner dims disagree: {hd.shape} @ {wd.shape}")
+    shape = mats[0].shape
+    if any(a.shape != shape for a in mats) or shape[1] != hd.shape[0]:
+        raise ContractViolation(
+            f"block matrices {[a.shape for a in mats]} do not all take the "
+            f"{hd.shape[0]} input rows")
     masked = []
     for a, z in zip(mats, masks):
         zvec = z.data.ravel()
         if len(zvec) != a.nnz:
             raise ContractViolation(f"mask length {len(zvec)} != nnz {a.nnz}")
-        masked.append(csr_array((a.data * zvec, a.indices, a.indptr),
-                                shape=a.shape))
+        masked.append(kept(a, a.data * zvec))
     bounds = block_bounds(f_in, nb)
     grad_pi = pi is not None and tangents is not None and pi.requires_grad
     if grad_pi and len(tangents) != nb:
         raise ContractViolation(f"{len(tangents)} tangents for {nb} blocks")
     inputs = (h, w) + ((pi,) if grad_pi else ())
+    n, out_ids, in_ids = ((shape[0], None, None) if rows is None
+                          else (rows.n, rows.out, rows.inp))
 
     def acc_pi(acc, lefts, rights):
-        """Add ``sum_b <lefts[b], (A_b ⊙ T_b) rights[b]>`` to pi's grad."""
+        """Add ``sum_b <lefts[b], (A_b ⊙ T_b) rights[b]>`` to pi's grad;
+        ``lefts`` hold n rows."""
         dpi = 0.0
         for a, t_b, left, right in zip(mats, tangents, lefts, rights):
-            a_t = csr_array((a.data * t_b, a.indices, a.indptr), shape=a.shape)
-            dpi += np.vdot(left, spmm(a_t, right))
+            a_t = kept(a, a.data * t_b)
+            dpi += np.vdot(left, _padded(spmm(a_t, right), out_ids, n))
         acc(pi, np.array([[dpi]]))
 
     if not multiplies_first(hd, f_out, nb):
@@ -245,19 +295,20 @@ def record_gdc_aggregate(tape, mats: list, masks: list, h: Tensor, w: Tensor,
             raise ContractViolation(
                 "block products apply only when multiplying first")
         h_blocks = split_columns(hd, nb)
-        m = np.empty((hd.shape[0], f_in))
+        m = np.empty((shape[0], f_in))
         for am, h_b, (c0, c1) in zip(masked, h_blocks, bounds):
             m[:, c0:c1] = spmm(am, h_b)
         out_data = m @ wd
 
         def bwd(g, acc):
             if w.requires_grad:
-                acc(w, m.T @ g)
+                acc(w, _padded(m, out_ids, n).T @ _padded(g, out_ids, n))
             if not (h.requires_grad or grad_pi):
                 return
             dm = g @ wd.T
             if grad_pi:
-                acc_pi(acc, [dm[:, c0:c1] for c0, c1 in bounds], h_blocks)
+                dm_n = _padded(dm, out_ids, n)
+                acc_pi(acc, [dm_n[:, c0:c1] for c0, c1 in bounds], h_blocks)
             if h.requires_grad:
                 dh = np.empty_like(hd)
                 for am, (c0, c1) in zip(masked, bounds):
@@ -280,19 +331,25 @@ def record_gdc_aggregate(tape, mats: list, masks: list, h: Tensor, w: Tensor,
         else:
             out_data += agg
     # The S_b stay reachable from the backward only where dL/dpi needs them.
-    kept = products.products if grad_pi else None
+    kept_products = products.products if grad_pi else None
+    # A CSR H_b^T dS_b adds its terms row by row, compact or not.
+    pad_in = in_ids if not issparse(hd) else None
 
     def bwd(g, acc):
         dh = np.empty_like(hd) if h.requires_grad else None
         dw = np.empty_like(wd) if w.requires_grad else None
         if grad_pi:
-            acc_pi(acc, [g] * nb, kept)
+            acc_pi(acc, [_padded(g, out_ids, n)] * nb, kept_products)
         if dh is None and dw is None:
             return
+        if dw is not None and pad_in is not None:
+            h_n = split_columns(_padded(hd, pad_in, n), nb)
+        else:
+            h_n = h_blocks
         for b, (c0, c1) in enumerate(bounds):
             ds = spmm_t(masked[b], g)
             if dw is not None:
-                dw[c0:c1] = h_blocks[b].T @ ds
+                dw[c0:c1] = h_n[b].T @ _padded(ds, pad_in, n)
             if dh is not None:
                 dh[:, c0:c1] = ds @ wd[c0:c1].T
         if dh is not None:
@@ -403,7 +460,12 @@ def record_log_softmax_rows(tape, x: Tensor) -> Tensor:
 
 def record_masked_nll(tape, logprobs: Tensor, labels: np.ndarray,
                       observed: np.ndarray) -> Tensor:
-    """Mean negative log-likelihood over the observed node set."""
+    """Mean negative log-likelihood over the observed node set.
+
+    ``observed`` indexes the rows of ``logprobs`` and ``labels`` holds one
+    label per row: after a compact pass (``model.loss_rows``), the plan's
+    ``observed`` positions and the labels of the plan's last rows.
+    """
     observed = np.asarray(observed, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
     if len(observed) == 0:

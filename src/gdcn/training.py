@@ -20,6 +20,17 @@ before the first epoch, and again after every Adam step, which updates
 ``W_0`` in place. The deterministic evaluation is the first pass on each
 new state, so it computes them and hands them to the next epoch's recorded
 pass and ARM's Z1 pass.
+
+The loss reads only the training nodes, so ``train`` builds their loss-row
+plan once per call (``model.loss_rows``), and the recorded pass and ARM's
+Z1 pass compute only the rows the loss can reach (``forward(...,
+rows=plan)``). The loss reads their log-probabilities through the plan's
+``observed`` positions and the labels of the plan's rows. The masks are
+still drawn over the whole graph, so the random stream, the loss and every
+gradient are bit for bit those of full passes. The deterministic
+evaluation keeps all rows. ``train`` calls ``forward``, and through it
+``spmm`` and ``spmm_t``, by module name, so that a tracer replacing those
+names still counts every pass and product.
 """
 
 from __future__ import annotations
@@ -37,8 +48,9 @@ from .estimators import ArmDraw, arm_gradient, arm_pi_term, arm_z2
 from .masks import arm_edge_mask, arm_free_entries
 from .model import (GCNConfig, LayerMasks, PreparedGraph, check_graph,
                     expected_keep, forward, forward_deterministic, init_params,
-                    layer0_blocks, layer0_products, record_kl_terms,
-                    sample_step_masks, sparse_input, training_loss)
+                    layer0_blocks, layer0_products, loss_rows,
+                    record_kl_terms, sample_step_masks, sparse_input,
+                    training_loss)
 from .tape import (Tape, backward, constant, record_add, record_masked_nll,
                    record_scale)
 from .variational import WarmupSchedule, warmup_factor
@@ -127,11 +139,17 @@ def adam_step(tensors: list, grads: dict, state: AdamState, lr: float) -> bool:
 
 @dataclass
 class TrainResult:
+    """The best validation epoch's parameters and scores, the epoch logs,
+    and why training stopped: ``"patience"`` when validation accuracy had
+    not improved for ``TrainConfig.patience`` epochs, ``"max_epochs"`` when
+    the epoch budget ran out."""
+
     params: list
     logs: list
     best_epoch: int
     best_val_acc: float
     best_test_acc: float
+    stop_reason: str
 
 
 def _det_eval(params, x, graph, config, labels, split, blocks,
@@ -178,11 +196,16 @@ def train(dataset: Dataset, gcn_config: GCNConfig, train_config: TrainConfig,
     layer0 = layer0_products(params, blocks)
     labels = dataset.labels
     split = dataset.split
+    plan = loss_rows(graph, split.train, gcn_config.n_layers)
+    # The compact passes' log-probability rows and their labels.
+    plan_labels = labels[plan.layers[-1].out]
+    observed = plan.observed
 
     logs = []
     best = {"val": -1.0, "test": 0.0, "epoch": -1,
             "snapshot": [t.data.copy() for t in tensors]}
     nonfinite_run = 0
+    stop_reason = "max_epochs"
     capture = hidden_hook is not None
     # (layer, spec, free_idx) per learned layer; the pattern is fixed, so
     # the ARM variable positions are too.
@@ -209,19 +232,19 @@ def train(dataset: Dataset, gcn_config: GCNConfig, train_config: TrainConfig,
                     graph.edges, spec, z2, free_idx)
 
         logprobs = forward(params, x, graph, draws.layer_masks, tape=tape,
-                           layer0=layer0)
+                           layer0=layer0, rows=plan)
         kl_terms = record_kl_terms(tape, gcn_config, params)
         wf = warmup_factor(epoch, train_config.warmup)
         weight_coefs = None
         if gcn_config.kl_weight_scaling:
             weight_coefs = [record_scale(tape, pi, graph.edges.n_entries / 2.0)
                             for pi in draws.pi_tensors]
-        loss = training_loss(tape, logprobs, labels, split.train, params,
+        loss = training_loss(tape, logprobs, plan_labels, observed, params,
                              kl_terms, train_config.l2_factor, wf,
                              weight_coefs=weight_coefs)
         loss_val = loss.item()
         nll_val = -float(np.mean(
-            logprobs.data[split.train, labels[split.train]]))
+            logprobs.data[observed, plan_labels[observed]]))
         kl_val = float(sum(k.item() for k in kl_terms))
 
         if not np.isfinite(loss_val):
@@ -243,13 +266,13 @@ def train(dataset: Dataset, gcn_config: GCNConfig, train_config: TrainConfig,
                             feature=base_masks[l].feature,
                             edge=arm_edge_mask(graph.edges, spec, z, free_idx))
                     lp = forward(params, x, graph, lm, tape=None,
-                                 layer0=layer0)
-                    return record_masked_nll(None, lp, labels,
-                                             split.train).item()
+                                 layer0=layer0, rows=plan)
+                    return record_masked_nll(None, lp, plan_labels,
+                                             observed).item()
 
                 # The recorded pass ran on Z2, so its NLL is L(Z2).
-                loss2 = record_masked_nll(None, logprobs, labels,
-                                          split.train).item()
+                loss2 = record_masked_nll(None, logprobs, plan_labels,
+                                          observed).item()
                 est = arm_gradient(loss_eval, draw, loss2)
                 # Added after loss_val was read: these terms only carry
                 # the estimate into backward.
@@ -276,6 +299,7 @@ def train(dataset: Dataset, gcn_config: GCNConfig, train_config: TrainConfig,
             best.update(val=val_acc, test=test_acc, epoch=epoch,
                         snapshot=[t.data.copy() for t in tensors])
         elif epoch - best["epoch"] >= train_config.patience:
+            stop_reason = "patience"
             break
 
     for t, snap in zip(tensors, best["snapshot"]):
@@ -283,7 +307,7 @@ def train(dataset: Dataset, gcn_config: GCNConfig, train_config: TrainConfig,
     return TrainResult(params=params, logs=logs,
                        best_epoch=max(best["epoch"], 0),
                        best_val_acc=max(best["val"], 0.0),
-                       best_test_acc=best["test"])
+                       best_test_acc=best["test"], stop_reason=stop_reason)
 
 
 @dataclass

@@ -103,6 +103,22 @@ class TestConfigErrors:
         assert err.startswith(f"error: {paths[which]}: not valid UTF-8")
         assert "Traceback" not in err
 
+    def test_non_ascii_feature_exit_2(self, tmp_path, synthetic_files,
+                                      capsys):
+        content, cites = synthetic_files
+        lines = open(content, encoding="utf-8").read().split("\n")
+        fields = lines[1].split("\t")
+        fields[1] = "\u0661"  # Arabic-Indic one; float() reads it as 1.0
+        lines[1] = "\t".join(fields)
+        bad = tmp_path / os.path.basename(content)
+        bad.write_text("\n".join(lines), encoding="utf-8")
+        cfg = write_config(tmp_path / "run.ini", bad, cites, tmp_path / "o")
+        rc = main(["train", "--config", cfg])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}:2: non-numeric feature")
+        assert "Traceback" not in err
+
 
 class TestTrain:
     def test_artifacts_and_summary(self, config, capsys):

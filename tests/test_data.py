@@ -90,6 +90,18 @@ class TestLoadContentCites:
                            match=r"c\.content:2: non-numeric feature$"):
             load_content_cites(content, cites)
 
+    @pytest.mark.parametrize("token", ["\u0661", "1\u00a0", "\uff11"])
+    def test_non_ascii_feature_rejected(self, tmp_path, token):
+        # float() reads each of these as 1.0: an Arabic-Indic one, a one
+        # followed by a no-break space, a fullwidth one.
+        assert float(token) == 1.0
+        content = write(tmp_path / "c.content",
+                        f"a\t1\t0\tml\nb\t{token}\t0\tdb\n")
+        cites = write(tmp_path / "c.cites", "")
+        with pytest.raises(MalformedInputError,
+                           match=r"c\.content:2: non-numeric feature$"):
+            load_content_cites(content, cites)
+
     def test_no_content_lines(self, tmp_path):
         content = write(tmp_path / "c.content", "\n\n")
         cites = write(tmp_path / "c.cites", "")

@@ -2,7 +2,9 @@
 
 ``reference_load`` is the plain per-line parser the bulk loader replaced,
 kept here as the oracle; its line split (``reference_lines``) ends a line
-only at ``\n``, as the loader does, so a lone ``\r`` stays in its line. Small valid content/cites files and single-byte or
+only at ``\n``, as the loader does, so a lone ``\r`` stays in its line, and
+its token parse (``ascii_float``) takes no non-ASCII token for a number,
+as the loader does not. Small valid content/cites files and single-byte or
 single-token mutations of them must give either an equal ``Dataset`` (every
 array equal bit for bit), the same warnings, or the same exception type
 with the same message. The one intended difference: a file that is not
@@ -32,6 +34,13 @@ def reference_lines(path):
                 yield lineno, line.removesuffix("\n")
 
 
+def ascii_float(token: str) -> float:
+    """``float`` of an ASCII token; a non-ASCII one is not a number."""
+    if not token.isascii():
+        raise ValueError(f"non-ASCII token {token!r}")
+    return float(token)
+
+
 def reference_load(content_path, cites_path) -> Dataset:
     ids: dict = {}
     label_index: dict = {}
@@ -56,7 +65,7 @@ def reference_load(content_path, cites_path) -> Dataset:
                 f"features, got {len(feats)}"
             )
         try:
-            row = np.array([float(v) for v in feats])
+            row = np.array([ascii_float(v) for v in feats])
         except ValueError as exc:
             raise MalformedInputError(
                 f"{content_path}:{lineno}: non-numeric feature"
@@ -125,10 +134,10 @@ def outcome(load, content, cites):
             [str(w.message) for w in caught])
 
 
-# Valid feature tokens, mostly of the single-character form; float() reads
-# the Arabic-Indic digit as 1.0.
-FEATURES = ["0", "1"] * 4 + ["1.0", "-0", " 0", "١"]
+# Valid feature tokens, mostly of the single-character form.
+FEATURES = ["0", "1"] * 4 + ["1.0", "-0", " 0"]
 IDS = ["p1", "p2", "p3", "x", "node 5", "é"]
+# float() reads the Arabic-Indic digit as 1.0; both loaders reject it.
 TOKENS = ["2", "1.0", "0.0", "-0", " 1", "1 ", "", "x", "nan", "1e0", "+1",
           "00", "0\t1", "1_0", "١", "\r", "\n"]
 BYTES = [0x00, 0x09, 0x0A, 0x0D, 0x20, 0x2E, 0x30, 0x31, 0x32, 0x78, 0x80,

@@ -130,6 +130,23 @@ class TestTrain:
         logged_best = max(log.val_acc for log in res.logs)
         assert res.best_val_acc == logged_best
 
+    def test_stop_reason_patience(self):
+        ds = synthetic_dataset()
+        cfg = small_config(ds.n_features, ds.class_count)
+        tc = TrainConfig(epochs=500, lr=0.01, patience=3, seeds=(0,))
+        res = train(ds, cfg, tc, seed=1)
+        assert res.stop_reason == "patience"
+        assert len(res.logs) < tc.epochs
+        assert len(res.logs) - 1 - res.best_epoch == tc.patience
+
+    def test_stop_reason_max_epochs(self):
+        ds = synthetic_dataset()
+        cfg = small_config(ds.n_features, ds.class_count)
+        tc = TrainConfig(epochs=3, patience=200, seeds=(0,))
+        res = train(ds, cfg, tc, seed=1)
+        assert res.stop_reason == "max_epochs"
+        assert len(res.logs) == tc.epochs
+
     def test_kl_column_zero_for_fixed_rates(self):
         ds = synthetic_dataset()
         cfg = small_config(ds.n_features, ds.class_count)
@@ -211,6 +228,45 @@ class TestTrain:
         assert [dataclasses.replace(e, wall_time=0.0) for e in reused.logs] \
             == [dataclasses.replace(e, wall_time=0.0) for e in plain.logs]
         for a, b in zip(reused.params, plain.params):
+            for t, u in zip(a.tensors(), b.tensors()):
+                assert np.array_equal(t.data, u.data)
+
+    @pytest.mark.parametrize("kind,estimator", [
+        (MaskKind.GDC, "arm"), (MaskKind.GDC, "concrete"),
+        (MaskKind.DROPOUT, "none")])
+    def test_loss_row_plan_changes_nothing(self, monkeypatch, kind,
+                                           estimator):
+        # Passes restricted to the training nodes' receptive fields must
+        # give, bit for bit, the run whose passes compute every row: here a
+        # plan over all nodes that reads the training rows.
+        import gdcn.training as training
+        from gdcn.model import LossRows
+        real = training.loss_rows
+        restricted = []
+
+        def spy(graph, observed, n_layers):
+            plan = real(graph, observed, n_layers)
+            restricted.append(len(plan.layers[0].out) < graph.edges.n)
+            return plan
+
+        def every_row(graph, observed, n_layers):
+            plan = real(graph, np.arange(graph.edges.n), n_layers)
+            return LossRows(layers=plan.layers, observed=observed)
+
+        ds = synthetic_dataset(n_per=20, intra_prob=0.15)
+        learned = estimator != "none"
+        cfg = small_config(ds.n_features, ds.class_count, kind=kind,
+                           learned=learned, estimator=estimator,
+                           n_blocks=2 if kind == MaskKind.GDC else 1)
+        tc = TrainConfig(epochs=4, lr=0.05, patience=4, seeds=(0,))
+        monkeypatch.setattr(training, "loss_rows", spy)
+        compact = train(ds, cfg, tc, seed=0)
+        assert restricted == [True]
+        monkeypatch.setattr(training, "loss_rows", every_row)
+        full = train(ds, cfg, tc, seed=0)
+        assert [dataclasses.replace(e, wall_time=0.0) for e in compact.logs] \
+            == [dataclasses.replace(e, wall_time=0.0) for e in full.logs]
+        for a, b in zip(compact.params, full.params):
             for t, u in zip(a.tensors(), b.tensors()):
                 assert np.array_equal(t.data, u.data)
 
