@@ -20,18 +20,23 @@ numbers. A file that is not valid UTF-8 raises ``MalformedInputError``
 naming it.
 
 ``Dataset.features`` is a dense (n, f) array and stays the public form of
-the input; the model's entry points (``train``, ``predict_mc``,
-``forward_deterministic``) convert it to CSR once per call.
+the input. ``predict_mc`` and ``forward_deterministic`` convert it to CSR
+once per call; ``train`` reads ``Dataset.features_csr()``, which converts
+it once per features array, so training several seeds on one dataset
+converts it once.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .errors import MalformedInputError
+from .graph import dense_to_csr
+from .tape import split_columns
 
 
 @dataclass
@@ -48,6 +53,36 @@ class Dataset:
     edges: np.ndarray           # (m, 2) unique undirected pairs, u < v
     class_count: int
     split: Split | None = None
+    # (the features array converted, {n_blocks: its CSR column blocks});
+    # see feature_blocks.
+    _csr: tuple | None = field(default=None, init=False, repr=False,
+                               compare=False)
+
+    def features_csr(self) -> csr_array:
+        """``features`` as a float64 CSR array (``graph.dense_to_csr``),
+        converted once per features array (see ``feature_blocks``)."""
+        return self.feature_blocks(1)[0]
+
+    def feature_blocks(self, n_blocks: int) -> list:
+        """``features_csr()`` split into ``n_blocks`` column blocks
+        (``tape.split_columns``), converted and split once per features
+        array.
+
+        The CSR form and its splits are kept while ``features`` is the same
+        array object. That array becomes read-only, and so do the kept
+        arrays, so that neither can change under the other; assign a new
+        array to change the features.
+        """
+        feats = self.features
+        if self._csr is None or self._csr[0] is not feats:
+            csr = dense_to_csr(np.asarray(feats, dtype=np.float64))
+            feats.flags.writeable = False
+            self._csr = (feats, {1: _read_only([csr])})
+        splits = self._csr[1]
+        if n_blocks not in splits:
+            splits[n_blocks] = _read_only(split_columns(splits[1][0],
+                                                        n_blocks))
+        return list(splits[n_blocks])
 
     @property
     def n_nodes(self) -> int:
@@ -56,6 +91,13 @@ class Dataset:
     @property
     def n_features(self) -> int:
         return self.features.shape[1]
+
+
+def _read_only(blocks: list) -> list:
+    for block in blocks:
+        for arr in (block.data, block.indices, block.indptr):
+            arr.flags.writeable = False
+    return blocks
 
 
 def load_content_cites(content_path, cites_path) -> Dataset:

@@ -29,10 +29,11 @@ per-edge weight diag(z_vu) W. The test suite checks this identity against a
 dense per-edge oracle.
 
 ``Dataset.features`` stays a dense array. The entry points ``predict_mc``
-and ``forward_deterministic`` (and ``training.train``) convert it to a CSR
-constant once per call, so the layer-0 matmuls run on sparse kernels and
-layer-0 DropOut draws one value per stored entry. ``forward`` never
-converts: a dense input keeps the dense path.
+and ``forward_deterministic`` convert it to a CSR constant once per call,
+and ``training.train`` reads the dataset's own CSR form, converted once per
+features array (``Dataset.features_csr``), so the layer-0 matmuls run on
+sparse kernels and layer-0 DropOut draws one value per stored entry.
+``forward`` never converts: a dense input keeps the dense path.
 
 Layer 0's block products ``S_b = X[:, blk_b] W_0[blk_b]`` depend on the
 masks only when the layer-0 input is masked or scaled. When layer 0 draws
@@ -40,7 +41,8 @@ edge masks only (no mask, DropEdge, GDC, random walk; no ``dropout_keep``)
 and multiplies first, ``layer0_blocks`` splits the input once and
 ``layer0_products`` computes the products for the current weights, and
 ``forward(..., layer0=...)`` hands them to the fused op. ``predict_mc``
-does this once per call; ``training.train`` once per weight state.
+does this once per call; ``training.train`` computes the products once per
+weight state, on the dataset's blocks (``Dataset.feature_blocks``).
 DropOut and node sampling at layer 0 mask the input, so their products are
 computed in every pass.
 
@@ -62,8 +64,8 @@ import numpy as np
 from scipy.sparse import csr_array, issparse
 
 from .errors import ContractViolation, MalformedInputError
-from .graph import (EdgeSet, build_adjacency, entry_rows, index_dtype, kept,
-                    normalize_with_edges)
+from .graph import (EdgeSet, build_adjacency, dense_to_csr, entry_rows,
+                    index_dtype, kept, normalize_with_edges)
 from .masks import (EdgeMask, MaskKind, MaskSpec, all_ones_mask,
                     expected_keep_mask, sample_concrete_mask,
                     sample_dropedge_mask, sample_dropout_mask,
@@ -238,21 +240,11 @@ def init_params(config: GCNConfig, rng: np.random.Generator) -> list:
 
 
 def sparse_input(x: Tensor) -> Tensor:
-    """The layer-0 input as a CSR constant (unchanged if sparse or taped).
-
-    The stored entries come from one ``flatnonzero`` scan, which gives the
-    same arrays as ``csr_array(dense)``, index dtype included, in about a
-    third of its time.
-    """
+    """The layer-0 input as a CSR constant (unchanged if sparse or taped),
+    converted by ``graph.dense_to_csr``."""
     if x.requires_grad or issparse(x.data):
         return x
-    dense = x.data
-    n, f = dense.shape
-    flat = np.flatnonzero(dense != 0.0)
-    idx = index_dtype(len(flat), n, f)
-    indptr = np.searchsorted(flat, np.arange(n + 1) * f).astype(idx)
-    return constant(csr_array((dense.ravel()[flat], (flat % f).astype(idx),
-                               indptr), shape=(n, f)))
+    return constant(dense_to_csr(x.data))
 
 
 def _mask_csr(x, mask: np.ndarray):
@@ -264,9 +256,8 @@ def _mask_csr(x, mask: np.ndarray):
     return kept(x, x.data * mask)
 
 
-def layer0_blocks(config: GCNConfig, x: Tensor) -> list | None:
-    """Layer 0's input split into its column blocks ``H_b``, or None when
-    its block products cannot be reused across passes.
+def reuses_layer0_products(config: GCNConfig, x: Tensor) -> bool:
+    """Whether layer 0's block products can be reused across passes.
 
     Reuse needs a layer-0 input that no mask touches and no factor scales,
     in every mode: the layer-0 spec draws edge masks only (no mask,
@@ -276,18 +267,26 @@ def layer0_blocks(config: GCNConfig, x: Tensor) -> list | None:
     which a CSR input always takes.
     """
     spec = config.masks[0]
-    if (spec.kind in (MaskKind.DROPOUT, MaskKind.NODE_SAMPLING)
-            or spec.dropout_keep is not None
-            or not multiplies_first(x.data, config.layer_dims[1],
-                                    spec.n_blocks)):
+    return not (spec.kind in (MaskKind.DROPOUT, MaskKind.NODE_SAMPLING)
+                or spec.dropout_keep is not None
+                or not multiplies_first(x.data, config.layer_dims[1],
+                                        spec.n_blocks))
+
+
+def layer0_blocks(config: GCNConfig, x: Tensor) -> list | None:
+    """Layer 0's input split into its column blocks ``H_b``, or None when
+    its block products cannot be reused across passes
+    (``reuses_layer0_products``)."""
+    if not reuses_layer0_products(config, x):
         return None
-    return split_columns(x.data, spec.n_blocks)
+    return split_columns(x.data, config.masks[0].n_blocks)
 
 
 def layer0_products(params: list, blocks: list | None) -> BlockProducts | None:
     """``S_b = H_b W_0[blk_b]`` on the layer-0 weights as they are now.
 
-    ``blocks`` comes from ``layer0_blocks`` (None gives None). The products
+    ``blocks`` comes from ``layer0_blocks`` or, for a dataset's features,
+    ``Dataset.feature_blocks`` (None gives None). The products
     hold the weights' current values: after any change to ``params[0].m``,
     such as an Adam step, which updates it in place, call this again.
     """
@@ -322,6 +321,12 @@ class LossRows:
 
     layers: tuple
     observed: np.ndarray
+
+    def loss_inputs(self, labels: np.ndarray) -> tuple:
+        """``(labels, observed)`` for a loss on the compact log-probabilities:
+        the labels of the last layer's rows, in compact row order, and the
+        loss nodes' positions among those rows."""
+        return np.asarray(labels)[self.layers[-1].out], self.observed
 
 
 def loss_rows(graph: PreparedGraph, observed, n_layers: int) -> LossRows:

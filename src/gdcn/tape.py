@@ -286,7 +286,9 @@ def record_gdc_aggregate(tape, mats: list, masks: list, h: Tensor, w: Tensor,
         ``lefts`` hold n rows."""
         dpi = 0.0
         for a, t_b, left, right in zip(mats, tangents, lefts, rights):
-            a_t = kept(a, a.data * t_b)
+            # A tangent is zero only on protected self-loops: too few
+            # zeros for graph.kept to pay for itself.
+            a_t = csr_array((a.data * t_b, a.indices, a.indptr), shape=a.shape)
             dpi += np.vdot(left, _padded(spmm(a_t, right), out_ids, n))
         acc(pi, np.array([[dpi]]))
 

@@ -14,8 +14,10 @@ completes the estimate g_alpha, and g_alpha enters the backward pass as
 dL/dpi on the recorded draw.
 
 Where layer 0 draws edge masks only, its block products ``H_b W_0[blk_b]``
-depend on the weights alone. ``train`` splits the input into its column
-blocks once per call and computes the products once per weight state: once
+depend on the weights alone. ``train`` reads the input's column blocks
+from the dataset, which converts and splits its features once per features
+array (``Dataset.feature_blocks``), so calls that train again on one
+dataset share them. It computes the products once per weight state: once
 before the first epoch, and again after every Adam step, which updates
 ``W_0`` in place. The deterministic evaluation is the first pass on each
 new state, so it computes them and hands them to the next epoch's recorded
@@ -25,12 +27,13 @@ The loss reads only the training nodes, so ``train`` builds their loss-row
 plan once per call (``model.loss_rows``), and the recorded pass and ARM's
 Z1 pass compute only the rows the loss can reach (``forward(...,
 rows=plan)``). The loss reads their log-probabilities through the plan's
-``observed`` positions and the labels of the plan's rows. The masks are
-still drawn over the whole graph, so the random stream, the loss and every
-gradient are bit for bit those of full passes. The deterministic
-evaluation keeps all rows. ``train`` calls ``forward``, and through it
-``spmm`` and ``spmm_t``, by module name, so that a tracer replacing those
-names still counts every pass and product.
+``observed`` positions and the labels of the plan's rows
+(``LossRows.loss_inputs``). The masks are still drawn over the whole
+graph, so the random stream, the loss and every gradient are bit for bit
+those of full passes. The deterministic evaluation keeps all rows.
+``train`` calls ``forward``, and through it ``spmm`` and ``spmm_t``, by
+module name, so that a tracer replacing those names still counts every
+pass and product.
 """
 
 from __future__ import annotations
@@ -48,9 +51,8 @@ from .estimators import ArmDraw, arm_gradient, arm_pi_term, arm_z2
 from .masks import arm_edge_mask, arm_free_entries
 from .model import (GCNConfig, LayerMasks, PreparedGraph, check_graph,
                     expected_keep, forward, forward_deterministic, init_params,
-                    layer0_blocks, layer0_products, loss_rows,
-                    record_kl_terms, sample_step_masks, sparse_input,
-                    training_loss)
+                    layer0_products, loss_rows, record_kl_terms,
+                    reuses_layer0_products, sample_step_masks, training_loss)
 from .tape import (Tape, backward, constant, record_add, record_masked_nll,
                    record_scale)
 from .variational import WarmupSchedule, warmup_factor
@@ -157,8 +159,8 @@ def _det_eval(params, x, graph, config, labels, split, blocks,
     """Accuracies of the expected-keep pass on the current weights.
 
     Also returns, for the passes that follow on the same weights, the
-    layer-0 block products of ``blocks`` (``layer0_blocks``), which the
-    pass itself uses.
+    layer-0 block products of ``blocks`` (``Dataset.feature_blocks``),
+    which the pass itself uses.
     """
     layer0 = layer0_products(params, blocks)
     res = forward_deterministic(params, x, graph, config,
@@ -175,7 +177,9 @@ def train(dataset: Dataset, gcn_config: GCNConfig, train_config: TrainConfig,
           hidden_hook=None) -> TrainResult:
     """Train one model; returns the parameters of the best validation epoch.
 
-    The dense ``dataset.features`` are converted to CSR once per call.
+    The layer-0 input is ``dataset.features_csr()``, converted to CSR once
+    per features array, so training again on the same dataset (another
+    seed, another config) skips the conversion.
 
     ``hidden_hook(epoch, hidden)`` receives the deterministic pass's hidden
     activations each epoch (used by the over-smoothing diagnostics).
@@ -191,15 +195,14 @@ def train(dataset: Dataset, gcn_config: GCNConfig, train_config: TrainConfig,
     params = init_params(gcn_config, rng)
     tensors = [t for p in params for t in p.tensors()]
     state = AdamState()
-    x = sparse_input(constant(dataset.features))
-    blocks = layer0_blocks(gcn_config, x)
+    x = constant(dataset.features_csr())
+    blocks = (dataset.feature_blocks(gcn_config.masks[0].n_blocks)
+              if reuses_layer0_products(gcn_config, x) else None)
     layer0 = layer0_products(params, blocks)
     labels = dataset.labels
     split = dataset.split
     plan = loss_rows(graph, split.train, gcn_config.n_layers)
-    # The compact passes' log-probability rows and their labels.
-    plan_labels = labels[plan.layers[-1].out]
-    observed = plan.observed
+    plan_labels, observed = plan.loss_inputs(labels)
 
     logs = []
     best = {"val": -1.0, "test": 0.0, "epoch": -1,

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_array
 
 from gdcn.data import Dataset, load_content_cites, make_split, row_normalize
 from gdcn.errors import MalformedInputError
+from gdcn.tape import split_columns
 
 
 def write(path, text):
@@ -220,6 +222,59 @@ class TestRowNormalize:
             got = row_normalize(f)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
             assert np.array_equal(f.view(np.uint64), before.view(np.uint64))
+
+
+class TestFeaturesCsr:
+    def _ds(self, features):
+        return Dataset(features=features, labels=np.zeros(len(features), int),
+                       edges=np.zeros((0, 2), dtype=np.int64), class_count=1)
+
+    def test_equals_scipy_conversion(self):
+        rng = np.random.default_rng(4)
+        f = rng.random((40, 25)) * (rng.random((40, 25)) < 0.2)
+        f[3] = 0.0
+        f[5, 7] = -0.0
+        got, want = self._ds(f.copy()).features_csr(), csr_array(f)
+        assert got.dtype == np.float64 and got.shape == want.shape
+        for name in ("data", "indices", "indptr"):
+            assert getattr(got, name).dtype == getattr(want, name).dtype
+            np.testing.assert_array_equal(getattr(got, name),
+                                          getattr(want, name))
+
+    def test_integer_features_become_float(self):
+        got = self._ds(np.eye(4, dtype=np.int64)).features_csr()
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got.toarray(), np.eye(4))
+
+    @pytest.mark.parametrize("n_blocks", [1, 3, 4])
+    def test_feature_blocks_equal_column_slices(self, n_blocks):
+        rng = np.random.default_rng(5)
+        f = rng.random((30, 17)) * (rng.random((30, 17)) < 0.3)
+        ds = self._ds(f)
+        blocks = ds.feature_blocks(n_blocks)
+        want = split_columns(csr_array(f), n_blocks)
+        assert len(blocks) == n_blocks
+        for got, ref in zip(blocks, want):
+            for name in ("data", "indices", "indptr"):
+                np.testing.assert_array_equal(getattr(got, name),
+                                              getattr(ref, name))
+                assert not getattr(got, name).flags.writeable
+        again = ds.feature_blocks(n_blocks)
+        assert all(a is b for a, b in zip(again, blocks))
+        assert (ds.feature_blocks(1)[0] is ds.features_csr())
+
+    def test_converted_once_per_features_array(self):
+        ds = self._ds(np.eye(5))
+        first = ds.features_csr()
+        assert ds.features_csr() is first
+        with pytest.raises(ValueError, match="read-only"):
+            ds.features[0, 1] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            first.data[0] = 2.0
+        ds.features = 2.0 * np.eye(5)
+        again = ds.features_csr()
+        assert again is not first
+        np.testing.assert_array_equal(again.toarray(), 2.0 * np.eye(5))
 
 
 class TestMakeSplit:

@@ -87,6 +87,10 @@ class TestPlan:
         assert len(plan.layers[0].out) < N   # the plan restricts something
         np.testing.assert_array_equal(plan.layers[-1].out[plan.observed],
                                       OBSERVED)
+        labels = (np.arange(N) * 7) % 5
+        lab, obs = plan.loss_inputs(labels)
+        assert obs is plan.observed and len(lab) == len(plan.layers[-1].out)
+        np.testing.assert_array_equal(lab[obs], labels[OBSERVED])
 
     def test_isolated_nodes(self):
         g = sparse_graph(isolated=(2, 9))
@@ -199,12 +203,8 @@ def one_pass(cfg, g, params, x, plan, seed, edit_masks=None):
     labels = np.arange(N) % params[-1].m.data.shape[1]
     logprobs = forward(params, x, g, draws.layer_masks, tape=tape,
                        layer0=layer0, rows=plan)
-    if plan is None:
-        rows, lab, obs = logprobs.data[OBSERVED], labels, OBSERVED
-    else:
-        last = plan.layers[-1].out
-        rows, lab, obs = logprobs.data[plan.observed], labels[last], \
-            plan.observed
+    lab, obs = (labels, OBSERVED) if plan is None else plan.loss_inputs(labels)
+    rows = logprobs.data[obs]
     loss = record_masked_nll(tape, logprobs, lab, obs)
     grads = backward(tape, loss)
     tensors = [t for p in params for t in p.tensors()]

@@ -147,6 +147,24 @@ class TestTrain:
         assert res.stop_reason == "max_epochs"
         assert len(res.logs) == tc.epochs
 
+    def test_features_reassigned_after_training_are_used(self):
+        # train keeps the CSR form of the features array it read; a new
+        # array must be converted again, not read from the kept form.
+        ds = synthetic_dataset()
+        cfg = small_config(ds.n_features, ds.class_count)
+        tc = TrainConfig(epochs=3, seeds=(0,))
+        first = train(ds, cfg, tc, seed=1)
+        again = train(ds, cfg, tc, seed=1)
+        assert ([log.train_loss for log in again.logs]
+                == [log.train_loss for log in first.logs])
+        scaled = 0.5 * ds.features
+        ds.features = scaled
+        fresh = dataclasses.replace(ds, features=scaled.copy())
+        got = [log.train_loss for log in train(ds, cfg, tc, seed=1).logs]
+        assert got == [log.train_loss for log in
+                       train(fresh, cfg, tc, seed=1).logs]
+        assert got != [log.train_loss for log in first.logs]
+
     def test_kl_column_zero_for_fixed_rates(self):
         ds = synthetic_dataset()
         cfg = small_config(ds.n_features, ds.class_count)
