@@ -9,6 +9,7 @@ stores the one pattern ``A + I`` (an ``EdgeSet``) and holds the values of
 one rule, ``EdgeSet.normalized_values``: ``I + D^{-1/2} A D^{-1/2}`` by
 default, ``D~^{-1/2} (A+I) D~^{-1/2}`` behind ``renorm_trick``. A masked
 matrix that enters a product (``kept``) stores only its nonzero entries.
+Products keep float32 operands in float32 (``float_array``).
 """
 
 from __future__ import annotations
@@ -31,16 +32,23 @@ def entry_rows(a: sp.csr_array) -> np.ndarray:
     return np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
 
 
-def dense_to_csr(dense: np.ndarray) -> sp.csr_array:
-    """``csr_array(dense)`` for a 2-D float64 array: the same arrays, index
-    dtype included, from one ``flatnonzero`` scan in about a third of its
-    time."""
+def dense_to_csr(dense: np.ndarray, dtype=np.float64) -> sp.csr_array:
+    """``csr_array(dense).astype(dtype)`` for a 2-D float64 array: the same
+    arrays, index dtype included, from one ``flatnonzero`` scan in about a
+    third of its time."""
     n, f = dense.shape
     flat = np.flatnonzero(dense != 0.0)
     idx = index_dtype(len(flat), n, f)
     indptr = np.searchsorted(flat, np.arange(n + 1) * f).astype(idx)
-    return sp.csr_array((dense.ravel()[flat], (flat % f).astype(idx), indptr),
-                        shape=(n, f))
+    values = dense.ravel()[flat].astype(dtype, copy=False)
+    return sp.csr_array((values, (flat % f).astype(idx), indptr), shape=(n, f))
+
+
+def float_array(x) -> np.ndarray:
+    """``x`` as an array: float32 stays float32, anything else becomes
+    float64."""
+    x = np.asarray(x)
+    return x if x.dtype == np.float32 else x.astype(np.float64, copy=False)
 
 
 def _from_keys(keys: np.ndarray, n: int, data: np.ndarray) -> sp.csr_array:
@@ -208,8 +216,8 @@ def kept(a: sp.csr_array, values: np.ndarray) -> sp.csr_array:
 
 
 def spmm(a: sp.csr_array, h: np.ndarray) -> np.ndarray:
-    """Sparse-dense product ``A @ H``."""
-    h = np.asarray(h, dtype=np.float64)
+    """Sparse-dense product ``A @ H``, in float32 when both are float32."""
+    h = float_array(h)
     if a.shape[1] != h.shape[0]:
         raise ContractViolation(
             f"shape mismatch: A is {a.shape[0]}x{a.shape[1]}, H has {h.shape[0]} rows")
@@ -218,7 +226,7 @@ def spmm(a: sp.csr_array, h: np.ndarray) -> np.ndarray:
 
 def spmm_t(a: sp.csr_array, g: np.ndarray) -> np.ndarray:
     """Transposed product ``A.T @ G`` (used by reverse-mode adjoints)."""
-    g = np.asarray(g, dtype=np.float64)
+    g = float_array(g)
     if a.shape[0] != g.shape[0]:
         raise ContractViolation("shape mismatch in transposed product")
     return a.T @ g

@@ -29,11 +29,20 @@ per-edge weight diag(z_vu) W. The test suite checks this identity against a
 dense per-edge oracle.
 
 ``Dataset.features`` stays a dense array. The entry points ``predict_mc``
-and ``forward_deterministic`` convert it to a CSR constant once per call,
-and ``training.train`` reads the dataset's own CSR form, converted once per
-features array (``Dataset.features_csr``), so the layer-0 matmuls run on
-sparse kernels and layer-0 DropOut draws one value per stored entry.
-``forward`` never converts: a dense input keeps the dense path.
+and ``forward_deterministic`` convert it to a CSR constant once per call
+(``predict_mc`` to a float32 one), and ``training.train`` reads the
+dataset's own CSR form, converted once per features array
+(``Dataset.features_csr``), so the layer-0 matmuls run on sparse kernels
+and layer-0 DropOut draws one value per stored entry. ``forward`` never
+converts: a dense input keeps the dense path.
+
+A pass computes in the dtype of its operands (``tape``'s dtype rule).
+Training, the deterministic evaluation and every taped pass are float64.
+``predict_mc`` runs its passes in float32 on ``float32_operands``: float32
+copies of the weights, biases, input and ``a_norm``, with the masks
+applied in float32 and the masks drawn as a float64 pass draws them. Each
+pass finishes in float64, where the log-softmax casts its (n, C) logits,
+and the call returns float64 probabilities.
 
 Layer 0's block products ``S_b = X[:, blk_b] W_0[blk_b]`` depend on the
 masks only when the layer-0 input is masked or scaled. When layer 0 draws
@@ -58,7 +67,7 @@ the connections it drops.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.sparse import csr_array, issparse
@@ -239,21 +248,27 @@ def init_params(config: GCNConfig, rng: np.random.Generator) -> list:
     return params
 
 
-def sparse_input(x: Tensor) -> Tensor:
-    """The layer-0 input as a CSR constant (unchanged if sparse or taped),
-    converted by ``graph.dense_to_csr``."""
-    if x.requires_grad or issparse(x.data):
+def sparse_input(x: Tensor, dtype=None) -> Tensor:
+    """The layer-0 input as a CSR constant of ``dtype`` (by default its
+    own), converted by ``graph.dense_to_csr``; a taped input, or a CSR one
+    of that dtype, is returned unchanged."""
+    if x.requires_grad:
         return x
-    return constant(dense_to_csr(x.data))
+    dtype = x.data.dtype if dtype is None else dtype
+    if issparse(x.data):
+        return x if x.data.dtype == dtype else constant(x.data.astype(dtype))
+    return constant(dense_to_csr(x.data, dtype))
 
 
 def _mask_csr(x, mask: np.ndarray):
-    """Feature mask applied to a CSR input, storing only the nonzero
-    products (``graph.kept``): a 1-D mask scales the stored entries, a 2-D
-    one ((n, 1) or (n, f)) multiplies each stored entry by its own value."""
+    """Feature mask applied to a CSR input in the input's dtype, storing
+    only the nonzero products (``graph.kept``): a 1-D mask scales the stored
+    entries, a 2-D one ((n, 1) or (n, f)) multiplies each stored entry by
+    its own value."""
     if mask.ndim == 2:
         mask = np.broadcast_to(mask, x.shape)[entry_rows(x), x.indices]
-    return kept(x, x.data * mask)
+    return kept(x, np.multiply(x.data, mask, dtype=x.dtype,
+                               casting="same_kind"))
 
 
 def reuses_layer0_products(config: GCNConfig, x: Tensor) -> bool:
@@ -427,7 +442,8 @@ def forward(params: list, x: Tensor, graph: PreparedGraph, masks: list,
             if issparse(h.data):
                 h = constant(_mask_csr(h.data, feature))
             else:
-                h = record_mul(tape, h, constant(feature))
+                h = record_mul(tape, h, constant(
+                    feature.astype(h.data.dtype, copy=False)))
         if lm.feature_scale is not None:
             h = record_scale(tape, h, lm.feature_scale)
         edge = lm.edge if lm.edge is not None else all_ones_mask(graph.edges)
@@ -438,9 +454,9 @@ def forward(params: list, x: Tensor, graph: PreparedGraph, masks: list,
         a = graph.a_norm if plan is None else plan.a
         if graph.renorm_after_mask:
             mats = [csr_array((_at_plan(plan, graph.edges.normalized_values(
-                blk.data, graph.renorm_trick)), a.indices, a.indptr),
-                shape=a.shape) for blk in edge.blocks]
-            mask_ts = [constant(np.ones(a.nnz))] * len(mats)
+                blk.data, graph.renorm_trick)).astype(a.dtype, copy=False),
+                a.indices, a.indptr), shape=a.shape) for blk in edge.blocks]
+            mask_ts = [constant(np.ones(a.nnz, dtype=a.dtype))] * len(mats)
         else:
             mats = [a] * edge.n_blocks
             mask_ts = [constant(_at_plan(plan, blk.data))
@@ -629,18 +645,36 @@ def forward_deterministic(params, x, graph, config, capture_hidden=False,
                    tape=None, capture_hidden=capture_hidden, layer0=layer0)
 
 
+def float32_operands(params: list, x: Tensor, graph: PreparedGraph):
+    """The operands of a float32 pass: ``(params, x, graph)`` with float32
+    constant copies of every weight and bias, ``x`` as a float32 CSR
+    constant (``sparse_input``) and ``graph`` sharing everything but a
+    float32 copy of ``a_norm``. The arguments are left unchanged; the drop
+    parameters are shared."""
+    def f32(t):
+        return None if t is None else constant(t.data.astype(np.float32))
+
+    params32 = [replace(p, m=f32(p.m), bias=f32(p.bias)) for p in params]
+    graph32 = replace(graph, a_norm=graph.a_norm.astype(np.float32))
+    return params32, sparse_input(x, np.float32), graph32
+
+
 def predict_mc(params, x, graph, config, s: int, rng: np.random.Generator):
     """Monte-Carlo predictive distribution from ``s`` stochastic passes.
 
-    Returns (mean class probabilities, per-sample probabilities); keep
-    probabilities of learned layers are drawn fresh per pass. The weights
+    Returns (mean class probabilities, per-sample probabilities), both
+    float64; keep probabilities of learned layers are drawn fresh per pass.
+    The passes compute in float32 on ``float32_operands``, from the masks
+    and draws a float64 pass would use, and each finishes in float64: the
+    log-softmax casts its (n, C) logits, so that every row's probabilities
+    sum to 1 within 1e-9. ``params`` keep their float64 values. The weights
     are fixed for the call, so where layer 0 draws edge masks only its
     block products are computed once and shared by every pass.
     """
     if s < 1:
         raise ContractViolation("need at least one Monte Carlo sample")
     check_graph(graph, config)
-    x = sparse_input(x)
+    params, x, graph = float32_operands(params, x, graph)
     nnz = x.data.nnz if issparse(x.data) else None
     layer0 = layer0_products(params, layer0_blocks(config, x))
     per_sample = np.empty((s, x.data.shape[0], params[-1].m.data.shape[1]))

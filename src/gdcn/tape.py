@@ -1,12 +1,18 @@
 """Minimal reverse-mode differentiation over the op set used by the model.
 
-Every value is a 2-D float64 ``Tensor`` (scalars are 1x1, edge vectors are
-nnz x 1). The one exception is a constant holding a
-``scipy.sparse.csr_array``, such as the layer-0 feature input: it never
-requires grad, and ``record_gdc_aggregate`` and ``record_scale`` accept it
-unchanged. A masked aggregation matrix holds its matrix's entries that
-the mask keeps nonzero, in storage order (``graph.kept``), and shares its
-index arrays when the mask keeps them all.
+Every value is a 2-D ``Tensor`` (scalars are 1x1, edge vectors are
+nnz x 1). A constant may hold a ``scipy.sparse.csr_array``, such as the
+layer-0 feature input: it never requires grad, and ``record_gdc_aggregate``
+and ``record_scale`` accept it unchanged. A masked aggregation matrix holds
+its matrix's entries that the mask keeps nonzero, in storage order
+(``graph.kept``), and shares its index arrays when the mask keeps them all.
+
+The dtype rule: a tensor that does not require grad keeps float32 data as
+float32; any other data, and every tensor that requires grad, is float64.
+Ops compute in their operands' dtype, so a pass over float32 constants runs
+in float32 (``model.predict_mc``) and a taped pass stays float64 from end
+to end. ``record_gdc_aggregate`` multiplies its masks in the matrices'
+dtype. ``record_log_softmax_rows`` always computes in float64.
 
 Ops are free functions ``record_*(tape, ...) -> Tensor``; passing
 ``tape=None`` computes the value without recording, which is how inference
@@ -41,13 +47,14 @@ import numpy as np
 from scipy.sparse import csr_array, issparse
 
 from .errors import ContractViolation
-from .graph import kept, spmm, spmm_t
+from .graph import float_array, kept, spmm, spmm_t
 
 
 class Tensor:
-    """2-D float64 array (or CSR constant) with a grad-requirement flag.
+    """2-D array (or CSR constant) with a grad-requirement flag.
 
-    Hashed by identity.
+    The data is float64, except that a constant keeps float32 data as it
+    is. Hashed by identity.
     """
 
     __slots__ = ("data", "requires_grad")
@@ -56,10 +63,13 @@ class Tensor:
         if issparse(data):
             if requires_grad:
                 raise ContractViolation("a sparse tensor cannot require grad")
-            self.data = csr_array(data).astype(np.float64, copy=False)
+            data = csr_array(data)
+            self.data = (data if data.dtype == np.float32
+                         else data.astype(np.float64, copy=False))
             self.requires_grad = False
             return
-        arr = np.asarray(data, dtype=np.float64)
+        arr = (np.asarray(data, dtype=np.float64) if requires_grad
+               else float_array(data))
         if arr.ndim == 0:
             arr = arr.reshape(1, 1)
         elif arr.ndim == 1:
@@ -272,7 +282,8 @@ def record_gdc_aggregate(tape, mats: list, masks: list, h: Tensor, w: Tensor,
         zvec = z.data.ravel()
         if len(zvec) != a.nnz:
             raise ContractViolation(f"mask length {len(zvec)} != nnz {a.nnz}")
-        masked.append(kept(a, a.data * zvec))
+        masked.append(kept(a, np.multiply(a.data, zvec, dtype=a.data.dtype,
+                                          casting="same_kind")))
     bounds = block_bounds(f_in, nb)
     grad_pi = pi is not None and tangents is not None and pi.requires_grad
     if grad_pi and len(tangents) != nb:
@@ -297,7 +308,8 @@ def record_gdc_aggregate(tape, mats: list, masks: list, h: Tensor, w: Tensor,
             raise ContractViolation(
                 "block products apply only when multiplying first")
         h_blocks = split_columns(hd, nb)
-        m = np.empty((shape[0], f_in))
+        m = np.empty((shape[0], f_in),
+                     dtype=np.result_type(mats[0].dtype, hd.dtype))
         for am, h_b, (c0, c1) in zip(masked, h_blocks, bounds):
             m[:, c0:c1] = spmm(am, h_b)
         out_data = m @ wd
@@ -449,8 +461,11 @@ def record_frobenius_sq(tape, x: Tensor) -> Tensor:
 
 
 def record_log_softmax_rows(tape, x: Tensor) -> Tensor:
-    """Row-wise log-softmax, max-subtracted for stability."""
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
+    """Row-wise log-softmax, max-subtracted for stability, always computed
+    in float64: the probabilities of a row sum to 1 within 1e-9 also when
+    ``x`` is float32."""
+    xd = x.data.astype(np.float64, copy=False)
+    shifted = xd - xd.max(axis=1, keepdims=True)
     out_data = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
     def bwd(g, acc):

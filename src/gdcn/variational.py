@@ -104,14 +104,6 @@ def _clamp_unit(x: float) -> float:
     return min(max(x, _EPS), 1.0 - _EPS)
 
 
-def kuma_sample(a: float, b: float, u: float) -> float:
-    """Inverse-CDF draw ``(1 - u^(1/b))^(1/a)``, clamped away from {0, 1}."""
-    if a <= 0 or b <= 0:
-        raise ContractViolation("Kumaraswamy parameters must be positive")
-    u = _clamp_unit(u)
-    return _clamp_unit((1.0 - u ** (1.0 / b)) ** (1.0 / a))
-
-
 def kuma_mean(a: float, b: float) -> float:
     """E[pi] = b * B(1 + 1/a, b)."""
     return float(b * beta_fn(1.0 + 1.0 / a, b))
@@ -171,7 +163,11 @@ def kl_kuma_beta_partials(a: float, b: float, c: float, L: int,
 
 
 def record_kuma_sample(tape, log_a: Tensor, log_b: Tensor, u: float) -> Tensor:
-    """Reparameterized keep-probability draw, differentiable in (log a, log b)."""
+    """Reparameterized keep-probability draw, differentiable in (log a, log b).
+
+    The inverse-CDF draw ``(1 - u^(1/b))^(1/a)`` with ``u`` and the draw
+    clamped away from {0, 1}; ``tape=None`` only computes it.
+    """
     a = float(np.exp(log_a.item()))
     b = float(np.exp(log_b.item()))
     u = _clamp_unit(u)

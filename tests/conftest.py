@@ -14,6 +14,8 @@ import pytest
 from gdcn.masks import MaskKind, MaskSpec
 from gdcn.model import GCNConfig, init_params, save_checkpoint
 from gdcn.synthetic import make_synthetic_files
+from gdcn.tape import parameter
+from gdcn.variational import record_kuma_sample
 
 
 def finite_diff(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -27,6 +29,13 @@ def finite_diff(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
         xm.flat[i] -= h
         g.flat[i] = (f(xp) - f(xm)) / (2.0 * h)
     return g
+
+
+def kuma_draw(log_a: float, log_b: float, u: float) -> float:
+    """The Kumaraswamy inverse-CDF draw at (log a, log b), as the model
+    computes it (``record_kuma_sample`` without a tape)."""
+    return record_kuma_sample(None, parameter(log_a), parameter(log_b),
+                              u).item()
 
 
 def rel_err(a, b, floor: float = 1e-4) -> float:

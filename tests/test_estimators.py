@@ -18,9 +18,9 @@ from gdcn.model import (GCNConfig, PreparedGraph, forward, init_params,
 from gdcn.tape import (Tape, backward, constant, parameter,
                        record_frobenius_sq, record_gdc_aggregate,
                        record_masked_nll)
-from gdcn.variational import KumaraswamyParams, kuma_sample, record_kuma_sample
+from gdcn.variational import KumaraswamyParams, record_kuma_sample
 
-from conftest import finite_diff, random_edges, rel_err
+from conftest import finite_diff, kuma_draw, random_edges, rel_err
 
 mp.mp.dps = 25
 
@@ -136,13 +136,14 @@ class TestChainToKuma:
     """ARM's alpha-gradient chained to (a, b) through the recorded draw."""
 
     def test_matches_fd_of_composition(self):
-        # alpha(a, b) = logit(1 - kuma_sample(a, b, u)) at fixed u
+        # alpha(a, b) = logit(1 - pi(a, b, u)) at fixed u
         u = 0.25
         a0, b0 = 1.0, 1.0
         got = arm_kuma_gradient(1.0, a0, b0, u)
 
         def f(v):
-            return float(logit(1.0 - kuma_sample(v[0], v[1], u)))
+            return float(logit(1.0 - kuma_draw(np.log(v[0]), np.log(v[1]),
+                                               u)))
 
         fd = finite_diff(f, np.array([a0, b0]), h=1e-7)
         assert rel_err(got, fd, floor=1e-3) < 1e-6
@@ -179,7 +180,7 @@ class TestChainToKuma:
         est = np.empty((n, 2))
         for i in range(n):
             u_pi = float(rng.random())
-            pi = kuma_sample(a0, b0, u_pi)
+            pi = kuma_draw(np.log(a0), np.log(b0), u_pi)
             draw = ArmDraw(u=[rng.random(2)],
                            alpha=np.array([logit(1.0 - pi)]))
             g_alpha = arm_two_evals(lambda z: loss(z[0]), draw).grad_alpha[0]

@@ -11,8 +11,8 @@ from gdcn.graph import EdgeSet, build_adjacency, normalize
 from gdcn.masks import (EdgeMask, MaskKind, MaskSpec, all_ones_mask,
                         sample_dropedge_mask, sample_dropout_mask,
                         sample_gdc_masks, sample_node_mask)
-from gdcn.model import (GCNConfig, LayerMasks, PreparedGraph, forward,
-                        forward_deterministic, glorot_bound,
+from gdcn.model import (GCNConfig, LayerMasks, PreparedGraph, float32_operands,
+                        forward, forward_deterministic, glorot_bound,
                         init_params, layer0_blocks, layer0_products,
                         load_checkpoint, predict_mc, record_kl_terms,
                         sample_step_masks, save_checkpoint, sparse_input,
@@ -410,12 +410,15 @@ class TestBias:
 
 class TestPredictMc:
     def test_keep_one_matches_deterministic(self):
+        # predict_mc computes in float32: compare with the deterministic
+        # pass on the same float32 operands.
         g = prepared(5, seed=4)
         cfg = plain_config([3, 4, 2], kind=MaskKind.GDC, keep_prob=1.0)
         params = init_params(cfg, np.random.default_rng(0))
         x = constant(np.random.default_rng(1).normal(size=(5, 3)))
         mean, per = predict_mc(params, x, g, cfg, 4, np.random.default_rng(2))
-        det = np.exp(forward_deterministic(params, x, g, cfg).data)
+        det = np.exp(forward_deterministic(
+            *float32_operands(params, x, g), cfg).data)
         np.testing.assert_allclose(mean, det, atol=1e-12)
         for s in range(4):
             np.testing.assert_array_equal(per[s], per[0])
@@ -511,11 +514,13 @@ class TestLayer0Products:
         monkeypatch.setattr(gmodel, "layer0_products", spy)
         _, per = predict_mc(params, x, g, cfg, 5, np.random.default_rng(3))
         assert supplied == [True]
-        xs, rng = sparse_input(x), np.random.default_rng(3)
+        # the passes run on float32 operands; forward takes the same ones
+        p32, xs, g32 = float32_operands(params, x, g)
+        rng = np.random.default_rng(3)
         for s in range(5):
-            draws = sample_step_masks(cfg, params, g, rng, mode="mc",
+            draws = sample_step_masks(cfg, p32, g32, rng, mode="mc",
                                       input_nnz=xs.data.nnz)
-            want = np.exp(forward(params, xs, g, draws.layer_masks).data)
+            want = np.exp(forward(p32, xs, g32, draws.layer_masks).data)
             assert np.array_equal(per[s], want)
 
     def test_block_count_mismatch_raises(self):

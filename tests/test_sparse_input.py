@@ -50,9 +50,15 @@ class TestSparseTensor:
             parameter(x)
 
     def test_constant_holds_csr_array(self):
-        t = constant(csr_array(np.eye(3, dtype=np.float32)))
-        assert isinstance(t.data, csr_array)
-        assert t.data.dtype == np.float64 and not t.requires_grad
+        # float32 constants stay float32, any other dtype becomes float64,
+        # and a parameter is float64 whatever it is given
+        for dtype, want in ((np.float32, np.float32), (np.int64, np.float64),
+                            (np.float64, np.float64)):
+            t = constant(csr_array(np.eye(3, dtype=dtype)))
+            assert isinstance(t.data, csr_array)
+            assert t.data.dtype == want and not t.requires_grad
+            assert constant(np.eye(3, dtype=dtype)).data.dtype == want
+            assert parameter(np.eye(3, dtype=dtype)).data.dtype == np.float64
 
     def test_sparse_input_converts_dense_only(self):
         x = constant(np.eye(3))
@@ -61,6 +67,10 @@ class TestSparseTensor:
         assert sparse_input(s) is s
         w = parameter(np.eye(3))
         assert sparse_input(w) is w
+        # a CSR input is converted only to another dtype, into a new array
+        s32 = sparse_input(s, np.float32)
+        assert s32.data.dtype == np.float32 and sparse_input(s32) is s32
+        assert s.data.dtype == np.float64
 
     @pytest.mark.parametrize("shape,density", [
         ((6, 5), 0.4), ((1, 9), 0.5), ((9, 1), 0.5), ((4, 3), 0.0),
@@ -72,12 +82,13 @@ class TestSparseTensor:
             x[2] = 0.0                   # an empty row
         if x.size > 2:
             x.flat[1], x.flat[-1] = -0.0, np.inf  # -0.0 is not stored, inf is
-        got = sparse_input(constant(x)).data
-        want = csr_array(x)
-        assert got.shape == want.shape
-        for name in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(got, name), getattr(want, name))
-            assert getattr(got, name).dtype == getattr(want, name).dtype
+        for dtype in (np.float64, np.float32):
+            got = sparse_input(constant(x), dtype).data
+            want = csr_array(x).astype(dtype)
+            assert got.shape == want.shape
+            for name in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+                assert getattr(got, name).dtype == getattr(want, name).dtype
 
 
 class TestForwardEquivalence:

@@ -13,9 +13,9 @@ from gdcn.synthetic import cluster_graph
 from gdcn.tape import parameter
 from gdcn.training import (AdamState, EpochLog, TrainConfig, adam_step,
                            epoch_log_rows, run_seeds, train)
-from gdcn.variational import WarmupSchedule, kuma_sample
+from gdcn.variational import WarmupSchedule
 
-from conftest import finite_diff, rel_err
+from conftest import finite_diff, kuma_draw, rel_err
 
 
 class TestAdam:
@@ -361,11 +361,9 @@ class TestTrain:
             log_ab = np.array([p.kuma.log_a.item(), p.kuma.log_b.item()])
             # the step's uniform, recovered from its draw by the inverse map
             u = (1.0 - pi ** p.kuma.a) ** p.kuma.b
-            assert kuma_sample(p.kuma.a, p.kuma.b, u) == pytest.approx(
-                pi, rel=1e-12)
-            d_pi = finite_diff(
-                lambda v: kuma_sample(np.exp(v[0]), np.exp(v[1]), u),
-                log_ab, h=1e-7)
+            assert kuma_draw(*log_ab, u) == pytest.approx(pi, rel=1e-12)
+            d_pi = finite_diff(lambda v: kuma_draw(v[0], v[1], u), log_ab,
+                               h=1e-7)
             want = n_e / 2.0 * np.sum(p.m.data ** 2) * d_pi
             # tensors per layer: m, log_a, log_b
             got = np.array([g_scaled[3 * l + k][0, 0] - g_flat[3 * l + k][0, 0]
@@ -400,6 +398,21 @@ class TestTrain:
             for cfg in (base, dataclasses.replace(base, concrete_standard=True)))
         assert standard.kl == paper.kl
         assert standard.nll != pytest.approx(paper.nll)
+
+    @pytest.mark.parametrize("estimator", ["concrete", "arm"])
+    def test_kuma_init_b_changes_the_result(self, estimator):
+        # With a = 1 the posterior's mean keep probability starts at
+        # 1 / (1 + b): 0.25 at the default b = 3, 0.5 at b = 1.
+        ds = synthetic_dataset()
+        base = small_config(ds.n_features, ds.class_count, kind=MaskKind.GDC,
+                            learned=True, estimator=estimator, n_blocks=2)
+        tc = TrainConfig(epochs=1, seeds=(0,))
+        default, other = (
+            train(ds, cfg, tc, seed=0).logs[0]
+            for cfg in (base, dataclasses.replace(base, kuma_init_b=1.0)))
+        assert np.all(np.abs(np.subtract(other.keep_probs,
+                                         default.keep_probs)) > 0.1)
+        assert other.train_loss != pytest.approx(default.train_loss)
 
     def test_keep_probs_move_when_learned(self):
         ds = synthetic_dataset()

@@ -11,11 +11,10 @@ from gdcn.model import LayerParams, training_loss
 from gdcn.tape import Tape, backward, constant, parameter, record_scale
 from gdcn.variational import (BetaPrior, KumaraswamyParams, WarmupSchedule,
                               kl_kuma_beta, kl_kuma_beta_partials,
-                              kuma_mean, kuma_sample,
-                              record_kl_kuma_beta, record_kuma_sample,
-                              warmup_factor)
+                              kuma_mean, record_kl_kuma_beta,
+                              record_kuma_sample, warmup_factor)
 
-from conftest import finite_diff, rel_err
+from conftest import finite_diff, kuma_draw, rel_err
 
 mp.mp.dps = 30
 
@@ -34,16 +33,19 @@ def kl_quadrature(a, b, alpha, beta_p):
 
 
 class TestKumaSample:
+    """The draw of ``record_kuma_sample``; (log a, log b) = (0, 0) is
+    a = b = 1."""
+
     def test_uniform_case(self):
-        assert kuma_sample(1.0, 1.0, 0.25) == pytest.approx(0.75)
+        assert kuma_draw(0.0, 0.0, 0.25) == pytest.approx(0.75)
 
     def test_boundary_u_clamped(self):
-        assert 0.0 < kuma_sample(1.0, 1.0, 0.0) < 1.0
-        assert 0.0 < kuma_sample(1.0, 1.0, 1.0) < 1.0
+        assert 0.0 < kuma_draw(0.0, 0.0, 0.0) < 1.0
+        assert 0.0 < kuma_draw(0.0, 0.0, 1.0) < 1.0
 
     def test_a1_b1_is_uniform_ks(self):
         rng = np.random.default_rng(0)
-        draws = np.array([kuma_sample(1.0, 1.0, u) for u in rng.random(10 ** 5)])
+        draws = np.array([kuma_draw(0.0, 0.0, u) for u in rng.random(10 ** 5)])
         stat, _ = stats.kstest(draws, "uniform")
         assert stat < 0.01
 
@@ -55,8 +57,12 @@ class TestKumaSample:
         assert draws.mean() == pytest.approx(kuma_mean(a, b), abs=0.002)
 
     def test_invalid_params(self):
+        # Log values make every finite (a, b) positive; a = exp(-inf) = 0
+        # and a negative a are rejected when the parameters are made.
         with pytest.raises(ContractViolation):
-            kuma_sample(-1.0, 1.0, 0.5)
+            KumaraswamyParams.from_logs(-np.inf, 0.0)
+        with pytest.raises(ContractViolation):
+            KumaraswamyParams(-1.0, 1.0)
 
 
 class TestKumaPdf:
@@ -135,7 +141,7 @@ class TestRecordedOps:
         u = 0.37
 
         def f(v):
-            return kuma_sample(np.exp(v[0]), np.exp(v[1]), u)
+            return kuma_draw(v[0], v[1], u)
 
         x0 = np.array([np.log(1.4), np.log(2.2)])
         t = Tape()
