@@ -18,7 +18,7 @@ from . import data as data_io
 from .config import ConfigError, RunConfig, load_config
 from .errors import DivergenceError, MalformedInputError
 from .graph import lambda_max
-from .metrics import total_variation, uncertainty_report
+from .metrics import accuracy, total_variation, uncertainty_report
 from .model import (PreparedGraph, forward_deterministic, load_checkpoint,
                     predict_mc, save_checkpoint)
 from .tape import constant
@@ -100,15 +100,13 @@ def cmd_eval(args) -> int:
     params, gcn_config = _load_params_checked(cfg, ds, args.checkpoint)
     x = constant(ds.features)
     logprobs = forward_deterministic(params, x, graph, gcn_config)
-    pred = logprobs.data.argmax(axis=1)
-    det_acc = float(np.mean(pred[ds.split.test] == ds.labels[ds.split.test]))
+    det_acc = accuracy(logprobs.data.argmax(axis=1), ds.labels, ds.split.test)
     rows = ["mode,accuracy", f"deterministic,{det_acc!r}"]
     if args.samples > 0:
         rng = np.random.default_rng(args.seed_override or 0)
         mean_probs, _ = predict_mc(params, x, graph, gcn_config,
                                    args.samples, rng)
-        mc_pred = mean_probs.argmax(axis=1)
-        mc_acc = float(np.mean(mc_pred[ds.split.test] == ds.labels[ds.split.test]))
+        mc_acc = accuracy(mean_probs.argmax(axis=1), ds.labels, ds.split.test)
         rows.append(f"mc{args.samples},{mc_acc!r}")
         print(f"test accuracy: deterministic {det_acc:.4f}, "
               f"MC({args.samples}) {mc_acc:.4f}")

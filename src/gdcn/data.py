@@ -255,8 +255,14 @@ def make_split(dataset: Dataset, per_class_train: int, n_val: int,
 
     Train takes the first ``per_class_train`` nodes of every class in node
     order, validation the next ``n_val`` unassigned nodes, test the last
-    ``n_test`` nodes; the three sets must come out disjoint.
+    ``n_test`` nodes; the three sets must come out disjoint. Each size must
+    be at least 1: training needs a loss, model selection a validation
+    accuracy and the report a test accuracy.
     """
+    for key, size in (("per_class_train", per_class_train),
+                      ("n_val", n_val), ("n_test", n_test)):
+        if size < 1:
+            raise MalformedInputError(f"{key} must be at least 1, got {size}")
     n = dataset.n_nodes
     labels = dataset.labels
     train = []

@@ -145,14 +145,15 @@ class EdgeSet:
         return values
 
 
-def build_adjacency(edges, n: int, symmetrize: bool = True) -> sp.csr_array:
-    """Binary adjacency from an edge list; duplicates collapsed, no diagonal.
+def build_adjacency(edges, n: int) -> sp.csr_array:
+    """Binary symmetric adjacency from an edge list: every pair is mirrored
+    so that (u, v) is present iff (v, u) is, duplicates collapse, and the
+    diagonal stays empty.
 
     Parameters
     ----------
     edges : (m, 2) array, taken as it is, or iterable of (u, v) pairs
     n : node count
-    symmetrize : mirror every pair so (u, v) is present iff (v, u) is
     """
     pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges),
                        dtype=np.int64).reshape(-1, 2)
@@ -161,8 +162,7 @@ def build_adjacency(edges, n: int, symmetrize: bool = True) -> sp.csr_array:
             f"edge endpoint out of range [0, {n}): "
             f"min {pairs.min()}, max {pairs.max()}"
         )
-    if symmetrize:
-        pairs = np.vstack([pairs, pairs[:, ::-1]])
+    pairs = np.vstack([pairs, pairs[:, ::-1]])
     pairs = pairs[pairs[:, 0] != pairs[:, 1]]  # diagonal absent by contract
     keys = np.unique(pairs[:, 0] * n + pairs[:, 1])
     return _from_keys(keys, n, np.ones(len(keys)))

@@ -2,11 +2,15 @@
 
 All four regularizers (DropOut, DropEdge, node sampling, GDC) plus the
 random-walk variant are expressed as masks: feature masks multiply the layer
-input, edge masks multiply the pre-normalized adjacency values. Edge masks
+input, edge masks give each feature block's adjacency entries. Edge masks
 are aligned to the ``EdgeSet`` storage order and may be binary or
-concrete-relaxed. A relaxed mask records nothing on a tape: it carries its
-keep probability and each block's tangent ``dz/dpi``, which the aggregation
-pushes forward to give ``dL/dpi``.
+concrete-relaxed; ``model.forward`` turns block b's mask into that block's
+entries (``a.data ⊙ z_b``, or ``EdgeSet.normalized_values(z_b)`` when
+renormalizing after masking). A layer with no edge mask keeps every
+entry, and the first random-walk layer takes ``prev=None``, since nothing
+before it was dropped. A relaxed mask records nothing on a tape: it
+carries its keep probability and each block's tangent ``dz/dpi``, which
+the aggregation pushes forward to give ``dL/dpi``.
 
 Samplers are pure functions of an explicit ``numpy.random.Generator``;
 callers own stream splitting. The ARM mask functions (``arm_free_entries``,
@@ -167,22 +171,26 @@ def sample_gdc_masks(edges: EdgeSet, n_blocks: int, keep_prob: float,
     return EdgeMask(blocks=[constant(v) for v in blocks])
 
 
-def sample_randomwalk_mask(edges: EdgeSet, keep_prob: float, prev: EdgeMask,
+def sample_randomwalk_mask(edges: EdgeSet, keep_prob: float,
+                           prev: EdgeMask | None,
                            rng: np.random.Generator) -> EdgeMask:
     """Bernoulli draw gated by connectivity surviving the previous layer.
 
     Entry (v, u) can only be kept if node v retained at least one incoming
-    connection in ``prev`` (all-ones for the first layer); this keeps every
-    node's receptive field a connected subgraph.
+    connection in ``prev``; this keeps every node's receptive field a
+    connected subgraph. The first random-walk layer takes ``prev=None``:
+    nothing was dropped before it, so no entry is gated.
     """
     _check_prob(keep_prob)
+    vals = (rng.random(edges.n_entries) < keep_prob).astype(np.float64)
+    if prev is None:
+        return EdgeMask(blocks=[constant(vals)])
     if prev.n_blocks != 1:
         raise ContractViolation("random-walk masks are single-block")
     prev_vals = prev.blocks[0].data.ravel()
     if len(prev_vals) != edges.n_entries:
         raise ContractViolation("previous mask not aligned to this edge set")
     row_alive = np.bincount(edges.rows, weights=prev_vals, minlength=edges.n) > 0
-    vals = (rng.random(edges.n_entries) < keep_prob).astype(np.float64)
     vals *= row_alive[edges.rows]
     return EdgeMask(blocks=[constant(vals)])
 
@@ -274,17 +282,13 @@ def arm_edge_mask(edges: EdgeSet, spec: MaskSpec, z_drop: np.ndarray,
     return EdgeMask(blocks=blocks)
 
 
-def all_ones_mask(edges: EdgeSet, n_blocks: int = 1) -> EdgeMask:
-    return EdgeMask(blocks=[constant(np.ones(edges.n_entries))
-                            for _ in range(n_blocks)])
-
-
 def expected_keep_mask(edges: EdgeSet, keep_prob: float,
                        n_blocks: int = 1,
                        protect_self_loops: bool = False) -> EdgeMask:
-    """Deterministic-evaluation mask: every entry at its expected keep value."""
+    """Deterministic-evaluation mask: every entry at its expected keep
+    value. The blocks share one array."""
     _check_prob(keep_prob)
     vals = np.full(edges.n_entries, keep_prob)
     if protect_self_loops:
         vals[edges.is_diag] = 1.0
-    return EdgeMask(blocks=[constant(vals.copy()) for _ in range(n_blocks)])
+    return EdgeMask(blocks=[constant(vals)] * n_blocks)

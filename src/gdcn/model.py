@@ -4,17 +4,20 @@ A layer computes
 
     H_out = act( sum_b  (N(A) ⊙ Z_b) (H[:, block_b] W[block_b, :]) )
 
-where Z_b is the edge mask of feature block b. Masks default to multiplying
-the pre-normalized adjacency. A ``PreparedGraph`` with ``renorm_after_mask``
-instead gives each block the normalization rule's values for the edges its
-mask keeps, on the same pattern; the graph owns both rules. Hidden
-activations use ReLU, the head is a row-wise log-softmax.
+where Z_b is the edge mask of feature block b. The whole block sum is one
+tape op, ``tape.record_gdc_aggregate``, on one CSR pattern (``a_norm``, or
+a loss-row plan's compact part of it) and each block's stored entries.
+``forward`` builds the entries, in the pattern's dtype: ``a.data ⊙ z_b``
+by default; under ``renorm_after_mask`` ``EdgeSet.normalized_values(z_b)``,
+the normalization rule's values for the edges the mask keeps (the graph
+owns both rules); ``a.data`` itself, one block, for a layer with no edge
+mask. Concrete masks carry the recorded keep probability pi and tangents
+``dZ_b/dpi``; the op gets ``a.data ⊙ dZ_b/dpi`` and turns it into
+``dL/dpi`` with one product per block. Hidden activations use ReLU, the
+head is a row-wise log-softmax.
 
-The whole block sum is one tape op, ``tape.record_gdc_aggregate``. Concrete
-masks are constants carrying the recorded keep probability pi and tangents
-``dZ_b/dpi``, which the op turns into ``dL/dpi`` with one product per
-block. Both product orders cost the same dense work, n * f_in * f_out; the
-sparse products touch nnz * f_in entries when aggregating first and
+Both product orders cost the same dense work, n * f_in * f_out; the sparse
+products touch nnz * f_in entries when aggregating first and
 nnz * nb * f_out when multiplying first. So a dense input with
 f_in < nb * f_out aggregates first, and anything else (a CSR input, or
 f_in >= nb * f_out) multiplies first. At the tie both orders cost the same,
@@ -47,11 +50,11 @@ and the call returns float64 probabilities.
 Layer 0's block products ``S_b = X[:, blk_b] W_0[blk_b]`` depend on the
 masks only when the layer-0 input is masked or scaled. When layer 0 draws
 edge masks only (no mask, DropEdge, GDC, random walk; no ``dropout_keep``)
-and multiplies first, ``layer0_blocks`` splits the input once and
-``layer0_products`` computes the products for the current weights, and
-``forward(..., layer0=...)`` hands them to the fused op. ``predict_mc``
-does this once per call; ``training.train`` computes the products once per
-weight state, on the dataset's blocks (``Dataset.feature_blocks``).
+and multiplies first, ``layer0_products`` computes the products for the
+current weights (and None otherwise), and ``forward(..., layer0=...)``
+hands them to the fused op. ``predict_mc`` does this once per call;
+``training.train`` computes the products once per weight state, on the
+dataset's blocks (``Dataset.feature_blocks``).
 DropOut and node sampling at layer 0 mask the input, so their products are
 computed in every pass.
 
@@ -75,10 +78,9 @@ from scipy.sparse import csr_array, issparse
 from .errors import ContractViolation, MalformedInputError
 from .graph import (EdgeSet, build_adjacency, dense_to_csr, entry_rows,
                     index_dtype, kept, normalize_with_edges)
-from .masks import (EdgeMask, MaskKind, MaskSpec, all_ones_mask,
-                    expected_keep_mask, sample_concrete_mask,
-                    sample_dropedge_mask, sample_dropout_mask,
-                    sample_gdc_masks, sample_node_mask,
+from .masks import (EdgeMask, MaskKind, MaskSpec, expected_keep_mask,
+                    sample_concrete_mask, sample_dropedge_mask,
+                    sample_dropout_mask, sample_gdc_masks, sample_node_mask,
                     sample_randomwalk_mask)
 from .tape import (BlockProducts, CompactRows, Tensor, block_products,
                    constant, multiplies_first, parameter, record_add,
@@ -201,7 +203,7 @@ class PreparedGraph:
     @classmethod
     def from_edges(cls, edge_list, n: int, renorm_trick: bool = False,
                    renorm_after_mask: bool = False) -> "PreparedGraph":
-        a_raw = build_adjacency(edge_list, n, symmetrize=True)
+        a_raw = build_adjacency(edge_list, n)
         a_norm, edges = normalize_with_edges(a_raw, renorm_trick=renorm_trick)
         return cls(a_raw=a_raw, a_norm=a_norm, edges=edges,
                    renorm_trick=renorm_trick,
@@ -226,7 +228,7 @@ class LayerMasks:
     # with one value per stored entry of the input.
     feature: np.ndarray | None = None
     feature_scale: float | None = None   # deterministic-eval scaling of H
-    edge: EdgeMask | None = None         # None reads as all-ones, 1 block
+    edge: EdgeMask | None = None         # None keeps every entry, 1 block
 
 
 def glorot_bound(f_in: int, f_out: int) -> float:
@@ -271,8 +273,10 @@ def _mask_csr(x, mask: np.ndarray):
                                casting="same_kind"))
 
 
-def reuses_layer0_products(config: GCNConfig, x: Tensor) -> bool:
-    """Whether layer 0's block products can be reused across passes.
+def layer0_products(config: GCNConfig, params: list, x: Tensor,
+                    blocks: list | None = None) -> BlockProducts | None:
+    """Layer 0's block products ``S_b = H_b W_0[blk_b]`` on the weights as
+    they are now, or None where they cannot be reused across passes.
 
     Reuse needs a layer-0 input that no mask touches and no factor scales,
     in every mode: the layer-0 spec draws edge masks only (no mask,
@@ -280,32 +284,22 @@ def reuses_layer0_products(config: GCNConfig, x: Tensor) -> bool:
     node sampling mask the input of a stochastic pass and scale it in the
     deterministic one. It also needs the multiply-first product order,
     which a CSR input always takes.
+
+    ``blocks`` holds ``x`` split into the layer-0 column blocks, such as a
+    dataset's ``Dataset.feature_blocks``; by default ``x`` is split here.
+    The products hold the weights' current values: after any change to
+    ``params[0].m``, such as an Adam step, which updates it in place, call
+    this again.
     """
     spec = config.masks[0]
-    return not (spec.kind in (MaskKind.DROPOUT, MaskKind.NODE_SAMPLING)
-                or spec.dropout_keep is not None
-                or not multiplies_first(x.data, config.layer_dims[1],
-                                        spec.n_blocks))
-
-
-def layer0_blocks(config: GCNConfig, x: Tensor) -> list | None:
-    """Layer 0's input split into its column blocks ``H_b``, or None when
-    its block products cannot be reused across passes
-    (``reuses_layer0_products``)."""
-    if not reuses_layer0_products(config, x):
+    if (spec.kind in (MaskKind.DROPOUT, MaskKind.NODE_SAMPLING)
+            or spec.dropout_keep is not None
+            or not multiplies_first(x.data, config.layer_dims[1],
+                                    spec.n_blocks)):
         return None
-    return split_columns(x.data, config.masks[0].n_blocks)
-
-
-def layer0_products(params: list, blocks: list | None) -> BlockProducts | None:
-    """``S_b = H_b W_0[blk_b]`` on the layer-0 weights as they are now.
-
-    ``blocks`` comes from ``layer0_blocks`` or, for a dataset's features,
-    ``Dataset.feature_blocks`` (None gives None). The products
-    hold the weights' current values: after any change to ``params[0].m``,
-    such as an Adam step, which updates it in place, call this again.
-    """
-    return None if blocks is None else block_products(blocks, params[0].m.data)
+    if blocks is None:
+        blocks = split_columns(x.data, spec.n_blocks)
+    return block_products(blocks, params[0].m.data)
 
 
 @dataclass(frozen=True)
@@ -402,10 +396,12 @@ def forward(params: list, x: Tensor, graph: PreparedGraph, masks: list,
     """Stack forward pass; returns log-probabilities (and hidden outputs).
 
     ``masks`` is one ``LayerMasks`` per layer. Hidden outputs are captured
-    post-activation for the over-smoothing diagnostics. ``layer0`` holds
-    layer 0's precomputed block products (``layer0_products`` on this
-    ``x`` and these weights); they apply only to an unmasked, unscaled
-    layer-0 input and must have as many blocks as the layer-0 edge mask.
+    post-activation for the over-smoothing diagnostics. A layer whose
+    ``edge`` is None aggregates with the adjacency's own entries, one
+    block. ``layer0`` holds layer 0's precomputed block products
+    (``layer0_products`` on this ``x`` and these weights); they apply only
+    to an unmasked, unscaled layer-0 input and must have as many blocks as
+    the layer-0 edge mask.
 
     ``rows`` (``loss_rows``) restricts the pass to the rows its loss can
     reach: each layer computes only its plan rows, into compact arrays, so
@@ -446,24 +442,26 @@ def forward(params: list, x: Tensor, graph: PreparedGraph, masks: list,
                     feature.astype(h.data.dtype, copy=False)))
         if lm.feature_scale is not None:
             h = record_scale(tape, h, lm.feature_scale)
-        edge = lm.edge if lm.edge is not None else all_ones_mask(graph.edges)
-        if edge.n_blocks > f_in:
+        a = graph.a_norm if plan is None else plan.a
+        edge, pi, tangents = lm.edge, None, None
+        if edge is None:
+            values = [a.data]
+        elif edge.n_blocks > f_in:
             raise ContractViolation(
                 f"layer {l}: {edge.n_blocks} mask blocks exceed width {f_in}"
             )
-        a = graph.a_norm if plan is None else plan.a
-        if graph.renorm_after_mask:
-            mats = [csr_array((_at_plan(plan, graph.edges.normalized_values(
-                blk.data, graph.renorm_trick)).astype(a.dtype, copy=False),
-                a.indices, a.indptr), shape=a.shape) for blk in edge.blocks]
-            mask_ts = [constant(np.ones(a.nnz, dtype=a.dtype))] * len(mats)
+        elif graph.renorm_after_mask:
+            values = [_at_plan(plan, graph.edges.normalized_values(
+                blk.data, graph.renorm_trick)).astype(a.dtype, copy=False)
+                for blk in edge.blocks]
         else:
-            mats = [a] * edge.n_blocks
-            mask_ts = [constant(_at_plan(plan, blk.data))
-                       for blk in edge.blocks]
-        tangents = (None if edge.tangents is None
-                    else [_at_plan(plan, t) for t in edge.tangents])
-        out = record_gdc_aggregate(tape, mats, mask_ts, h, p.m, pi=edge.pi,
+            values = [np.multiply(a.data, _at_plan(plan, blk.data.ravel()),
+                                  dtype=a.dtype, casting="same_kind")
+                      for blk in edge.blocks]
+            if edge.tangents is not None:
+                pi = edge.pi
+                tangents = [a.data * _at_plan(plan, t) for t in edge.tangents]
+        out = record_gdc_aggregate(tape, a, values, h, p.m, pi=pi,
                                    tangents=tangents, products=products,
                                    rows=plan)
         if p.bias is not None:
@@ -540,7 +538,7 @@ def sample_step_masks(config: GCNConfig, params: list, graph: PreparedGraph,
         raise ContractViolation(f"mask mode '{mode}' needs an rng")
     n = graph.edges.n
     draws = StepDraws()
-    prev_edge = all_ones_mask(graph.edges)  # random-walk layer coupling
+    prev_edge = None  # random-walk layer coupling; None: all kept
     for l, spec in enumerate(config.masks):
         f_in = config.layer_dims[l]
         lm = LayerMasks()
@@ -676,7 +674,7 @@ def predict_mc(params, x, graph, config, s: int, rng: np.random.Generator):
     check_graph(graph, config)
     params, x, graph = float32_operands(params, x, graph)
     nnz = x.data.nnz if issparse(x.data) else None
-    layer0 = layer0_products(params, layer0_blocks(config, x))
+    layer0 = layer0_products(config, params, x)
     per_sample = np.empty((s, x.data.shape[0], params[-1].m.data.shape[1]))
     for i in range(s):
         draws = sample_step_masks(config, params, graph, rng, tape=None,

@@ -3,16 +3,21 @@
 Every value is a 2-D ``Tensor`` (scalars are 1x1, edge vectors are
 nnz x 1). A constant may hold a ``scipy.sparse.csr_array``, such as the
 layer-0 feature input: it never requires grad, and ``record_gdc_aggregate``
-and ``record_scale`` accept it unchanged. A masked aggregation matrix holds
-its matrix's entries that the mask keeps nonzero, in storage order
-(``graph.kept``), and shares its index arrays when the mask keeps them all.
+and ``record_scale`` accept it unchanged.
+
+``record_gdc_aggregate`` is the one aggregation op. It takes one CSR
+pattern and, per feature block, that block's stored entries, which the
+caller (``model.forward``) builds; it knows nothing of masks. Each block's
+matrix stores only its nonzero entries (``graph.kept``). Concrete-relaxed
+entries are constants too: the op takes their keep probability pi and per
+block the entries of ``dA_b/dpi``, and gives pi its gradient directly.
 
 The dtype rule: a tensor that does not require grad keeps float32 data as
 float32; any other data, and every tensor that requires grad, is float64.
 Ops compute in their operands' dtype, so a pass over float32 constants runs
 in float32 (``model.predict_mc``) and a taped pass stays float64 from end
-to end. ``record_gdc_aggregate`` multiplies its masks in the matrices'
-dtype. ``record_log_softmax_rows`` always computes in float64.
+to end. ``record_gdc_aggregate`` computes in its block entries' dtype.
+``record_log_softmax_rows`` always computes in float64.
 
 Ops are free functions ``record_*(tape, ...) -> Tensor``; passing
 ``tape=None`` computes the value without recording, which is how inference
@@ -21,10 +26,6 @@ retained-graph machinery.
 
 Gradients for an op's inputs are only computed when that input (transitively)
 requires grad; constants cost nothing on the backward pass.
-
-Concrete-relaxed edge masks are constants too: ``record_gdc_aggregate``
-takes their keep probability pi and tangents ``dZ_b/dpi`` and gives pi its
-gradient directly, with no per-entry mask gradient.
 
 ``record_gdc_aggregate`` can take its multiply-first products ``H_b W[blk_b]``
 precomputed (``BlockProducts``), for passes that repeat over one input and
@@ -220,27 +221,29 @@ def _padded(x: np.ndarray, ids: np.ndarray | None, n: int) -> np.ndarray:
     return full
 
 
-def record_gdc_aggregate(tape, mats: list, masks: list, h: Tensor, w: Tensor,
-                         pi: Tensor | None = None, tangents: list | None = None,
+def record_gdc_aggregate(tape, a: csr_array, values: list, h: Tensor,
+                         w: Tensor, pi: Tensor | None = None,
+                         tangents: list | None = None,
                          products: BlockProducts | None = None,
                          rows: CompactRows | None = None) -> Tensor:
-    """``sum_b (mats[b] ⊙ masks[b]) (H[:, blk_b] W[blk_b, :])`` as one op.
+    """``sum_b A_b (H[:, blk_b] W[blk_b, :])`` as one op.
 
-    ``blk_b`` is ``block_bounds(f_in, len(masks))[b]``; each block has its
-    own CSR matrix and its own mask aligned to that matrix's stored entries.
-    The matrices may be rectangular, (rows_out, rows_in) with rows_in the
-    rows of H, and all have one shape. Each masked matrix stores only its
-    nonzero entries (``graph.kept``), so a binary mask skips the entries it
-    drops and the sums stay bit for bit those of the full pattern.
+    ``A_b`` is the CSR pattern ``a`` carrying ``values[b]``, block b's
+    stored entries (``model.forward`` builds them from the masks), and
+    ``blk_b`` is ``block_bounds(f_in, len(values))[b]``. ``a`` may be
+    rectangular, (rows_out, rows_in) with rows_in the rows of H. Each
+    ``A_b`` stores only its nonzero entries (``graph.kept``), so a binary
+    mask skips the entries it drops and the sums stay bit for bit those of
+    the full pattern.
 
     The product order follows the shapes (``multiplies_first``):
 
     - *aggregate first* for a dense H with ``f_in < nb * f_out``: the
-      blocks ``(A ⊙ Z_b) H[:, blk_b]`` fill one (rows_out, f_in) array M,
-      and a single ``M @ W`` follows;
+      blocks ``A_b H[:, blk_b]`` fill one (rows_out, f_in) array M, and a
+      single ``M @ W`` follows;
     - *multiply first* otherwise (a CSR H, or ``f_in >= nb * f_out``):
-      ``S_b = H_b W_b`` per block, and the ``(A ⊙ Z_b) S_b`` are summed in
-      place. With one block this is ``spmm(A ⊙ Z, H @ W)``.
+      ``S_b = H_b W_b`` per block, and the ``A_b S_b`` are summed in place.
+      With one block this is ``spmm(A_0, H @ W)``.
 
     ``products`` supplies the ``H_b`` and ``S_b`` of the multiply-first
     order, built by ``block_products`` from this ``h`` and this ``w`` as
@@ -250,56 +253,52 @@ def record_gdc_aggregate(tape, mats: list, masks: list, h: Tensor, w: Tensor,
     Supplying them in the aggregate-first order, or with another block
     count, raises ``ContractViolation``.
 
-    ``rows`` marks a compact call: the matrices hold rows ``rows.out`` of
-    an n-row pass, with columns renumbered into ``rows.inp``. The value
-    rows equal those rows of the n-row call. The dense reductions over
-    rows (``M^T G``, ``H_b^T dS_b`` and dL/dpi's inner products) are
-    padded to the n rows, zeros elsewhere, so that they group their sums
-    as the n-row call does and the gradients are bit for bit its own.
+    ``rows`` marks a compact call: ``a`` holds rows ``rows.out`` of an
+    n-row pass, with columns renumbered into ``rows.inp``. The value rows
+    equal those rows of the n-row call. The dense reductions over rows
+    (``M^T G``, ``H_b^T dS_b`` and dL/dpi's inner products) are padded to
+    the n rows, zeros elsewhere, so that they group their sums as the n-row
+    call does and the gradients are bit for bit its own.
 
-    The masks are constants. Concrete masks hang off one keep probability
-    ``pi``, and ``tangents[b]`` holds ``T_b = dZ_b/dpi`` per stored entry;
-    the backward adds to ``pi`` one product per block on the op's pattern:
-    ``<dM[:, blk_b], (A ⊙ T_b) H_b>`` aggregating first, ``<G, (A ⊙ T_b)
-    S_b>`` multiplying first. Without ``tangents`` pi gets no gradient.
+    The entries are constants. Concrete blocks hang off one keep
+    probability ``pi``, and ``tangents[b]`` holds ``dA_b/dpi`` per stored
+    entry of ``a``; the backward adds to ``pi`` one product per block on
+    the op's pattern: ``<dM[:, blk_b], T_b H_b>`` aggregating first,
+    ``<G, T_b S_b>`` multiplying first, with ``T_b`` the pattern carrying
+    ``tangents[b]``. Without ``tangents`` pi gets no gradient.
     """
-    nb = len(masks)
-    if nb == 0 or len(mats) != nb:
-        raise ContractViolation(
-            f"need one matrix per mask block, got {len(mats)} and {nb}")
+    nb = len(values)
+    if nb == 0:
+        raise ContractViolation("need at least one block of entries")
     hd, wd = h.data, w.data
     f_in, f_out = wd.shape
     if hd.shape[1] != f_in:
         raise ContractViolation(
             f"matmul inner dims disagree: {hd.shape} @ {wd.shape}")
-    shape = mats[0].shape
-    if any(a.shape != shape for a in mats) or shape[1] != hd.shape[0]:
+    if a.shape[1] != hd.shape[0]:
         raise ContractViolation(
-            f"block matrices {[a.shape for a in mats]} do not all take the "
-            f"{hd.shape[0]} input rows")
-    masked = []
-    for a, z in zip(mats, masks):
-        zvec = z.data.ravel()
-        if len(zvec) != a.nnz:
-            raise ContractViolation(f"mask length {len(zvec)} != nnz {a.nnz}")
-        masked.append(kept(a, np.multiply(a.data, zvec, dtype=a.data.dtype,
-                                          casting="same_kind")))
+            f"matrix {a.shape} does not take the {hd.shape[0]} input rows")
+    for v in values:
+        if v.shape != (a.nnz,):
+            raise ContractViolation(
+                f"block entries of shape {v.shape} for {a.nnz} stored entries")
+    masked = [kept(a, v) for v in values]
     bounds = block_bounds(f_in, nb)
     grad_pi = pi is not None and tangents is not None and pi.requires_grad
     if grad_pi and len(tangents) != nb:
         raise ContractViolation(f"{len(tangents)} tangents for {nb} blocks")
     inputs = (h, w) + ((pi,) if grad_pi else ())
-    n, out_ids, in_ids = ((shape[0], None, None) if rows is None
+    n, out_ids, in_ids = ((a.shape[0], None, None) if rows is None
                           else (rows.n, rows.out, rows.inp))
 
     def acc_pi(acc, lefts, rights):
-        """Add ``sum_b <lefts[b], (A_b ⊙ T_b) rights[b]>`` to pi's grad;
-        ``lefts`` hold n rows."""
+        """Add ``sum_b <lefts[b], T_b rights[b]>`` to pi's grad; ``lefts``
+        hold n rows."""
         dpi = 0.0
-        for a, t_b, left, right in zip(mats, tangents, lefts, rights):
+        for t_b, left, right in zip(tangents, lefts, rights):
             # A tangent is zero only on protected self-loops: too few
             # zeros for graph.kept to pay for itself.
-            a_t = csr_array((a.data * t_b, a.indices, a.indptr), shape=a.shape)
+            a_t = csr_array((t_b, a.indices, a.indptr), shape=a.shape)
             dpi += np.vdot(left, _padded(spmm(a_t, right), out_ids, n))
         acc(pi, np.array([[dpi]]))
 
@@ -308,8 +307,8 @@ def record_gdc_aggregate(tape, mats: list, masks: list, h: Tensor, w: Tensor,
             raise ContractViolation(
                 "block products apply only when multiplying first")
         h_blocks = split_columns(hd, nb)
-        m = np.empty((shape[0], f_in),
-                     dtype=np.result_type(mats[0].dtype, hd.dtype))
+        m = np.empty((a.shape[0], f_in),
+                     dtype=np.result_type(masked[0].dtype, hd.dtype))
         for am, h_b, (c0, c1) in zip(masked, h_blocks, bounds):
             m[:, c0:c1] = spmm(am, h_b)
         out_data = m @ wd
@@ -335,7 +334,7 @@ def record_gdc_aggregate(tape, mats: list, masks: list, h: Tensor, w: Tensor,
         products = block_products(split_columns(hd, nb), wd)
     elif len(products.products) != nb:
         raise ContractViolation(
-            f"{len(products.products)} block products for {nb} mask blocks")
+            f"{len(products.products)} block products for {nb} blocks")
     h_blocks = products.h_blocks
     out_data = None
     for am, s_b in zip(masked, products.products):

@@ -39,7 +39,6 @@ pass and product.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,10 +48,11 @@ from .data import Dataset
 from .errors import ContractViolation, DivergenceError
 from .estimators import ArmDraw, arm_gradient, arm_pi_term, arm_z2
 from .masks import arm_edge_mask, arm_free_entries
+from .metrics import accuracy
 from .model import (GCNConfig, LayerMasks, PreparedGraph, check_graph,
                     expected_keep, forward, forward_deterministic, init_params,
                     layer0_products, loss_rows, record_kl_terms,
-                    reuses_layer0_products, sample_step_masks, training_loss)
+                    sample_step_masks, training_loss)
 from .tape import (Tape, backward, constant, record_add, record_masked_nll,
                    record_scale)
 from .variational import WarmupSchedule, warmup_factor
@@ -160,16 +160,15 @@ def _det_eval(params, x, graph, config, labels, split, blocks,
 
     Also returns, for the passes that follow on the same weights, the
     layer-0 block products of ``blocks`` (``Dataset.feature_blocks``),
-    which the pass itself uses.
+    which the pass itself uses, or None where they are not reused.
     """
-    layer0 = layer0_products(params, blocks)
+    layer0 = layer0_products(config, params, x, blocks)
     res = forward_deterministic(params, x, graph, config,
                                 capture_hidden=capture_hidden, layer0=layer0)
     logprobs, hidden = res if capture_hidden else (res, None)
     pred = logprobs.data.argmax(axis=1)
-    val_acc = float(np.mean(pred[split.val] == labels[split.val]))
-    test_acc = float(np.mean(pred[split.test] == labels[split.test]))
-    return val_acc, test_acc, hidden, layer0
+    return (accuracy(pred, labels, split.val),
+            accuracy(pred, labels, split.test), hidden, layer0)
 
 
 def train(dataset: Dataset, gcn_config: GCNConfig, train_config: TrainConfig,
@@ -196,9 +195,8 @@ def train(dataset: Dataset, gcn_config: GCNConfig, train_config: TrainConfig,
     tensors = [t for p in params for t in p.tensors()]
     state = AdamState()
     x = constant(dataset.features_csr())
-    blocks = (dataset.feature_blocks(gcn_config.masks[0].n_blocks)
-              if reuses_layer0_products(gcn_config, x) else None)
-    layer0 = layer0_products(params, blocks)
+    blocks = dataset.feature_blocks(gcn_config.masks[0].n_blocks)
+    layer0 = layer0_products(gcn_config, params, x, blocks)
     labels = dataset.labels
     split = dataset.split
     plan = loss_rows(graph, split.train, gcn_config.n_layers)
@@ -330,12 +328,9 @@ class RunSummary:
 
 
 def run_seeds(dataset: Dataset, gcn_config: GCNConfig,
-              train_config: TrainConfig, graph: PreparedGraph | None = None,
-              workers: int = 1) -> RunSummary:
-    """Train once per seed; summary is mean +/- sample std of test accuracy.
-
-    ``workers`` > 1 trains that many seeds at once on threads.
-    """
+              train_config: TrainConfig,
+              graph: PreparedGraph | None = None) -> RunSummary:
+    """Train once per seed; summary is mean +/- sample std of test accuracy."""
     seeds = list(train_config.seeds)
     if not seeds:
         raise ContractViolation("at least one seed is required")
@@ -344,19 +339,12 @@ def run_seeds(dataset: Dataset, gcn_config: GCNConfig,
             dataset.edges, dataset.n_nodes, renorm_trick=gcn_config.renorm_trick,
             renorm_after_mask=gcn_config.renorm_after_mask)
     check_graph(graph, gcn_config)
-    workers = max(1, min(workers, len(seeds)))
-
-    def one(seed):
+    results = []
+    for seed in seeds:
         res = train(dataset, gcn_config, train_config, seed, graph=graph)
-        return SeedResult(seed=seed, best_val_acc=res.best_val_acc,
-                          test_acc=res.best_test_acc,
-                          epochs_run=len(res.logs), result=res)
-
-    if workers == 1:
-        results = [one(s) for s in seeds]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, seeds))
+        results.append(SeedResult(seed=seed, best_val_acc=res.best_val_acc,
+                                  test_acc=res.best_test_acc,
+                                  epochs_run=len(res.logs), result=res))
     accs = np.array([r.test_acc for r in results])
     std = float(np.std(accs, ddof=1)) if len(accs) > 1 else 0.0
     return RunSummary(results=results, mean_acc=float(accs.mean()), std_acc=std)

@@ -14,7 +14,7 @@ import pytest
 from gdcn.masks import MaskKind, MaskSpec
 from gdcn.model import GCNConfig, init_params, save_checkpoint
 from gdcn.synthetic import make_synthetic_files
-from gdcn.tape import parameter
+from gdcn.tape import parameter, record_gdc_aggregate
 from gdcn.variational import record_kuma_sample
 
 
@@ -36,6 +36,20 @@ def kuma_draw(log_a: float, log_b: float, u: float) -> float:
     computes it (``record_kuma_sample`` without a tape)."""
     return record_kuma_sample(None, parameter(log_a), parameter(log_b),
                               u).item()
+
+
+def masked_aggregate(tape, a, masks, h, w, pi=None, tangents=None, **kwargs):
+    """``record_gdc_aggregate`` on ``a`` with block b's entries
+    ``a.data * masks[b]`` and, given ``tangents``, tangent entries
+    ``a.data * tangents[b]``: the entries ``model.forward`` builds from an
+    edge mask. A mask is an array or a constant tensor."""
+    def entries(z):
+        return a.data * np.ravel(getattr(z, "data", z))
+
+    return record_gdc_aggregate(
+        tape, a, [entries(z) for z in masks], h, w, pi=pi,
+        tangents=None if tangents is None else [entries(t) for t in tangents],
+        **kwargs)
 
 
 def rel_err(a, b, floor: float = 1e-4) -> float:

@@ -18,9 +18,9 @@ import gdcn.data as data_io
 from gdcn.cli import main
 from gdcn.estimators import ArmDraw, arm_gradient, arm_z2
 from gdcn.graph import build_adjacency, lambda_max
-from gdcn.masks import (EdgeMask, MaskKind, MaskSpec, all_ones_mask,
-                        sample_dropedge_mask, sample_dropout_mask,
-                        sample_gdc_masks, sample_node_mask)
+from gdcn.masks import (EdgeMask, MaskKind, MaskSpec, sample_dropedge_mask,
+                        sample_dropout_mask, sample_gdc_masks,
+                        sample_node_mask)
 from gdcn.metrics import pavpu, total_variation, uncertainty_report
 from gdcn.model import (GCNConfig, LayerMasks, PreparedGraph, forward,
                         init_params, predict_mc, record_kl_terms,
@@ -228,14 +228,12 @@ def test_criterion_4_regularizer_equivalences():
     # (c) node mask == DropOut with whole rows zeroed (dense Eq. 3 oracle)
     z_node = sample_node_mask(n, 0.5, rng)
     out_node = forward(params, constant(x), graph,
-                       [LayerMasks(feature=z_node.reshape(-1, 1),
-                                   edge=all_ones_mask(graph.edges))]).data
+                       [LayerMasks(feature=z_node.reshape(-1, 1))]).data
     want_node = _log_softmax(a @ np.diag(z_node) @ x @ w)
     np.testing.assert_allclose(out_node, want_node, atol=1e-12)
     row_do = np.broadcast_to(z_node.reshape(-1, 1), (n, f_in)).copy()
     out_rowdo = forward(params, constant(x), graph,
-                        [LayerMasks(feature=row_do,
-                                    edge=all_ones_mask(graph.edges))]).data
+                        [LayerMasks(feature=row_do)]).data
     np.testing.assert_allclose(out_node, out_rowdo, atol=1e-12)
     report(4, "GDC(nb=1, symmetric) == DropEdge; row-broadcast GDC == DropOut; "
               "node mask == row-zeroing DropOut (dense oracles, 1e-12)")

@@ -28,13 +28,15 @@ def write_config(path, content, cites, outdir, **overrides):
         "patience": "25",
         "seeds": "0,1",
     }
+    data = {"per_class_train": "2", "n_val": "4", "n_test": "6"}
     sweep = {}
     for key, val in overrides.items():
         section, name = key.split(".")
-        {"model": model, "train": train, "sweep": sweep}[section][name] = val
-    lines = ["[data]", f"content = {content}", f"cites = {cites}",
-             "per_class_train = 2", "n_val = 4", "n_test = 6", "",
-             "[model]"]
+        {"data": data, "model": model, "train": train,
+         "sweep": sweep}[section][name] = val
+    lines = ["[data]", f"content = {content}", f"cites = {cites}"]
+    lines += [f"{k} = {v}" for k, v in data.items()]
+    lines += ["", "[model]"]
     lines += [f"{k} = {v}" for k, v in model.items()]
     lines += ["", "[train]"]
     lines += [f"{k} = {v}" for k, v in train.items()]
@@ -102,6 +104,20 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {paths[which]}: not valid UTF-8")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key", ["per_class_train", "n_val", "n_test"])
+    def test_split_size_zero_exit_2(self, tmp_path, synthetic_files, capsys,
+                                    key):
+        # An empty split would train on no loss, select on no validation
+        # accuracy or report a NaN test accuracy.
+        content, cites = synthetic_files
+        cfg = write_config(tmp_path / "bad.ini", content, cites,
+                           tmp_path / "o", **{f"data.{key}": "0"})
+        rc = main(["train", "--config", cfg])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {key} must be at least 1, got 0\n"
+        assert not os.path.exists(tmp_path / "o")
 
     def test_non_ascii_feature_exit_2(self, tmp_path, synthetic_files,
                                       capsys):

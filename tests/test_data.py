@@ -310,3 +310,12 @@ class TestMakeSplit:
     def test_overlap_rejected(self):
         with pytest.raises(MalformedInputError):
             make_split(self._toy(n=12), per_class_train=2, n_val=4, n_test=6)
+
+    @pytest.mark.parametrize("key", ["per_class_train", "n_val", "n_test"])
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_size_below_one_rejected(self, key, size):
+        sizes = dict(per_class_train=2, n_val=5, n_test=10)
+        sizes[key] = size
+        with pytest.raises(MalformedInputError,
+                           match=f"^{key} must be at least 1, got {size}$"):
+            make_split(self._toy(), **sizes)

@@ -13,14 +13,13 @@ from gdcn.estimators import (ArmDraw, arm_gradient, arm_pi_term, arm_z1,
 from gdcn.graph import build_adjacency, normalize
 from gdcn.masks import MaskKind, MaskSpec, sample_concrete_mask
 from gdcn.model import (GCNConfig, PreparedGraph, forward, init_params,
-                        layer0_blocks, layer0_products, sample_step_masks,
-                        sparse_input)
+                        layer0_products, sample_step_masks, sparse_input)
 from gdcn.tape import (Tape, backward, constant, parameter,
-                       record_frobenius_sq, record_gdc_aggregate,
-                       record_masked_nll)
+                       record_frobenius_sq, record_masked_nll)
 from gdcn.variational import KumaraswamyParams, record_kuma_sample
 
-from conftest import finite_diff, kuma_draw, random_edges, rel_err
+from conftest import (finite_diff, kuma_draw, masked_aggregate, random_edges,
+                      rel_err)
 
 mp.mp.dps = 25
 
@@ -202,9 +201,9 @@ class TestConcreteGradient:
     def _loss(self, tape, kp, graph, edges, h, u_pi, u_edges, t=0.67):
         pi = record_kuma_sample(tape, kp.log_a, kp.log_b, u_pi)
         mask = sample_concrete_mask(edges, 1, pi, t, _FixedRng(u_edges))
-        out = record_gdc_aggregate(tape, [graph], mask.blocks,
-                                   constant(h), constant(np.eye(h.shape[1])),
-                                   pi=mask.pi, tangents=mask.tangents)
+        out = masked_aggregate(tape, graph, mask.blocks, constant(h),
+                               constant(np.eye(h.shape[1])), pi=mask.pi,
+                               tangents=mask.tangents)
         return record_frobenius_sq(tape, out)
 
     def test_matches_finite_differences(self):
@@ -280,8 +279,7 @@ class TestConcreteForward:
             draws = sample_step_masks(cfg, params, graph,
                                       np.random.default_rng(3), tape=t)
             lp = forward(params, x, graph, draws.layer_masks, tape=t,
-                         layer0=layer0_products(params,
-                                                layer0_blocks(cfg, x)))
+                         layer0=layer0_products(cfg, params, x))
             return t, record_masked_nll(t, lp, labels, np.arange(n))
 
         t, loss = loss_at(logs0)

@@ -14,7 +14,7 @@ from scipy.sparse import csr_array
 from gdcn.errors import ContractViolation, MalformedInputError
 from gdcn.graph import (EdgeSet, build_adjacency, entry_rows, lambda_max,
                         normalize, spmm)
-from gdcn.tape import Tape, constant
+from gdcn.tape import Tape, constant, record_gdc_aggregate
 
 from conftest import dense_normalize, random_edges
 from test_tape import _masked_spmm
@@ -267,8 +267,9 @@ class TestMaskedSpmm:
 
     def test_length_mismatch(self):
         a = normalize(build_adjacency([(0, 1)], 2))
-        with pytest.raises(ContractViolation):
-            masked_spmm(a, np.ones(a.nnz + 1), np.ones((2, 1)))
+        with pytest.raises(ContractViolation, match="stored entries"):
+            record_gdc_aggregate(Tape(), a, [np.ones(a.nnz + 1)],
+                                 constant(np.ones((2, 1))), constant(np.eye(1)))
 
 
 def _scatter(a, mask):

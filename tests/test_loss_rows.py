@@ -18,13 +18,13 @@ from gdcn.graph import kept, spmm, spmm_t
 from gdcn.masks import (MaskKind, MaskSpec, arm_edge_mask, arm_free_entries,
                         sample_dropout_mask)
 from gdcn.model import (GCNConfig, PreparedGraph, _mask_csr, forward,
-                        init_params, layer0_blocks, layer0_products,
-                        loss_rows, sample_step_masks, sparse_input)
+                        init_params, layer0_products, loss_rows,
+                        sample_step_masks, sparse_input)
 from gdcn.tape import (CompactRows, Tape, backward, constant, parameter,
                        record_gdc_aggregate, record_masked_nll)
 from gdcn.variational import KumaraswamyParams
 
-from conftest import random_edges
+from conftest import masked_aggregate, random_edges
 
 N = 24
 OBSERVED = np.array([9, 2, 17])   # unsorted, as a split may be
@@ -199,7 +199,7 @@ def one_pass(cfg, g, params, x, plan, seed, edit_masks=None):
                               tape=tape, mode="train", input_nnz=nnz)
     if edit_masks is not None:
         edit_masks(draws)
-    layer0 = layer0_products(params, layer0_blocks(cfg, x))
+    layer0 = layer0_products(cfg, params, x)
     labels = np.arange(N) % params[-1].m.data.shape[1]
     logprobs = forward(params, x, g, draws.layer_masks, tape=tape,
                        layer0=layer0, rows=plan)
@@ -297,8 +297,7 @@ class TestRectangularAggregate:
         h = rng.normal(size=(9, f_in))
         w = rng.normal(size=(f_in, f_out))
         zs = [(rng.random(a.nnz) < 0.5).astype(float) for _ in range(nb)]
-        out = record_gdc_aggregate(None, [a] * nb, [constant(z) for z in zs],
-                                   constant(h), parameter(w))
+        out = masked_aggregate(None, a, zs, constant(h), parameter(w))
         bounds = np.linspace(0, f_in, nb + 1).astype(int)
         want = sum(csr_array((a.data * z, a.indices, a.indptr),
                              shape=a.shape).toarray() @ h[:, c0:c1] @ w[c0:c1]
@@ -308,15 +307,12 @@ class TestRectangularAggregate:
 
     def test_mismatched_shapes_raise(self):
         rng = np.random.default_rng(2)
-        a, b = random_csr(rng, 4, 9), random_csr(rng, 5, 9)
         w = parameter(rng.normal(size=(6, 2)))
-        with pytest.raises(ContractViolation, match="input rows"):
-            record_gdc_aggregate(None, [a, b], [constant(np.ones(a.nnz)),
-                                                constant(np.ones(b.nnz))],
-                                 constant(rng.normal(size=(9, 6))), w)
-        with pytest.raises(ContractViolation, match="input rows"):
-            record_gdc_aggregate(None, [a], [constant(np.ones(a.nnz))],
-                                 constant(rng.normal(size=(8, 6))), w)
+        for rows in (4, 9, 10):
+            a = random_csr(rng, 4, rows)
+            with pytest.raises(ContractViolation, match="input rows"):
+                record_gdc_aggregate(None, a, [a.data],
+                                     constant(rng.normal(size=(8, 6))), w)
 
     # The large cases reduce over more rows than a BLAS kernel sums in one
     # run, so an unpadded reduction groups its sums otherwise and differs.
@@ -346,9 +342,8 @@ class TestRectangularAggregate:
             pi, h, w = (parameter(np.array([[0.4]])), parameter(h_data),
                         parameter(w0))
             tape = Tape()
-            res = record_gdc_aggregate(
-                tape, [mat] * nb, [constant(z) for z in zs], h, w, pi=pi,
-                tangents=ts, rows=rows)
+            res = masked_aggregate(tape, mat, zs, h, w, pi=pi, tangents=ts,
+                                   rows=rows)
             grads = {}
             tape.records[-1][1](g, grads.__setitem__)
             return res.data, grads[h], grads[w], grads[pi]

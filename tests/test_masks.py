@@ -8,15 +8,15 @@ from scipy.special import expit, logit
 
 from gdcn.errors import ContractViolation
 from gdcn.graph import EdgeSet, build_adjacency, normalize
-from gdcn.masks import (MaskKind, MaskSpec, all_ones_mask, arm_edge_mask,
+from gdcn.masks import (EdgeMask, MaskKind, MaskSpec, arm_edge_mask,
                         arm_free_entries, concrete_mask, expected_keep_mask,
                         sample_concrete_mask, sample_dropedge_mask,
                         sample_dropout_mask, sample_gdc_masks,
                         sample_node_mask, sample_randomwalk_mask)
 from gdcn.tape import (Tape, backward, constant, parameter,
-                       record_frobenius_sq, record_gdc_aggregate)
+                       record_frobenius_sq)
 
-from conftest import finite_diff, random_edges, rel_err
+from conftest import finite_diff, masked_aggregate, random_edges, rel_err
 
 
 def edge_set(n=5, seed=0, p=0.6):
@@ -113,13 +113,30 @@ class TestGdc:
         assert abs(vals.mean() - keep) < bound
 
 
+def ones_mask(es):
+    """A one-block mask that keeps every entry."""
+    return EdgeMask(blocks=[constant(np.ones(es.n_entries))])
+
+
 class TestRandomWalk:
     def test_prev_all_ones_matches_dropedge_stream(self):
         es = edge_set(6, seed=6)
-        prev = all_ones_mask(es)
+        prev = ones_mask(es)
         m1 = sample_randomwalk_mask(es, 0.5, prev, np.random.default_rng(5))
         m2 = sample_dropedge_mask(es, 0.5, False, np.random.default_rng(5))
         np.testing.assert_array_equal(m1.values(), m2.values())
+
+    @pytest.mark.parametrize("keep", [0.0, 0.3, 0.9, 1.0])
+    @pytest.mark.parametrize("seed", [0, 6])
+    def test_first_layer_prev_none_equals_all_ones_gating(self, keep, seed):
+        # A first random-walk layer gates nothing: prev=None draws, bit for
+        # bit, what gating by an all-ones previous mask drew.
+        es = edge_set(7, seed=seed, p=0.3)
+        got = sample_randomwalk_mask(es, keep, None,
+                                     np.random.default_rng(seed))
+        want = sample_randomwalk_mask(es, keep, ones_mask(es),
+                                      np.random.default_rng(seed))
+        assert got.values().tobytes() == want.values().tobytes()
 
     def test_prev_all_zeros_gives_zeros(self):
         es = edge_set(6, seed=6)
@@ -133,8 +150,7 @@ class TestRandomWalk:
             [(0, 1), (1, 2), (2, 3)], 4)))
         prev_vals = np.ones(es.n_entries)
         prev_vals[es.rows == 2] = 0.0
-        prev = all_ones_mask(es)
-        prev.blocks[0] = constant(prev_vals)
+        prev = EdgeMask(blocks=[constant(prev_vals)])
         rng = np.random.default_rng(1)
         m = sample_randomwalk_mask(es, 1.0, prev, rng)
         vals = m.values()[0]
@@ -142,6 +158,16 @@ class TestRandomWalk:
         alive = np.array([prev_vals[es.rows == v].sum() > 0 for v in range(4)])
         np.testing.assert_array_equal(vals, alive[es.rows].astype(float))
         assert np.all(vals[es.rows == 2] == 0.0)
+
+
+class TestExpectedKeep:
+    def test_blocks_share_one_array(self):
+        es = edge_set(6, seed=2)
+        m = expected_keep_mask(es, 0.3, 3, protect_self_loops=True)
+        assert m.n_blocks == 3
+        assert all(b.data is m.blocks[0].data for b in m.blocks)
+        want = np.where(es.is_diag, 1.0, 0.3)
+        np.testing.assert_array_equal(m.values(), np.tile(want, (3, 1)))
 
 
 class TestConcrete:
@@ -202,10 +228,10 @@ class TestConcrete:
         mask = sample_concrete_mask(es, 2, pi, 0.67, np.random.default_rng(0))
         assert mask.pi is pi and mask.n_blocks == len(mask.tangents) == 2
         assert not any(b.requires_grad for b in mask.blocks) and not t.records
-        out = record_gdc_aggregate(t, [a] * 2, mask.blocks,
-                                   constant(rng.normal(size=(4, 2))),
-                                   constant(np.eye(2)), pi=mask.pi,
-                                   tangents=mask.tangents)
+        out = masked_aggregate(t, a, mask.blocks,
+                               constant(rng.normal(size=(4, 2))),
+                               constant(np.eye(2)), pi=mask.pi,
+                               tangents=mask.tangents)
         g = backward(t, record_frobenius_sq(t, out)).get(pi)
         assert g[0, 0] != 0.0
 

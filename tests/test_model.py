@@ -8,12 +8,12 @@ import pytest
 
 from gdcn.errors import ContractViolation, MalformedInputError
 from gdcn.graph import EdgeSet, build_adjacency, normalize
-from gdcn.masks import (EdgeMask, MaskKind, MaskSpec, all_ones_mask,
+from gdcn.masks import (EdgeMask, MaskKind, MaskSpec, expected_keep_mask,
                         sample_dropedge_mask, sample_dropout_mask,
                         sample_gdc_masks, sample_node_mask)
 from gdcn.model import (GCNConfig, LayerMasks, PreparedGraph, float32_operands,
                         forward, forward_deterministic, glorot_bound,
-                        init_params, layer0_blocks, layer0_products,
+                        init_params, layer0_products,
                         load_checkpoint, predict_mc, record_kl_terms,
                         sample_step_masks, save_checkpoint, sparse_input,
                         training_loss)
@@ -103,7 +103,7 @@ class TestForwardOracles:
         cfg, params = self._params([4, 6, 3])
         rng = np.random.default_rng(2)
         x = rng.normal(size=(5, 4))
-        masks = [LayerMasks(edge=all_ones_mask(g.edges)) for _ in range(2)]
+        masks = [LayerMasks() for _ in range(2)]
         got = forward(params, constant(x), g, masks).data
         a = g.a_norm.toarray()
         h1 = np.maximum(a @ x @ params[0].m.data, 0.0)
@@ -117,9 +117,9 @@ class TestForwardOracles:
         x = constant(rng.normal(size=(5, 4)))
         vals = (rng.random(g.edges.n_entries) < 0.7).astype(np.float64)
         one = [LayerMasks(edge=EdgeMask(blocks=[constant(vals)])),
-               LayerMasks(edge=all_ones_mask(g.edges))]
+               LayerMasks()]
         two = [LayerMasks(edge=EdgeMask(blocks=[constant(vals), constant(vals)])),
-               LayerMasks(edge=all_ones_mask(g.edges))]
+               LayerMasks()]
         np.testing.assert_allclose(forward(params, x, g, one).data,
                                    forward(params, x, g, two).data, atol=1e-12)
 
@@ -130,7 +130,7 @@ class TestForwardOracles:
         rng = np.random.default_rng(11)
         x = rng.normal(size=(4, 4))
         em = sample_gdc_masks(g.edges, 2, 0.6, False, rng)
-        masks = [LayerMasks(edge=em), LayerMasks(edge=all_ones_mask(g.edges))]
+        masks = [LayerMasks(edge=em), LayerMasks()]
         got = forward(params, constant(x), g, masks).data
 
         a = g.a_norm.toarray()
@@ -150,8 +150,8 @@ class TestForwardOracles:
         x = rng.normal(size=(4, 3))
         z0 = sample_dropout_mask(4, 3, 0.5, rng)
         z1 = sample_dropout_mask(4, 5, 0.5, rng)
-        masks = [LayerMasks(feature=z0, edge=all_ones_mask(g.edges)),
-                 LayerMasks(feature=z1, edge=all_ones_mask(g.edges))]
+        masks = [LayerMasks(feature=z0),
+                 LayerMasks(feature=z1)]
         got = forward(params, constant(x), g, masks).data
         a = g.a_norm.toarray()
         h1 = np.maximum(a @ (z0 * x) @ params[0].m.data, 0.0)
@@ -164,9 +164,8 @@ class TestForwardOracles:
         rng = np.random.default_rng(17)
         x = rng.normal(size=(5, 3))
         z = sample_node_mask(5, 0.5, rng)
-        masks = [LayerMasks(feature=z.reshape(-1, 1),
-                            edge=all_ones_mask(g.edges)),
-                 LayerMasks(edge=all_ones_mask(g.edges))]
+        masks = [LayerMasks(feature=z.reshape(-1, 1)),
+                 LayerMasks()]
         got = forward(params, constant(x), g, masks).data
         a = g.a_norm.toarray()
         h1 = np.maximum(a @ np.diag(z) @ x @ params[0].m.data, 0.0)
@@ -187,7 +186,7 @@ class TestForwardOracles:
         idx = np.flatnonzero(~g.edges.canonical())
         vals[idx] = vals[g.edges.mirror[idx]]
         em = EdgeMask(blocks=[constant(vals)])
-        masks = [LayerMasks(edge=em), LayerMasks(edge=all_ones_mask(g.edges))]
+        masks = [LayerMasks(edge=em), LayerMasks()]
         got = forward(params, constant(x), renormalizing(g), masks).data
 
         a_raw = g.a_raw.toarray()
@@ -211,7 +210,7 @@ class TestForwardOracles:
         vals[can] = (rng.random(len(can)) < 0.6).astype(np.float64)
         g.edges.symmetrize(vals)
         masks = [LayerMasks(edge=EdgeMask(blocks=[constant(vals)])),
-                 LayerMasks(edge=all_ones_mask(g.edges))]
+                 LayerMasks()]
         got = forward(params, constant(x), renormalizing(g), masks).data
 
         a_raw = g.a_raw.toarray()
@@ -232,10 +231,36 @@ class TestForwardOracles:
         cfg, params = self._params([3, 4, 2], seed=7)
         x = constant(rng.normal(size=(30, 3)))
         keep = sample_dropedge_mask(g.edges, 1.0, True, rng)
-        masks = [LayerMasks(edge=keep), LayerMasks(edge=all_ones_mask(g.edges))]
+        masks = [LayerMasks(edge=keep), LayerMasks()]
         plain = forward(params, x, g, masks).data
         renormed = forward(params, x, renormalizing(g), masks).data
         np.testing.assert_allclose(renormed, plain, atol=1e-12)
+
+
+    @pytest.mark.parametrize("renorm", [False, True])
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_no_edge_mask_equals_keep_one_mask(self, renorm, sparse):
+        """``LayerMasks()`` aggregates with the adjacency's own entries: the
+        values and gradients equal, bit for bit, a keep-everything mask."""
+        g = prepared(7, seed=14, p=0.5)
+        if renorm:
+            g = renormalizing(g)
+        cfg, params = self._params([5, 6, 3], seed=4)
+        x0 = np.random.default_rng(8).normal(size=(7, 5))
+        x0[np.random.default_rng(9).random(x0.shape) < 0.4] = 0.0
+        x = sparse_input(constant(x0)) if sparse else constant(x0)
+
+        def run(masks):
+            t = Tape()
+            lp = forward(params, x, g, masks, tape=t)
+            loss = training_loss(t, lp, np.arange(7) % 3, np.arange(7),
+                                 params, [], 0.0, 0.0)
+            grads = backward(t, loss)
+            return [lp.data] + [grads.get(p.m) for p in params]
+
+        ones = LayerMasks(edge=expected_keep_mask(g.edges, 1.0))
+        for got, want in zip(run([LayerMasks()] * 2), run([ones] * 2)):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestParameterSpaceEquivalence:
@@ -312,7 +337,7 @@ class TestKeepProbOne:
         base_cfg = plain_config([4, 6, 3])
         params = init_params(base_cfg, np.random.default_rng(2))
         plain = forward(params, x, g,
-                        [LayerMasks(edge=all_ones_mask(g.edges))] * 2).data
+                        [LayerMasks()] * 2).data
         for kind in (MaskKind.DROPOUT, MaskKind.DROPEDGE,
                      MaskKind.NODE_SAMPLING, MaskKind.GDC,
                      MaskKind.RANDOM_WALK):
@@ -334,7 +359,7 @@ class TestTrainingLoss:
         observed = np.arange(4)
         t = Tape()
         lp = forward(params, x, g,
-                     [LayerMasks(edge=all_ones_mask(g.edges))] * 2, tape=t)
+                     [LayerMasks()] * 2, tape=t)
         loss = training_loss(t, lp, labels, observed, params, [], 0.0, 0.0)
         want = -np.mean(lp.data[observed, labels[observed]])
         assert loss.item() == pytest.approx(want, abs=1e-15)
@@ -369,7 +394,7 @@ class TestTrainingLoss:
         x = constant(np.random.default_rng(1).normal(size=(4, 3)))
         t = Tape()
         lp = forward(params, x, g,
-                     [LayerMasks(edge=all_ones_mask(g.edges))] * 2, tape=t)
+                     [LayerMasks()] * 2, tape=t)
         loss = training_loss(t, lp, np.array([0, 1, 1, 0]), np.arange(4),
                              params, [], 0.0, 0.0)
         assert loss.item() == pytest.approx(np.log(2.0), abs=1e-12)
@@ -484,17 +509,35 @@ class TestLayer0Products:
     ])
     def test_only_unmasked_unscaled_inputs_qualify(self, spec, reused):
         cfg = GCNConfig(layer_dims=[7, 4, 2], masks=[spec, MaskSpec()])
-        blocks = layer0_blocks(cfg, sparse_input(constant(self._input())))
-        assert (blocks is not None) == reused
+        params = init_params(cfg, np.random.default_rng(0))
+        x = sparse_input(constant(self._input()))
+        products = layer0_products(cfg, params, x)
+        assert (products is not None) == reused
         if reused:
-            assert len(blocks) == spec.n_blocks
+            w = params[0].m.data
+            blocks = split_columns(x.data, spec.n_blocks)
+            assert len(products.products) == spec.n_blocks
+            for h_b, s_b, want, (c0, c1) in zip(
+                    products.h_blocks, products.products, blocks,
+                    block_bounds(7, spec.n_blocks)):
+                assert (h_b != want).nnz == 0
+                assert np.array_equal(s_b, want @ w[c0:c1])
+
+    def test_supplied_blocks_are_used(self):
+        cfg = self._gdc()
+        params = init_params(cfg, np.random.default_rng(0))
+        x = sparse_input(constant(self._input()))
+        blocks = split_columns(x.data, 3)
+        products = layer0_products(cfg, params, x, blocks)
+        assert all(a is b for a, b in zip(products.h_blocks, blocks))
 
     def test_aggregate_first_input_does_not_qualify(self):
         # dense 7 < 3 * 4 aggregates first; the CSR input multiplies first
         x = constant(self._input())
         cfg = self._gdc()
-        assert layer0_blocks(cfg, x) is None
-        assert layer0_blocks(cfg, sparse_input(x)) is not None
+        params = init_params(cfg, np.random.default_rng(0))
+        assert layer0_products(cfg, params, x) is None
+        assert layer0_products(cfg, params, sparse_input(x)) is not None
 
     @pytest.mark.parametrize("learned", [False, True])
     def test_predict_mc_equals_passes_without_products(self, monkeypatch,
@@ -506,8 +549,8 @@ class TestLayer0Products:
         x = constant(self._input())
         supplied = []
 
-        def spy(params, blocks):
-            out = layer0_products(params, blocks)
+        def spy(config, params, x, blocks=None):
+            out = layer0_products(config, params, x, blocks)
             supplied.append(out is not None)
             return out
 

@@ -15,7 +15,7 @@ from gdcn.tape import (Tape, Tensor, backward, block_products, constant,
                        record_masked_nll, record_mul, record_relu,
                        multiplies_first, record_scale, split_columns)
 
-from conftest import finite_diff, rel_err, random_edges
+from conftest import finite_diff, masked_aggregate, rel_err, random_edges
 
 
 def _ones(n_rows, n_cols):
@@ -35,15 +35,15 @@ def _with_data(a, data):
 def _matmul(tape, x, w):
     """``X @ W`` through the fused op: one block, identity aggregation."""
     n = x.data.shape[0]
-    return record_gdc_aggregate(tape, [_eye(n)], [constant(np.ones(n))], x, w)
+    return record_gdc_aggregate(tape, _eye(n), [np.ones(n)], x, w)
 
 
 def _masked_spmm(tape, a, mask, h, pi=None, tangent=None):
     """``(A ⊙ mask) @ H`` through the fused op: one block, W = I; with a
     keep probability ``pi`` and the mask's ``tangent`` dmask/dpi."""
-    return record_gdc_aggregate(tape, [a], [mask], h,
-                                constant(np.eye(h.data.shape[1])), pi=pi,
-                                tangents=None if tangent is None else [tangent])
+    return masked_aggregate(tape, a, [mask], h,
+                            constant(np.eye(h.data.shape[1])), pi=pi,
+                            tangents=None if tangent is None else [tangent])
 
 
 def _pi_fd(loss_of, zs, tangents):
@@ -63,8 +63,8 @@ class TestMatmul:
         np.testing.assert_array_equal(out.data, w.data)
         # gradient of sum(out) wrt w is all-ones:
         # sum(out) = ones(1, 3) @ out @ ones(2, 1)
-        total = record_gdc_aggregate(t, [_ones(1, 3)], [constant(np.ones(3))],
-                                     out, constant(np.ones((2, 1))))
+        total = record_gdc_aggregate(t, _ones(1, 3), [np.ones(3)], out,
+                                     constant(np.ones((2, 1))))
         g = backward(t, total)
         np.testing.assert_array_equal(g.get(w), np.ones((3, 2)))
 
@@ -157,8 +157,9 @@ class TestMaskedSpmm:
     def test_alignment_mismatch(self):
         a = self._graph(3)
         with pytest.raises(ContractViolation):
-            _masked_spmm(Tape(), a, constant(np.ones(a.nnz + 2)),
-                         constant(np.ones((3, 1))))
+            record_gdc_aggregate(Tape(), a, [np.ones(a.nnz + 2)],
+                                 constant(np.ones((3, 1))),
+                                 constant(np.eye(1)))
 
 
 class TestGdcAggregate:
@@ -171,13 +172,14 @@ class TestGdcAggregate:
         return rng, a, h0
 
     @staticmethod
-    def _oracle(mats, mask_vals, h, w):
-        nb = len(mats)
+    def _oracle(a, values, h, w):
+        """``sum_b A_b H[:, blk_b] W[blk_b]``, dense, with ``A_b`` the
+        pattern of ``a`` carrying ``values[b]``."""
+        nb = len(values)
         edges = np.linspace(0, w.shape[0], nb + 1).astype(int)
-        out = np.zeros((mats[0].shape[0], w.shape[1]))
-        for a, z, c0, c1 in zip(mats, mask_vals, edges[:-1], edges[1:]):
-            dense = _with_data(a, a.data * z).toarray()
-            out += dense @ h[:, c0:c1] @ w[c0:c1]
+        out = np.zeros((a.shape[0], w.shape[1]))
+        for v, c0, c1 in zip(values, edges[:-1], edges[1:]):
+            out += _with_data(a, v).toarray() @ h[:, c0:c1] @ w[c0:c1]
         return out
 
     @staticmethod
@@ -206,10 +208,9 @@ class TestGdcAggregate:
         w0 = rng.normal(size=(f_in, f_out))
         zs = [rng.random(a.nnz) for _ in range(nb)]
         seen = self._spmm_widths(monkeypatch)
-        out = record_gdc_aggregate(Tape(), [a] * nb, [constant(z) for z in zs],
-                                   constant(h0), parameter(w0))
+        out = masked_aggregate(Tape(), a, zs, constant(h0), parameter(w0))
         assert seen == widths
-        want = self._oracle([a] * nb, zs, h0, w0)
+        want = self._oracle(a, [a.data * z for z in zs], h0, w0)
         np.testing.assert_allclose(out.data, want, atol=1e-12)
 
     def test_csr_input_multiplies_first(self, monkeypatch):
@@ -218,11 +219,11 @@ class TestGdcAggregate:
         w0 = rng.normal(size=(7, 3))
         zs = [rng.random(a.nnz) for _ in range(3)]
         seen = self._spmm_widths(monkeypatch)
-        out = record_gdc_aggregate(Tape(), [a] * 3, [constant(z) for z in zs],
-                                   constant(csr_array(h0)), parameter(w0))
+        out = masked_aggregate(Tape(), a, zs, constant(csr_array(h0)),
+                               parameter(w0))
         assert seen == [3, 3, 3]
-        np.testing.assert_allclose(out.data, self._oracle([a] * 3, zs, h0, w0),
-                                   atol=1e-12)
+        want = self._oracle(a, [a.data * z for z in zs], h0, w0)
+        np.testing.assert_allclose(out.data, want, atol=1e-12)
 
     @pytest.mark.parametrize("f_out", [3, 1])
     def test_per_block_matrices(self, f_out):
@@ -231,19 +232,18 @@ class TestGdcAggregate:
         rng = np.random.default_rng(4)
         graph = PreparedGraph.from_edges(random_edges(rng, 6, 0.6), 6)
         es = graph.edges
-        mats, masks = [], []
+        values = []
         for _ in range(3):
             keep = (rng.random(es.n_entries) < 0.6).astype(float)
             canon = es.canonical()
             keep[~canon] = keep[es.mirror[~canon]]
-            mats.append(_with_data(graph.a_norm, es.normalized_values(keep)))
-            masks.append(constant(np.ones(es.n_entries)))
-        assert len({m.data.tobytes() for m in mats}) > 1
+            values.append(es.normalized_values(keep))
+        assert len({v.tobytes() for v in values}) > 1
         h0 = rng.normal(size=(6, 7))
         w0 = rng.normal(size=(7, f_out))
-        out = record_gdc_aggregate(Tape(), mats, masks, constant(h0),
+        out = record_gdc_aggregate(Tape(), graph.a_norm, values, constant(h0),
                                    constant(w0))
-        want = self._oracle(mats, [z.data.ravel() for z in masks], h0, w0)
+        want = self._oracle(graph.a_norm, values, h0, w0)
         np.testing.assert_allclose(out.data, want, atol=1e-12)
 
     @pytest.mark.parametrize("f_out", [3, 2])  # aggregate / multiply first
@@ -264,8 +264,7 @@ class TestGdcAggregate:
             pi = parameter(0.5)
             zs = [constant(z + eps[0] * tb) for z, tb in zip(z0, t0)]
             t = Tape()
-            out = record_gdc_aggregate(t, [a] * nb, zs, h, w, pi=pi,
-                                       tangents=list(t0))
+            out = masked_aggregate(t, a, zs, h, w, pi=pi, tangents=list(t0))
             loss = record_frobenius_sq(t, record_mul(t, out,
                                                      constant(weight)))
             return t, loss, [h, w, pi]
@@ -281,7 +280,7 @@ class TestGdcAggregate:
         rng, a, h0 = self._setup()
         pi = parameter(0.5)
         t = Tape()
-        out = record_gdc_aggregate(t, [a], [constant(rng.random(a.nnz))],
+        out = record_gdc_aggregate(t, a, [a.data * rng.random(a.nnz)],
                                    constant(h0),
                                    parameter(rng.normal(size=(7, 2))), pi=pi)
         g = backward(t, record_frobenius_sq(t, out))
@@ -290,9 +289,9 @@ class TestGdcAggregate:
     def test_tangent_count_mismatch(self):
         _, a, h0 = self._setup()
         with pytest.raises(ContractViolation, match="1 tangents for 2 blocks"):
-            record_gdc_aggregate(Tape(), [a, a], [constant(np.ones(a.nnz))] * 2,
-                                 constant(h0), constant(np.ones((7, 2))),
-                                 pi=parameter(0.5), tangents=[np.ones(a.nnz)])
+            record_gdc_aggregate(Tape(), a, [a.data] * 2, constant(h0),
+                                 constant(np.ones((7, 2))),
+                                 pi=parameter(0.5), tangents=[a.data])
 
     @pytest.mark.parametrize("sparse", [False, True])
     def test_one_block_is_bitwise_spmm_of_product(self, sparse):
@@ -301,23 +300,28 @@ class TestGdcAggregate:
         w0 = rng.normal(size=(7, 4))
         z = rng.random(a.nnz)
         h = constant(csr_array(h0) if sparse else h0)
-        out = record_gdc_aggregate(Tape(), [a], [constant(z)], h,
-                                   parameter(w0))
+        out = record_gdc_aggregate(Tape(), a, [a.data * z], h, parameter(w0))
         want = spmm(_with_data(a, a.data * z), h.data @ w0)
         assert np.array_equal(out.data, want)
 
-    def test_mask_length_mismatch(self):
+    def test_values_length_mismatch(self):
         _, a, h0 = self._setup()
-        masks = [constant(np.ones(a.nnz)), constant(np.ones(a.nnz - 1))]
-        with pytest.raises(ContractViolation):
-            record_gdc_aggregate(Tape(), [a, a], masks, constant(h0),
+        values = [a.data, np.ones(a.nnz - 1)]
+        with pytest.raises(ContractViolation, match="stored entries"):
+            record_gdc_aggregate(Tape(), a, values, constant(h0),
                                  constant(np.ones((7, 2))))
 
-    def test_matrix_count_mismatch(self):
+    def test_input_rows_mismatch(self):
         _, a, h0 = self._setup()
-        with pytest.raises(ContractViolation):
-            record_gdc_aggregate(Tape(), [a], [constant(np.ones(a.nnz))] * 2,
-                                 constant(h0), constant(np.ones((7, 2))))
+        with pytest.raises(ContractViolation, match="input rows"):
+            record_gdc_aggregate(Tape(), a, [a.data], constant(h0[1:]),
+                                 constant(np.ones((7, 2))))
+
+    def test_no_blocks(self):
+        _, a, h0 = self._setup()
+        with pytest.raises(ContractViolation, match="at least one block"):
+            record_gdc_aggregate(Tape(), a, [], constant(h0),
+                                 constant(np.ones((7, 2))))
 
 
 class TestSuppliedProducts:
@@ -347,10 +351,8 @@ class TestSuppliedProducts:
             products = (block_products(split_columns(h.data, nb), w.data)
                         if supply else None)
             t = Tape()
-            out = record_gdc_aggregate(t, [a] * nb,
-                                       [constant(z) for z in z0], h, w,
-                                       pi=pi, tangents=list(t0),
-                                       products=products)
+            out = masked_aggregate(t, a, z0, h, w, pi=pi, tangents=list(t0),
+                                   products=products)
             g = backward(t, record_frobenius_sq(
                 t, record_mul(t, out, constant(weight))))
             wrt = [w, pi] + ([] if sparse else [h])
@@ -364,20 +366,16 @@ class TestSuppliedProducts:
         w0 = rng.normal(size=(7, 3))  # 7 < 3 * 3: aggregate first
         products = block_products(split_columns(h0, 3), w0)
         with pytest.raises(ContractViolation, match="multiplying first"):
-            record_gdc_aggregate(Tape(), [a] * 3,
-                                 [constant(np.ones(a.nnz))] * 3,
-                                 constant(h0), constant(w0),
-                                 products=products)
+            record_gdc_aggregate(Tape(), a, [a.data] * 3, constant(h0),
+                                 constant(w0), products=products)
 
     def test_block_count_mismatch(self):
         rng, a, h0 = self._setup()
         w0 = rng.normal(size=(7, 2))
         products = block_products(split_columns(h0, 2), w0)
         with pytest.raises(ContractViolation, match="2 block products"):
-            record_gdc_aggregate(Tape(), [a] * 3,
-                                 [constant(np.ones(a.nnz))] * 3,
-                                 constant(h0), constant(w0),
-                                 products=products)
+            record_gdc_aggregate(Tape(), a, [a.data] * 3, constant(h0),
+                                 constant(w0), products=products)
 
 
 def _per_edge_pi_gradient(mats, tangents, g, s_blocks):
@@ -419,9 +417,9 @@ class TestPiTangent:
         if supply and multiplies_first(h.data, f_out, nb):
             products = block_products(split_columns(h.data, nb), w0)
         t = Tape()
-        out = record_gdc_aggregate(t, [a] * nb, mask.blocks, h, parameter(w0),
-                                   pi=mask.pi, tangents=mask.tangents,
-                                   products=products)
+        out = masked_aggregate(t, a, mask.blocks, h, parameter(w0),
+                               pi=mask.pi, tangents=mask.tangents,
+                               products=products)
         weight = rng.normal(size=out.shape)
         loss = record_frobenius_sq(t, record_mul(t, out, constant(weight)))
         got = backward(t, loss).get(pi)[0, 0]
@@ -491,20 +489,19 @@ class TestElementwise:
         rng = np.random.default_rng(8)
         x0 = rng.normal(size=(3, 4))
         w0 = rng.normal(size=(4, 2))
-        mats = [_eye(3), _eye(3)]
-        masks = [constant(np.ones(3)), constant(np.array([1.0, 0.0, 1.0]))]
+        values = [np.ones(3), np.array([1.0, 0.0, 1.0])]
 
         def loss_of(flat):
             t = Tape()
             x = parameter(flat[:12].reshape(3, 4))
             w = parameter(flat[12:].reshape(4, 2))
-            out = record_gdc_aggregate(t, mats, masks, x, w)
+            out = record_gdc_aggregate(t, _eye(3), values, x, w)
             return record_frobenius_sq(t, out).item()
 
         t = Tape()
         x = parameter(x0)
         w = parameter(w0)
-        out = record_gdc_aggregate(t, mats, masks, x, w)
+        out = record_gdc_aggregate(t, _eye(3), values, x, w)
         loss = record_frobenius_sq(t, out)
         g = backward(t, loss)
         got = np.concatenate([g.get(x).ravel(), g.get(w).ravel()])
