@@ -152,8 +152,12 @@ def _tv_rows_for_hidden(hidden, graph, lam) -> list:
 def cmd_diagnose(args) -> int:
     cfg = load_config(args.config)
     ds, graph = _load_dataset(cfg)
-    out = _outdir(cfg, args)
     lam, _ = lambda_max(graph.a_raw)
+    if lam <= 0.0:
+        raise MalformedInputError(
+            f"{cfg['data.cites']}: the graph has no edge; total variation "
+            f"needs at least one")
+    out = _outdir(cfg, args)
     rows = ["epoch,layer,tv_normalized"]
     if args.checkpoint:
         params, gcn_config = _load_params_checked(cfg, ds, args.checkpoint)
@@ -185,7 +189,10 @@ def cmd_diagnose(args) -> int:
             hidden = [width] * (depth - 1)
             gcn_config = cfg.gcn_config(ds.n_features, ds.class_count,
                                         hidden_dims=hidden)
-            summary = run_seeds(ds, gcn_config, cfg.train_config(), graph=graph)
+            summary = run_seeds(
+                ds, gcn_config,
+                cfg.train_config(seed_override=args.seed_override),
+                graph=graph)
             drows.append(f"{depth},{summary.mean_acc!r},{summary.std_acc!r}")
         _write_rows(os.path.join(out, "depth_sweep.csv"), drows)
     cfg.write_resolved(os.path.join(out, "config_resolved.ini"))
@@ -208,12 +215,29 @@ def cmd_sweep_blocks(args) -> int:
         override = [base_blocks[0]] + [nb] * (n_layers - 1)
         gcn_config = cfg.gcn_config(ds.n_features, ds.class_count,
                                     n_blocks_override=override)
-        summary = run_seeds(ds, gcn_config, cfg.train_config(), graph=graph)
+        summary = run_seeds(
+            ds, gcn_config, cfg.train_config(seed_override=args.seed_override),
+            graph=graph)
         rows.append(f"{nb},{summary.mean_acc!r},{summary.std_acc!r}")
         print(f"n_blocks={nb}: {summary.mean_acc:.4f} +/- {summary.std_acc:.4f}")
     _write_rows(os.path.join(out, "block_sweep.csv"), rows)
     cfg.write_resolved(os.path.join(out, "config_resolved.ini"))
     return 0
+
+
+def _at_least(minimum: int):
+    """argparse type: an integer of at least ``minimum``."""
+    def parse(raw: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {raw!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {value}")
+        return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -222,19 +246,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="GCN training with adaptive connection sampling")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, checkpoint=False):
+    def common(p, checkpoint=False, min_samples=None):
         p.add_argument("--config", required=True, help="INI config path")
         p.add_argument("--out", default=None, help="output directory override")
         p.add_argument("--seed-override", type=int, default=None)
-        p.add_argument("--samples", type=int, default=20,
-                       help="Monte Carlo samples")
+        if min_samples is not None:
+            p.add_argument("--samples", type=_at_least(min_samples),
+                           default=20,
+                           help=f"Monte Carlo samples, at least {min_samples}")
         if checkpoint:
             p.add_argument("--checkpoint", required=True)
 
     common(sub.add_parser("train", help="train over the configured seeds"))
-    common(sub.add_parser("eval", help="evaluate a checkpoint"), checkpoint=True)
+    common(sub.add_parser("eval", help="evaluate a checkpoint"),
+           checkpoint=True, min_samples=0)
     common(sub.add_parser("uq", help="uncertainty report for a checkpoint"),
-           checkpoint=True)
+           checkpoint=True, min_samples=1)
     diag = sub.add_parser("diagnose", help="total-variation diagnostics")
     common(diag)
     diag.add_argument("--checkpoint", default=None,

@@ -145,19 +145,17 @@ class RunConfig:
                 f"model.regularizer: unknown kind {kind_name!r}") from exc
         learned = self.values["model.learned"]
         estimator = self.values["model.estimator"]
-        if estimator not in ("none", "concrete", "arm"):
-            raise ConfigError(f"model.estimator: unknown value {estimator!r}")
-        if learned and estimator == "none":
-            raise ConfigError("model.learned requires estimator concrete or arm")
-        if not learned and estimator != "none":
-            raise ConfigError(f"estimator {estimator!r} requires model.learned = true")
         blocks = (list(n_blocks_override) if n_blocks_override is not None
                   else self.n_blocks_per_layer(n_layers))
         dropout_keep_raw = self.values["model.dropout_keep"].strip()
-        dropout_keep = float(dropout_keep_raw) if dropout_keep_raw else None
-        masks = []
-        for l in range(n_layers):
-            masks.append(MaskSpec(
+        try:
+            dropout_keep = float(dropout_keep_raw) if dropout_keep_raw else None
+        except ValueError as exc:
+            raise ConfigError("model.dropout_keep: expected a number") from exc
+        # MaskSpec and GCNConfig check the values and their combinations
+        # (estimator, learned, n_blocks, keep probabilities, temperature).
+        try:
+            masks = [MaskSpec(
                 kind=kind,
                 learned=learned,
                 keep_prob=self.values["model.keep_prob"],
@@ -167,8 +165,7 @@ class RunConfig:
                 temperature=self.values["model.temperature"],
                 protect_self_loops=self.values["model.protect_self_loops"],
                 dropout_keep=dropout_keep,
-            ))
-        try:
+            ) for l in range(n_layers)]
             return GCNConfig(
                 layer_dims=layer_dims,
                 masks=masks,

@@ -6,12 +6,15 @@ pass differentiates it. Pathwise gradients through the concrete relaxation
 need no code here: the relaxed masks hang off the recorded draw. The ARM
 estimator differentiates the expectation over the binary masks directly
 from two antithetic forward evaluations of the loss; its estimate enters
-the backward pass as dL/dpi on the recorded draw (``arm_pi_term``).
+the backward pass as a seed, dL/dpi on the recorded draw (``arm_pi_grad``
+and ``tape.backward``'s ``seeds``).
 
 ARM convention: alpha_l = logit(1 - pi_l) with pi the keep probability, so
 the estimator's Bernoulli(sigmoid(alpha)) variables are drop indicators.
-``arm_gradient`` works on those raw variables; callers map them to keep
-masks (keep = 1 - drop) before running the network.
+``arm_gradient`` works on those raw variables. The uniforms of a training
+step are drawn by ``model.sample_step_masks``, which maps the indicators
+to keep masks (keep = 1 - drop, ``model.arm_masks``) before the network
+runs.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import ContractViolation, EstimatorFailure
-from .tape import Tensor, record_scale
 
 
 @dataclass
@@ -80,13 +82,8 @@ def arm_gradient(loss_eval, draw: ArmDraw, loss2: float) -> ArmEstimate:
     return ArmEstimate(grad_alpha=grads, delta_loss=delta)
 
 
-def arm_pi_term(tape, pi: Tensor, grad_alpha: float) -> Tensor:
-    """A term whose gradient on the recorded draw ``pi`` is ARM's dL/dpi.
-
-    alpha = logit(1 - pi) gives dL/dpi = -grad_alpha / (pi (1 - pi)); the
-    term is that constant times ``pi``. Added to the loss before backward,
-    it carries the estimate to (log a, log b) through the tape. Its value
-    is not part of the loss.
-    """
-    p = pi.item()
-    return record_scale(tape, pi, -grad_alpha / (p * (1.0 - p)))
+def arm_pi_grad(pi: float, grad_alpha: float) -> np.ndarray:
+    """ARM's estimate as dL/dpi at the keep probability ``pi``, a 1x1
+    gradient to seed ``tape.backward`` with on the recorded draw: alpha =
+    logit(1 - pi) gives dL/dpi = -grad_alpha / (pi (1 - pi))."""
+    return np.array([[-grad_alpha / (pi * (1.0 - pi))]])

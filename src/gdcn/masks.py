@@ -13,9 +13,10 @@ carries its keep probability and each block's tangent ``dz/dpi``, which
 the aggregation pushes forward to give ``dL/dpi``.
 
 Samplers are pure functions of an explicit ``numpy.random.Generator``;
-callers own stream splitting. The ARM mask functions (``arm_free_entries``,
-``arm_edge_mask``) draw nothing: the estimator owns the uniform vector, and
-they only map its drop indicators onto the pattern.
+callers own stream splitting. DropOut and node masks are boolean, edge
+masks float64. The ARM mask functions (``arm_free_entries``,
+``arm_edge_mask``) draw nothing: ``model.sample_step_masks`` draws the
+uniforms, and they only map its drop indicators onto the pattern.
 """
 
 from __future__ import annotations
@@ -102,10 +103,6 @@ class EdgeMask:
     def n_blocks(self) -> int:
         return len(self.blocks)
 
-    def values(self) -> np.ndarray:
-        """Stacked (n_blocks, nnz) value array."""
-        return np.stack([b.data.ravel() for b in self.blocks])
-
 
 def _check_prob(p: float) -> None:
     if not 0.0 <= p <= 1.0:
@@ -114,31 +111,16 @@ def _check_prob(p: float) -> None:
 
 def sample_dropout_mask(n: int, f: int, keep_prob: float,
                         rng: np.random.Generator) -> np.ndarray:
-    """I.i.d. Bernoulli(keep_prob) feature mask, applied as H * Z."""
+    """I.i.d. Bernoulli(keep_prob) boolean feature mask, applied as H * Z."""
     _check_prob(keep_prob)
-    return (rng.random((n, f)) < keep_prob).astype(np.float64)
+    return rng.random((n, f)) < keep_prob
 
 
 def sample_node_mask(n: int, keep_prob: float,
                      rng: np.random.Generator) -> np.ndarray:
-    """I.i.d. Bernoulli(keep_prob) node mask, applied as diag(z) H."""
+    """I.i.d. Bernoulli(keep_prob) boolean node mask, applied as diag(z) H."""
     _check_prob(keep_prob)
-    return (rng.random(n) < keep_prob).astype(np.float64)
-
-
-def _binary_edge_values(edges: EdgeSet, keep_prob: float, symmetric: bool,
-                        rng: np.random.Generator,
-                        protect_self_loops: bool) -> np.ndarray:
-    if symmetric:
-        canonical = edges.canonical()
-        vals = np.empty(edges.n_entries)
-        vals[canonical] = (rng.random(int(canonical.sum())) < keep_prob).astype(np.float64)
-        edges.symmetrize(vals)
-    else:
-        vals = (rng.random(edges.n_entries) < keep_prob).astype(np.float64)
-    if protect_self_loops:
-        vals[edges.is_diag] = 1.0
-    return vals
+    return rng.random(n) < keep_prob
 
 
 def sample_dropedge_mask(edges: EdgeSet, keep_prob: float, symmetric: bool,
@@ -146,29 +128,34 @@ def sample_dropedge_mask(edges: EdgeSet, keep_prob: float, symmetric: bool,
                          protect_self_loops: bool = False) -> EdgeMask:
     """One Bernoulli draw per undirected edge (symmetric) or per entry.
 
-    Self-loop entries are drawn like any other edge unless protected.
+    Self-loop entries are drawn like any other edge unless protected. This
+    is GDC with one block (``sample_gdc_masks``), draw for draw.
     """
-    _check_prob(keep_prob)
-    vals = _binary_edge_values(edges, keep_prob, symmetric, rng, protect_self_loops)
-    return EdgeMask(blocks=[constant(vals)])
+    return sample_gdc_masks(edges, 1, keep_prob, symmetric, rng,
+                            protect_self_loops=protect_self_loops)
 
 
 def sample_gdc_masks(edges: EdgeSet, n_blocks: int, keep_prob: float,
                      symmetric: bool, rng: np.random.Generator,
                      protect_self_loops: bool = False) -> EdgeMask:
-    """n_blocks independent DropEdge-style masks, one per feature block.
-
-    With n_blocks=1 this consumes the RNG stream exactly like
-    ``sample_dropedge_mask``, so the two are draw-for-draw identical.
-    """
+    """n_blocks independent DropEdge-style masks, one per feature block;
+    with n_blocks=1, DropEdge's mask (``sample_dropedge_mask``)."""
     if n_blocks < 1:
         raise ContractViolation("n_blocks must be >= 1")
     _check_prob(keep_prob)
-    blocks = [
-        _binary_edge_values(edges, keep_prob, symmetric, rng, protect_self_loops)
-        for _ in range(n_blocks)
-    ]
-    return EdgeMask(blocks=[constant(v) for v in blocks])
+    canonical = edges.canonical() if symmetric else None
+    blocks = []
+    for _ in range(n_blocks):
+        if symmetric:
+            vals = np.empty(edges.n_entries)
+            vals[canonical] = rng.random(int(canonical.sum())) < keep_prob
+            edges.symmetrize(vals)
+        else:
+            vals = (rng.random(edges.n_entries) < keep_prob).astype(np.float64)
+        if protect_self_loops:
+            vals[edges.is_diag] = 1.0
+        blocks.append(constant(vals))
+    return EdgeMask(blocks=blocks)
 
 
 def sample_randomwalk_mask(edges: EdgeSet, keep_prob: float,

@@ -74,11 +74,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.sparse import csr_array, issparse
+from scipy.special import logit
 
 from .errors import ContractViolation, MalformedInputError
+from .estimators import ArmDraw, arm_z2
 from .graph import (EdgeSet, build_adjacency, dense_to_csr, entry_rows,
                     index_dtype, kept, normalize_with_edges)
-from .masks import (EdgeMask, MaskKind, MaskSpec, expected_keep_mask,
+from .masks import (EdgeMask, MaskKind, MaskSpec, arm_edge_mask,
+                    arm_free_entries, expected_keep_mask,
                     sample_concrete_mask, sample_dropedge_mask,
                     sample_dropout_mask, sample_gdc_masks, sample_node_mask,
                     sample_randomwalk_mask)
@@ -222,12 +225,12 @@ def check_graph(graph: PreparedGraph, config: GCNConfig) -> None:
 
 @dataclass
 class LayerMasks:
-    """Masks drawn for one layer of one forward pass."""
+    """The factors one layer of one forward pass applies."""
 
-    # Binary (n, f_in) or (n, 1) matrix; on a CSR input also a 1-D mask
-    # with one value per stored entry of the input.
-    feature: np.ndarray | None = None
-    feature_scale: float | None = None   # deterministic-eval scaling of H
+    # Boolean (n, f_in) or (n, 1) mask, on a CSR input also a 1-D mask with
+    # one value per stored entry; the expected keep value, a float, in the
+    # deterministic pass.
+    feature: np.ndarray | float | None = None
     edge: EdgeMask | None = None         # None keeps every entry, 1 block
 
 
@@ -262,12 +265,12 @@ def sparse_input(x: Tensor, dtype=None) -> Tensor:
     return constant(dense_to_csr(x.data, dtype))
 
 
-def _mask_csr(x, mask: np.ndarray):
+def _mask_csr(x, mask):
     """Feature mask applied to a CSR input in the input's dtype, storing
-    only the nonzero products (``graph.kept``): a 1-D mask scales the stored
-    entries, a 2-D one ((n, 1) or (n, f)) multiplies each stored entry by
-    its own value."""
-    if mask.ndim == 2:
+    only the nonzero products (``graph.kept``): a float scales every stored
+    entry, a 1-D mask scales each stored entry, a 2-D one ((n, 1) or
+    (n, f)) multiplies each stored entry by its own value."""
+    if np.ndim(mask) == 2:
         mask = np.broadcast_to(mask, x.shape)[entry_rows(x), x.indices]
     return kept(x, np.multiply(x.data, mask, dtype=x.dtype,
                                casting="same_kind"))
@@ -426,22 +429,20 @@ def forward(params: list, x: Tensor, graph: PreparedGraph, masks: list,
                 f"layer {l}: input width {h.data.shape[1]} != weight rows {f_in}"
             )
         products = layer0 if l == 0 else None
-        if products is not None and (lm.feature is not None
-                                     or lm.feature_scale is not None):
+        if products is not None and lm.feature is not None:
             raise ContractViolation(
                 "layer 0: block products need an unmasked, unscaled input")
         plan = rows.layers[l] if rows is not None else None
         if lm.feature is not None:
             feature = lm.feature
-            if plan is not None and plan.inp is not None:
+            if (plan is not None and plan.inp is not None
+                    and np.ndim(feature) == 2):
                 feature = feature[plan.inp]
             if issparse(h.data):
                 h = constant(_mask_csr(h.data, feature))
             else:
                 h = record_mul(tape, h, constant(
-                    feature.astype(h.data.dtype, copy=False)))
-        if lm.feature_scale is not None:
-            h = record_scale(tape, h, lm.feature_scale)
+                    np.asarray(feature, dtype=h.data.dtype)))
         a = graph.a_norm if plan is None else plan.a
         edge, pi, tangents = lm.edge, None, None
         if edge is None:
@@ -477,10 +478,12 @@ def forward(params: list, x: Tensor, graph: PreparedGraph, masks: list,
 
 @dataclass
 class StepDraws:
-    """Everything sampled for one training step's mask realization."""
+    """Everything sampled for one pass's mask realization."""
 
     layer_masks: list = field(default_factory=list)
     pi_tensors: list = field(default_factory=list)  # keep probability per layer
+    arm: ArmDraw | None = None   # ARM's uniforms and logits (train mode)
+    arm_layers: list = field(default_factory=list)  # (l, spec, free entries)
 
 
 def expected_keep(spec: MaskSpec, p: LayerParams) -> float:
@@ -517,16 +520,16 @@ def sample_step_masks(config: GCNConfig, params: list, graph: PreparedGraph,
                       rng: np.random.Generator | None = None, tape=None,
                       mode: str = "train",
                       input_nnz: int | None = None) -> StepDraws:
-    """Draw one full set of per-layer masks.
+    """Draw every factor of one pass: one full set of per-layer masks.
 
     Modes: ``train`` (stochastic), ``mc`` (stochastic, binary everywhere),
-    and ``det`` (deterministic expected-keep evaluation, which needs no
-    ``rng``). In ``train`` mode every learned layer records its keep
-    probability draw on ``tape``, whatever the estimator, and the estimator
-    owns that layer's edge masks: ``concrete`` draws relaxed masks and
-    their tangents from the recorded draw here, while under ``arm`` the edge
-    mask is left unset and the trainer installs binary masks built from the
-    step's shared uniforms.
+    and ``det`` (every mask at its expected keep value, a float for feature
+    masks; needs no ``rng``). In ``train`` mode every learned layer records
+    its keep probability draw on ``tape``, whatever the estimator, and the
+    estimator decides that layer's edge masks: ``concrete`` draws relaxed
+    masks and their tangents from the recorded draw, while under ``arm``
+    the step's shared uniforms follow the per-layer draws (``draws.arm``)
+    and each learned layer gets the keep mask of Z2 (``arm_masks``).
 
     ``input_nnz`` is the stored-entry count of a CSR layer-0 input; layer-0
     DropOut masks then hold one value per stored entry instead of an
@@ -547,7 +550,7 @@ def sample_step_masks(config: GCNConfig, params: list, graph: PreparedGraph,
         pi_val = pi_tensor.item()
         if spec.kind in (MaskKind.DROPOUT, MaskKind.NODE_SAMPLING):
             if mode == "det":
-                lm.feature_scale = pi_val
+                lm.feature = pi_val
             elif spec.kind == MaskKind.DROPOUT:
                 lm.feature = _dropout_mask(n, f_in, pi_val, rng, entries)
             else:
@@ -558,7 +561,7 @@ def sample_step_masks(config: GCNConfig, params: list, graph: PreparedGraph,
                     graph.edges, pi_val, spec.n_blocks,
                     protect_self_loops=spec.protect_self_loops)
             elif mode == "train" and spec.learned:
-                # ARM's binary masks are installed by the trainer.
+                # ARM's binary masks follow the per-layer draws.
                 if config.estimator == "concrete":
                     lm.edge = sample_concrete_mask(
                         graph.edges, spec.n_blocks, pi_tensor,
@@ -582,17 +585,37 @@ def sample_step_masks(config: GCNConfig, params: list, graph: PreparedGraph,
                 prev_edge = lm.edge
         if spec.dropout_keep is not None:
             if mode == "det":
-                lm.feature_scale = (spec.dropout_keep if lm.feature_scale is None
-                                    else lm.feature_scale * spec.dropout_keep)
+                extra = spec.dropout_keep
             else:
                 # A per-entry mask cannot combine with an (n, 1) node mask.
                 if lm.feature is not None and lm.feature.ndim == 2:
                     entries = None
                 extra = _dropout_mask(n, f_in, spec.dropout_keep, rng, entries)
-                lm.feature = extra if lm.feature is None else lm.feature * extra
+            lm.feature = extra if lm.feature is None else lm.feature * extra
         draws.layer_masks.append(lm)
         draws.pi_tensors.append(pi_tensor)
+    if mode == "train" and config.estimator == "arm":
+        draws.arm_layers = [(l, spec, arm_free_entries(graph.edges, spec))
+                            for l, spec in enumerate(config.masks)
+                            if spec.learned]
+        draws.arm = ArmDraw(
+            u=[rng.random(spec.n_blocks * len(free))
+               for _, spec, free in draws.arm_layers],
+            alpha=np.array([logit(1.0 - draws.pi_tensors[l].item())
+                            for l, *_ in draws.arm_layers]))
+        draws.layer_masks = arm_masks(draws, graph, arm_z2(draws.arm))
     return draws
+
+
+def arm_masks(draws: StepDraws, graph: PreparedGraph, z_drop: list) -> list:
+    """The step's layer masks with each ARM layer's edge mask set to the
+    keep mask of its drop indicators in ``z_drop`` (``arm_z1`` or
+    ``arm_z2`` of ``draws.arm``)."""
+    masks = list(draws.layer_masks)
+    for (l, spec, free), z in zip(draws.arm_layers, z_drop):
+        masks[l] = replace(masks[l],
+                           edge=arm_edge_mask(graph.edges, spec, z, free))
+    return masks
 
 
 def training_loss(tape, logprobs: Tensor, labels: np.ndarray,

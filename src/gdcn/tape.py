@@ -2,8 +2,8 @@
 
 Every value is a 2-D ``Tensor`` (scalars are 1x1, edge vectors are
 nnz x 1). A constant may hold a ``scipy.sparse.csr_array``, such as the
-layer-0 feature input: it never requires grad, and ``record_gdc_aggregate``
-and ``record_scale`` accept it unchanged.
+layer-0 feature input: it never requires grad, and only
+``record_gdc_aggregate`` takes it.
 
 ``record_gdc_aggregate`` is the one aggregation op. It takes one CSR
 pattern and, per feature block, that block's stored entries, which the
@@ -133,8 +133,12 @@ class Gradients:
         return np.zeros_like(t.data) if g is None else g
 
 
-def backward(tape: Tape, loss: Tensor) -> Gradients:
-    """Reverse accumulation from a scalar loss over the recorded tape."""
+def backward(tape: Tape, loss: Tensor, seeds: dict | None = None) -> Gradients:
+    """Reverse accumulation from a scalar loss over the recorded tape.
+
+    ``seeds`` maps tensors to gradients from outside the loss, such as ARM's
+    dL/dpi on a recorded draw; each is its tensor's first contribution.
+    """
     if loss.data.shape != (1, 1):
         raise ContractViolation(f"loss terminal must be scalar, got {loss.data.shape}")
     grads: dict = {loss: np.ones((1, 1))}
@@ -145,6 +149,10 @@ def backward(tape: Tape, loss: Tensor) -> Gradients:
         else:
             grads[t] = g
 
+    for t, g in (seeds or {}).items():
+        if np.shape(g) != t.data.shape:
+            raise ContractViolation(f"seed shape {np.shape(g)} != {t.shape}")
+        accumulate(t, g)
     for out, bwd in reversed(tape.records):
         g = grads.get(out)
         if g is None:

@@ -7,11 +7,13 @@ stopping does not chase mask noise.
 
 Both estimators reach (log a, log b) through the recorded Kumaraswamy draw
 and one backward pass. Concrete's masks carry the draw and their tangents
-dZ/dpi, which the fused aggregation turns into dL/dpi. With ARM the
-recorded pass uses the keep masks implied by the step's shared uniform
-vector (the second ARM setting, Z2), one additional unrecorded pass on Z1
-completes the estimate g_alpha, and g_alpha enters the backward pass as
-dL/dpi on the recorded draw.
+dZ/dpi, which the fused aggregation turns into dL/dpi. With ARM,
+``sample_step_masks`` draws the step's shared uniforms and hands back the
+keep masks of the second ARM setting, Z2, so the recorded pass's NLL is
+L(Z2). One more unrecorded pass, on the masks of Z1 (``arm_masks``),
+completes the estimate g_alpha, and ``backward`` takes g_alpha's
+dL/dpi = -g_alpha / (pi (1 - pi)) as a seed on the recorded draw
+(``estimators.arm_pi_grad``); the loss tensor holds the loss alone.
 
 Where layer 0 draws edge masks only, its block products ``H_b W_0[blk_b]``
 depend on the weights alone. ``train`` reads the input's column blocks
@@ -42,19 +44,16 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logit
 
 from .data import Dataset
 from .errors import ContractViolation, DivergenceError
-from .estimators import ArmDraw, arm_gradient, arm_pi_term, arm_z2
-from .masks import arm_edge_mask, arm_free_entries
+from .estimators import arm_gradient, arm_pi_grad
 from .metrics import accuracy
-from .model import (GCNConfig, LayerMasks, PreparedGraph, check_graph,
+from .model import (GCNConfig, PreparedGraph, arm_masks, check_graph,
                     expected_keep, forward, forward_deterministic, init_params,
                     layer0_products, loss_rows, record_kl_terms,
                     sample_step_masks, training_loss)
-from .tape import (Tape, backward, constant, record_add, record_masked_nll,
-                   record_scale)
+from .tape import Tape, backward, constant, record_masked_nll, record_scale
 from .variational import WarmupSchedule, warmup_factor
 
 _DIVERGENCE_LIMIT = 5
@@ -208,30 +207,12 @@ def train(dataset: Dataset, gcn_config: GCNConfig, train_config: TrainConfig,
     nonfinite_run = 0
     stop_reason = "max_epochs"
     capture = hidden_hook is not None
-    # (layer, spec, free_idx) per learned layer; the pattern is fixed, so
-    # the ARM variable positions are too.
-    arm_layers = [(l, spec, arm_free_entries(graph.edges, spec))
-                  for l, spec in enumerate(gcn_config.masks)
-                  if gcn_config.estimator == "arm" and spec.learned]
 
     for epoch in range(train_config.epochs):
         t0 = time.perf_counter()
         tape = Tape()
         draws = sample_step_masks(gcn_config, params, graph, rng, tape=tape,
                                   mode="train", input_nnz=x.data.nnz)
-
-        if arm_layers:
-            draw = ArmDraw(
-                u=[rng.random(spec.n_blocks * len(free_idx))
-                   for _, spec, free_idx in arm_layers],
-                alpha=np.array([logit(1.0 - draws.pi_tensors[l].item())
-                                for l, *_ in arm_layers]))
-            # The recorded pass runs on the keep masks implied by this
-            # step's u (the second ARM setting), keeping all noise shared.
-            for (l, spec, free_idx), z2 in zip(arm_layers, arm_z2(draw)):
-                draws.layer_masks[l].edge = arm_edge_mask(
-                    graph.edges, spec, z2, free_idx)
-
         logprobs = forward(params, x, graph, draws.layer_masks, tape=tape,
                            layer0=layer0, rows=plan)
         kl_terms = record_kl_terms(tape, gcn_config, params)
@@ -257,30 +238,21 @@ def train(dataset: Dataset, gcn_config: GCNConfig, train_config: TrainConfig,
                 )
         else:
             nonfinite_run = 0
-            if arm_layers:
-                base_masks = draws.layer_masks
-
-                def loss_eval(z_list):
-                    lm = list(base_masks)
-                    for (l, spec, free_idx), z in zip(arm_layers, z_list):
-                        lm[l] = LayerMasks(
-                            feature=base_masks[l].feature,
-                            edge=arm_edge_mask(graph.edges, spec, z, free_idx))
-                    lp = forward(params, x, graph, lm, tape=None,
+            seeds = None
+            if draws.arm is not None:
+                def loss_eval(z_drop):
+                    lp = forward(params, x, graph,
+                                 arm_masks(draws, graph, z_drop), tape=None,
                                  layer0=layer0, rows=plan)
                     return record_masked_nll(None, lp, plan_labels,
                                              observed).item()
 
                 # The recorded pass ran on Z2, so its NLL is L(Z2).
-                loss2 = record_masked_nll(None, logprobs, plan_labels,
-                                          observed).item()
-                est = arm_gradient(loss_eval, draw, loss2)
-                # Added after loss_val was read: these terms only carry
-                # the estimate into backward.
-                for (l, *_), g_alpha in zip(arm_layers, est.grad_alpha):
-                    loss = record_add(tape, loss, arm_pi_term(
-                        tape, draws.pi_tensors[l], g_alpha))
-            grads = backward(tape, loss)
+                est = arm_gradient(loss_eval, draws.arm, nll_val)
+                pis = [draws.pi_tensors[l] for l, *_ in draws.arm_layers]
+                seeds = {pi: arm_pi_grad(pi.item(), g_alpha)
+                         for pi, g_alpha in zip(pis, est.grad_alpha)}
+            grads = backward(tape, loss, seeds)
             adam_step(tensors, {t: grads.get(t) for t in tensors}, state,
                       train_config.lr)
 

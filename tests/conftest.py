@@ -13,9 +13,10 @@ import pytest
 
 from gdcn.masks import MaskKind, MaskSpec
 from gdcn.model import GCNConfig, init_params, save_checkpoint
-from gdcn.synthetic import make_synthetic_files
 from gdcn.tape import parameter, record_gdc_aggregate
 from gdcn.variational import record_kuma_sample
+
+from synthetic import make_synthetic_files
 
 
 def finite_diff(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -36,6 +37,11 @@ def kuma_draw(log_a: float, log_b: float, u: float) -> float:
     computes it (``record_kuma_sample`` without a tape)."""
     return record_kuma_sample(None, parameter(log_a), parameter(log_b),
                               u).item()
+
+
+def mask_values(mask) -> np.ndarray:
+    """An ``EdgeMask``'s blocks stacked into one (n_blocks, nnz) array."""
+    return np.stack([b.data.ravel() for b in mask.blocks])
 
 
 def masked_aggregate(tape, a, masks, h, w, pi=None, tangents=None, **kwargs):

@@ -119,6 +119,30 @@ class TestConfigErrors:
         assert err == f"error: {key} must be at least 1, got 0\n"
         assert not os.path.exists(tmp_path / "o")
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"model.keep_prob": "1.5"}, "keep_prob must lie in [0, 1]"),
+        ({"model.dropout_keep": "2"}, "dropout_keep must lie in [0, 1]"),
+        ({"model.dropout_keep": "abc"},
+         "model.dropout_keep: expected a number"),
+        ({"model.n_blocks": "0"}, "n_blocks must be >= 1"),
+        ({"model.regularizer": "dropout"},
+         "learned keep probabilities apply to edge masks (dropedge/gdc) only"),
+        ({"model.temperature": "0"}, "relaxed masks require temperature > 0"),
+        ({"model.estimator": "reinforce"}, "unknown estimator 'reinforce'"),
+        ({"model.learned": "false"},
+         "an estimator is needed exactly when a layer learns its drop rate"),
+    ])
+    def test_invalid_model_value_exit_2(self, tmp_path, synthetic_files,
+                                        capsys, overrides, message):
+        # The base config learns GDC drop rates with the concrete estimator.
+        content, cites = synthetic_files
+        cfg = write_config(tmp_path / "bad.ini", content, cites,
+                           tmp_path / "o", **overrides)
+        rc = main(["train", "--config", cfg])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not os.path.exists(tmp_path / "o")
+
     def test_non_ascii_feature_exit_2(self, tmp_path, synthetic_files,
                                       capsys):
         content, cites = synthetic_files
@@ -134,6 +158,53 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}:2: non-numeric feature")
         assert "Traceback" not in err
+
+
+class TestFlags:
+    @pytest.mark.parametrize("command, value, message", [
+        ("uq", "0", "must be at least 1, got 0"),
+        ("eval", "-1", "must be at least 0, got -1"),
+        ("eval", "five", "expected an integer, got 'five'"),
+    ])
+    def test_samples_out_of_range_exit_2(self, config, capsys, command,
+                                         value, message):
+        cfg, _ = config
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", cfg, "--checkpoint", "c.bin",
+                  "--samples", value])
+        assert exc.value.code == 2
+        assert f"--samples: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "diagnose", "sweep-blocks"])
+    def test_samples_only_where_read(self, config, capsys, command):
+        cfg, _ = config
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", cfg, "--samples", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --samples 5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, section, output", [
+        ("sweep-blocks", {"sweep.blocks": "1,2"}, "block_sweep.csv"),
+        ("diagnose", {"sweep.depths": "2,3"}, "depth_sweep.csv"),
+    ])
+    def test_sweeps_take_the_seed_override(self, tmp_path, synthetic_files,
+                                           command, section, output):
+        # A sweep run with --seed-override 1 is the run whose config lists
+        # seed 1 alone; with seeds 0 and 1 it would average both.
+        content, cites = synthetic_files
+        base = {"train.epochs": "4", "train.patience": "4", **section}
+        runs = {}
+        for name, seeds, extra in (("override", "0,1", ["--seed-override",
+                                                        "1"]),
+                                   ("config", "1", []),
+                                   ("other", "1", ["--seed-override", "2"])):
+            out = tmp_path / name
+            cfg = write_config(tmp_path / f"{name}.ini", content, cites, out,
+                               **base, **{"train.seeds": seeds})
+            assert main([command, "--config", cfg] + extra) == 0
+            runs[name] = (out / output).read_bytes()
+        assert runs["override"] == runs["config"]
+        assert runs["other"] != runs["config"]
 
 
 class TestTrain:
@@ -181,6 +252,13 @@ class TestEvalUq:
         cfg, out = config
         assert main(["train", "--config", cfg]) == 0
         return cfg, out, os.path.join(out, "ckpt_seed0.bin")
+
+    def test_eval_zero_samples_is_deterministic_only(self, trained):
+        cfg, out, ckpt = trained
+        assert main(["eval", "--config", cfg, "--checkpoint", ckpt,
+                     "--samples", "0"]) == 0
+        rows = open(os.path.join(out, "eval.csv")).read().splitlines()
+        assert [r.split(",")[0] for r in rows] == ["mode", "deterministic"]
 
     def test_eval_writes_accuracies(self, trained, capsys):
         cfg, out, ckpt = trained
@@ -304,6 +382,22 @@ class TestDiagnose:
         assert rows[0] == "depth,mean_acc,std_acc"
         assert len(rows) == 3
         assert rows[1].startswith("2,") and rows[2].startswith("3,")
+
+
+    def test_graph_without_edges_exit_2(self, tmp_path, synthetic_files,
+                                        capsys):
+        content, _ = synthetic_files
+        cites = tmp_path / "self.cites"
+        cites.write_text("n0\tn0\n", encoding="utf-8")  # dropped
+        out = tmp_path / "diag"
+        cfg = write_config(tmp_path / "diag.ini", content, cites, out,
+                           **{"train.epochs": "2", "train.seeds": "0"})
+        rc = main(["diagnose", "--config", cfg])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {cites}: the graph has no edge; total variation needs "
+            f"at least one\n")
+        assert not os.path.exists(out)
 
 
 class TestSweepBlocks:

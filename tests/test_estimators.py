@@ -7,15 +7,15 @@ import numpy as np
 import pytest
 from scipy.special import expit, logit
 
-from gdcn.errors import EstimatorFailure
-from gdcn.estimators import (ArmDraw, arm_gradient, arm_pi_term, arm_z1,
+from gdcn.errors import ContractViolation, EstimatorFailure
+from gdcn.estimators import (ArmDraw, arm_gradient, arm_pi_grad, arm_z1,
                              arm_z2)
 from gdcn.graph import build_adjacency, normalize
 from gdcn.masks import MaskKind, MaskSpec, sample_concrete_mask
 from gdcn.model import (GCNConfig, PreparedGraph, forward, init_params,
                         layer0_products, sample_step_masks, sparse_input)
-from gdcn.tape import (Tape, backward, constant, parameter,
-                       record_frobenius_sq, record_masked_nll)
+from gdcn.tape import (Tape, backward, constant, parameter, record_add,
+                       record_frobenius_sq, record_masked_nll, record_scale)
 from gdcn.variational import KumaraswamyParams, record_kuma_sample
 
 from conftest import (finite_diff, kuma_draw, masked_aggregate, random_edges,
@@ -122,13 +122,71 @@ class TestArmGradient:
 
 def arm_kuma_gradient(g_alpha, a, b, u):
     """ARM's d/d alpha carried to (d/da, d/db) the way ``train`` does it:
-    ``arm_pi_term`` on the recorded draw, then one backward pass."""
+    ``arm_pi_grad`` seeds one backward pass on the recorded draw (here of
+    a loss that does not read it)."""
     kp = KumaraswamyParams(a, b)
     tape = Tape()
     pi = record_kuma_sample(tape, kp.log_a, kp.log_b, u)
-    grads = backward(tape, arm_pi_term(tape, pi, g_alpha))
+    grads = backward(tape, constant(0.0),
+                     {pi: arm_pi_grad(pi.item(), g_alpha)})
     return np.array([grads.get(kp.log_a)[0, 0] / kp.a,
                      grads.get(kp.log_b)[0, 0] / kp.b])
+
+
+class TestPiSeed:
+    """ARM's dL/dpi as a ``backward`` seed against the loss term that used
+    to carry it: ``record_scale(tape, pi, -g / (pi (1 - pi)))`` added to the
+    loss after its value was read."""
+
+    @staticmethod
+    def step(g_alphas, as_seed, weight_scaling):
+        kumas = [KumaraswamyParams(1.3, 2.4), KumaraswamyParams(0.8, 3.1)]
+        w = parameter(np.array([[0.5, -1.5], [2.0, 0.25]]))
+        tape = Tape()
+        pis = [record_kuma_sample(tape, kp.log_a, kp.log_b, u)
+               for kp, u in zip(kumas, (0.3, 0.71))]
+        loss = record_frobenius_sq(tape, w)
+        if weight_scaling:   # as kl_weight_scaling reads pi, before ARM
+            for pi in pis:
+                loss = record_add(tape, loss, record_scale(tape, pi, 6.5))
+        value = loss.item()
+        if as_seed:
+            grads = backward(tape, loss, {
+                pi: arm_pi_grad(pi.item(), g)
+                for pi, g in zip(pis, g_alphas)})
+        else:
+            for pi, g in zip(pis, g_alphas):
+                p = pi.item()
+                loss = record_add(tape, loss, record_scale(
+                    tape, pi, -g / (p * (1.0 - p))))
+            grads = backward(tape, loss)
+        out = [grads.get(t) for kp in kumas for t in kp.tensors()]
+        return value, out + [grads.get(w)]
+
+    @pytest.mark.parametrize("weight_scaling", [False, True])
+    @pytest.mark.parametrize("g_alphas", [(0.37, -1.25), (-2e-3, 4.5)])
+    def test_equals_loss_term_bit_for_bit(self, g_alphas, weight_scaling):
+        value, got = self.step(g_alphas, True, weight_scaling)
+        want_value, want = self.step(g_alphas, False, weight_scaling)
+        assert value == want_value
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+        assert all(np.any(g != 0.0) for g in got)
+
+    def test_pi_grad_formula(self):
+        # bit for bit the loss term's constant, so that training digests
+        # do not move
+        rng = np.random.default_rng(6)
+        for p, g in zip(rng.random(500), rng.normal(size=500)):
+            got = arm_pi_grad(float(p), g)
+            assert got.shape == (1, 1)
+            assert got[0, 0] == float(-g / (float(p) * (1.0 - float(p))))
+
+    def test_seed_shape_checked(self):
+        tape = Tape()
+        pi = record_kuma_sample(tape, parameter(0.0), parameter(0.0), 0.5)
+        with pytest.raises(ContractViolation, match="seed shape"):
+            backward(tape, constant(0.0), {pi: np.ones(1)})
 
 
 class TestChainToKuma:

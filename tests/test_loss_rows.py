@@ -13,12 +13,11 @@ import pytest
 from scipy.sparse import csr_array
 
 from gdcn.errors import ContractViolation
-from gdcn.estimators import ArmDraw, arm_z1, arm_z2
+from gdcn.estimators import arm_z1, arm_z2
 from gdcn.graph import kept, spmm, spmm_t
-from gdcn.masks import (MaskKind, MaskSpec, arm_edge_mask, arm_free_entries,
-                        sample_dropout_mask)
-from gdcn.model import (GCNConfig, PreparedGraph, _mask_csr, forward,
-                        init_params, layer0_products, loss_rows,
+from gdcn.masks import MaskKind, MaskSpec, sample_dropout_mask
+from gdcn.model import (GCNConfig, PreparedGraph, _mask_csr, arm_masks,
+                        forward, init_params, layer0_products, loss_rows,
                         sample_step_masks, sparse_input)
 from gdcn.tape import (CompactRows, Tape, backward, constant, parameter,
                        record_gdc_aggregate, record_masked_nll)
@@ -241,17 +240,11 @@ class TestCompactPass:
         x = constant(np.random.default_rng(1).random((N, 7)))
         if sparse_x:
             x = sparse_input(x)
-        free = [arm_free_entries(g.edges, s) for s in masks]
-        rng = np.random.default_rng(5)
-        draw = ArmDraw(u=[rng.random(s.n_blocks * len(f))
-                          for s, f in zip(masks, free)],
-                       alpha=np.array([0.3, -0.2, 0.1]))
         plan = loss_rows(g, OBSERVED, 3)
-        for z in (arm_z1(draw), arm_z2(draw)):
-            def install(draws, z=z):
-                for l, (s, f) in enumerate(zip(masks, free)):
-                    draws.layer_masks[l].edge = arm_edge_mask(g.edges, s,
-                                                              z[l], f)
+        # The training-mode draws carry both ARM settings' uniforms.
+        for setting in (arm_z1, arm_z2):
+            def install(draws, setting=setting):
+                draws.layer_masks = arm_masks(draws, g, setting(draws.arm))
             full = one_pass(cfg, g, params, x, None, 3, install)
             compact = one_pass(cfg, g, params, x, plan, 3, install)
             np.testing.assert_array_equal(compact[0], full[0])

@@ -17,9 +17,10 @@ from gdcn.data import Dataset, make_split
 from gdcn.masks import MaskKind, MaskSpec
 from gdcn.model import (GCNConfig, PreparedGraph, forward, init_params,
                         predict_mc, sample_step_masks, sparse_input)
-from gdcn.synthetic import cluster_graph
 from gdcn.tape import constant
 from gdcn.training import TrainConfig, train
+
+from synthetic import cluster_graph
 
 DIMS = [15, 8, 6, 3]
 S = 12

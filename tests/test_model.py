@@ -22,7 +22,8 @@ from gdcn.tape import (Tape, backward, block_bounds, block_products,
 from gdcn.variational import kl_kuma_beta
 
 from conftest import (CHECKPOINT_VALUE_FAULTS, dense_normalize, finite_diff,
-                      random_edges, rel_err, small_checkpoint, with_float)
+                      mask_values, random_edges, rel_err, small_checkpoint,
+                      with_float)
 
 
 def prepared(n=5, seed=0, p=0.6):
@@ -137,7 +138,7 @@ class TestForwardOracles:
         w = params[0].m.data
         pre = np.zeros((4, 3))
         for b, (c0, c1) in enumerate(block_bounds(4, 2)):
-            masked = a * dense_mask(g.edges, em.values()[b])
+            masked = a * dense_mask(g.edges, mask_values(em)[b])
             pre += masked @ x[:, c0:c1] @ w[c0:c1, :]
         h1 = np.maximum(pre, 0.0)
         want = log_softmax(a @ h1 @ params[1].m.data)
@@ -284,7 +285,7 @@ class TestParameterSpaceEquivalence:
         got = forward(params, constant(x), g, masks).data  # head: log-softmax
 
         a = g.a_norm.toarray()
-        vals = em.values()
+        vals = mask_values(em)
         pre = np.zeros((n, f_out))
         for v in range(n):
             for k in np.flatnonzero(g.edges.rows == v):

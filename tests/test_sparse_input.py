@@ -111,8 +111,8 @@ class TestForwardEquivalence:
         run(lambda g, rng: [LayerMasks(), LayerMasks()])
 
     def test_det_dropout_scaling(self, run):
-        run(lambda g, rng: [LayerMasks(feature_scale=0.4),
-                            LayerMasks(feature_scale=0.7)])
+        run(lambda g, rng: [LayerMasks(feature=0.4),
+                            LayerMasks(feature=0.7)])
 
     def test_node_mask(self, run):
         run(lambda g, rng: [
@@ -222,7 +222,7 @@ class TestSparseDropout:
         x = sparse_features(rng)
         got = forward_deterministic(params, constant(x), g, cfg).data
         want = forward(params, constant(x), g,
-                       [LayerMasks(feature_scale=keep)] * 2).data
+                       [LayerMasks(feature=keep)] * 2).data
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_dropout_keep_multiplies_entry_masks(self):
@@ -257,7 +257,7 @@ class TestSparseDropout:
         cfg = config(MaskKind.DROPOUT, keep_prob=0.5)
         params = init_params(cfg, np.random.default_rng(0))
         draws = sample_step_masks(cfg, params, prepared(), mode="det")
-        assert draws.layer_masks[0].feature_scale == 0.5
+        assert draws.layer_masks[0].feature == 0.5
         with pytest.raises(ContractViolation):
             sample_step_masks(cfg, params, prepared(), mode="mc")
 

@@ -9,13 +9,13 @@ from gdcn.data import Dataset, Split, make_split
 from gdcn.errors import ContractViolation
 from gdcn.masks import MaskKind, MaskSpec
 from gdcn.model import GCNConfig, PreparedGraph
-from gdcn.synthetic import cluster_graph
 from gdcn.tape import parameter
 from gdcn.training import (AdamState, EpochLog, TrainConfig, adam_step,
                            epoch_log_rows, run_seeds, train)
 from gdcn.variational import WarmupSchedule
 
 from conftest import finite_diff, kuma_draw, rel_err
+from synthetic import cluster_graph
 
 
 class TestAdam:
@@ -217,6 +217,35 @@ class TestTrain:
         tc = TrainConfig(epochs=8, lr=0.05, patience=8, seeds=(0,))
         train(ds, cfg, tc, seed=0)
         assert checked == [True] * 8
+
+    @pytest.mark.parametrize("estimator", ["arm", "concrete"])
+    def test_backward_gets_the_loss_and_arms_seeds(self, monkeypatch,
+                                                   estimator):
+        # The loss tensor holds the logged loss; ARM's estimate enters
+        # backward as one seed per learned layer, on its recorded draw.
+        import gdcn.training as training
+        real = training.backward
+        calls = []
+
+        def spy(tape, loss, seeds=None):
+            calls.append((loss.item(), seeds))
+            return real(tape, loss, seeds)
+
+        monkeypatch.setattr(training, "backward", spy)
+        ds = synthetic_dataset()
+        cfg = small_config(ds.n_features, ds.class_count, kind=MaskKind.GDC,
+                           learned=True, estimator=estimator, n_blocks=2)
+        res = train(ds, cfg, TrainConfig(epochs=3, patience=3, seeds=(0,)),
+                    seed=0)
+        assert [v for v, _ in calls] == [log.train_loss for log in res.logs]
+        for _, seeds in calls:
+            if estimator == "concrete":
+                assert seeds is None
+                continue
+            assert len(seeds) == cfg.n_layers
+            for pi, g in seeds.items():
+                assert pi.requires_grad and 0.0 < pi.item() < 1.0
+                assert g.shape == (1, 1) and np.isfinite(g[0, 0])
 
     @pytest.mark.parametrize("estimator", ["arm", "concrete"])
     def test_reused_layer0_products_change_nothing(self, monkeypatch,
