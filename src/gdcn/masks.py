@@ -270,12 +270,15 @@ def arm_edge_mask(edges: EdgeSet, spec: MaskSpec, z_drop: np.ndarray,
 
 
 def expected_keep_mask(edges: EdgeSet, keep_prob: float,
-                       n_blocks: int = 1,
                        protect_self_loops: bool = False) -> EdgeMask:
     """Deterministic-evaluation mask: every entry at its expected keep
-    value. The blocks share one array."""
+    value, one block for any layer kind.
+
+    A GDC layer's blocks all expect the same value, so in expectation the
+    layer aggregates ``sum_b (A ⊙ pi) H_b W_b = (A ⊙ pi) (H W)``: one block
+    over the whole input."""
     _check_prob(keep_prob)
     vals = np.full(edges.n_entries, keep_prob)
     if protect_self_loops:
         vals[edges.is_diag] = 1.0
-    return EdgeMask(blocks=[constant(vals)] * n_blocks)
+    return EdgeMask(blocks=[constant(vals)])

@@ -32,20 +32,26 @@ per-edge weight diag(z_vu) W. The test suite checks this identity against a
 dense per-edge oracle.
 
 ``Dataset.features`` stays a dense array. The entry points ``predict_mc``
-and ``forward_deterministic`` convert it to a CSR constant once per call
-(``predict_mc`` to a float32 one), and ``training.train`` reads the
-dataset's own CSR form, converted once per features array
-(``Dataset.features_csr``), so the layer-0 matmuls run on sparse kernels
-and layer-0 DropOut draws one value per stored entry. ``forward`` never
-converts: a dense input keeps the dense path.
+and ``forward_deterministic`` convert it to a float32 CSR constant once
+per call, and ``training.train`` reads the dataset's own CSR form,
+converted once per features array (``Dataset.features_csr``), so the
+layer-0 matmuls run on sparse kernels and layer-0 DropOut draws one value
+per stored entry. ``forward`` never converts: a dense input keeps the
+dense path.
 
 A pass computes in the dtype of its operands (``tape``'s dtype rule).
-Training, the deterministic evaluation and every taped pass are float64.
-``predict_mc`` runs its passes in float32 on ``float32_operands``: float32
-copies of the weights, biases, input and ``a_norm``, with the masks
-applied in float32 and the masks drawn as a float64 pass draws them. Each
-pass finishes in float64, where the log-softmax casts its (n, C) logits,
-and the call returns float64 probabilities.
+Every taped pass (training's recorded pass, ARM's second pass) is float64,
+and so are the loss and every gradient. Every pass without a tape,
+``predict_mc``'s and the deterministic evaluation's, runs in float32 on
+``float32_operands``: float32 copies of the weights, biases, input and
+``a_norm``, with the masks applied in float32 and the masks drawn as a
+float64 pass draws them. Each pass finishes in float64, where the
+log-softmax casts its (n, C) logits, so both return float64 probabilities.
+
+The deterministic evaluation scales each connection by its layer's
+expected keep probability pi. That value is the same for every GDC block,
+so ``sum_b (A ⊙ pi) H_b W_b = (A ⊙ pi) (H W)``: in expectation a GDC layer
+is a one-block layer on ``pi A``, one dense product and one ``spmm``.
 
 Layer 0's block products ``S_b = X[:, blk_b] W_0[blk_b]`` depend on the
 masks only when the layer-0 input is masked or scaled. When layer 0 draws
@@ -54,7 +60,8 @@ and multiplies first, ``layer0_products`` computes the products for the
 current weights (and None otherwise), and ``forward(..., layer0=...)``
 hands them to the fused op. ``predict_mc`` does this once per call;
 ``training.train`` computes the products once per weight state, on the
-dataset's blocks (``Dataset.feature_blocks``).
+dataset's blocks (``Dataset.feature_blocks``), and hands the deterministic
+evaluation their sum, one float32 block (``BlockProducts.merged``).
 DropOut and node sampling at layer 0 mask the input, so their products are
 computed in every pass.
 
@@ -399,12 +406,12 @@ def forward(params: list, x: Tensor, graph: PreparedGraph, masks: list,
     """Stack forward pass; returns log-probabilities (and hidden outputs).
 
     ``masks`` is one ``LayerMasks`` per layer. Hidden outputs are captured
-    post-activation for the over-smoothing diagnostics. A layer whose
-    ``edge`` is None aggregates with the adjacency's own entries, one
-    block. ``layer0`` holds layer 0's precomputed block products
-    (``layer0_products`` on this ``x`` and these weights); they apply only
-    to an unmasked, unscaled layer-0 input and must have as many blocks as
-    the layer-0 edge mask.
+    post-activation for the over-smoothing diagnostics, as float64 copies
+    whatever the pass's dtype. A layer whose ``edge`` is None aggregates
+    with the adjacency's own entries, one block. ``layer0`` holds layer 0's
+    precomputed block products (``layer0_products`` on this ``x`` and these
+    weights); they apply only to an unmasked, unscaled layer-0 input and
+    must have as many blocks as the layer-0 edge mask.
 
     ``rows`` (``loss_rows``) restricts the pass to the rows its loss can
     reach: each layer computes only its plan rows, into compact arrays, so
@@ -470,7 +477,7 @@ def forward(params: list, x: Tensor, graph: PreparedGraph, masks: list,
         if l < n_layers - 1:
             h = record_relu(tape, out)
             if capture_hidden:
-                hidden.append(h.data.copy())
+                hidden.append(h.data.astype(np.float64))
         else:
             h = record_log_softmax_rows(tape, out)
     return (h, hidden) if capture_hidden else h
@@ -523,8 +530,11 @@ def sample_step_masks(config: GCNConfig, params: list, graph: PreparedGraph,
     """Draw every factor of one pass: one full set of per-layer masks.
 
     Modes: ``train`` (stochastic), ``mc`` (stochastic, binary everywhere),
-    and ``det`` (every mask at its expected keep value, a float for feature
-    masks; needs no ``rng``). In ``train`` mode every learned layer records
+    and ``det`` (every mask at its expected keep value; needs no ``rng``).
+    A ``det`` feature mask is a float, and every edge layer, GDC included,
+    gets the one block of ``expected_keep_mask``: its blocks would all hold
+    the same values, so one product over the whole input replaces the
+    per-block ones. In ``train`` mode every learned layer records
     its keep probability draw on ``tape``, whatever the estimator, and the
     estimator decides that layer's edge masks: ``concrete`` draws relaxed
     masks and their tangents from the recorded draw, while under ``arm``
@@ -558,7 +568,7 @@ def sample_step_masks(config: GCNConfig, params: list, graph: PreparedGraph,
         elif spec.kind in (MaskKind.DROPEDGE, MaskKind.GDC):
             if mode == "det":
                 lm.edge = expected_keep_mask(
-                    graph.edges, pi_val, spec.n_blocks,
+                    graph.edges, pi_val,
                     protect_self_loops=spec.protect_self_loops)
             elif mode == "train" and spec.learned:
                 # ARM's binary masks follow the per-layer draws.
@@ -578,7 +588,7 @@ def sample_step_masks(config: GCNConfig, params: list, graph: PreparedGraph,
                     rng, protect_self_loops=spec.protect_self_loops)
         elif spec.kind == MaskKind.RANDOM_WALK:
             if mode == "det":
-                lm.edge = expected_keep_mask(graph.edges, pi_val, 1)
+                lm.edge = expected_keep_mask(graph.edges, pi_val)
             else:
                 lm.edge = sample_randomwalk_mask(graph.edges, pi_val,
                                                  prev_edge, rng)
@@ -657,13 +667,18 @@ def forward_deterministic(params, x, graph, config, capture_hidden=False,
                           layer0: BlockProducts | None = None):
     """Expected-keep evaluation pass (no sampling, no tape).
 
-    ``layer0`` is passed on to ``forward``; ``train`` supplies the products
-    it already holds for the current weights.
+    Every layer is one product (``sample_step_masks``' ``det`` mode),
+    computed in float32 on ``float32_operands``; the log-softmax finishes
+    each row in float64, and hidden outputs are float64 copies. ``layer0``
+    is passed on to ``forward``: one block of products of the float32
+    operands, such as ``BlockProducts.merged`` of the products ``train``
+    already holds for the current weights.
     """
     check_graph(graph, config)
     draws = sample_step_masks(config, params, graph, mode="det")
-    return forward(params, sparse_input(x), graph, draws.layer_masks,
-                   tape=None, capture_hidden=capture_hidden, layer0=layer0)
+    params, x, graph = float32_operands(params, x, graph)
+    return forward(params, x, graph, draws.layer_masks, tape=None,
+                   capture_hidden=capture_hidden, layer0=layer0)
 
 
 def float32_operands(params: list, x: Tensor, graph: PreparedGraph):

@@ -15,9 +15,10 @@ block the entries of ``dA_b/dpi``, and gives pi its gradient directly.
 The dtype rule: a tensor that does not require grad keeps float32 data as
 float32; any other data, and every tensor that requires grad, is float64.
 Ops compute in their operands' dtype, so a pass over float32 constants runs
-in float32 (``model.predict_mc``) and a taped pass stays float64 from end
-to end. ``record_gdc_aggregate`` computes in its block entries' dtype.
-``record_log_softmax_rows`` always computes in float64.
+in float32 (``model.predict_mc``, ``model.forward_deterministic``) and a
+taped pass stays float64 from end to end. ``record_gdc_aggregate``
+computes in its block entries' dtype. ``record_log_softmax_rows`` always
+computes in float64.
 
 Ops are free functions ``record_*(tape, ...) -> Tensor``; passing
 ``tape=None`` computes the value without recording, which is how inference
@@ -196,6 +197,18 @@ class BlockProducts:
 
     h_blocks: tuple
     products: tuple
+
+    def merged(self, h_data) -> "BlockProducts":
+        """The products of a one-block layer on the same input and weights:
+        ``sum_b S_b = H W`` in ``h_data``'s dtype, with ``h_data``, the
+        whole input, as its one block; ``h_data`` may be a cast copy of H,
+        such as a float32 pass's input. The sum is taken in the products'
+        own dtype, block by block, into one new array, before the cast."""
+        s = self.products
+        total = s[0] if len(s) == 1 else s[0] + s[1]
+        for s_b in s[2:]:
+            total += s_b
+        return BlockProducts((h_data,), (total.astype(h_data.dtype),))
 
 
 def block_products(h_blocks, w_data: np.ndarray) -> BlockProducts:

@@ -3,7 +3,9 @@
 Each epoch rebuilds a fresh tape, samples masks (recording the keep
 probability draw of every learned layer), and takes one Adam step. Model
 selection uses a deterministic expected-keep evaluation pass so that early
-stopping does not chase mask noise.
+stopping does not chase mask noise. It needs only an argmax, so it runs in
+float32 with one product per layer (``model.forward_deterministic``); the
+loss, every gradient and Adam's state stay float64.
 
 Both estimators reach (log a, log b) through the recorded Kumaraswamy draw
 and one backward pass. Concrete's masks carry the draw and their tangents
@@ -22,8 +24,10 @@ array (``Dataset.feature_blocks``), so calls that train again on one
 dataset share them. It computes the products once per weight state: once
 before the first epoch, and again after every Adam step, which updates
 ``W_0`` in place. The deterministic evaluation is the first pass on each
-new state, so it computes them and hands them to the next epoch's recorded
-pass and ARM's Z1 pass.
+new state, so it computes them, in float64, and hands them to the next
+epoch's recorded pass and ARM's Z1 pass. Its own layer 0 is one block, and
+it takes their sum cast to float32 (``BlockProducts.merged``): nb - 1
+adds and a cast instead of one product per block.
 
 The loss reads only the training nodes, so ``train`` builds their loss-row
 plan once per call (``model.loss_rows``), and the recorded pass and ARM's
@@ -50,9 +54,9 @@ from .errors import ContractViolation, DivergenceError
 from .estimators import arm_gradient, arm_pi_grad
 from .metrics import accuracy
 from .model import (GCNConfig, PreparedGraph, arm_masks, check_graph,
-                    expected_keep, forward, forward_deterministic, init_params,
-                    layer0_products, loss_rows, record_kl_terms,
-                    sample_step_masks, training_loss)
+                    expected_keep, forward, forward_deterministic,
+                    init_params, layer0_products, loss_rows, record_kl_terms,
+                    sample_step_masks, sparse_input, training_loss)
 from .tape import Tape, backward, constant, record_masked_nll, record_scale
 from .variational import WarmupSchedule, warmup_factor
 
@@ -101,19 +105,29 @@ def epoch_log_rows(logs: list) -> list:
 
 
 class AdamState:
-    """First/second moments per parameter tensor plus the step counter."""
+    """First/second moments per parameter tensor plus the step counter, and
+    two scratch arrays per tensor for the update's intermediates."""
 
     def __init__(self, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8):
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m: dict = {}
         self.v: dict = {}
+        self.scratch: dict = {}
         self.t = 0
         self.rejected = 0
 
 
 def adam_step(tensors: list, grads: dict, state: AdamState, lr: float) -> bool:
-    """One Adam update over ``tensors``; returns False on non-finite grads."""
+    """One Adam update over ``tensors``; returns False on non-finite grads.
+
+    A step with any non-finite gradient changes nothing but
+    ``state.rejected``. Otherwise every tensor takes
+    ``lr * (m / bc1) / (sqrt(v / bc2) + eps)`` off its data, computed in
+    place in the state's scratch arrays with the operations and order of
+    that formula, so the result is bit for bit the formula's and a step
+    allocates no full-size temporary.
+    """
     for t in tensors:
         if not np.all(np.isfinite(grads[t])):
             state.rejected += 1
@@ -129,12 +143,23 @@ def adam_step(tensors: list, grads: dict, state: AdamState, lr: float) -> bool:
             m = np.zeros_like(t.data)
             state.m[t] = m
             state.v[t] = np.zeros_like(t.data)
+            state.scratch[t] = (np.empty_like(t.data), np.empty_like(t.data))
         v = state.v[t]
+        a, b = state.scratch[t]
         m *= b1
-        m += (1.0 - b1) * g
+        np.multiply(g, 1.0 - b1, out=a)
+        m += a
         v *= b2
-        v += (1.0 - b2) * g * g
-        t.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        np.multiply(g, 1.0 - b2, out=a)
+        a *= g
+        v += a
+        np.divide(v, bc2, out=a)
+        np.sqrt(a, out=a)
+        a += state.eps
+        np.divide(m, bc1, out=b)
+        b *= lr
+        b /= a
+        t.data -= b
     return True
 
 
@@ -158,12 +183,16 @@ def _det_eval(params, x, graph, config, labels, split, blocks,
     """Accuracies of the expected-keep pass on the current weights.
 
     Also returns, for the passes that follow on the same weights, the
-    layer-0 block products of ``blocks`` (``Dataset.feature_blocks``),
-    which the pass itself uses, or None where they are not reused.
+    float64 layer-0 block products of ``blocks``
+    (``Dataset.feature_blocks``), or None where they are not reused. The
+    pass itself runs in float32 with one block per layer, so it takes
+    their sum, cast (``BlockProducts.merged``).
     """
     layer0 = layer0_products(config, params, x, blocks)
-    res = forward_deterministic(params, x, graph, config,
-                                capture_hidden=capture_hidden, layer0=layer0)
+    x32 = sparse_input(x, np.float32)
+    merged = None if layer0 is None else layer0.merged(x32.data)
+    res = forward_deterministic(params, x32, graph, config,
+                                capture_hidden=capture_hidden, layer0=merged)
     logprobs, hidden = res if capture_hidden else (res, None)
     pred = logprobs.data.argmax(axis=1)
     return (accuracy(pred, labels, split.val),

@@ -162,13 +162,16 @@ class TestRandomWalk:
 
 
 class TestExpectedKeep:
-    def test_blocks_share_one_array(self):
+    @pytest.mark.parametrize("protect", [False, True])
+    def test_one_block_at_the_keep_value(self, protect):
+        # One block for every layer kind: a GDC layer's blocks would all
+        # hold these values.
         es = edge_set(6, seed=2)
-        m = expected_keep_mask(es, 0.3, 3, protect_self_loops=True)
-        assert m.n_blocks == 3
-        assert all(b.data is m.blocks[0].data for b in m.blocks)
-        want = np.where(es.is_diag, 1.0, 0.3)
-        np.testing.assert_array_equal(mask_values(m), np.tile(want, (3, 1)))
+        m = expected_keep_mask(es, 0.3, protect_self_loops=protect)
+        assert m.n_blocks == 1
+        want = np.where(es.is_diag, 1.0, 0.3) if protect else np.full(
+            es.n_entries, 0.3)
+        np.testing.assert_array_equal(mask_values(m), want[None, :])
 
 
 class TestConcrete:

@@ -436,15 +436,14 @@ class TestBias:
 
 class TestPredictMc:
     def test_keep_one_matches_deterministic(self):
-        # predict_mc computes in float32: compare with the deterministic
-        # pass on the same float32 operands.
+        # predict_mc and the deterministic pass both compute in float32 on
+        # float32_operands.
         g = prepared(5, seed=4)
         cfg = plain_config([3, 4, 2], kind=MaskKind.GDC, keep_prob=1.0)
         params = init_params(cfg, np.random.default_rng(0))
         x = constant(np.random.default_rng(1).normal(size=(5, 3)))
         mean, per = predict_mc(params, x, g, cfg, 4, np.random.default_rng(2))
-        det = np.exp(forward_deterministic(
-            *float32_operands(params, x, g), cfg).data)
+        det = np.exp(forward_deterministic(params, x, g, cfg).data)
         np.testing.assert_allclose(mean, det, atol=1e-12)
         for s in range(4):
             np.testing.assert_array_equal(per[s], per[0])

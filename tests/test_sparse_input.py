@@ -10,8 +10,9 @@ from gdcn.masks import (MaskKind, MaskSpec, sample_dropedge_mask,
                         sample_dropout_mask, sample_gdc_masks,
                         sample_node_mask)
 from gdcn.model import (GCNConfig, LayerMasks, PreparedGraph, _mask_csr,
-                        forward, forward_deterministic, init_params,
-                        sample_step_masks, sparse_input, training_loss)
+                        float32_operands, forward, forward_deterministic,
+                        init_params, sample_step_masks, sparse_input,
+                        training_loss)
 from gdcn.tape import Tape, Tensor, backward, constant, parameter
 from gdcn.training import TrainConfig, train
 
@@ -221,7 +222,8 @@ class TestSparseDropout:
         params = init_params(cfg, rng)
         x = sparse_features(rng)
         got = forward_deterministic(params, constant(x), g, cfg).data
-        want = forward(params, constant(x), g,
+        # the deterministic pass computes in float32
+        want = forward(*float32_operands(params, constant(x), g),
                        [LayerMasks(feature=keep)] * 2).data
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 

@@ -54,6 +54,38 @@ class TestAdam:
         adam_step([w], {w: np.array([[0.0]])}, state, lr=0.0)
         assert abs(state.m[w][0, 0]) < abs(m_before[0, 0])
 
+    def test_in_place_steps_equal_the_formula(self):
+        # 50 steps, one of them rejected, against Adam's formula written
+        # out with fresh arrays: parameters and moments bit for bit.
+        rng = np.random.default_rng(0)
+        shapes = [(7, 5), (1, 5), (1, 1)]
+        tensors = [parameter(rng.normal(size=s)) for s in shapes]
+        want = [t.data.copy() for t in tensors]
+        m = [np.zeros(s) for s in shapes]
+        v = [np.zeros(s) for s in shapes]
+        state = AdamState()
+        b1, b2, eps, lr, steps = 0.9, 0.999, 1e-8, 0.01, 0
+        for step in range(50):
+            grads = [rng.normal(size=s) * 10.0 ** rng.integers(-3, 3)
+                     for s in shapes]
+            if step == 17:
+                grads[1][0, 2] = np.inf
+            ok = adam_step(tensors, dict(zip(tensors, grads)), state, lr)
+            assert ok == (step != 17)
+            if ok:
+                steps += 1
+                bc1, bc2 = 1.0 - b1 ** steps, 1.0 - b2 ** steps
+                for i, g in enumerate(grads):
+                    m[i] = b1 * m[i] + (1.0 - b1) * g
+                    v[i] = b2 * v[i] + (1.0 - b2) * g * g
+                    want[i] = want[i] - lr * (m[i] / bc1) / (
+                        np.sqrt(v[i] / bc2) + eps)
+            for i, t in enumerate(tensors):
+                assert t.data.tobytes() == want[i].tobytes()
+                assert state.m[t].tobytes() == m[i].tobytes()
+                assert state.v[t].tobytes() == v[i].tobytes()
+        assert state.t == 49 and state.rejected == 1
+
 
 def synthetic_dataset(n_per=10, clusters=2, seed=3, **kwargs):
     features, labels, edges = cluster_graph(n_per, clusters,
