@@ -183,11 +183,16 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
 
     def train_config(self, seed_override=None) -> TrainConfig:
+        epochs = self.values["train.epochs"]  # 0 would evaluate nothing
         ramp = self.values["train.warmup_ramp"]
+        if epochs < 1:
+            raise ConfigError(f"train.epochs must be at least 1, got {epochs}")
+        if ramp < 0:
+            raise ConfigError(f"train.warmup_ramp must be >= 0, got {ramp}")
         seeds = [seed_override] if seed_override is not None else self.seeds
         try:
             return TrainConfig(
-                epochs=self.values["train.epochs"],
+                epochs=epochs,
                 lr=self.values["train.lr"],
                 l2_factor=self.values["train.l2_factor"],
                 warmup=WarmupSchedule(ramp) if ramp > 0 else None,

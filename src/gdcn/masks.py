@@ -14,9 +14,10 @@ the aggregation pushes forward to give ``dL/dpi``.
 
 Samplers are pure functions of an explicit ``numpy.random.Generator``;
 callers own stream splitting. DropOut and node masks are boolean, edge
-masks float64. The ARM mask functions (``arm_free_entries``,
-``arm_edge_mask``) draw nothing: ``model.sample_step_masks`` draws the
-uniforms, and they only map its drop indicators onto the pattern.
+masks float64. Every edge mask but the random-walk one holds one value per
+block at each of ``free_entries``' positions and derives the rest; so do
+ARM's, whose uniforms ``model.sample_step_masks`` draws (``free_uniforms``)
+and whose keep masks ``model.arm_masks`` builds (``keep_mask``).
 """
 
 from __future__ import annotations
@@ -52,12 +53,14 @@ class MaskSpec:
       Kumaraswamy posterior, the paper's adaptive (learned) sampling rate.
     - ``symmetric``: one draw per undirected edge, so the masked adjacency
       of an undirected graph (the paper's citation graphs) stays symmetric.
+      Read by DropEdge and GDC masks only; other kinds reject it.
     - ``relaxed``: declares concrete-relaxed masks, the paper's continuous
       relaxation that lets gradients reach the drop rate. Sampling follows
       the estimator instead (relaxed for learned layers under ``concrete``),
       so the flag only enables the temperature check.
     - ``protect_self_loops``: self-loops are never dropped, so the mask
       covers only the graph's edges and each node keeps its own features.
+      Read by DropEdge and GDC masks only; other kinds reject it.
     - ``dropout_keep``: extra feature DropOut on top of the edge mask, the
       DropOut-plus-DropEdge (DO-DE) baseline the paper compares against.
     """
@@ -88,6 +91,12 @@ class MaskSpec:
             raise ContractViolation(
                 "learned keep probabilities apply to edge masks (dropedge/gdc) only"
             )
+        for flag in ("symmetric", "protect_self_loops"):
+            if getattr(self, flag) and self.kind not in (MaskKind.DROPEDGE,
+                                                          MaskKind.GDC):
+                raise ContractViolation(
+                    f"{flag} applies to dropedge/gdc masks only, got "
+                    f"{self.kind.value}")
 
 
 @dataclass
@@ -123,39 +132,69 @@ def sample_node_mask(n: int, keep_prob: float,
     return rng.random(n) < keep_prob
 
 
-def sample_dropedge_mask(edges: EdgeSet, keep_prob: float, symmetric: bool,
-                         rng: np.random.Generator,
-                         protect_self_loops: bool = False) -> EdgeMask:
-    """One Bernoulli draw per undirected edge (symmetric) or per entry.
+def free_entries(edges: EdgeSet, spec: MaskSpec) -> np.ndarray | None:
+    """Positions that draw a value in each block of ``spec``'s edge mask,
+    or None when every entry does. No other mask code reads the flags: a
+    symmetric mask draws one value per undirected edge (its canonical
+    entry), and a protected self-loop draws none."""
+    if not (spec.symmetric or spec.protect_self_loops):
+        return None
+    free = np.ones(edges.n_entries, dtype=bool)
+    if spec.symmetric:
+        free &= edges.canonical()
+    if spec.protect_self_loops:
+        free &= ~edges.is_diag
+    return np.flatnonzero(free)
 
-    Self-loop entries are drawn like any other edge unless protected. This
-    is GDC with one block (``sample_gdc_masks``), draw for draw.
-    """
-    return sample_gdc_masks(edges, 1, keep_prob, symmetric, rng,
-                            protect_self_loops=protect_self_loops)
+
+def free_uniforms(edges: EdgeSet, spec: MaskSpec, rng: np.random.Generator):
+    """``free_entries`` and one uniform per block and free position,
+    shape (n_blocks, n_free): all that a GDC, DropEdge, concrete or ARM
+    mask draws."""
+    free = free_entries(edges, spec)
+    n_free = edges.n_entries if free is None else len(free)
+    return free, rng.random((spec.n_blocks, n_free))
 
 
-def sample_gdc_masks(edges: EdgeSet, n_blocks: int, keep_prob: float,
-                     symmetric: bool, rng: np.random.Generator,
-                     protect_self_loops: bool = False) -> EdgeMask:
-    """n_blocks independent DropEdge-style masks, one per feature block;
-    with n_blocks=1, DropEdge's mask (``sample_dropedge_mask``)."""
-    if n_blocks < 1:
-        raise ContractViolation("n_blocks must be >= 1")
+def _on_pattern(edges: EdgeSet, free: np.ndarray | None, values: np.ndarray,
+                fill: float = 1.0) -> np.ndarray:
+    """One block's ``values`` at the ``free`` positions, on the full
+    ``A + I`` pattern. An edge outside ``free`` copies its mirror, and a
+    self-loop outside it (a protected one) holds ``fill``: 1 in a keep
+    mask, 0 in a concrete tangent."""
+    if free is None:
+        return values
+    full = np.full(edges.n_entries, fill)
+    full[free] = values
+    drawn = np.zeros(edges.n_entries, dtype=bool)
+    drawn[free] = True
+    mirrored = ~drawn & ~edges.is_diag
+    full[mirrored] = full[edges.mirror[mirrored]]
+    return full
+
+
+def keep_mask(edges: EdgeSet, free: np.ndarray | None,
+              keep: np.ndarray) -> EdgeMask:
+    """Edge mask whose block b holds ``keep[b]`` at the ``free`` positions;
+    binary GDC, DropEdge, ARM and expected-keep masks are all built here."""
+    return EdgeMask(blocks=[constant(_on_pattern(edges, free, k))
+                            for k in keep])
+
+
+def sample_gdc_masks(edges: EdgeSet, spec: MaskSpec, keep_prob: float,
+                     rng: np.random.Generator) -> EdgeMask:
+    """``spec.n_blocks`` independent Bernoulli(keep_prob) masks, one per
+    feature block; with one block, DropEdge's (``sample_dropedge_mask``)."""
     _check_prob(keep_prob)
-    canonical = edges.canonical() if symmetric else None
-    blocks = []
-    for _ in range(n_blocks):
-        if symmetric:
-            vals = np.empty(edges.n_entries)
-            vals[canonical] = rng.random(int(canonical.sum())) < keep_prob
-            edges.symmetrize(vals)
-        else:
-            vals = (rng.random(edges.n_entries) < keep_prob).astype(np.float64)
-        if protect_self_loops:
-            vals[edges.is_diag] = 1.0
-        blocks.append(constant(vals))
-    return EdgeMask(blocks=blocks)
+    free, u = free_uniforms(edges, spec, rng)
+    return keep_mask(edges, free, (u < keep_prob).astype(np.float64))
+
+
+def sample_dropedge_mask(edges: EdgeSet, spec: MaskSpec, keep_prob: float,
+                         rng: np.random.Generator) -> EdgeMask:
+    """DropEdge's mask: GDC with the one block of a DropEdge ``spec``
+    (``sample_gdc_masks``), draw for draw."""
+    return sample_gdc_masks(edges, spec, keep_prob, rng)
 
 
 def sample_randomwalk_mask(edges: EdgeSet, keep_prob: float,
@@ -183,15 +222,13 @@ def sample_randomwalk_mask(edges: EdgeSet, keep_prob: float,
 
 
 def concrete_mask(pi: float, u: np.ndarray, temperature: float,
-                  standard: bool = False,
-                  force_one: np.ndarray | None = None):
+                  standard: bool = False):
     """Concrete-relaxed keep values and their tangent ``dz/dpi``.
 
     Computes ``z = sigmoid(logit(pi)/t + logit(u))`` per entry; the printed
     form tempers only the probability logit. ``standard=True`` divides the
     whole argument by t instead. Either way the tangent is
-    ``z (1 - z) / (t pi (1 - pi))``; entries in ``force_one`` hold 1 with
-    tangent 0. Returns both as (nnz,) arrays.
+    ``z (1 - z) / (t pi (1 - pi))``. Returns both with ``u``'s length.
     """
     if temperature <= 0:
         raise ContractViolation("temperature must be positive")
@@ -206,79 +243,39 @@ def concrete_mask(pi: float, u: np.ndarray, temperature: float,
         arg = logit_pi / temperature + noise
     z = expit(arg)
     tangent = z * (1.0 - z) / (temperature * pi * (1.0 - pi))
-    if force_one is not None:
-        z[force_one] = 1.0
-        tangent[force_one] = 0.0
     return z, tangent
 
 
-def sample_concrete_mask(edges: EdgeSet, n_blocks: int, pi, temperature: float,
+def sample_concrete_mask(edges: EdgeSet, spec: MaskSpec, pi,
                          rng: np.random.Generator,
-                         symmetric: bool = False, standard: bool = False,
-                         protect_self_loops: bool = False) -> EdgeMask:
-    """Relaxed GDC mask: n_blocks concrete draws sharing one keep probability.
+                         standard: bool = False) -> EdgeMask:
+    """Relaxed GDC mask: ``spec.n_blocks`` concrete draws at ``spec``'s
+    temperature, sharing one keep probability.
 
     ``pi`` may be a plain float or a tape tensor (e.g. a recorded
     Kumaraswamy draw). The blocks are constants; ``record_gdc_aggregate``
     turns ``pi`` and the tangents the mask carries into ``dL/dpi``.
     """
-    if n_blocks < 1:
-        raise ContractViolation("n_blocks must be >= 1")
     pi_t = pi if isinstance(pi, Tensor) else constant(pi)
-    force = edges.is_diag if protect_self_loops else None
+    free, u = free_uniforms(edges, spec, rng)
     blocks, tangents = [], []
-    for _ in range(n_blocks):
-        u = rng.random(edges.n_entries)
-        if symmetric:
-            edges.symmetrize(u)
-        z, tangent = concrete_mask(pi_t.item(), u, temperature,
-                                   standard=standard, force_one=force)
-        blocks.append(constant(z))
-        tangents.append(tangent)
+    for u_b in u:
+        z, tangent = concrete_mask(pi_t.item(), u_b, spec.temperature,
+                                   standard=standard)
+        blocks.append(constant(_on_pattern(edges, free, z)))
+        tangents.append(_on_pattern(edges, free, tangent, fill=0.0))
     return EdgeMask(blocks=blocks, pi=pi_t, tangents=tangents)
 
 
-def arm_free_entries(edges: EdgeSet, spec: MaskSpec) -> np.ndarray:
-    """Positions holding an independent ARM variable in each block of a layer.
-
-    The other entries follow from these: a symmetric mask copies each
-    non-canonical entry from its mirror, and protected self-loops stay 1.
-    """
-    free = np.ones(edges.n_entries, dtype=bool)
-    if spec.symmetric:
-        free &= edges.canonical()
-    if spec.protect_self_loops:
-        free &= ~edges.is_diag
-    return np.flatnonzero(free)
-
-
-def arm_edge_mask(edges: EdgeSet, spec: MaskSpec, z_drop: np.ndarray,
-                  free_idx: np.ndarray) -> EdgeMask:
-    """Keep mask (1 - drop indicators) scattered onto the full pattern.
-
-    ``z_drop`` holds the ``spec.n_blocks`` blocks of ARM drop indicators,
-    concatenated, each over the entries ``free_idx``.
-    """
-    blocks = []
-    for z in z_drop.reshape(spec.n_blocks, len(free_idx)):
-        vals = np.ones(edges.n_entries)
-        vals[free_idx] = 1.0 - z
-        if spec.symmetric:
-            edges.symmetrize(vals)
-        blocks.append(constant(vals))
-    return EdgeMask(blocks=blocks)
-
-
-def expected_keep_mask(edges: EdgeSet, keep_prob: float,
-                       protect_self_loops: bool = False) -> EdgeMask:
-    """Deterministic-evaluation mask: every entry at its expected keep
-    value, one block for any layer kind.
+def expected_keep_mask(edges: EdgeSet, spec: MaskSpec,
+                       keep_prob: float) -> EdgeMask:
+    """Deterministic-evaluation mask: every free entry of ``spec``'s mask
+    at its expected keep value, one block for any layer kind.
 
     A GDC layer's blocks all expect the same value, so in expectation the
     layer aggregates ``sum_b (A ⊙ pi) H_b W_b = (A ⊙ pi) (H W)``: one block
     over the whole input."""
     _check_prob(keep_prob)
-    vals = np.full(edges.n_entries, keep_prob)
-    if protect_self_loops:
-        vals[edges.is_diag] = 1.0
-    return EdgeMask(blocks=[constant(vals)])
+    free = free_entries(edges, spec)
+    n_free = edges.n_entries if free is None else len(free)
+    return keep_mask(edges, free, np.full((1, n_free), keep_prob))

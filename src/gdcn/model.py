@@ -87,10 +87,10 @@ from .errors import ContractViolation, MalformedInputError
 from .estimators import ArmDraw, arm_z2
 from .graph import (EdgeSet, build_adjacency, dense_to_csr, entry_rows,
                     index_dtype, kept, normalize_with_edges)
-from .masks import (EdgeMask, MaskKind, MaskSpec, arm_edge_mask,
-                    arm_free_entries, expected_keep_mask,
-                    sample_concrete_mask, sample_dropedge_mask,
-                    sample_dropout_mask, sample_gdc_masks, sample_node_mask,
+from .masks import (EdgeMask, MaskKind, MaskSpec, expected_keep_mask,
+                    free_uniforms, keep_mask, sample_concrete_mask,
+                    sample_dropedge_mask, sample_dropout_mask,
+                    sample_gdc_masks, sample_node_mask,
                     sample_randomwalk_mask)
 from .tape import (BlockProducts, CompactRows, Tensor, block_products,
                    constant, multiplies_first, parameter, record_add,
@@ -161,14 +161,12 @@ class GCNConfig:
                     "renorm_after_mask needs binary masks; it cannot be "
                     "combined with the concrete estimator"
                 )
-            for spec in self.masks:
-                if spec.kind == MaskKind.RANDOM_WALK or (
-                        spec.kind in (MaskKind.DROPEDGE, MaskKind.GDC)
-                        and not spec.symmetric):
+            for l, spec in enumerate(self.masks):
+                if spec.kind in (MaskKind.DROPEDGE, MaskKind.GDC,
+                                 MaskKind.RANDOM_WALK) and not spec.symmetric:
                     raise ContractViolation(
-                        "renorm_after_mask requires symmetric edge masks, "
-                        "which random-walk masks never are"
-                    )
+                        f"renorm_after_mask requires symmetric edge masks; "
+                        f"layer {l}'s {spec.kind.value} masks are not")
         if (self.estimator != "none") != any(s.learned for s in self.masks):
             raise ContractViolation(
                 "an estimator is needed exactly when a layer learns its drop rate"
@@ -490,7 +488,7 @@ class StepDraws:
     layer_masks: list = field(default_factory=list)
     pi_tensors: list = field(default_factory=list)  # keep probability per layer
     arm: ArmDraw | None = None   # ARM's uniforms and logits (train mode)
-    arm_layers: list = field(default_factory=list)  # (l, spec, free entries)
+    arm_layers: list = field(default_factory=list)  # (l, spec, free_entries)
 
 
 def expected_keep(spec: MaskSpec, p: LayerParams) -> float:
@@ -565,34 +563,22 @@ def sample_step_masks(config: GCNConfig, params: list, graph: PreparedGraph,
                 lm.feature = _dropout_mask(n, f_in, pi_val, rng, entries)
             else:
                 lm.feature = sample_node_mask(n, pi_val, rng).reshape(-1, 1)
-        elif spec.kind in (MaskKind.DROPEDGE, MaskKind.GDC):
-            if mode == "det":
-                lm.edge = expected_keep_mask(
-                    graph.edges, pi_val,
-                    protect_self_loops=spec.protect_self_loops)
-            elif mode == "train" and spec.learned:
-                # ARM's binary masks follow the per-layer draws.
-                if config.estimator == "concrete":
-                    lm.edge = sample_concrete_mask(
-                        graph.edges, spec.n_blocks, pi_tensor,
-                        spec.temperature, rng, symmetric=spec.symmetric,
-                        standard=config.concrete_standard,
-                        protect_self_loops=spec.protect_self_loops)
-            elif spec.kind == MaskKind.DROPEDGE:
-                lm.edge = sample_dropedge_mask(
-                    graph.edges, pi_val, spec.symmetric, rng,
-                    protect_self_loops=spec.protect_self_loops)
-            else:
-                lm.edge = sample_gdc_masks(
-                    graph.edges, spec.n_blocks, pi_val, spec.symmetric,
-                    rng, protect_self_loops=spec.protect_self_loops)
+        elif spec.kind != MaskKind.NONE and mode == "det":
+            lm.edge = expected_keep_mask(graph.edges, spec, pi_val)
         elif spec.kind == MaskKind.RANDOM_WALK:
-            if mode == "det":
-                lm.edge = expected_keep_mask(graph.edges, pi_val)
-            else:
-                lm.edge = sample_randomwalk_mask(graph.edges, pi_val,
-                                                 prev_edge, rng)
-                prev_edge = lm.edge
+            lm.edge = sample_randomwalk_mask(graph.edges, pi_val, prev_edge,
+                                             rng)
+            prev_edge = lm.edge
+        elif mode == "train" and spec.learned:
+            # ARM's binary masks follow the per-layer draws.
+            if config.estimator == "concrete":
+                lm.edge = sample_concrete_mask(
+                    graph.edges, spec, pi_tensor, rng,
+                    standard=config.concrete_standard)
+        elif spec.kind == MaskKind.DROPEDGE:
+            lm.edge = sample_dropedge_mask(graph.edges, spec, pi_val, rng)
+        elif spec.kind == MaskKind.GDC:
+            lm.edge = sample_gdc_masks(graph.edges, spec, pi_val, rng)
         if spec.dropout_keep is not None:
             if mode == "det":
                 extra = spec.dropout_keep
@@ -605,14 +591,13 @@ def sample_step_masks(config: GCNConfig, params: list, graph: PreparedGraph,
         draws.layer_masks.append(lm)
         draws.pi_tensors.append(pi_tensor)
     if mode == "train" and config.estimator == "arm":
-        draws.arm_layers = [(l, spec, arm_free_entries(graph.edges, spec))
-                            for l, spec in enumerate(config.masks)
-                            if spec.learned]
+        arm = [(l, spec, *free_uniforms(graph.edges, spec, rng))
+               for l, spec in enumerate(config.masks) if spec.learned]
+        draws.arm_layers = [(l, spec, free) for l, spec, free, _ in arm]
         draws.arm = ArmDraw(
-            u=[rng.random(spec.n_blocks * len(free))
-               for _, spec, free in draws.arm_layers],
+            u=[u.ravel() for *_, u in arm],
             alpha=np.array([logit(1.0 - draws.pi_tensors[l].item())
-                            for l, *_ in draws.arm_layers]))
+                            for l, *_ in arm]))
         draws.layer_masks = arm_masks(draws, graph, arm_z2(draws.arm))
     return draws
 
@@ -623,8 +608,8 @@ def arm_masks(draws: StepDraws, graph: PreparedGraph, z_drop: list) -> list:
     ``arm_z2`` of ``draws.arm``)."""
     masks = list(draws.layer_masks)
     for (l, spec, free), z in zip(draws.arm_layers, z_drop):
-        masks[l] = replace(masks[l],
-                           edge=arm_edge_mask(graph.edges, spec, z, free))
+        keep = 1.0 - z.reshape(spec.n_blocks, -1)
+        masks[l] = replace(masks[l], edge=keep_mask(graph.edges, free, keep))
     return masks
 
 

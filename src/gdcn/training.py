@@ -74,6 +74,8 @@ class TrainConfig:
 
     def __post_init__(self):
         # lr == 0 is tolerated (a frozen run) so no-op training is testable
+        if self.epochs < 0:
+            raise ContractViolation("epochs must be non-negative")
         if self.lr < 0:
             raise ContractViolation("lr must be non-negative")
         if self.patience < 1:

@@ -44,6 +44,18 @@ def mask_values(mask) -> np.ndarray:
     return np.stack([b.data.ravel() for b in mask.blocks])
 
 
+def free_positions(edges, symmetric: bool = False,
+                   protect_self_loops: bool = False) -> np.ndarray:
+    """Where an edge mask draws, written out: every entry, less the
+    mirrored half of a symmetric mask and the protected self-loops."""
+    free = np.ones(edges.n_entries, dtype=bool)
+    if symmetric:
+        free &= edges.rows <= edges.cols
+    if protect_self_loops:
+        free &= edges.rows != edges.cols
+    return np.flatnonzero(free)
+
+
 def masked_aggregate(tape, a, masks, h, w, pi=None, tangents=None, **kwargs):
     """``record_gdc_aggregate`` on ``a`` with block b's entries
     ``a.data * masks[b]`` and, given ``tangents``, tangent entries

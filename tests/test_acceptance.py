@@ -104,7 +104,8 @@ def test_criterion_1_gradient_correctness():
 
 
 class _FrozenNoise:
-    """Replays fixed uniforms: scalars for pi draws, vectors for edges."""
+    """Replays fixed uniforms: scalars for pi draws, vectors for edges
+    (one per block of an edge mask's (blocks, entries) draw)."""
 
     def __init__(self, scalars, vectors):
         self._scalars = list(scalars)
@@ -116,7 +117,8 @@ class _FrozenNoise:
             val = self._scalars[self._si % len(self._scalars)]
             self._si += 1
             return val
-        return self._vectors.pop(0)[:size].copy()
+        rows, cols = size
+        return np.stack([self._vectors.pop(0)[:cols] for _ in range(rows)])
 
 
 # ---------------------------------------------------------------------------
@@ -203,10 +205,12 @@ def test_criterion_4_regularizer_equivalences():
     w = params[0].m.data
 
     # (a) GDC with 1 symmetric block == DropEdge, identical RNG stream
-    m_gdc = sample_gdc_masks(graph.edges, 1, 0.6, True,
-                             np.random.default_rng(11))
-    m_de = sample_dropedge_mask(graph.edges, 0.6, True,
-                                np.random.default_rng(11))
+    m_gdc = sample_gdc_masks(graph.edges,
+                             MaskSpec(kind=MaskKind.GDC, symmetric=True),
+                             0.6, np.random.default_rng(11))
+    m_de = sample_dropedge_mask(graph.edges,
+                                MaskSpec(kind=MaskKind.DROPEDGE, symmetric=True),
+                                0.6, np.random.default_rng(11))
     assert np.array_equal(mask_values(m_gdc), mask_values(m_de))
     out_gdc = forward(params, constant(x), graph,
                       [LayerMasks(edge=m_gdc)]).data

@@ -143,6 +143,40 @@ class TestConfigErrors:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not os.path.exists(tmp_path / "o")
 
+    @pytest.mark.parametrize("flag", ["symmetric", "protect_self_loops"])
+    def test_edge_flag_on_dropout_exit_2(self, tmp_path, synthetic_files,
+                                         capsys, flag):
+        # DropOut masks never read the flag: the run would equal one
+        # without it.
+        content, cites = synthetic_files
+        cfg = write_config(tmp_path / "bad.ini", content, cites,
+                           tmp_path / "o", **{
+                               "model.regularizer": "dropout",
+                               "model.keep_prob": "0.5",
+                               "model.learned": "false",
+                               "model.estimator": "none",
+                               f"model.{flag}": "true"})
+        rc = main(["train", "--config", cfg])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {flag} applies to dropedge/gdc masks only, got dropout\n")
+        assert not os.path.exists(tmp_path / "o")
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("epochs", "0", "train.epochs must be at least 1, got 0"),
+        ("epochs", "-3", "train.epochs must be at least 1, got -3"),
+        ("warmup_ramp", "-4", "train.warmup_ramp must be >= 0, got -4"),
+    ])
+    def test_invalid_train_value_exit_2(self, tmp_path, synthetic_files,
+                                        capsys, key, value, message):
+        content, cites = synthetic_files
+        cfg = write_config(tmp_path / "bad.ini", content, cites,
+                           tmp_path / "o", **{f"train.{key}": value})
+        rc = main(["train", "--config", cfg])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not os.path.exists(tmp_path / "o")
+
     def test_non_ascii_feature_exit_2(self, tmp_path, synthetic_files,
                                       capsys):
         content, cites = synthetic_files

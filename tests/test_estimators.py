@@ -258,7 +258,9 @@ class TestConcreteGradient:
 
     def _loss(self, tape, kp, graph, edges, h, u_pi, u_edges, t=0.67):
         pi = record_kuma_sample(tape, kp.log_a, kp.log_b, u_pi)
-        mask = sample_concrete_mask(edges, 1, pi, t, _FixedRng(u_edges))
+        mask = sample_concrete_mask(
+            edges, MaskSpec(kind=MaskKind.GDC, temperature=t), pi,
+            _FixedRng(u_edges))
         out = masked_aggregate(tape, graph, mask.blocks, constant(h),
                                constant(np.eye(h.shape[1])), pi=mask.pi,
                                tangents=mask.tangents)
@@ -358,5 +360,5 @@ class _FixedRng:
     def random(self, size=None):
         if size is None:
             return float(self._values[0])
-        assert size == len(self._values)
-        return self._values.copy()
+        assert size == (1, len(self._values))
+        return self._values.reshape(size).copy()

@@ -8,8 +8,8 @@ from scipy.special import expit, logit
 
 from gdcn.errors import ContractViolation
 from gdcn.graph import EdgeSet, build_adjacency, normalize
-from gdcn.masks import (EdgeMask, MaskKind, MaskSpec, arm_edge_mask,
-                        arm_free_entries, concrete_mask, expected_keep_mask,
+from gdcn.masks import (EdgeMask, MaskKind, MaskSpec, concrete_mask,
+                        expected_keep_mask, free_entries, keep_mask,
                         sample_concrete_mask, sample_dropedge_mask,
                         sample_dropout_mask, sample_gdc_masks,
                         sample_node_mask, sample_randomwalk_mask)
@@ -23,6 +23,14 @@ from conftest import (finite_diff, mask_values, masked_aggregate, random_edges,
 def edge_set(n=5, seed=0, p=0.6):
     rng = np.random.default_rng(seed)
     return EdgeSet.from_sparse(normalize(build_adjacency(random_edges(rng, n, p), n)))
+
+
+def dropedge(**flags):
+    return MaskSpec(kind=MaskKind.DROPEDGE, **flags)
+
+
+def gdc(n_blocks, **flags):
+    return MaskSpec(kind=MaskKind.GDC, n_blocks=n_blocks, **flags)
 
 
 class TestDropout:
@@ -46,12 +54,13 @@ class TestDropout:
 class TestDropEdge:
     def test_keep_one(self):
         es = edge_set()
-        m = sample_dropedge_mask(es, 1.0, False, np.random.default_rng(0))
+        m = sample_dropedge_mask(es, dropedge(), 1.0, np.random.default_rng(0))
         np.testing.assert_array_equal(mask_values(m), np.ones((1, es.n_entries)))
 
     def test_symmetric_mirrors(self):
         es = edge_set(8, seed=2)
-        m = sample_dropedge_mask(es, 0.5, True, np.random.default_rng(3))
+        m = sample_dropedge_mask(es, dropedge(symmetric=True), 0.5,
+                                 np.random.default_rng(3))
         vals = mask_values(m)[0]
         np.testing.assert_array_equal(vals, vals[es.mirror])
 
@@ -61,15 +70,15 @@ class TestDropEdge:
         kept = []
         canonical = es.canonical()
         while sum(len(k) for k in kept) < 100000:
-            m = sample_dropedge_mask(es, 0.8, True, rng)
+            m = sample_dropedge_mask(es, dropedge(symmetric=True), 0.8, rng)
             kept.append(mask_values(m)[0][canonical])
         frac = np.concatenate(kept).mean()
         assert frac == pytest.approx(0.8, abs=0.01)
 
     def test_protect_self_loops(self):
         es = edge_set(6, seed=4)
-        m = sample_dropedge_mask(es, 0.0, False, np.random.default_rng(0),
-                                 protect_self_loops=True)
+        m = sample_dropedge_mask(es, dropedge(protect_self_loops=True), 0.0,
+                                 np.random.default_rng(0))
         vals = mask_values(m)[0]
         assert np.all(vals[es.is_diag] == 1.0)
         assert np.all(vals[~es.is_diag] == 0.0)
@@ -88,26 +97,29 @@ class TestNodeMask:
 class TestGdc:
     def test_single_block_equals_dropedge_same_stream(self):
         es = edge_set(7, seed=9)
-        m1 = sample_gdc_masks(es, 1, 0.6, True, np.random.default_rng(11))
-        m2 = sample_dropedge_mask(es, 0.6, True, np.random.default_rng(11))
+        m1 = sample_gdc_masks(es, gdc(1, symmetric=True), 0.6,
+                              np.random.default_rng(11))
+        m2 = sample_dropedge_mask(es, dropedge(symmetric=True), 0.6,
+                                  np.random.default_rng(11))
         np.testing.assert_array_equal(mask_values(m1), mask_values(m2))
 
     def test_blocks_are_independent_draws(self):
         es = edge_set(30, seed=1, p=0.3)
-        m = sample_gdc_masks(es, 2, 0.5, False, np.random.default_rng(0))
+        m = sample_gdc_masks(es, gdc(2), 0.5, np.random.default_rng(0))
         assert m.n_blocks == 2
         assert not np.array_equal(mask_values(m)[0], mask_values(m)[1])
 
     def test_bad_block_count(self):
-        with pytest.raises(ContractViolation):
-            sample_gdc_masks(edge_set(), 0, 0.5, False, np.random.default_rng(0))
+        # The spec a sampler takes carries the block count, and checks it.
+        with pytest.raises(ContractViolation, match="n_blocks must be >= 1"):
+            gdc(0)
 
     @settings(max_examples=10, deadline=None)
     @given(st.floats(0.1, 0.9), st.integers(0, 10 ** 6))
     def test_empirical_rate_within_binomial_bound(self, keep, seed):
         es = edge_set(40, seed=3, p=0.2)
         rng = np.random.default_rng(seed)
-        m = sample_gdc_masks(es, 4, keep, False, rng)
+        m = sample_gdc_masks(es, gdc(4), keep, rng)
         vals = mask_values(m)
         n = vals.size
         bound = 4.0 * np.sqrt(keep * (1.0 - keep) / n)
@@ -124,7 +136,7 @@ class TestRandomWalk:
         es = edge_set(6, seed=6)
         prev = ones_mask(es)
         m1 = sample_randomwalk_mask(es, 0.5, prev, np.random.default_rng(5))
-        m2 = sample_dropedge_mask(es, 0.5, False, np.random.default_rng(5))
+        m2 = sample_dropedge_mask(es, dropedge(), 0.5, np.random.default_rng(5))
         np.testing.assert_array_equal(mask_values(m1), mask_values(m2))
 
     @pytest.mark.parametrize("keep", [0.0, 0.3, 0.9, 1.0])
@@ -141,7 +153,7 @@ class TestRandomWalk:
 
     def test_prev_all_zeros_gives_zeros(self):
         es = edge_set(6, seed=6)
-        prev = expected_keep_mask(es, 0.0)
+        prev = expected_keep_mask(es, MaskSpec(kind=MaskKind.RANDOM_WALK), 0.0)
         m = sample_randomwalk_mask(es, 0.9, prev, np.random.default_rng(5))
         np.testing.assert_array_equal(mask_values(m), np.zeros((1, es.n_entries)))
 
@@ -167,7 +179,7 @@ class TestExpectedKeep:
         # One block for every layer kind: a GDC layer's blocks would all
         # hold these values.
         es = edge_set(6, seed=2)
-        m = expected_keep_mask(es, 0.3, protect_self_loops=protect)
+        m = expected_keep_mask(es, gdc(3, protect_self_loops=protect), 0.3)
         assert m.n_blocks == 1
         want = np.where(es.is_diag, 1.0, 0.3) if protect else np.full(
             es.n_entries, 0.3)
@@ -208,16 +220,13 @@ class TestConcrete:
 
     @pytest.mark.parametrize("standard", [False, True])
     def test_tangent_matches_finite_differences(self, standard):
+        # Protected self-loops (tangent 0) are test_free_entries' to check.
         u = np.random.default_rng(6).random(50)
-        force = np.arange(50) % 7 == 0
-        _, tangent = concrete_mask(0.3, u, 0.67, standard=standard,
-                                   force_one=force)
+        _, tangent = concrete_mask(0.3, u, 0.67, standard=standard)
         fd = np.array([finite_diff(
-            lambda p: concrete_mask(p[0], u, 0.67, standard=standard,
-                                    force_one=force)[0][i], np.array([0.3]))[0]
-            for i in range(50)])
+            lambda p: concrete_mask(p[0], u, 0.67, standard=standard)[0][i],
+            np.array([0.3]))[0] for i in range(50)])
         assert rel_err(tangent, fd) < 1e-6
-        assert np.all(tangent[force] == 0.0)
 
     def test_boundary_pi_rejected(self):
         with pytest.raises(ContractViolation):
@@ -229,7 +238,7 @@ class TestConcrete:
         es = EdgeSet.from_sparse(a)
         t = Tape()
         pi = parameter(0.6)
-        mask = sample_concrete_mask(es, 2, pi, 0.67, np.random.default_rng(0))
+        mask = sample_concrete_mask(es, gdc(2), pi, np.random.default_rng(0))
         assert mask.pi is pi and mask.n_blocks == len(mask.tangents) == 2
         assert not any(b.requires_grad for b in mask.blocks) and not t.records
         out = masked_aggregate(t, a, mask.blocks,
@@ -241,8 +250,8 @@ class TestConcrete:
 
     def test_symmetric_noise_sharing(self):
         es = edge_set(6, seed=8)
-        mask = sample_concrete_mask(es, 1, constant(0.7), 0.67,
-                                    np.random.default_rng(4), symmetric=True)
+        mask = sample_concrete_mask(es, gdc(1, symmetric=True), constant(0.7),
+                                    np.random.default_rng(4))
         vals = mask_values(mask)[0]
         np.testing.assert_allclose(vals, vals[es.mirror], atol=1e-15)
         np.testing.assert_array_equal(mask.tangents[0],
@@ -251,8 +260,8 @@ class TestConcrete:
     def test_protected_self_loops_fixed_at_one(self):
         es = edge_set(5, seed=1)
         pi = parameter(0.3)
-        mask = sample_concrete_mask(es, 1, pi, 0.67, np.random.default_rng(2),
-                                    protect_self_loops=True)
+        mask = sample_concrete_mask(es, gdc(1, protect_self_loops=True), pi,
+                                    np.random.default_rng(2))
         vals = mask_values(mask)[0]
         assert np.all(vals[es.is_diag] == 1.0)
         assert np.all(mask.tangents[0][es.is_diag] == 0.0)
@@ -264,12 +273,12 @@ class TestArmMask:
         es = edge_set(7, seed=4)
         spec = MaskSpec(kind=MaskKind.GDC, learned=True, n_blocks=2,
                         symmetric=True, protect_self_loops=True)
-        free = arm_free_entries(es, spec)
+        free = free_entries(es, spec)
         np.testing.assert_array_equal(
             free, np.flatnonzero(es.rows < es.cols))
         rng = np.random.default_rng(5)
         z = (rng.random(2 * len(free)) < 0.5).astype(np.float64)
-        vals = mask_values(arm_edge_mask(es, spec, z, free))
+        vals = mask_values(keep_mask(es, free, 1.0 - z.reshape(2, -1)))
         np.testing.assert_array_equal(vals[:, free], 1.0 - z.reshape(2, -1))
         np.testing.assert_array_equal(vals, vals[:, es.mirror])
         assert np.all(vals[:, es.is_diag] == 1.0)
@@ -291,3 +300,19 @@ class TestMaskSpec:
                 with pytest.raises(ContractViolation, match="needs kind gdc"):
                     MaskSpec(kind=kind, n_blocks=2)
         assert MaskSpec(kind=MaskKind.GDC, n_blocks=2).n_blocks == 2
+
+    @pytest.mark.parametrize("flag", ["symmetric", "protect_self_loops"])
+    @pytest.mark.parametrize("kind", [MaskKind.NONE, MaskKind.DROPOUT,
+                                      MaskKind.NODE_SAMPLING,
+                                      MaskKind.RANDOM_WALK])
+    def test_edge_flags_rejected_where_unread(self, kind, flag):
+        # These kinds' masks are byte-equal with and without the flag.
+        with pytest.raises(ContractViolation,
+                           match=f"{flag} applies to dropedge/gdc masks "
+                                 f"only, got {kind.value}"):
+            MaskSpec(kind=kind, **{flag: True})
+
+    @pytest.mark.parametrize("kind", [MaskKind.DROPEDGE, MaskKind.GDC])
+    def test_edge_flags_accepted_on_edge_kinds(self, kind):
+        spec = MaskSpec(kind=kind, symmetric=True, protect_self_loops=True)
+        assert spec.symmetric and spec.protect_self_loops

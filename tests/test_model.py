@@ -130,7 +130,8 @@ class TestForwardOracles:
         cfg, params = self._params([4, 3, 2], seed=9)
         rng = np.random.default_rng(11)
         x = rng.normal(size=(4, 4))
-        em = sample_gdc_masks(g.edges, 2, 0.6, False, rng)
+        em = sample_gdc_masks(g.edges, MaskSpec(kind=MaskKind.GDC, n_blocks=2),
+                              0.6, rng)
         masks = [LayerMasks(edge=em), LayerMasks()]
         got = forward(params, constant(x), g, masks).data
 
@@ -231,7 +232,8 @@ class TestForwardOracles:
                                      renorm_trick=renorm_trick)
         cfg, params = self._params([3, 4, 2], seed=7)
         x = constant(rng.normal(size=(30, 3)))
-        keep = sample_dropedge_mask(g.edges, 1.0, True, rng)
+        keep = sample_dropedge_mask(
+            g.edges, MaskSpec(kind=MaskKind.DROPEDGE, symmetric=True), 1.0, rng)
         masks = [LayerMasks(edge=keep), LayerMasks()]
         plain = forward(params, x, g, masks).data
         renormed = forward(params, x, renormalizing(g), masks).data
@@ -259,7 +261,8 @@ class TestForwardOracles:
             grads = backward(t, loss)
             return [lp.data] + [grads.get(p.m) for p in params]
 
-        ones = LayerMasks(edge=expected_keep_mask(g.edges, 1.0))
+        ones = LayerMasks(edge=expected_keep_mask(
+            g.edges, MaskSpec(kind=MaskKind.DROPEDGE), 1.0))
         for got, want in zip(run([LayerMasks()] * 2), run([ones] * 2)):
             assert got.tobytes() == want.tobytes()
 
@@ -276,7 +279,8 @@ class TestParameterSpaceEquivalence:
         rng = np.random.default_rng(23)
         x = rng.normal(size=(n, f_in))
         w = rng.normal(size=(f_in, f_out))
-        em = sample_gdc_masks(g.edges, f_in, 0.5, False, rng)
+        em = sample_gdc_masks(
+            g.edges, MaskSpec(kind=MaskKind.GDC, n_blocks=f_in), 0.5, rng)
 
         cfg = plain_config([f_in, f_out])
         params = init_params(cfg, np.random.default_rng(0))
@@ -316,9 +320,19 @@ class TestBlocks:
             plain_config([2, 4, 2], kind=MaskKind.GDC, n_blocks=3)
 
     def test_renorm_after_mask_rejects_random_walk(self):
-        masks = [MaskSpec(kind=MaskKind.RANDOM_WALK, keep_prob=0.5,
-                          symmetric=True), MaskSpec()]
-        with pytest.raises(ContractViolation, match="random-walk"):
+        masks = [MaskSpec(kind=MaskKind.RANDOM_WALK, keep_prob=0.5),
+                 MaskSpec()]
+        with pytest.raises(ContractViolation,
+                           match="layer 0's randomwalk masks are not"):
+            GCNConfig(layer_dims=[3, 4, 2], masks=masks,
+                      renorm_after_mask=True)
+
+    @pytest.mark.parametrize("kind", [MaskKind.DROPEDGE, MaskKind.GDC])
+    def test_renorm_after_mask_names_the_asymmetric_kind(self, kind):
+        masks = [MaskSpec(kind=kind, keep_prob=0.5, symmetric=True),
+                 MaskSpec(kind=kind, keep_prob=0.5)]
+        with pytest.raises(ContractViolation,
+                           match=f"layer 1's {kind.value} masks are not"):
             GCNConfig(layer_dims=[3, 4, 2], masks=masks,
                       renorm_after_mask=True)
 

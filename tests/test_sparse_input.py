@@ -19,6 +19,11 @@ from gdcn.training import TrainConfig, train
 from conftest import finite_diff, random_edges, rel_err
 
 N, F_IN, HIDDEN, CLASSES = 9, 8, 6, 3
+SYM_DROPEDGE = MaskSpec(kind=MaskKind.DROPEDGE, symmetric=True)
+
+
+def gdc(n_blocks):
+    return MaskSpec(kind=MaskKind.GDC, n_blocks=n_blocks)
 
 
 def prepared(seed=0):
@@ -122,13 +127,15 @@ class TestForwardEquivalence:
 
     def test_dropedge(self, run):
         run(lambda g, rng: [
-            LayerMasks(edge=sample_dropedge_mask(g.edges, 0.6, True, rng)),
-            LayerMasks(edge=sample_dropedge_mask(g.edges, 0.6, True, rng))])
+            LayerMasks(edge=sample_dropedge_mask(g.edges, SYM_DROPEDGE, 0.6,
+                                                 rng)),
+            LayerMasks(edge=sample_dropedge_mask(g.edges, SYM_DROPEDGE, 0.6,
+                                                 rng))])
 
     def test_gdc_four_blocks(self, run):
         run(lambda g, rng: [
-            LayerMasks(edge=sample_gdc_masks(g.edges, 4, 0.6, False, rng)),
-            LayerMasks(edge=sample_gdc_masks(g.edges, 4, 0.6, False, rng))])
+            LayerMasks(edge=sample_gdc_masks(g.edges, gdc(4), 0.6, rng)),
+            LayerMasks(edge=sample_gdc_masks(g.edges, gdc(4), 0.6, rng))])
 
     def test_entry_mask_equals_dense_mask_on_stored_entries(self):
         g = prepared(2)
@@ -156,8 +163,9 @@ def test_weight_gradient_matches_finite_differences_on_csr_input():
     observed = np.arange(0, N, 2)
     masks = [LayerMasks(feature=sample_dropout_mask(x.data.nnz, 1, 0.6,
                                                     rng).ravel(),
-                        edge=sample_gdc_masks(g.edges, 2, 0.7, False, rng)),
-             LayerMasks(edge=sample_dropedge_mask(g.edges, 0.7, False, rng))]
+                        edge=sample_gdc_masks(g.edges, gdc(2), 0.7, rng)),
+             LayerMasks(edge=sample_dropedge_mask(
+                 g.edges, MaskSpec(kind=MaskKind.DROPEDGE), 0.7, rng))]
     w0 = params[0].m
 
     def loss_of(flat):

@@ -9,14 +9,14 @@ import pytest
 from scipy.special import logit
 
 from gdcn.estimators import ArmDraw, arm_z1, arm_z2
-from gdcn.masks import (MaskKind, MaskSpec, arm_edge_mask, arm_free_entries,
-                        sample_dropout_mask, sample_node_mask)
+from gdcn.masks import (MaskKind, MaskSpec, sample_dropout_mask,
+                        sample_node_mask)
 from gdcn.model import (GCNConfig, PreparedGraph, arm_masks, forward,
                         init_params, sample_step_masks, sparse_input)
 from gdcn.tape import Tape, backward, constant, record_masked_nll
 from gdcn.variational import KumaraswamyParams
 
-from conftest import kuma_draw, mask_values, random_edges
+from conftest import free_positions, kuma_draw, mask_values, random_edges
 
 N = 12
 
@@ -34,6 +34,18 @@ def arm_config(dropout_keep=None):
              MaskSpec(kind=MaskKind.DROPEDGE, learned=True, symmetric=True,
                       protect_self_loops=True)]
     return GCNConfig(layer_dims=[6, 5, 3], masks=masks, estimator="arm")
+
+
+def keep_values(edges, spec, z, free):
+    """ARM's keep mask of drop indicators ``z`` (all blocks, concatenated),
+    written out: 1 - z at ``free``, a mirrored entry copies its mirror, a
+    protected self-loop holds 1. One row per block."""
+    vals = np.ones((spec.n_blocks, edges.n_entries))
+    vals[:, free] = 1.0 - z.reshape(spec.n_blocks, -1)
+    if spec.symmetric:
+        lower = edges.rows > edges.cols
+        vals[:, lower] = vals[:, edges.mirror[lower]]
+    return vals
 
 
 def arm_params(cfg, seed):
@@ -55,8 +67,8 @@ class TestArmDraws:
 
         # The sequence the trainer drew before the sampler owned ARM's
         # draws: the sampler's per-layer draws with the ARM edge masks
-        # unset, then rng.random(nb * |free|) per learned layer, then
-        # arm_edge_mask on Z2.
+        # unset, then rng.random(nb * |free|) per learned layer, then the
+        # keep mask of Z2.
         ref = np.random.default_rng(seed)
         pis, features = [], []
         for spec, p in zip(cfg.masks, params):
@@ -66,7 +78,8 @@ class TestArmDraws:
                 features.append(ref.random((N, 6)) < spec.dropout_keep)
             else:
                 features.append(None)
-        free = [arm_free_entries(g.edges, s) for s in cfg.masks]
+        free = [free_positions(g.edges, s.symmetric, s.protect_self_loops)
+                for s in cfg.masks]
         u = [ref.random(s.n_blocks * len(f)) for s, f in zip(cfg.masks, free)]
         alpha = np.array([logit(1.0 - pi) for pi in pis])
         z2 = arm_z2(ArmDraw(u=u, alpha=alpha))
@@ -79,10 +92,12 @@ class TestArmDraws:
         for l, (spec, f, z) in enumerate(zip(cfg.masks, free, z2)):
             lm = draws.layer_masks[l]
             assert draws.arm_layers[l][1] is spec
-            np.testing.assert_array_equal(draws.arm_layers[l][2], f)
-            want = arm_edge_mask(g.edges, spec, z, f)
+            got_free = draws.arm_layers[l][2]  # None: every entry draws
+            np.testing.assert_array_equal(
+                np.arange(g.edges.n_entries) if got_free is None
+                else got_free, f)
             assert (mask_values(lm.edge).tobytes()
-                    == mask_values(want).tobytes())
+                    == keep_values(g.edges, spec, z, f).tobytes())
             if features[l] is None:
                 assert lm.feature is None
             else:
@@ -95,11 +110,11 @@ class TestArmDraws:
                                   np.random.default_rng(3), mode="train")
         z1 = arm_z1(draws.arm)
         masks = arm_masks(draws, g, z1)
-        for (l, spec, free), z in zip(draws.arm_layers, z1):
+        for (l, spec, _), z in zip(draws.arm_layers, z1):
             assert masks[l].feature is draws.layer_masks[l].feature
-            want = arm_edge_mask(g.edges, spec, z, free)
-            assert (mask_values(masks[l].edge).tobytes()
-                    == mask_values(want).tobytes())
+            want = keep_values(g.edges, spec, z, free_positions(
+                g.edges, spec.symmetric, spec.protect_self_loops))
+            assert mask_values(masks[l].edge).tobytes() == want.tobytes()
         # Z1 and Z2 share the uniforms but are different settings.
         assert any(not np.array_equal(mask_values(a.edge), mask_values(b.edge))
                    for a, b in zip(masks, draws.layer_masks))

@@ -8,7 +8,7 @@ from scipy.sparse import csr_array
 
 from gdcn.errors import ContractViolation
 from gdcn.graph import EdgeSet, build_adjacency, normalize, spmm
-from gdcn.masks import sample_concrete_mask
+from gdcn.masks import MaskKind, MaskSpec, sample_concrete_mask
 from gdcn.tape import (Tape, Tensor, backward, block_products, constant,
                        parameter, record_add, record_frobenius_sq,
                        record_gdc_aggregate, record_log_softmax_rows,
@@ -409,9 +409,10 @@ class TestPiTangent:
         h0[rng.random(h0.shape) < 0.4] = 0.0
         w0 = rng.normal(size=(f_in, f_out))
         pi = parameter(rng.uniform(0.05, 0.95))
-        mask = sample_concrete_mask(edges, nb, pi, rng.uniform(0.1, 1.0), rng,
-                                    symmetric=symmetric, standard=standard,
-                                    protect_self_loops=protect)
+        spec = MaskSpec(kind=MaskKind.GDC, n_blocks=nb,
+                        temperature=rng.uniform(0.1, 1.0),
+                        symmetric=symmetric, protect_self_loops=protect)
+        mask = sample_concrete_mask(edges, spec, pi, rng, standard=standard)
         h = constant(csr_array(h0) if sparse else h0)
         products = None
         if supply and multiplies_first(h.data, f_out, nb):

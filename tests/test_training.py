@@ -117,6 +117,10 @@ class TestTrain:
         for a, b in zip(res.params, want):
             assert np.array_equal(a.m.data, b.m.data)
 
+    def test_negative_epochs_rejected(self):
+        with pytest.raises(ContractViolation, match="epochs must be non-negative"):
+            TrainConfig(epochs=-1)
+
     @pytest.mark.parametrize("flag", ["renorm_trick", "renorm_after_mask"])
     def test_graph_must_follow_config_rules(self, flag):
         ds = synthetic_dataset()
