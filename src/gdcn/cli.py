@@ -157,20 +157,30 @@ def cmd_diagnose(args) -> int:
         raise MalformedInputError(
             f"{cfg['data.cites']}: the graph has no edge; total variation "
             f"needs at least one")
+    depths = cfg.sweep_depths
+    if any(depth < 2 for depth in depths):
+        raise ConfigError("sweep.depths entries must be >= 2 layers")
+    sweep = [(depth, cfg.gcn_config(ds.n_features, ds.class_count,
+                                    hidden_dims=[cfg.hidden_dims[0]]
+                                    * (depth - 1)))
+             for depth in depths]
+    sweep_train = (cfg.train_config(seed_override=args.seed_override)
+                   if sweep else None)
+    if args.checkpoint:
+        params, gcn_config = _load_params_checked(cfg, ds, args.checkpoint)
+    else:
+        gcn_config = cfg.gcn_config(ds.n_features, ds.class_count)
+        seed = args.seed_override if args.seed_override is not None else cfg.seeds[0]
+        train_config = cfg.train_config(seed_override=seed)
     out = _outdir(cfg, args)
     rows = ["epoch,layer,tv_normalized"]
     if args.checkpoint:
-        params, gcn_config = _load_params_checked(cfg, ds, args.checkpoint)
         x = constant(ds.features)
         _, hidden = forward_deterministic(params, x, graph, gcn_config,
                                           capture_hidden=True)
         for l, tv in enumerate(_tv_rows_for_hidden(hidden, graph, lam)):
             rows.append(f"0,{l},{tv!r}")
     else:
-        gcn_config = cfg.gcn_config(ds.n_features, ds.class_count)
-        seed = args.seed_override if args.seed_override is not None else cfg.seeds[0]
-        train_config = cfg.train_config(seed_override=seed)
-
         def hook(epoch, hidden):
             for l, tv in enumerate(_tv_rows_for_hidden(hidden, graph, lam)):
                 rows.append(f"{epoch},{l},{tv!r}")
@@ -179,20 +189,10 @@ def cmd_diagnose(args) -> int:
               hidden_hook=hook)
     _write_rows(os.path.join(out, "tv.csv"), rows)
 
-    depths = cfg.sweep_depths
-    if depths:
+    if sweep:
         drows = ["depth,mean_acc,std_acc"]
-        width = cfg.hidden_dims[0]
-        for depth in depths:
-            if depth < 2:
-                raise ConfigError("sweep.depths entries must be >= 2 layers")
-            hidden = [width] * (depth - 1)
-            gcn_config = cfg.gcn_config(ds.n_features, ds.class_count,
-                                        hidden_dims=hidden)
-            summary = run_seeds(
-                ds, gcn_config,
-                cfg.train_config(seed_override=args.seed_override),
-                graph=graph)
+        for depth, depth_config in sweep:
+            summary = run_seeds(ds, depth_config, sweep_train, graph=graph)
             drows.append(f"{depth},{summary.mean_acc!r},{summary.std_acc!r}")
         _write_rows(os.path.join(out, "depth_sweep.csv"), drows)
     cfg.write_resolved(os.path.join(out, "config_resolved.ini"))
@@ -207,17 +207,17 @@ def cmd_sweep_blocks(args) -> int:
     if not blocks:
         raise ConfigError("sweep-blocks requires sweep.blocks in the config")
     ds, graph = _load_dataset(cfg)
-    out = _outdir(cfg, args)
     n_layers = len(cfg.hidden_dims) + 1
     base_blocks = cfg.n_blocks_per_layer(n_layers)
+    gcn_configs = [cfg.gcn_config(
+        ds.n_features, ds.class_count,
+        n_blocks_override=[base_blocks[0]] + [nb] * (n_layers - 1))
+        for nb in blocks]
+    train_config = cfg.train_config(seed_override=args.seed_override)
+    out = _outdir(cfg, args)
     rows = ["n_blocks,mean_acc,std_acc"]
-    for nb in blocks:
-        override = [base_blocks[0]] + [nb] * (n_layers - 1)
-        gcn_config = cfg.gcn_config(ds.n_features, ds.class_count,
-                                    n_blocks_override=override)
-        summary = run_seeds(
-            ds, gcn_config, cfg.train_config(seed_override=args.seed_override),
-            graph=graph)
+    for nb, gcn_config in zip(blocks, gcn_configs):
+        summary = run_seeds(ds, gcn_config, train_config, graph=graph)
         rows.append(f"{nb},{summary.mean_acc!r},{summary.std_acc!r}")
         print(f"n_blocks={nb}: {summary.mean_acc:.4f} +/- {summary.std_acc:.4f}")
     _write_rows(os.path.join(out, "block_sweep.csv"), rows)

@@ -18,6 +18,15 @@ masks float64. Every edge mask but the random-walk one holds one value per
 block at each of ``free_entries``' positions and derives the rest; so do
 ARM's, whose uniforms ``model.sample_step_masks`` draws (``free_uniforms``)
 and whose keep masks ``model.arm_masks`` builds (``keep_mask``).
+
+Binary masks (DropOut, node, DropEdge, GDC and random-walk) draw through
+one of two exact Bernoulli rules, passed to each sampler as ``draw``:
+``bernoulli_uniform`` compares one float64 uniform per entry with p, and
+``bernoulli`` compares one random byte per entry with 256 p, drawing a
+uniform only on a tie. ``model.sample_step_masks`` picks the rule from its
+mode: ``mc`` passes use ``bernoulli``, ``train`` steps
+``bernoulli_uniform``. Concrete and ARM uniforms and the Kumaraswamy draw
+of a learned keep probability use ``rng.random`` in every mode.
 """
 
 from __future__ import annotations
@@ -118,18 +127,50 @@ def _check_prob(p: float) -> None:
         raise ContractViolation(f"keep probability {p} outside [0, 1]")
 
 
+def bernoulli_uniform(shape, p: float,
+                      rng: np.random.Generator) -> np.ndarray:
+    """I.i.d. Bernoulli(p) booleans from one float64 uniform per entry,
+    ``rng.random(shape) < p``: the training rule."""
+    _check_prob(p)
+    return rng.random(shape) < p
+
+
+def bernoulli(shape, p: float, rng: np.random.Generator) -> np.ndarray:
+    """I.i.d. Bernoulli(p) booleans from one random byte per entry: the
+    Monte Carlo rule.
+
+    With ``t = 256 p`` (exact in float64) and ``k = floor(t)``, an entry
+    keeps where its byte ``u < k``. Only where ``u == k``, and only if
+    ``t > k``, does it draw a uniform, one per tie in position order, and
+    keep where that lies below ``t - k``. So P(keep) = k/256 + (t - k)/256
+    = p, to the precision of ``rng.random() < p``, and p = 0 and p = 1
+    draw no uniform: the lazy comparison of a uniform's leading bits with
+    p's (Knuth & Yao, 1976).
+    """
+    _check_prob(p)
+    u = np.frombuffer(rng.bytes(int(np.prod(shape))), np.uint8)
+    t = 256.0 * p
+    k = int(t)
+    keep = u < k
+    if t > k:
+        ties = np.flatnonzero(u == k)
+        keep[ties] = rng.random(len(ties)) < t - k
+    return keep.reshape(shape)
+
+
 def sample_dropout_mask(n: int, f: int, keep_prob: float,
-                        rng: np.random.Generator) -> np.ndarray:
-    """I.i.d. Bernoulli(keep_prob) boolean feature mask, applied as H * Z."""
-    _check_prob(keep_prob)
-    return rng.random((n, f)) < keep_prob
+                        rng: np.random.Generator,
+                        draw=bernoulli_uniform) -> np.ndarray:
+    """I.i.d. Bernoulli(keep_prob) boolean feature mask, applied as H * Z.
+    ``draw`` is the Bernoulli rule (``bernoulli_uniform`` or
+    ``bernoulli``), here and in every binary sampler below."""
+    return draw((n, f), keep_prob, rng)
 
 
-def sample_node_mask(n: int, keep_prob: float,
-                     rng: np.random.Generator) -> np.ndarray:
+def sample_node_mask(n: int, keep_prob: float, rng: np.random.Generator,
+                     draw=bernoulli_uniform) -> np.ndarray:
     """I.i.d. Bernoulli(keep_prob) boolean node mask, applied as diag(z) H."""
-    _check_prob(keep_prob)
-    return rng.random(n) < keep_prob
+    return draw(n, keep_prob, rng)
 
 
 def free_entries(edges: EdgeSet, spec: MaskSpec) -> np.ndarray | None:
@@ -147,13 +188,15 @@ def free_entries(edges: EdgeSet, spec: MaskSpec) -> np.ndarray | None:
     return np.flatnonzero(free)
 
 
+def _n_free(edges: EdgeSet, free: np.ndarray | None) -> int:
+    return edges.n_entries if free is None else len(free)
+
+
 def free_uniforms(edges: EdgeSet, spec: MaskSpec, rng: np.random.Generator):
     """``free_entries`` and one uniform per block and free position,
-    shape (n_blocks, n_free): all that a GDC, DropEdge, concrete or ARM
-    mask draws."""
+    shape (n_blocks, n_free): all that a concrete or ARM mask draws."""
     free = free_entries(edges, spec)
-    n_free = edges.n_entries if free is None else len(free)
-    return free, rng.random((spec.n_blocks, n_free))
+    return free, rng.random((spec.n_blocks, _n_free(edges, free)))
 
 
 def _on_pattern(edges: EdgeSet, free: np.ndarray | None, values: np.ndarray,
@@ -182,24 +225,26 @@ def keep_mask(edges: EdgeSet, free: np.ndarray | None,
 
 
 def sample_gdc_masks(edges: EdgeSet, spec: MaskSpec, keep_prob: float,
-                     rng: np.random.Generator) -> EdgeMask:
+                     rng: np.random.Generator,
+                     draw=bernoulli_uniform) -> EdgeMask:
     """``spec.n_blocks`` independent Bernoulli(keep_prob) masks, one per
     feature block; with one block, DropEdge's (``sample_dropedge_mask``)."""
-    _check_prob(keep_prob)
-    free, u = free_uniforms(edges, spec, rng)
-    return keep_mask(edges, free, (u < keep_prob).astype(np.float64))
+    free = free_entries(edges, spec)
+    keep = draw((spec.n_blocks, _n_free(edges, free)), keep_prob, rng)
+    return keep_mask(edges, free, keep.astype(np.float64))
 
 
 def sample_dropedge_mask(edges: EdgeSet, spec: MaskSpec, keep_prob: float,
-                         rng: np.random.Generator) -> EdgeMask:
+                         rng: np.random.Generator,
+                         draw=bernoulli_uniform) -> EdgeMask:
     """DropEdge's mask: GDC with the one block of a DropEdge ``spec``
     (``sample_gdc_masks``), draw for draw."""
-    return sample_gdc_masks(edges, spec, keep_prob, rng)
+    return sample_gdc_masks(edges, spec, keep_prob, rng, draw)
 
 
 def sample_randomwalk_mask(edges: EdgeSet, keep_prob: float,
-                           prev: EdgeMask | None,
-                           rng: np.random.Generator) -> EdgeMask:
+                           prev: EdgeMask | None, rng: np.random.Generator,
+                           draw=bernoulli_uniform) -> EdgeMask:
     """Bernoulli draw gated by connectivity surviving the previous layer.
 
     Entry (v, u) can only be kept if node v retained at least one incoming
@@ -207,8 +252,7 @@ def sample_randomwalk_mask(edges: EdgeSet, keep_prob: float,
     connected subgraph. The first random-walk layer takes ``prev=None``:
     nothing was dropped before it, so no entry is gated.
     """
-    _check_prob(keep_prob)
-    vals = (rng.random(edges.n_entries) < keep_prob).astype(np.float64)
+    vals = draw(edges.n_entries, keep_prob, rng).astype(np.float64)
     if prev is None:
         return EdgeMask(blocks=[constant(vals)])
     if prev.n_blocks != 1:
@@ -277,5 +321,5 @@ def expected_keep_mask(edges: EdgeSet, spec: MaskSpec,
     over the whole input."""
     _check_prob(keep_prob)
     free = free_entries(edges, spec)
-    n_free = edges.n_entries if free is None else len(free)
-    return keep_mask(edges, free, np.full((1, n_free), keep_prob))
+    return keep_mask(edges, free,
+                     np.full((1, _n_free(edges, free)), keep_prob))

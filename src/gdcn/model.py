@@ -87,7 +87,8 @@ from .errors import ContractViolation, MalformedInputError
 from .estimators import ArmDraw, arm_z2
 from .graph import (EdgeSet, build_adjacency, dense_to_csr, entry_rows,
                     index_dtype, kept, normalize_with_edges)
-from .masks import (EdgeMask, MaskKind, MaskSpec, expected_keep_mask,
+from .masks import (EdgeMask, MaskKind, MaskSpec, bernoulli,
+                    bernoulli_uniform, expected_keep_mask,
                     free_uniforms, keep_mask, sample_concrete_mask,
                     sample_dropedge_mask, sample_dropout_mask,
                     sample_gdc_masks, sample_node_mask,
@@ -514,11 +515,11 @@ def _keep_prob_for(spec: MaskSpec, p: LayerParams, mode: str, rng,
 
 
 def _dropout_mask(n: int, f_in: int, keep_prob: float, rng,
-                  entries: int | None) -> np.ndarray:
+                  entries: int | None, draw) -> np.ndarray:
     """(n, f_in) DropOut mask, or a 1-D one over ``entries`` stored entries."""
     if entries is not None:
-        return sample_dropout_mask(entries, 1, keep_prob, rng).ravel()
-    return sample_dropout_mask(n, f_in, keep_prob, rng)
+        return sample_dropout_mask(entries, 1, keep_prob, rng, draw).ravel()
+    return sample_dropout_mask(n, f_in, keep_prob, rng, draw)
 
 
 def sample_step_masks(config: GCNConfig, params: list, graph: PreparedGraph,
@@ -539,6 +540,12 @@ def sample_step_masks(config: GCNConfig, params: list, graph: PreparedGraph,
     the step's shared uniforms follow the per-layer draws (``draws.arm``)
     and each learned layer gets the keep mask of Z2 (``arm_masks``).
 
+    Every DropOut, node, DropEdge, GDC and random-walk mask draws through
+    the mode's Bernoulli rule: ``mc`` passes take ``masks.bernoulli``, one
+    random byte per entry, and ``train`` steps ``masks.bernoulli_uniform``,
+    one float64 uniform per entry. Both are exact, so the two modes' masks
+    follow one distribution from different streams.
+
     ``input_nnz`` is the stored-entry count of a CSR layer-0 input; layer-0
     DropOut masks then hold one value per stored entry instead of an
     (n, f_in) matrix.
@@ -547,6 +554,7 @@ def sample_step_masks(config: GCNConfig, params: list, graph: PreparedGraph,
         raise ContractViolation(f"unknown mask mode '{mode}'")
     if mode != "det" and rng is None:
         raise ContractViolation(f"mask mode '{mode}' needs an rng")
+    draw = bernoulli if mode == "mc" else bernoulli_uniform
     n = graph.edges.n
     draws = StepDraws()
     prev_edge = None  # random-walk layer coupling; None: all kept
@@ -560,14 +568,16 @@ def sample_step_masks(config: GCNConfig, params: list, graph: PreparedGraph,
             if mode == "det":
                 lm.feature = pi_val
             elif spec.kind == MaskKind.DROPOUT:
-                lm.feature = _dropout_mask(n, f_in, pi_val, rng, entries)
+                lm.feature = _dropout_mask(n, f_in, pi_val, rng, entries,
+                                           draw)
             else:
-                lm.feature = sample_node_mask(n, pi_val, rng).reshape(-1, 1)
+                lm.feature = sample_node_mask(n, pi_val, rng,
+                                              draw).reshape(-1, 1)
         elif spec.kind != MaskKind.NONE and mode == "det":
             lm.edge = expected_keep_mask(graph.edges, spec, pi_val)
         elif spec.kind == MaskKind.RANDOM_WALK:
             lm.edge = sample_randomwalk_mask(graph.edges, pi_val, prev_edge,
-                                             rng)
+                                             rng, draw)
             prev_edge = lm.edge
         elif mode == "train" and spec.learned:
             # ARM's binary masks follow the per-layer draws.
@@ -576,9 +586,10 @@ def sample_step_masks(config: GCNConfig, params: list, graph: PreparedGraph,
                     graph.edges, spec, pi_tensor, rng,
                     standard=config.concrete_standard)
         elif spec.kind == MaskKind.DROPEDGE:
-            lm.edge = sample_dropedge_mask(graph.edges, spec, pi_val, rng)
+            lm.edge = sample_dropedge_mask(graph.edges, spec, pi_val, rng,
+                                           draw)
         elif spec.kind == MaskKind.GDC:
-            lm.edge = sample_gdc_masks(graph.edges, spec, pi_val, rng)
+            lm.edge = sample_gdc_masks(graph.edges, spec, pi_val, rng, draw)
         if spec.dropout_keep is not None:
             if mode == "det":
                 extra = spec.dropout_keep
@@ -586,7 +597,8 @@ def sample_step_masks(config: GCNConfig, params: list, graph: PreparedGraph,
                 # A per-entry mask cannot combine with an (n, 1) node mask.
                 if lm.feature is not None and lm.feature.ndim == 2:
                     entries = None
-                extra = _dropout_mask(n, f_in, spec.dropout_keep, rng, entries)
+                extra = _dropout_mask(n, f_in, spec.dropout_keep, rng,
+                                      entries, draw)
             lm.feature = extra if lm.feature is None else lm.feature * extra
         draws.layer_masks.append(lm)
         draws.pi_tensors.append(pi_tensor)
@@ -685,6 +697,10 @@ def predict_mc(params, x, graph, config, s: int, rng: np.random.Generator):
 
     Returns (mean class probabilities, per-sample probabilities), both
     float64; keep probabilities of learned layers are drawn fresh per pass.
+    Each pass's masks follow the distribution of a training step's but come
+    from another stream: their binary entries draw through
+    ``masks.bernoulli``, one random byte per entry (``sample_step_masks``'
+    ``mc`` mode).
     The passes compute in float32 on ``float32_operands``, from the masks
     and draws a float64 pass would use, and each finishes in float64: the
     log-softmax casts its (n, C) logits, so that every row's probabilities

@@ -433,6 +433,35 @@ class TestDiagnose:
             f"at least one\n")
         assert not os.path.exists(out)
 
+    def test_config_error_exit_2_creates_nothing(self, tmp_path,
+                                                 synthetic_files, capsys):
+        content, cites = synthetic_files
+        out = tmp_path / "diag"
+        cfg = write_config(tmp_path / "diag.ini", content, cites, out,
+                           **{"train.epochs": "0"})
+        rc = main(["diagnose", "--config", cfg])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: train.epochs must be at least 1, got 0\n")
+        assert not os.path.exists(out)
+
+    def test_shallow_sweep_depth_exit_2_before_training(
+            self, tmp_path, synthetic_files, capsys, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before the config was checked")
+
+        monkeypatch.setattr("gdcn.cli.train", no_training)
+        monkeypatch.setattr("gdcn.cli.run_seeds", no_training)
+        content, cites = synthetic_files
+        out = tmp_path / "diag"
+        cfg = write_config(tmp_path / "diag.ini", content, cites, out,
+                           **{"train.seeds": "0", "sweep.depths": "2,1"})
+        rc = main(["diagnose", "--config", cfg])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: sweep.depths entries must be >= 2 layers\n")
+        assert not os.path.exists(out)
+
 
 class TestSweepBlocks:
     def test_one_row_per_setting(self, tmp_path, synthetic_files, capsys):
@@ -450,3 +479,16 @@ class TestSweepBlocks:
         cfg, out = config
         rc = main(["sweep-blocks", "--config", cfg])
         assert rc == 2
+
+    def test_config_error_exit_2_creates_nothing(self, tmp_path,
+                                                 synthetic_files, capsys):
+        content, cites = synthetic_files
+        out = tmp_path / "blocks"
+        cfg = write_config(tmp_path / "blocks.ini", content, cites, out,
+                           **{"train.warmup_ramp": "-4",
+                              "sweep.blocks": "1,2"})
+        rc = main(["sweep-blocks", "--config", cfg])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: train.warmup_ramp must be >= 0, got -4\n")
+        assert not os.path.exists(out)
