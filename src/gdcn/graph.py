@@ -8,8 +8,11 @@ Every normalized adjacency, the prepared one and each renormalized mask,
 stores the one pattern ``A + I`` (an ``EdgeSet``) and holds the values of
 one rule, ``EdgeSet.normalized_values``: ``I + D^{-1/2} A D^{-1/2}`` by
 default, ``D~^{-1/2} (A+I) D~^{-1/2}`` behind ``renorm_trick``. A masked
-matrix that enters a product (``kept``) stores only its nonzero entries.
-Products keep float32 operands in float32 (``float_array``).
+adjacency keeps that pattern in its products: ``spmm`` and ``spmm_t`` take
+the mask's entries as ``values`` on it, zeros stored. On finite operands a
+stored zero adds an exact zero, so such a product equals one with only the
+nonzero entries stored (``kept``) bit for bit. Products keep float32
+operands in float32 (``float_array``).
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+# csr_matvecs / csc_matvecs: the kernels behind scipy's own ``a @ h``.
+from scipy.sparse import _sparsetools
 
 from .errors import ContractViolation, MalformedInputError
 
@@ -199,11 +204,10 @@ def kept(a: sp.csr_array, values: np.ndarray) -> sp.csr_array:
     """``a``'s pattern holding ``values``, storing only the nonzero ones.
 
     The kept entries stay in storage order, so a product with the result
-    (``spmm`` or ``spmm_t``) adds the same nonzero terms in the same order
-    as one with every entry stored, and equals it bit for bit on finite
-    operands: its sums start at +0.0, and adding an exact zero term changes
-    no bit of a sum. With no zero in ``values`` the result shares ``a``'s
-    index arrays.
+    adds the same nonzero terms in the same order as one with every entry
+    stored, and equals it bit for bit on finite operands: its sums start at
+    +0.0, and adding an exact zero term changes no bit of a sum. With no
+    zero in ``values`` the result shares ``a``'s index arrays.
     """
     nz = values != 0.0
     if nz.all():
@@ -215,21 +219,62 @@ def kept(a: sp.csr_array, values: np.ndarray) -> sp.csr_array:
                         shape=a.shape)
 
 
-def spmm(a: sp.csr_array, h: np.ndarray) -> np.ndarray:
-    """Sparse-dense product ``A @ H``, in float32 when both are float32."""
-    h = float_array(h)
-    if a.shape[1] != h.shape[0]:
+def _operands(a: sp.csr_array, x, values, n_in: int):
+    """``values`` (by default ``a.data``) and ``x``, C-contiguous in the
+    product's dtype: float32 when both are float32, else float64."""
+    values = float_array(a.data if values is None else values)
+    x = float_array(x)
+    nnz = len(a.indices)
+    if values.shape != (nnz,):
         raise ContractViolation(
-            f"shape mismatch: A is {a.shape[0]}x{a.shape[1]}, H has {h.shape[0]} rows")
-    return a @ h
+            f"values of shape {values.shape} for {nnz} stored entries")
+    if x.ndim != 2 or x.shape[0] != n_in:
+        raise ContractViolation(
+            f"shape mismatch: A is {a.shape[0]}x{a.shape[1]}, "
+            f"the dense operand is {x.shape}, not {n_in} rows")
+    dtype = np.result_type(values, x)
+    return (values.astype(dtype, copy=False),
+            np.ascontiguousarray(x, dtype=dtype))
 
 
-def spmm_t(a: sp.csr_array, g: np.ndarray) -> np.ndarray:
-    """Transposed product ``A.T @ G`` (used by reverse-mode adjoints)."""
-    g = float_array(g)
-    if a.shape[0] != g.shape[0]:
-        raise ContractViolation("shape mismatch in transposed product")
-    return a.T @ g
+def spmm(a: sp.csr_array, h, values: np.ndarray | None = None,
+         out: np.ndarray | None = None) -> np.ndarray:
+    """``out += A @ H``, with A the pattern ``a`` holding ``values`` (by
+    default its own), and returns ``out``; a zeroed output when ``out`` is
+    None. In float32 when both ``values`` and H are float32.
+
+    Each output row adds its entries' terms to what ``out`` holds, in
+    storage order, so blocks summed into one ``out`` are added row by row
+    in block order, and one call on a zeroed output equals ``a @ h`` bit
+    for bit. ``out`` must be a C-contiguous array of A's rows by H's
+    columns in the product's dtype; otherwise ``ContractViolation`` is
+    raised and ``out`` is untouched.
+    """
+    values, h = _operands(a, h, values, a.shape[1])
+    shape = (a.shape[0], h.shape[1])
+    if out is None:
+        out = np.zeros(shape, dtype=h.dtype)
+    elif (not isinstance(out, np.ndarray) or out.shape != shape
+          or out.dtype != h.dtype or not out.flags.c_contiguous
+          or not out.flags.writeable):
+        raise ContractViolation(
+            f"output must be a writeable C-contiguous {shape} {h.dtype} "
+            f"array, got {np.shape(out)} {getattr(out, 'dtype', None)}")
+    _sparsetools.csr_matvecs(shape[0], a.shape[1], shape[1], a.indptr,
+                             a.indices, values, h, out)
+    return out
+
+
+def spmm_t(a: sp.csr_array, g, values: np.ndarray | None = None) -> np.ndarray:
+    """Transposed product ``A.T @ G``, with A the pattern ``a`` holding
+    ``values`` (by default its own), as ``a.T @ g`` computes it; used by
+    reverse-mode adjoints."""
+    values, g = _operands(a, g, values, a.shape[0])
+    out = np.zeros((a.shape[1], g.shape[1]), dtype=g.dtype)
+    # a's CSR arrays are the CSC arrays of its transpose
+    _sparsetools.csc_matvecs(a.shape[1], a.shape[0], g.shape[1], a.indptr,
+                             a.indices, values, g, out)
+    return out
 
 
 def lambda_max(a: sp.csr_array, tol: float = 1e-8, max_iter: int = 1000):

@@ -145,10 +145,15 @@ def bernoulli(shape, p: float, rng: np.random.Generator) -> np.ndarray:
     keep where that lies below ``t - k``. So P(keep) = k/256 + (t - k)/256
     = p, to the precision of ``rng.random() < p``, and p = 0 and p = 1
     draw no uniform: the lazy comparison of a uniform's leading bits with
-    p's (Knuth & Yao, 1976).
+    p's (Knuth & Yao, 1976). The bytes are those of ``ceil(n / 8)`` raw
+    64-bit outputs of the bit generator, little-endian, the first n of
+    them, which is cheaper than ``rng.bytes``: that one assembles its bytes
+    from 32-bit draws.
     """
     _check_prob(p)
-    u = np.frombuffer(rng.bytes(int(np.prod(shape))), np.uint8)
+    n = int(np.prod(shape))
+    u = (rng.bit_generator.random_raw(-(-n // 8)).astype("<u8", copy=False)
+         .view(np.uint8)[:n])
     t = 256.0 * p
     k = int(t)
     keep = u < k

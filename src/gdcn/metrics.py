@@ -31,8 +31,13 @@ def accuracy(predictions: np.ndarray, labels: np.ndarray,
 
 
 def predictive_entropy(mean_probs: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Row-wise entropy in nats, with 0 log 0 := 0."""
+    """Row-wise entropy in nats, with 0 log 0 := 0. A row that holds a
+    non-finite value, or is not a distribution within ``tol``, raises
+    ``ContractViolation``."""
     p = np.asarray(mean_probs, dtype=np.float64)
+    if not np.isfinite(p).all():
+        raise ContractViolation(
+            "rows must be finite probability distributions")
     if np.any(p < -tol) or np.any(np.abs(p.sum(axis=1) - 1.0) > tol):
         raise ContractViolation("rows must be probability distributions")
     p = np.clip(p, 0.0, 1.0)

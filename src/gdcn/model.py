@@ -69,9 +69,13 @@ A loss that reads only some nodes, such as the semi-supervised NLL on the
 labelled ones, needs at layer l of L only the rows within L - 1 - l hops
 of them. ``loss_rows`` plans those rows, and ``forward(..., rows=plan)``
 computes only them, into compact arrays whose row i is plan row
-``out[i]``. Every masked matrix, and a masked CSR layer-0 input, stores
-only its nonzero entries (``graph.kept``), so a binary mask also skips
-the connections it drops.
+``out[i]``.
+
+A masked adjacency is never built as a matrix of its own: each block's
+entries ride on the layer's one pattern, zeros stored, and a stored zero
+adds an exact zero on finite operands. A masked CSR layer-0 input stores
+only its nonzero entries (``graph.kept``), so its products skip the
+features it drops.
 """
 
 from __future__ import annotations

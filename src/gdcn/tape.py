@@ -7,10 +7,12 @@ layer-0 feature input: it never requires grad, and only
 
 ``record_gdc_aggregate`` is the one aggregation op. It takes one CSR
 pattern and, per feature block, that block's stored entries, which the
-caller (``model.forward``) builds; it knows nothing of masks. Each block's
-matrix stores only its nonzero entries (``graph.kept``). Concrete-relaxed
-entries are constants too: the op takes their keep probability pi and per
-block the entries of ``dA_b/dpi``, and gives pi its gradient directly.
+caller (``model.forward``) builds; it knows nothing of masks. Every block's
+matrix is that one pattern carrying the block's entries, zeros stored, and
+the products take them as ``values`` (``graph.spmm``, ``graph.spmm_t``).
+Concrete-relaxed entries are constants too: the op takes their keep
+probability pi and per block the entries of ``dA_b/dpi``, and gives pi its
+gradient directly.
 
 The dtype rule: a tensor that does not require grad keeps float32 data as
 float32; any other data, and every tensor that requires grad, is float64.
@@ -44,12 +46,13 @@ of the n-row call.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.sparse import csr_array, issparse
 
 from .errors import ContractViolation
-from .graph import float_array, kept, spmm, spmm_t
+from .graph import float_array, spmm, spmm_t
 
 
 class Tensor:
@@ -166,10 +169,12 @@ def backward(tape: Tape, loss: Tensor, seeds: dict | None = None) -> Gradients:
 # ops
 
 
-def block_bounds(f_in: int, n_blocks: int):
-    """Contiguous near-equal feature blocks, original feature order kept."""
+@lru_cache(maxsize=None)
+def block_bounds(f_in: int, n_blocks: int) -> tuple:
+    """Contiguous near-equal feature blocks, original feature order kept,
+    as ``((c0, c1), ...)``."""
     edges = np.linspace(0, f_in, n_blocks + 1).astype(int)
-    return [(int(edges[i]), int(edges[i + 1])) for i in range(n_blocks)]
+    return tuple((int(edges[i]), int(edges[i + 1])) for i in range(n_blocks))
 
 
 def split_columns(h_data, n_blocks: int) -> list:
@@ -252,10 +257,9 @@ def record_gdc_aggregate(tape, a: csr_array, values: list, h: Tensor,
     ``A_b`` is the CSR pattern ``a`` carrying ``values[b]``, block b's
     stored entries (``model.forward`` builds them from the masks), and
     ``blk_b`` is ``block_bounds(f_in, len(values))[b]``. ``a`` may be
-    rectangular, (rows_out, rows_in) with rows_in the rows of H. Each
-    ``A_b`` stores only its nonzero entries (``graph.kept``), so a binary
-    mask skips the entries it drops and the sums stay bit for bit those of
-    the full pattern.
+    rectangular, (rows_out, rows_in) with rows_in the rows of H. No block
+    builds a matrix of its own: each product takes ``values[b]`` on ``a``,
+    zeros stored, and a stored zero adds an exact zero on finite operands.
 
     The product order follows the shapes (``multiplies_first``):
 
@@ -263,8 +267,9 @@ def record_gdc_aggregate(tape, a: csr_array, values: list, h: Tensor,
       blocks ``A_b H[:, blk_b]`` fill one (rows_out, f_in) array M, and a
       single ``M @ W`` follows;
     - *multiply first* otherwise (a CSR H, or ``f_in >= nb * f_out``):
-      ``S_b = H_b W_b`` per block, and the ``A_b S_b`` are summed in place.
-      With one block this is ``spmm(A_0, H @ W)``.
+      ``S_b = H_b W_b`` per block, and each ``A_b S_b`` adds into one
+      output, row by row in block order (``graph.spmm(..., out=)``). With
+      one block this is ``spmm(A_0, H @ W)``.
 
     ``products`` supplies the ``H_b`` and ``S_b`` of the multiply-first
     order, built by ``block_products`` from this ``h`` and this ``w`` as
@@ -299,11 +304,6 @@ def record_gdc_aggregate(tape, a: csr_array, values: list, h: Tensor,
     if a.shape[1] != hd.shape[0]:
         raise ContractViolation(
             f"matrix {a.shape} does not take the {hd.shape[0]} input rows")
-    for v in values:
-        if v.shape != (a.nnz,):
-            raise ContractViolation(
-                f"block entries of shape {v.shape} for {a.nnz} stored entries")
-    masked = [kept(a, v) for v in values]
     bounds = block_bounds(f_in, nb)
     grad_pi = pi is not None and tangents is not None and pi.requires_grad
     if grad_pi and len(tangents) != nb:
@@ -317,10 +317,8 @@ def record_gdc_aggregate(tape, a: csr_array, values: list, h: Tensor,
         hold n rows."""
         dpi = 0.0
         for t_b, left, right in zip(tangents, lefts, rights):
-            # A tangent is zero only on protected self-loops: too few
-            # zeros for graph.kept to pay for itself.
-            a_t = csr_array((t_b, a.indices, a.indptr), shape=a.shape)
-            dpi += np.vdot(left, _padded(spmm(a_t, right), out_ids, n))
+            dpi += np.vdot(left, _padded(spmm(a, right, values=t_b),
+                                         out_ids, n))
         acc(pi, np.array([[dpi]]))
 
     if not multiplies_first(hd, f_out, nb):
@@ -328,10 +326,8 @@ def record_gdc_aggregate(tape, a: csr_array, values: list, h: Tensor,
             raise ContractViolation(
                 "block products apply only when multiplying first")
         h_blocks = split_columns(hd, nb)
-        m = np.empty((a.shape[0], f_in),
-                     dtype=np.result_type(masked[0].dtype, hd.dtype))
-        for am, h_b, (c0, c1) in zip(masked, h_blocks, bounds):
-            m[:, c0:c1] = spmm(am, h_b)
+        m = np.concatenate([spmm(a, h_b, values=v)
+                            for v, h_b in zip(values, h_blocks)], axis=1)
         out_data = m @ wd
 
         def bwd(g, acc):
@@ -345,8 +341,8 @@ def record_gdc_aggregate(tape, a: csr_array, values: list, h: Tensor,
                 acc_pi(acc, [dm_n[:, c0:c1] for c0, c1 in bounds], h_blocks)
             if h.requires_grad:
                 dh = np.empty_like(hd)
-                for am, (c0, c1) in zip(masked, bounds):
-                    dh[:, c0:c1] = spmm_t(am, dm[:, c0:c1])
+                for v, (c0, c1) in zip(values, bounds):
+                    dh[:, c0:c1] = spmm_t(a, dm[:, c0:c1], values=v)
                 acc(h, dh)
 
         return _maybe_record(tape, out_data, inputs, bwd)
@@ -357,13 +353,9 @@ def record_gdc_aggregate(tape, a: csr_array, values: list, h: Tensor,
         raise ContractViolation(
             f"{len(products.products)} block products for {nb} blocks")
     h_blocks = products.h_blocks
-    out_data = None
-    for am, s_b in zip(masked, products.products):
-        agg = spmm(am, s_b)
-        if out_data is None:
-            out_data = agg
-        else:
-            out_data += agg
+    out_data = spmm(a, products.products[0], values=values[0])
+    for v, s_b in zip(values[1:], products.products[1:]):
+        spmm(a, s_b, values=v, out=out_data)
     # The S_b stay reachable from the backward only where dL/dpi needs them.
     kept_products = products.products if grad_pi else None
     # A CSR H_b^T dS_b adds its terms row by row, compact or not.
@@ -381,7 +373,7 @@ def record_gdc_aggregate(tape, a: csr_array, values: list, h: Tensor,
         else:
             h_n = h_blocks
         for b, (c0, c1) in enumerate(bounds):
-            ds = spmm_t(masked[b], g)
+            ds = spmm_t(a, g, values=values[b])
             if dw is not None:
                 dw[c0:c1] = h_n[b].T @ _padded(ds, pad_in, n)
             if dh is not None:

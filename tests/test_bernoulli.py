@@ -28,18 +28,25 @@ def graph(seed=0):
         random_edges(np.random.default_rng(seed), N, 0.3), N)
 
 
+def random_bytes(rng, n):
+    """The ``n`` bytes a Bernoulli draw of n entries reads: the first n
+    bytes of ``ceil(n / 8)`` raw 64-bit outputs, little-endian."""
+    raw = rng.bit_generator.random_raw(-(-n // 8))
+    return np.frombuffer(raw.astype("<u8").tobytes()[:n], np.uint8)
+
+
 def bytes_only(seed, n):
     """A generator seeded ``seed`` that has drawn ``n`` bytes and nothing
     else."""
     ref = np.random.default_rng(seed)
-    ref.bytes(n)
+    random_bytes(ref, n)
     return ref
 
 
 def by_hand(p, rng, n):
     """``n`` Bernoulli(p) draws, one entry at a time: the bytes first, then
     one uniform per tie in position order, below ``256 p - floor(256 p)``."""
-    u = np.frombuffer(rng.bytes(n), np.uint8)
+    u = random_bytes(rng, n)
     k = int(np.floor(256.0 * p))
     frac = 256.0 * p - k
     out = np.zeros(n, dtype=bool)
@@ -69,7 +76,7 @@ class TestBernoulli:
         ref = np.random.default_rng(seed)
         want = by_hand(p, ref, n)
         k = int(256.0 * p)
-        u = np.frombuffer(np.random.default_rng(seed).bytes(n), np.uint8)
+        u = random_bytes(np.random.default_rng(seed), n)
         assert (u == k).sum() > 0  # the ties were drawn
         np.testing.assert_array_equal(got, want)
         assert rng.bit_generator.state == ref.bit_generator.state
@@ -87,7 +94,7 @@ class TestBernoulli:
         n = 50_000
         rng = np.random.default_rng(4)
         keep = bernoulli(n, k / 256, rng)
-        u = np.frombuffer(np.random.default_rng(4).bytes(n), np.uint8)
+        u = random_bytes(np.random.default_rng(4), n)
         np.testing.assert_array_equal(keep, u < k)
         assert rng.bit_generator.state == bytes_only(4, n).bit_generator.state
 

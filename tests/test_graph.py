@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_array
 
 from gdcn.errors import ContractViolation, MalformedInputError
-from gdcn.graph import (EdgeSet, build_adjacency, entry_rows, lambda_max,
-                        normalize, spmm)
+from gdcn.graph import (EdgeSet, build_adjacency, entry_rows, kept,
+                        lambda_max, normalize, spmm, spmm_t)
 from gdcn.tape import Tape, constant, record_gdc_aggregate
 
 from conftest import dense_normalize, random_edges
@@ -233,6 +233,137 @@ class TestSpmm:
         a = normalize(build_adjacency(random_edges(rng, 5, 0.6), 5))
         h = rng.normal(size=(5, 3))
         np.testing.assert_allclose(spmm(a, h), a.toarray() @ h, atol=1e-12)
+
+
+def pattern(rng, rows, cols, index=np.int32, density=0.4):
+    """A random (rows, cols) CSR array whose index arrays are ``index``."""
+    dense = rng.normal(size=(rows, cols))
+    dense[rng.random(dense.shape) > density] = 0.0
+    a = csr_array(dense)
+    a.indices = a.indices.astype(index)
+    a.indptr = a.indptr.astype(index)
+    return a
+
+
+def with_values(a, values):
+    return csr_array((values, a.indices, a.indptr), shape=a.shape)
+
+
+class TestSpmmKernel:
+    """``spmm(a, h, values=, out=)`` adds ``A(values) @ H`` into ``out``;
+    ``spmm_t(a, g, values=)`` is ``A(values).T @ G``."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("index", [np.int32, np.int64])
+    @pytest.mark.parametrize("rows,cols", [(30, 30), (9, 30)])  # loss rows
+    def test_accumulates_against_dense_oracle(self, dtype, index, rows, cols):
+        rng = np.random.default_rng(rows + cols)
+        a = pattern(rng, rows, cols, index)
+        vs = [rng.normal(size=a.nnz).astype(dtype) for _ in range(3)]
+        xs = [rng.normal(size=(cols, 5)).astype(dtype) for _ in range(3)]
+        out = spmm(a, xs[0], values=vs[0])
+        for v, x in zip(vs[1:], xs[1:]):
+            assert spmm(a, x, values=v, out=out) is out
+        assert out.dtype == dtype
+        want = sum(with_values(a, v.astype(float)).toarray() @ x.astype(float)
+                   for v, x in zip(vs, xs))
+        tol = 1e-5 if dtype == np.float32 else 1e-12
+        np.testing.assert_allclose(out, want, rtol=tol, atol=tol)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("width", [1, 7, 32])
+    def test_one_block_is_bitwise_matmul(self, dtype, width):
+        rng = np.random.default_rng(width)
+        a = pattern(rng, 25, 20).astype(dtype)
+        x = rng.normal(size=(20, width)).astype(dtype)
+        got = spmm(a, x)
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got, a @ x)
+        v = rng.normal(size=a.nnz).astype(dtype)
+        np.testing.assert_array_equal(spmm(a, x, values=v),
+                                      with_values(a, v) @ x)
+
+    def test_mixed_dtypes_compute_in_float64(self):
+        rng = np.random.default_rng(3)
+        a = pattern(rng, 8, 8)
+        x = rng.normal(size=(8, 3)).astype(np.float32)
+        v = a.data.astype(np.float32)
+        want = with_values(a, v.astype(np.float64)) @ x.astype(np.float64)
+        for got in (spmm(a.astype(np.float32), x.astype(np.float64)),
+                    spmm(a, x, values=v.astype(np.float64))):
+            assert got.dtype == np.float64
+            np.testing.assert_array_equal(got, want)
+
+    def test_non_contiguous_operand(self):
+        rng = np.random.default_rng(5)
+        a = pattern(rng, 12, 10)
+        wide = rng.normal(size=(10, 12))
+        for x in (wide[:, 3:9], wide[:, ::2], np.asfortranarray(wide)):
+            assert not x.flags.c_contiguous
+            np.testing.assert_array_equal(spmm(a, x),
+                                          spmm(a, np.ascontiguousarray(x)))
+            g = rng.normal(size=(12, x.shape[1]))
+            np.testing.assert_array_equal(
+                spmm_t(a, np.asfortranarray(g)), spmm_t(a, g))
+
+    @pytest.mark.parametrize("width", [1, 7, 32])
+    def test_stored_zeros_equal_kept_products(self, width):
+        rng = np.random.default_rng(width)
+        a = pattern(rng, 40, 30)
+        for keep in (0.0, 0.3, 1.0):
+            vs = [a.data * (rng.random(a.nnz) < keep) for _ in range(3)]
+            xs = [rng.normal(size=(30, width)) for _ in range(3)]
+            got = spmm(a, xs[0], values=vs[0])
+            want = spmm(kept(a, vs[0]), xs[0])
+            for v, x in zip(vs[1:], xs[1:]):
+                spmm(a, x, values=v, out=got)
+                spmm(kept(a, v), x, out=want)
+            np.testing.assert_array_equal(got, want)
+            g = rng.normal(size=(40, width))
+            np.testing.assert_array_equal(spmm_t(a, g, values=vs[0]),
+                                          spmm_t(kept(a, vs[0]), g))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows,cols", [(30, 30), (9, 30)])
+    def test_transposed_product(self, dtype, rows, cols):
+        rng = np.random.default_rng(rows)
+        a = pattern(rng, rows, cols).astype(dtype)
+        v = rng.normal(size=a.nnz).astype(dtype)
+        g = rng.normal(size=(rows, 6)).astype(dtype)
+        got = spmm_t(a, g, values=v)
+        assert got.shape == (cols, 6) and got.dtype == dtype
+        np.testing.assert_array_equal(got, with_values(a, v).T @ g)
+        np.testing.assert_array_equal(spmm_t(a, g), a.T @ g)
+
+    @pytest.mark.parametrize("bad", ["rows", "cols", "dtype", "layout",
+                                     "read-only"])
+    def test_bad_output_raises_and_leaves_it(self, bad):
+        rng = np.random.default_rng(6)
+        a = pattern(rng, 6, 5)
+        x = rng.normal(size=(5, 4))
+        out = {"rows": np.ones((7, 4)), "cols": np.ones((6, 3)),
+               "dtype": np.ones((6, 4), dtype=np.float32),
+               "layout": np.ones((6, 8))[:, ::2],
+               "read-only": np.ones((6, 4))}[bad]
+        out.flags.writeable = bad != "read-only"
+        before = out.copy()
+        with pytest.raises(ContractViolation, match="output"):
+            spmm(a, x, out=out)
+        np.testing.assert_array_equal(out, before)
+
+    def test_bad_operands_raise_and_leave_output(self):
+        rng = np.random.default_rng(7)
+        a = pattern(rng, 6, 5)
+        out = np.ones((6, 4))
+        for x, v in ((np.ones((4, 4)), None), (np.ones(5), None),
+                     (np.ones((5, 4)), np.ones(a.nnz + 1))):
+            with pytest.raises(ContractViolation):
+                spmm(a, x, values=v, out=out)
+            np.testing.assert_array_equal(out, np.ones((6, 4)))
+        with pytest.raises(ContractViolation, match="shape mismatch"):
+            spmm_t(a, np.ones((5, 4)))
+        with pytest.raises(ContractViolation, match="stored entries"):
+            spmm_t(a, np.ones((6, 4)), values=np.ones(a.nnz - 1))
 
 
 def masked_spmm(a, mask, h):

@@ -43,6 +43,26 @@ class TestPredictiveEntropy:
         with pytest.raises(ContractViolation):
             predictive_entropy(np.array([[0.6, 0.6]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_rejected(self, bad):
+        # NaN fails every comparison, so only a finiteness check sees it
+        probs = np.array([[0.5, 0.5], [bad, bad]])
+        with pytest.raises(ContractViolation, match="finite"):
+            predictive_entropy(probs)
+        with pytest.raises(ContractViolation, match="finite"):
+            uncertainty_report(probs, np.array([0, 1]), np.arange(2), [0.5])
+
+    def test_valid_rows_bit_for_bit(self):
+        rng = np.random.default_rng(0)
+        p = rng.dirichlet(np.full(7, 0.3), size=200)
+        p[:20] = np.eye(7)[rng.integers(0, 7, 20)]
+        p[20:25, :3] = 0.0
+        p[20:25] /= p[20:25].sum(axis=1, keepdims=True)
+        q = np.clip(p, 0.0, 1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = -np.where(q > 0.0, q * np.log(q), 0.0).sum(axis=1)
+        np.testing.assert_array_equal(predictive_entropy(p), want)
+
 
 class TestPavpu:
     def test_all_correct_all_certain(self):

@@ -189,9 +189,9 @@ class TestGdcAggregate:
         widths = []
         real = gtape.spmm
 
-        def spy(a, h):
+        def spy(a, h, **kw):
             widths.append(h.shape[1])
-            return real(a, h)
+            return real(a, h, **kw)
 
         monkeypatch.setattr(gtape, "spmm", spy)
         return widths
