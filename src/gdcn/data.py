@@ -19,11 +19,16 @@ names the file and the first faulty line, and blank lines count in line
 numbers. A file that is not valid UTF-8 raises ``MalformedInputError``
 naming it.
 
-``Dataset.features`` is a dense (n, f) array and stays the public form of
-the input. ``predict_mc`` and ``forward_deterministic`` convert it to CSR
-once per call; ``train`` reads ``Dataset.features_csr()``, which converts
-it once per features array, so training several seeds on one dataset
-converts it once.
+The loader returns the features as a bool (n, f) array: the file holds only
+0 and 1, so a bool holds exactly what it says, in an eighth of a float64
+array's memory; a ``-0`` token loads as False, so its row normalizes to
++0.0 there. ``row_normalize`` turns them into the float64 (n, f) array
+that ``gdcn train`` and ``uq`` use by default. ``Dataset.features`` is a
+dense (n, f) array, raw or normalized, and stays the public form of the
+input. ``predict_mc`` and ``forward_deterministic`` convert it to CSR once
+per call; ``train`` reads ``Dataset.features_csr()``, which converts it
+once per features array, so training several seeds on one dataset converts
+it once.
 """
 
 from __future__ import annotations
@@ -48,6 +53,10 @@ class Split:
 
 @dataclass
 class Dataset:
+    """A citation graph: dense (n, f) ``features`` (bool as loaded, float64
+    after ``row_normalize``), int64 labels in ``[0, class_count)``, and the
+    undirected edges."""
+
     features: np.ndarray
     labels: np.ndarray
     edges: np.ndarray           # (m, 2) unique undirected pairs, u < v
@@ -75,7 +84,7 @@ class Dataset:
         """
         feats = self.features
         if self._csr is None or self._csr[0] is not feats:
-            csr = dense_to_csr(np.asarray(feats, dtype=np.float64))
+            csr = dense_to_csr(feats)
             feats.flags.writeable = False
             self._csr = (feats, {1: _read_only([csr])})
         splits = self._csr[1]
@@ -197,7 +206,10 @@ _ZERO, _ONE = b"01"
 
 
 def _parse_features(path, fields, linenos, n_features: int) -> np.ndarray:
-    """The float64 (len(fields), n_features) matrix of the feature fields.
+    """The bool (len(fields), n_features) matrix of the feature fields.
+
+    Only binary values pass, so a bool holds each one exactly; a ``-0``
+    token, equal to 0, loads as False.
 
     A field of single ``0``/``1`` characters joined by tabs takes the bulk
     path: all such fields are joined into one byte buffer, checked and
@@ -205,7 +217,7 @@ def _parse_features(path, fields, linenos, n_features: int) -> np.ndarray:
     ``float``, which raises its line's fault; the first fault by line number
     is the one raised.
     """
-    out = np.empty((len(fields), n_features))
+    out = np.empty((len(fields), n_features), dtype=bool)
     width = 2 * n_features - 1
     slow = np.array([len(f) != width or not f.isascii() for f in fields])
     rows = np.flatnonzero(~slow)
@@ -241,12 +253,19 @@ def _parse_row(path, lineno: int, field: str) -> np.ndarray:
 
 
 def row_normalize(features: np.ndarray) -> np.ndarray:
-    """Divide each row by its sum; all-zero rows stay zero."""
-    features = np.asarray(features, dtype=np.float64)
-    sums = features.sum(axis=1, keepdims=True)
+    """Divide each row by its sum; all-zero rows stay zero.
+
+    Returns a new float64 array and leaves ``features`` unchanged. The sums
+    are taken in float64 and the division writes straight into the output,
+    so a bool or integer input (the loader's bool features) is cast in
+    numpy's small buffers and never copied whole to float64. A float64
+    input gives the bits of ``where(sums > 0, features / sums, 0)``.
+    """
+    features = np.asarray(features)
+    sums = features.sum(axis=1, keepdims=True, dtype=np.float64)
+    out = np.zeros(features.shape)
     with np.errstate(invalid="ignore"):
-        return np.divide(features, sums, out=np.zeros_like(features),
-                         where=sums > 0)
+        return np.divide(features, sums, out=out, where=sums > 0)
 
 
 def make_split(dataset: Dataset, per_class_train: int, n_val: int,

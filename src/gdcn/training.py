@@ -29,6 +29,15 @@ epoch's recorded pass and ARM's Z1 pass. Its own layer 0 is one block, and
 it takes their sum cast to float32 (``BlockProducts.merged``): nb - 1
 adds and a cast instead of one product per block.
 
+Each step (masks, recorded pass, loss, backward with ARM's Z1 pass, Adam)
+runs in ``_train_step``, so its tape, masks, activations and gradients are
+freed when it returns, and ``train`` drops the products of the weights
+from before the Adam step before the deterministic evaluation starts.
+During that evaluation only the parameters, Adam's moments, the input and
+its blocks, the best snapshot and the evaluation's own arrays (the new
+products among them) are alive, so the float64 step and the evaluation
+never hold memory at the same time.
+
 The loss reads only the training nodes, so ``train`` builds their loss-row
 plan once per call (``model.loss_rows``), and the recorded pass and ARM's
 Z1 pass compute only the rows the loss can reach (``forward(...,
@@ -201,6 +210,55 @@ def _det_eval(params, x, graph, config, labels, split, blocks,
             accuracy(pred, labels, split.test), hidden, layer0)
 
 
+def _train_step(gcn_config, train_config, epoch, params, tensors, state,
+                rng, x, graph, layer0, plan, plan_labels, observed):
+    """One training step: sample the masks, run the recorded pass and the
+    loss, and, where the loss is finite, backward (with ARM's Z1 pass) and
+    one Adam step. Returns the (loss, NLL, KL) floats.
+
+    The tape, the masks and the gradients are this function's locals, so
+    they are freed when it returns, before the det-eval allocates its own
+    arrays. ``layer0`` holds the products of the weights before the Adam
+    step; the caller drops them too.
+    """
+    tape = Tape()
+    draws = sample_step_masks(gcn_config, params, graph, rng, tape=tape,
+                              mode="train", input_nnz=x.data.nnz)
+    logprobs = forward(params, x, graph, draws.layer_masks, tape=tape,
+                       layer0=layer0, rows=plan)
+    kl_terms = record_kl_terms(tape, gcn_config, params)
+    wf = warmup_factor(epoch, train_config.warmup)
+    weight_coefs = None
+    if gcn_config.kl_weight_scaling:
+        weight_coefs = [record_scale(tape, pi, graph.edges.n_entries / 2.0)
+                        for pi in draws.pi_tensors]
+    loss = training_loss(tape, logprobs, plan_labels, observed, params,
+                         kl_terms, train_config.l2_factor, wf,
+                         weight_coefs=weight_coefs)
+    loss_val = loss.item()
+    nll_val = -float(np.mean(logprobs.data[observed, plan_labels[observed]]))
+    kl_val = float(sum(k.item() for k in kl_terms))
+    if not np.isfinite(loss_val):
+        return loss_val, nll_val, kl_val
+
+    seeds = None
+    if draws.arm is not None:
+        def loss_eval(z_drop):
+            lp = forward(params, x, graph, arm_masks(draws, graph, z_drop),
+                         tape=None, layer0=layer0, rows=plan)
+            return record_masked_nll(None, lp, plan_labels, observed).item()
+
+        # The recorded pass ran on Z2, so its NLL is L(Z2).
+        est = arm_gradient(loss_eval, draws.arm, nll_val)
+        pis = [draws.pi_tensors[l] for l, *_ in draws.arm_layers]
+        seeds = {pi: arm_pi_grad(pi.item(), g_alpha)
+                 for pi, g_alpha in zip(pis, est.grad_alpha)}
+    grads = backward(tape, loss, seeds)
+    adam_step(tensors, {t: grads.get(t) for t in tensors}, state,
+              train_config.lr)
+    return loss_val, nll_val, kl_val
+
+
 def train(dataset: Dataset, gcn_config: GCNConfig, train_config: TrainConfig,
           seed: int, graph: PreparedGraph | None = None,
           hidden_hook=None) -> TrainResult:
@@ -241,25 +299,9 @@ def train(dataset: Dataset, gcn_config: GCNConfig, train_config: TrainConfig,
 
     for epoch in range(train_config.epochs):
         t0 = time.perf_counter()
-        tape = Tape()
-        draws = sample_step_masks(gcn_config, params, graph, rng, tape=tape,
-                                  mode="train", input_nnz=x.data.nnz)
-        logprobs = forward(params, x, graph, draws.layer_masks, tape=tape,
-                           layer0=layer0, rows=plan)
-        kl_terms = record_kl_terms(tape, gcn_config, params)
-        wf = warmup_factor(epoch, train_config.warmup)
-        weight_coefs = None
-        if gcn_config.kl_weight_scaling:
-            weight_coefs = [record_scale(tape, pi, graph.edges.n_entries / 2.0)
-                            for pi in draws.pi_tensors]
-        loss = training_loss(tape, logprobs, plan_labels, observed, params,
-                             kl_terms, train_config.l2_factor, wf,
-                             weight_coefs=weight_coefs)
-        loss_val = loss.item()
-        nll_val = -float(np.mean(
-            logprobs.data[observed, plan_labels[observed]]))
-        kl_val = float(sum(k.item() for k in kl_terms))
-
+        loss_val, nll_val, kl_val = _train_step(
+            gcn_config, train_config, epoch, params, tensors, state, rng, x,
+            graph, layer0, plan, plan_labels, observed)
         if not np.isfinite(loss_val):
             nonfinite_run += 1
             if nonfinite_run >= _DIVERGENCE_LIMIT:
@@ -269,25 +311,10 @@ def train(dataset: Dataset, gcn_config: GCNConfig, train_config: TrainConfig,
                 )
         else:
             nonfinite_run = 0
-            seeds = None
-            if draws.arm is not None:
-                def loss_eval(z_drop):
-                    lp = forward(params, x, graph,
-                                 arm_masks(draws, graph, z_drop), tape=None,
-                                 layer0=layer0, rows=plan)
-                    return record_masked_nll(None, lp, plan_labels,
-                                             observed).item()
 
-                # The recorded pass ran on Z2, so its NLL is L(Z2).
-                est = arm_gradient(loss_eval, draws.arm, nll_val)
-                pis = [draws.pi_tensors[l] for l, *_ in draws.arm_layers]
-                seeds = {pi: arm_pi_grad(pi.item(), g_alpha)
-                         for pi, g_alpha in zip(pis, est.grad_alpha)}
-            grads = backward(tape, loss, seeds)
-            adam_step(tensors, {t: grads.get(t) for t in tensors}, state,
-                      train_config.lr)
-
-        # adam_step updates W_0 in place: the det-eval rebuilds the products.
+        # adam_step updates W_0 in place: the det-eval rebuilds the products,
+        # and the stale ones are dropped first so that the two never coexist.
+        del layer0
         val_acc, test_acc, hidden, layer0 = _det_eval(
             params, x, graph, gcn_config, labels, split, blocks,
             capture_hidden=capture)

@@ -315,6 +315,17 @@ class TestEvalUq:
         assert float(last[0]) == 1.0
         assert float(last[1]) == pytest.approx(correct.mean())
 
+    def test_train_and_uq_on_raw_features(self, tmp_path, synthetic_files):
+        # Without row normalization the features stay the loader's bools.
+        content, cites = synthetic_files
+        out = tmp_path / "raw"
+        cfg = write_config(tmp_path / "raw.ini", content, cites, out,
+                           **{"data.row_normalize": "false"})
+        assert main(["train", "--config", cfg]) == 0
+        assert main(["uq", "--config", cfg, "--checkpoint",
+                     str(out / "ckpt_seed0.bin"), "--samples", "5"]) == 0
+        assert (out / "pavpu.csv").exists()
+
     def test_uq_dim_mismatch_exit_2(self, trained, tmp_path, synthetic_files,
                                     capsys):
         cfg, out, ckpt = trained

@@ -246,6 +246,17 @@ class TestFeaturesCsr:
         assert got.dtype == np.float64
         np.testing.assert_array_equal(got.toarray(), np.eye(4))
 
+    def test_bool_features_equal_their_float_conversion(self):
+        rng = np.random.default_rng(6)
+        f = rng.random((40, 25)) < 0.2
+        f[3] = False
+        want = csr_array(f.astype(np.float64))
+        got = self._ds(f).features_csr()
+        assert got.dtype == np.float64 and got.shape == want.shape
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
     @pytest.mark.parametrize("n_blocks", [1, 3, 4])
     def test_feature_blocks_equal_column_slices(self, n_blocks):
         rng = np.random.default_rng(5)

@@ -112,7 +112,7 @@ def reference_load(content_path, cites_path) -> Dataset:
     edges = (np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
              if pairs else np.zeros((0, 2), dtype=np.int64))
     return Dataset(
-        features=np.array(feature_rows, dtype=np.float64),
+        features=np.array(feature_rows, dtype=bool),
         labels=np.array(labels, dtype=np.int64),
         edges=edges,
         class_count=len(label_index),

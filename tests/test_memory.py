@@ -1,0 +1,136 @@
+"""What loading, normalizing and training keep in memory.
+
+The loader returns bool features, ``row_normalize`` and the CSR conversion
+make no float64 copy of them, and ``train`` frees each step (its tape, its
+masks and gradients, and the layer-0 products of the weights from before
+its Adam step) before the deterministic evaluation that follows it.
+"""
+
+import gc
+import tracemalloc
+import weakref
+
+import numpy as np
+import pytest
+
+import gdcn.training as training
+from gdcn.data import Dataset, load_content_cites, row_normalize
+from gdcn.masks import MaskKind
+from gdcn.training import TrainConfig, train
+
+from test_training import small_config, synthetic_dataset
+
+# numpy's cast and iteration buffers, which do not grow with the input
+_BUFFERS = 256 * 1024
+
+
+def traced_peak(fn, *args):
+    """(fn(*args), the peak bytes that tracemalloc saw it allocate)."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        out = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak - before
+
+
+def binary(shape, seed=0):
+    rng = np.random.default_rng(seed)
+    f = rng.random(shape) < 0.05
+    f[::4] = False
+    return f
+
+
+class TestLoader:
+    def test_features_are_bool(self, synthetic_files):
+        ds = load_content_cites(*synthetic_files)
+        assert ds.features.dtype == bool
+        assert ds.features.any() and not ds.features.all()
+
+    def test_negative_zero_loads_false(self, tmp_path):
+        content = tmp_path / "c.content"
+        content.write_text("a\t-0\t1\tml\nb\t1\t0\tdb\n", encoding="utf-8")
+        cites = tmp_path / "c.cites"
+        cites.write_text("a\tb\n", encoding="utf-8")
+        ds = load_content_cites(str(content), str(cites))
+        assert ds.features.tolist() == [[False, True], [True, False]]
+        out = row_normalize(ds.features)
+        assert out[0, 0] == 0.0 and not np.signbit(out[0, 0])
+
+
+class TestRowNormalize:
+    @pytest.mark.parametrize("shape", [(2000, 600), (400, 3000)])
+    def test_bool_input_allocates_its_output_only(self, shape):
+        f = binary(shape)
+        before = f.copy()
+        out, peak = traced_peak(row_normalize, f)
+        assert out.dtype == np.float64
+        # O(n) beyond the output: the row sums and where they are positive.
+        assert peak <= out.nbytes + 16 * shape[0] + _BUFFERS
+        want = row_normalize(f.astype(np.float64))
+        assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(f, before)
+
+    def test_feature_blocks_make_no_float64_copy(self):
+        f = binary((2000, 600))
+        ds = Dataset(features=f, labels=np.zeros(len(f), int),
+                     edges=np.zeros((0, 2), dtype=np.int64), class_count=1)
+        blocks, peak = traced_peak(ds.feature_blocks, 4)
+        assert peak < f.size * 8 // 4
+        assert sum(b.nnz for b in blocks) == np.count_nonzero(f)
+
+
+class TestStepFreedBeforeDetEval:
+    """Without a garbage collection, no tape and no layer-0 products built
+    before a det-eval may be alive when it starts: the tapes belong to its
+    epoch's step or an earlier one, the products to weights from before
+    the step's Adam update."""
+
+    @pytest.mark.parametrize("kind,estimator,n_blocks", [
+        (MaskKind.GDC, "arm", 4), (MaskKind.GDC, "concrete", 4),
+        (MaskKind.DROPOUT, "none", 1)])
+    def test_nothing_of_the_step_is_alive(self, monkeypatch, kind, estimator,
+                                          n_blocks):
+        real_tape = training.Tape
+        real_products = training.layer0_products
+        real_det_eval = training._det_eval
+        tapes, products, alive = [], [], []
+
+        def tape():
+            t = real_tape()
+            tapes.append(weakref.ref(t))
+            return t
+
+        def layer0_products(*args, **kwargs):
+            out = real_products(*args, **kwargs)
+            if out is not None:
+                products.append(weakref.ref(out))
+            return out
+
+        def det_eval(*args, **kwargs):
+            alive.append((sum(r() is not None for r in tapes),
+                          sum(r() is not None for r in products)))
+            return real_det_eval(*args, **kwargs)
+
+        monkeypatch.setattr(training, "Tape", tape)
+        monkeypatch.setattr(training, "layer0_products", layer0_products)
+        monkeypatch.setattr(training, "_det_eval", det_eval)
+        ds = synthetic_dataset()
+        cfg = small_config(ds.n_features, ds.class_count, kind=kind,
+                           learned=estimator != "none", estimator=estimator,
+                           n_blocks=n_blocks)
+        epochs = 4
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            train(ds, cfg, TrainConfig(epochs=epochs, patience=epochs,
+                                       seeds=(0,)), seed=0)
+        finally:
+            if enabled:
+                gc.enable()
+        assert len(tapes) == epochs
+        assert len(products) == (epochs + 1 if kind == MaskKind.GDC else 0)
+        assert alive == [(0, 0)] * epochs

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_array
 
@@ -380,13 +380,16 @@ class TestSuppliedProducts:
 
 def _per_edge_pi_gradient(mats, tangents, g, s_blocks):
     """dL/dpi by the per-entry rule: each block's mask gradient
-    ``A_e * (G[r_e] . S_b[c_e])``, contracted with that block's tangent."""
-    total = 0.0
+    ``A_e * (G[r_e] . S_b[c_e])``, contracted with that block's tangent.
+    Also returns the sum of the absolute per-entry terms, the scale of the
+    rounding error in any order of summing them."""
+    total = magnitude = 0.0
     for a, t_b, s_b in zip(mats, tangents, s_blocks):
         rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
         per_edge = a.data * np.einsum("ij,ij->i", g[rows], s_b[a.indices])
         total += per_edge @ t_b
-    return total
+        magnitude += np.abs(per_edge) @ np.abs(t_b)
+    return total, magnitude
 
 
 class TestPiTangent:
@@ -398,6 +401,10 @@ class TestPiTangent:
            f_out=st.integers(1, 4), sparse=st.booleans(),
            supply=st.booleans(), symmetric=st.booleans(),
            protect=st.booleans(), standard=st.booleans())
+    # Its terms cancel to 1.2e-3 and the error, 8.4e-15, is rounding: a
+    # bound relative to the result would fail it.
+    @example(seed=5303, nb=2, f_out=2, sparse=False, supply=False,
+             symmetric=False, protect=True, standard=False)
     def test_matches_per_edge_rule(self, seed, nb, f_out, sparse, supply,
                                    symmetric, protect, standard):
         rng = np.random.default_rng(seed)
@@ -428,8 +435,9 @@ class TestPiTangent:
         s_blocks = [h0[:, c0:c1] @ w0[c0:c1]
                     for c0, c1 in zip(bounds[:-1], bounds[1:])]
         g = 2.0 * weight ** 2 * out.data  # dL/dout
-        want = _per_edge_pi_gradient([a] * nb, mask.tangents, g, s_blocks)
-        assert abs(got - want) <= 1e-12 * abs(want)
+        want, magnitude = _per_edge_pi_gradient([a] * nb, mask.tangents, g,
+                                                s_blocks)
+        assert abs(got - want) <= 1e-12 * magnitude
 
 
 class TestElementwise:

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from gdcn.data import Dataset, Split, make_split
+from gdcn.data import Dataset, Split, load_content_cites, make_split
 from gdcn.errors import ContractViolation
 from gdcn.masks import MaskKind, MaskSpec
 from gdcn.model import GCNConfig, PreparedGraph
@@ -200,6 +200,28 @@ class TestTrain:
         assert got == [log.train_loss for log in
                        train(fresh, cfg, tc, seed=1).logs]
         assert got != [log.train_loss for log in first.logs]
+
+    @pytest.mark.parametrize("kind,estimator", [
+        (MaskKind.GDC, "arm"), (MaskKind.DROPOUT, "none")])
+    def test_bool_features_train_as_float64(self, synthetic_files, kind,
+                                            estimator):
+        # Features as loaded, not normalized, are bools; they must train bit
+        # for bit as the same matrix in float64.
+        ds = make_split(load_content_cites(*synthetic_files),
+                        per_class_train=2, n_val=4, n_test=6)
+        assert ds.features.dtype == bool
+        as_float = dataclasses.replace(
+            ds, features=ds.features.astype(np.float64))
+        cfg = small_config(ds.n_features, ds.class_count, kind=kind,
+                           learned=estimator != "none", estimator=estimator,
+                           n_blocks=2 if kind == MaskKind.GDC else 1)
+        tc = TrainConfig(epochs=4, lr=0.05, patience=4, seeds=(0,))
+        got, want = (train(d, cfg, tc, seed=0) for d in (ds, as_float))
+        assert [dataclasses.replace(e, wall_time=0.0) for e in got.logs] \
+            == [dataclasses.replace(e, wall_time=0.0) for e in want.logs]
+        for a, b in zip(got.params, want.params):
+            for t, u in zip(a.tensors(), b.tensors()):
+                assert np.array_equal(t.data, u.data)
 
     def test_kl_column_zero_for_fixed_rates(self):
         ds = synthetic_dataset()
