@@ -98,7 +98,7 @@ def cmd_eval(args) -> int:
     cfg = load_config(args.config)
     ds, graph = _load_dataset(cfg)
     params, gcn_config = _load_params_checked(cfg, ds, args.checkpoint)
-    x = constant(ds.features)
+    x = constant(ds.features_csr())
     logprobs = forward_deterministic(params, x, graph, gcn_config)
     det_acc = accuracy(logprobs.data.argmax(axis=1), ds.labels, ds.split.test)
     rows = ["mode,accuracy", f"deterministic,{det_acc!r}"]
@@ -122,7 +122,7 @@ def cmd_uq(args) -> int:
     cfg = load_config(args.config)
     ds, graph = _load_dataset(cfg)
     params, gcn_config = _load_params_checked(cfg, ds, args.checkpoint)
-    x = constant(ds.features)
+    x = constant(ds.features_csr())
     rng = np.random.default_rng(args.seed_override or 0)
     mean_probs, _ = predict_mc(params, x, graph, gcn_config, args.samples, rng)
     report = uncertainty_report(mean_probs, ds.labels, ds.split.test,
@@ -175,7 +175,7 @@ def cmd_diagnose(args) -> int:
     out = _outdir(cfg, args)
     rows = ["epoch,layer,tv_normalized"]
     if args.checkpoint:
-        x = constant(ds.features)
+        x = constant(ds.features_csr())
         _, hidden = forward_deterministic(params, x, graph, gcn_config,
                                           capture_hidden=True)
         for l, tv in enumerate(_tv_rows_for_hidden(hidden, graph, lam)):

@@ -166,7 +166,7 @@ class RunConfig:
                 protect_self_loops=self.values["model.protect_self_loops"],
                 dropout_keep=dropout_keep,
             ) for l in range(n_layers)]
-            return GCNConfig(
+            gcn_config = GCNConfig(
                 layer_dims=layer_dims,
                 masks=masks,
                 estimator=estimator,
@@ -181,6 +181,12 @@ class RunConfig:
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        # Only GDC draws a mask per feature block; any other kind would
+        # train one block whatever the count says.
+        if kind != MaskKind.GDC and any(nb != 1 for nb in blocks):
+            raise ConfigError(f"block counts {blocks} need model.regularizer "
+                              f"= gdc, got {kind.value}")
+        return gcn_config
 
     def train_config(self, seed_override=None) -> TrainConfig:
         epochs = self.values["train.epochs"]  # 0 would evaluate nothing

@@ -25,10 +25,10 @@ array's memory; a ``-0`` token loads as False, so its row normalizes to
 +0.0 there. ``row_normalize`` turns them into the float64 (n, f) array
 that ``gdcn train`` and ``uq`` use by default. ``Dataset.features`` is a
 dense (n, f) array, raw or normalized, and stays the public form of the
-input. ``predict_mc`` and ``forward_deterministic`` convert it to CSR once
-per call; ``train`` reads ``Dataset.features_csr()``, which converts it
-once per features array, so training several seeds on one dataset converts
-it once.
+input. ``train`` and the CLI's evaluation commands read
+``Dataset.features_csr()``, which converts it once per features array, so
+training several seeds on one dataset converts it once; ``predict_mc`` and
+``forward_deterministic`` cast that CSR form to float32 once per call.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from scipy.sparse import csr_array
 
 from .errors import MalformedInputError
 from .graph import dense_to_csr
-from .tape import split_columns
 
 
 @dataclass
@@ -62,36 +61,27 @@ class Dataset:
     edges: np.ndarray           # (m, 2) unique undirected pairs, u < v
     class_count: int
     split: Split | None = None
-    # (the features array converted, {n_blocks: its CSR column blocks});
-    # see feature_blocks.
+    # (the features array converted, its CSR form); see features_csr.
     _csr: tuple | None = field(default=None, init=False, repr=False,
                                compare=False)
 
     def features_csr(self) -> csr_array:
         """``features`` as a float64 CSR array (``graph.dense_to_csr``),
-        converted once per features array (see ``feature_blocks``)."""
-        return self.feature_blocks(1)[0]
+        converted once per features array.
 
-    def feature_blocks(self, n_blocks: int) -> list:
-        """``features_csr()`` split into ``n_blocks`` column blocks
-        (``tape.split_columns``), converted and split once per features
-        array.
-
-        The CSR form and its splits are kept while ``features`` is the same
-        array object. That array becomes read-only, and so do the kept
-        arrays, so that neither can change under the other; assign a new
-        array to change the features.
+        The CSR form is kept while ``features`` is the same array object.
+        That array becomes read-only, and so do the CSR form's arrays, so
+        that neither can change under the other; assign a new array to
+        change the features.
         """
         feats = self.features
         if self._csr is None or self._csr[0] is not feats:
             csr = dense_to_csr(feats)
+            for arr in (csr.data, csr.indices, csr.indptr):
+                arr.flags.writeable = False
             feats.flags.writeable = False
-            self._csr = (feats, {1: _read_only([csr])})
-        splits = self._csr[1]
-        if n_blocks not in splits:
-            splits[n_blocks] = _read_only(split_columns(splits[1][0],
-                                                        n_blocks))
-        return list(splits[n_blocks])
+            self._csr = (feats, csr)
+        return self._csr[1]
 
     @property
     def n_nodes(self) -> int:
@@ -100,13 +90,6 @@ class Dataset:
     @property
     def n_features(self) -> int:
         return self.features.shape[1]
-
-
-def _read_only(blocks: list) -> list:
-    for block in blocks:
-        for arr in (block.data, block.indices, block.indptr):
-            arr.flags.writeable = False
-    return blocks
 
 
 def load_content_cites(content_path, cites_path) -> Dataset:

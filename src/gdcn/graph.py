@@ -80,10 +80,6 @@ class EdgeSet:
     cols: np.ndarray
     mirror: np.ndarray = field(repr=False)
     is_diag: np.ndarray = field(repr=False)
-    _lower: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self._lower = np.flatnonzero(~self.canonical())
 
     @classmethod
     def from_sparse(cls, a: sp.csr_array) -> "EdgeSet":
@@ -113,15 +109,6 @@ class EdgeSet:
     def canonical(self) -> np.ndarray:
         """Mask of entries (r, c) with r <= c; one per undirected edge/loop."""
         return self.rows <= self.cols
-
-    def symmetrize(self, values: np.ndarray) -> np.ndarray:
-        """Copy each non-canonical entry from its mirror, in place.
-
-        A per-entry vector whose canonical entries were drawn becomes one
-        value per undirected edge; returns ``values``.
-        """
-        values[self._lower] = values[self.mirror[self._lower]]
-        return values
 
     def normalized_values(self, z: np.ndarray,
                           renorm_trick: bool = False) -> np.ndarray:

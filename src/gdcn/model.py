@@ -58,12 +58,10 @@ masks only when the layer-0 input is masked or scaled. When layer 0 draws
 edge masks only (no mask, DropEdge, GDC, random walk; no ``dropout_keep``)
 and multiplies first, ``layer0_products`` computes the products for the
 current weights (and None otherwise), and ``forward(..., layer0=...)``
-hands them to the fused op. ``predict_mc`` does this once per call;
-``training.train`` computes the products once per weight state, on the
-dataset's blocks (``Dataset.feature_blocks``), and hands the deterministic
-evaluation their sum, one float32 block (``BlockProducts.merged``).
-DropOut and node sampling at layer 0 mask the input, so their products are
-computed in every pass.
+hands them to the fused op. Only ``predict_mc`` does this, once per call,
+because its passes share fixed weights; every training pass and the
+deterministic evaluation build their own. DropOut and node sampling at
+layer 0 mask the input, so their products are computed in every pass.
 
 A loss that reads only some nodes, such as the semi-supervised NLL on the
 labelled ones, needs at layer l of L only the rows within L - 1 - l hops
@@ -286,8 +284,8 @@ def _mask_csr(x, mask):
                                casting="same_kind"))
 
 
-def layer0_products(config: GCNConfig, params: list, x: Tensor,
-                    blocks: list | None = None) -> BlockProducts | None:
+def layer0_products(config: GCNConfig, params: list,
+                    x: Tensor) -> BlockProducts | None:
     """Layer 0's block products ``S_b = H_b W_0[blk_b]`` on the weights as
     they are now, or None where they cannot be reused across passes.
 
@@ -298,11 +296,9 @@ def layer0_products(config: GCNConfig, params: list, x: Tensor,
     deterministic one. It also needs the multiply-first product order,
     which a CSR input always takes.
 
-    ``blocks`` holds ``x`` split into the layer-0 column blocks, such as a
-    dataset's ``Dataset.feature_blocks``; by default ``x`` is split here.
     The products hold the weights' current values: after any change to
-    ``params[0].m``, such as an Adam step, which updates it in place, call
-    this again.
+    ``params[0].m``, such as an Adam step, which updates it in place, they
+    are stale.
     """
     spec = config.masks[0]
     if (spec.kind in (MaskKind.DROPOUT, MaskKind.NODE_SAMPLING)
@@ -310,9 +306,8 @@ def layer0_products(config: GCNConfig, params: list, x: Tensor,
             or not multiplies_first(x.data, config.layer_dims[1],
                                     spec.n_blocks)):
         return None
-    if blocks is None:
-        blocks = split_columns(x.data, spec.n_blocks)
-    return block_products(blocks, params[0].m.data)
+    return block_products(split_columns(x.data, spec.n_blocks),
+                          params[0].m.data)
 
 
 @dataclass(frozen=True)
@@ -664,22 +659,18 @@ def record_kl_terms(tape, config: GCNConfig, params: list) -> list:
     return terms
 
 
-def forward_deterministic(params, x, graph, config, capture_hidden=False,
-                          layer0: BlockProducts | None = None):
+def forward_deterministic(params, x, graph, config, capture_hidden=False):
     """Expected-keep evaluation pass (no sampling, no tape).
 
     Every layer is one product (``sample_step_masks``' ``det`` mode),
     computed in float32 on ``float32_operands``; the log-softmax finishes
-    each row in float64, and hidden outputs are float64 copies. ``layer0``
-    is passed on to ``forward``: one block of products of the float32
-    operands, such as ``BlockProducts.merged`` of the products ``train``
-    already holds for the current weights.
+    each row in float64, and hidden outputs are float64 copies.
     """
     check_graph(graph, config)
     draws = sample_step_masks(config, params, graph, mode="det")
     params, x, graph = float32_operands(params, x, graph)
     return forward(params, x, graph, draws.layer_masks, tape=None,
-                   capture_hidden=capture_hidden, layer0=layer0)
+                   capture_hidden=capture_hidden)
 
 
 def float32_operands(params: list, x: Tensor, graph: PreparedGraph):

@@ -31,11 +31,11 @@ Gradients for an op's inputs are only computed when that input (transitively)
 requires grad; constants cost nothing on the backward pass.
 
 ``record_gdc_aggregate`` can take its multiply-first products ``H_b W[blk_b]``
-precomputed (``BlockProducts``), for passes that repeat over one input and
-one set of weights. Ops keep no cache of their own: a weight update such as
-Adam's changes ``W.data`` in place, so reuse keyed on array identity would
-serve stale products. The caller passes the products explicitly and
-computes them again after every update.
+precomputed (``BlockProducts``). Only ``model.predict_mc`` does, because its
+passes share one input and one set of fixed weights; every other pass
+builds its own. Ops keep no cache: a weight update such as Adam's changes
+``W.data`` in place, so reuse keyed on array identity would serve stale
+products.
 
 A compact ``record_gdc_aggregate`` call (``CompactRows``) computes only
 some rows of an n-row layer, such as the rows a loss reads, from a
@@ -193,27 +193,15 @@ def multiplies_first(h_data, f_out: int, n_blocks: int) -> bool:
 class BlockProducts:
     """The column blocks ``H_b`` of a layer input and ``S_b = H_b W[blk_b]``.
 
-    ``record_gdc_aggregate`` builds these itself when multiplying first; a
-    caller that runs several passes over the same input and the same
-    weights can build them once (``block_products``) and pass them in. The
-    products hold the weights' values at the time of the call, so they go
-    stale when the weights change, in place or not.
+    ``record_gdc_aggregate`` builds these itself when multiplying first.
+    ``model.predict_mc``, whose passes share one input and fixed weights,
+    builds them once (``block_products``) and passes them in. The products
+    hold the weights' values at the time of the call, so they go stale when
+    the weights change, in place or not.
     """
 
     h_blocks: tuple
     products: tuple
-
-    def merged(self, h_data) -> "BlockProducts":
-        """The products of a one-block layer on the same input and weights:
-        ``sum_b S_b = H W`` in ``h_data``'s dtype, with ``h_data``, the
-        whole input, as its one block; ``h_data`` may be a cast copy of H,
-        such as a float32 pass's input. The sum is taken in the products'
-        own dtype, block by block, into one new array, before the cast."""
-        s = self.products
-        total = s[0] if len(s) == 1 else s[0] + s[1]
-        for s_b in s[2:]:
-            total += s_b
-        return BlockProducts((h_data,), (total.astype(h_data.dtype),))
 
 
 def block_products(h_blocks, w_data: np.ndarray) -> BlockProducts:

@@ -17,26 +17,17 @@ completes the estimate g_alpha, and ``backward`` takes g_alpha's
 dL/dpi = -g_alpha / (pi (1 - pi)) as a seed on the recorded draw
 (``estimators.arm_pi_grad``); the loss tensor holds the loss alone.
 
-Where layer 0 draws edge masks only, its block products ``H_b W_0[blk_b]``
-depend on the weights alone. ``train`` reads the input's column blocks
-from the dataset, which converts and splits its features once per features
-array (``Dataset.feature_blocks``), so calls that train again on one
-dataset share them. It computes the products once per weight state: once
-before the first epoch, and again after every Adam step, which updates
-``W_0`` in place. The deterministic evaluation is the first pass on each
-new state, so it computes them, in float64, and hands them to the next
-epoch's recorded pass and ARM's Z1 pass. Its own layer 0 is one block, and
-it takes their sum cast to float32 (``BlockProducts.merged``): nb - 1
-adds and a cast instead of one product per block.
+Every pass builds its own layer-0 block products ``H_b W_0[blk_b]``. Adam
+updates ``W_0`` in place once per epoch, so only the passes between two
+steps could share them, and the benchmark measured no gain from that;
+``model.predict_mc``, whose passes share fixed weights, does share them.
 
 Each step (masks, recorded pass, loss, backward with ARM's Z1 pass, Adam)
-runs in ``_train_step``, so its tape, masks, activations and gradients are
-freed when it returns, and ``train`` drops the products of the weights
-from before the Adam step before the deterministic evaluation starts.
-During that evaluation only the parameters, Adam's moments, the input and
-its blocks, the best snapshot and the evaluation's own arrays (the new
-products among them) are alive, so the float64 step and the evaluation
-never hold memory at the same time.
+runs in ``_train_step``, so its tape, masks, activations, products and
+gradients are freed when it returns. During the deterministic evaluation
+that follows only the parameters, Adam's moments, the input, the best
+snapshot and the evaluation's own arrays are alive, so the float64 step
+and the evaluation never hold memory at the same time.
 
 The loss reads only the training nodes, so ``train`` builds their loss-row
 plan once per call (``model.loss_rows``), and the recorded pass and ARM's
@@ -64,8 +55,8 @@ from .estimators import arm_gradient, arm_pi_grad
 from .metrics import accuracy
 from .model import (GCNConfig, PreparedGraph, arm_masks, check_graph,
                     expected_keep, forward, forward_deterministic,
-                    init_params, layer0_products, loss_rows, record_kl_terms,
-                    sample_step_masks, sparse_input, training_loss)
+                    init_params, loss_rows, record_kl_terms,
+                    sample_step_masks, training_loss)
 from .tape import Tape, backward, constant, record_masked_nll, record_scale
 from .variational import WarmupSchedule, warmup_factor
 
@@ -189,43 +180,32 @@ class TrainResult:
     stop_reason: str
 
 
-def _det_eval(params, x, graph, config, labels, split, blocks,
-              capture_hidden=False):
-    """Accuracies of the expected-keep pass on the current weights.
-
-    Also returns, for the passes that follow on the same weights, the
-    float64 layer-0 block products of ``blocks``
-    (``Dataset.feature_blocks``), or None where they are not reused. The
-    pass itself runs in float32 with one block per layer, so it takes
-    their sum, cast (``BlockProducts.merged``).
-    """
-    layer0 = layer0_products(config, params, x, blocks)
-    x32 = sparse_input(x, np.float32)
-    merged = None if layer0 is None else layer0.merged(x32.data)
-    res = forward_deterministic(params, x32, graph, config,
-                                capture_hidden=capture_hidden, layer0=merged)
+def _det_eval(params, x, graph, config, labels, split, capture_hidden=False):
+    """(val accuracy, test accuracy, hidden outputs or None) of the
+    expected-keep pass on the current weights."""
+    res = forward_deterministic(params, x, graph, config,
+                                capture_hidden=capture_hidden)
     logprobs, hidden = res if capture_hidden else (res, None)
     pred = logprobs.data.argmax(axis=1)
     return (accuracy(pred, labels, split.val),
-            accuracy(pred, labels, split.test), hidden, layer0)
+            accuracy(pred, labels, split.test), hidden)
 
 
 def _train_step(gcn_config, train_config, epoch, params, tensors, state,
-                rng, x, graph, layer0, plan, plan_labels, observed):
+                rng, x, graph, plan, plan_labels, observed):
     """One training step: sample the masks, run the recorded pass and the
     loss, and, where the loss is finite, backward (with ARM's Z1 pass) and
     one Adam step. Returns the (loss, NLL, KL) floats.
 
-    The tape, the masks and the gradients are this function's locals, so
-    they are freed when it returns, before the det-eval allocates its own
-    arrays. ``layer0`` holds the products of the weights before the Adam
-    step; the caller drops them too.
+    The tape, the masks, the block products and the gradients are this
+    function's locals, so they are freed when it returns, before the
+    det-eval allocates its own arrays.
     """
     tape = Tape()
     draws = sample_step_masks(gcn_config, params, graph, rng, tape=tape,
                               mode="train", input_nnz=x.data.nnz)
     logprobs = forward(params, x, graph, draws.layer_masks, tape=tape,
-                       layer0=layer0, rows=plan)
+                       rows=plan)
     kl_terms = record_kl_terms(tape, gcn_config, params)
     wf = warmup_factor(epoch, train_config.warmup)
     weight_coefs = None
@@ -245,7 +225,7 @@ def _train_step(gcn_config, train_config, epoch, params, tensors, state,
     if draws.arm is not None:
         def loss_eval(z_drop):
             lp = forward(params, x, graph, arm_masks(draws, graph, z_drop),
-                         tape=None, layer0=layer0, rows=plan)
+                         tape=None, rows=plan)
             return record_masked_nll(None, lp, plan_labels, observed).item()
 
         # The recorded pass ran on Z2, so its NLL is L(Z2).
@@ -283,8 +263,6 @@ def train(dataset: Dataset, gcn_config: GCNConfig, train_config: TrainConfig,
     tensors = [t for p in params for t in p.tensors()]
     state = AdamState()
     x = constant(dataset.features_csr())
-    blocks = dataset.feature_blocks(gcn_config.masks[0].n_blocks)
-    layer0 = layer0_products(gcn_config, params, x, blocks)
     labels = dataset.labels
     split = dataset.split
     plan = loss_rows(graph, split.train, gcn_config.n_layers)
@@ -301,7 +279,7 @@ def train(dataset: Dataset, gcn_config: GCNConfig, train_config: TrainConfig,
         t0 = time.perf_counter()
         loss_val, nll_val, kl_val = _train_step(
             gcn_config, train_config, epoch, params, tensors, state, rng, x,
-            graph, layer0, plan, plan_labels, observed)
+            graph, plan, plan_labels, observed)
         if not np.isfinite(loss_val):
             nonfinite_run += 1
             if nonfinite_run >= _DIVERGENCE_LIMIT:
@@ -312,11 +290,8 @@ def train(dataset: Dataset, gcn_config: GCNConfig, train_config: TrainConfig,
         else:
             nonfinite_run = 0
 
-        # adam_step updates W_0 in place: the det-eval rebuilds the products,
-        # and the stale ones are dropped first so that the two never coexist.
-        del layer0
-        val_acc, test_acc, hidden, layer0 = _det_eval(
-            params, x, graph, gcn_config, labels, split, blocks,
+        val_acc, test_acc, hidden = _det_eval(
+            params, x, graph, gcn_config, labels, split,
             capture_hidden=capture)
         if capture:
             hidden_hook(epoch, hidden)

@@ -1,11 +1,16 @@
 """End-to-end CLI runs on the synthetic dataset."""
 
+import copy
 import os
 
 import numpy as np
 import pytest
+from scipy.sparse import issparse
 
+import gdcn.cli as cli
 from gdcn.cli import main
+from gdcn.config import load_config
+from gdcn.tape import constant
 
 from conftest import CHECKPOINT_VALUE_FAULTS, small_checkpoint, with_float
 
@@ -131,6 +136,14 @@ class TestConfigErrors:
         ({"model.estimator": "reinforce"}, "unknown estimator 'reinforce'"),
         ({"model.learned": "false"},
          "an estimator is needed exactly when a layer learns its drop rate"),
+        # Only GDC splits its features into blocks: any other kind would
+        # train one block whatever the count says.
+        ({"model.regularizer": "dropedge"},
+         "block counts [1, 2] need model.regularizer = gdc, got dropedge"),
+        ({"model.regularizer": "dropout", "model.learned": "false",
+          "model.estimator": "none", "model.keep_prob": "0.5",
+          "model.n_blocks": "4"},
+         "block counts [4, 4] need model.regularizer = gdc, got dropout"),
     ])
     def test_invalid_model_value_exit_2(self, tmp_path, synthetic_files,
                                         capsys, overrides, message):
@@ -387,6 +400,66 @@ class TestEvalUq:
         assert "Traceback" not in err
 
 
+class TestFeatureInput:
+    """``eval``, ``uq`` and ``diagnose`` hand the model the dataset's CSR
+    features, and get what the dense features give."""
+
+    @pytest.mark.parametrize("normalize", ["true", "false"])
+    def test_commands_pass_csr_features(self, tmp_path, synthetic_files,
+                                        monkeypatch, normalize):
+        content, cites = synthetic_files
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path / "run.ini", content, cites, out,
+                           **{"data.row_normalize": normalize,
+                              "train.epochs": "3", "train.seeds": "0"})
+        assert main(["train", "--config", cfg]) == 0
+        ckpt = str(out / "ckpt_seed0.bin")
+        real = {"forward_deterministic": cli.forward_deterministic,
+                "predict_mc": cli.predict_mc}
+        calls = []
+
+        def spy(name):
+            def wrapper(params, x, graph, config, *args, **kwargs):
+                state = [copy.deepcopy(a.bit_generator.state) for a in args
+                         if isinstance(a, np.random.Generator)]
+                res = real[name](params, x, graph, config, *args, **kwargs)
+                calls.append((name, params, x, graph, config, args, kwargs,
+                              state, res))
+                return res
+            return wrapper
+
+        for name in real:
+            monkeypatch.setattr(cli, name, spy(name))
+        for command in (["eval", "--samples", "3"], ["uq", "--samples", "3"],
+                        ["diagnose"]):
+            assert main(command + ["--config", cfg, "--checkpoint",
+                                   ckpt]) == 0
+        assert [c[0] for c in calls] == ["forward_deterministic",
+                                         "predict_mc", "predict_mc",
+                                         "forward_deterministic"]
+        ds, _ = cli._load_dataset(load_config(cfg))
+        dense = constant(ds.features)
+        for name, params, x, graph, config, args, kwargs, state, res in calls:
+            assert issparse(x.data)
+            if state:
+                rng = np.random.default_rng()
+                rng.bit_generator.state = state[0]
+                args = args[:-1] + (rng,)
+            want = real[name](params, dense, graph, config, *args, **kwargs)
+            got_arrays, want_arrays = _arrays(res), _arrays(want)
+            assert len(got_arrays) == len(want_arrays) > 0
+            for a, b in zip(got_arrays, want_arrays):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _arrays(result) -> list:
+    """The arrays of a model call's result (a Tensor, an array, or a tuple
+    or list of them), in order."""
+    if isinstance(result, (tuple, list)):
+        return [a for r in result for a in _arrays(r)]
+    return [result if isinstance(result, np.ndarray) else result.data]
+
+
 class TestDiagnose:
     def test_tracking_mode_tracks_all_hidden_layers(self, tmp_path,
                                                     synthetic_files):
@@ -485,6 +558,31 @@ class TestSweepBlocks:
         rows = open(os.path.join(out, "block_sweep.csv")).read().splitlines()
         assert rows[0] == "n_blocks,mean_acc,std_acc"
         assert [r.split(",")[0] for r in rows[1:]] == ["1", "2", "4"]
+
+    def test_other_kind_exit_2_before_training(self, tmp_path,
+                                               synthetic_files, capsys,
+                                               monkeypatch):
+        # DropOut draws one mask whatever the block count: the sweep would
+        # write identical rows under different labels.
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before the config was checked")
+
+        monkeypatch.setattr("gdcn.cli.run_seeds", no_training)
+        content, cites = synthetic_files
+        out = tmp_path / "blocks"
+        cfg = write_config(tmp_path / "blocks.ini", content, cites, out,
+                           **{"model.regularizer": "dropout",
+                              "model.learned": "false",
+                              "model.estimator": "none",
+                              "model.keep_prob": "0.5",
+                              "model.n_blocks": "1",
+                              "sweep.blocks": "1,2,4"})
+        rc = main(["sweep-blocks", "--config", cfg])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: block counts [1, 2] need model.regularizer = gdc, "
+            "got dropout\n")
+        assert not os.path.exists(out)
 
     def test_requires_sweep_section(self, config, capsys):
         cfg, out = config

@@ -6,7 +6,7 @@ from scipy.sparse import csr_array
 
 from gdcn.data import Dataset, load_content_cites, make_split, row_normalize
 from gdcn.errors import MalformedInputError
-from gdcn.tape import split_columns
+from gdcn.tape import block_bounds, split_columns
 
 
 def write(path, text):
@@ -259,20 +259,19 @@ class TestFeaturesCsr:
 
     @pytest.mark.parametrize("n_blocks", [1, 3, 4])
     def test_feature_blocks_equal_column_slices(self, n_blocks):
+        # Every multiply-first pass splits the read-only CSR form into the
+        # layer-0 feature blocks.
         rng = np.random.default_rng(5)
         f = rng.random((30, 17)) * (rng.random((30, 17)) < 0.3)
         ds = self._ds(f)
-        blocks = ds.feature_blocks(n_blocks)
-        want = split_columns(csr_array(f), n_blocks)
+        csr = ds.features_csr()
+        for name in ("data", "indices", "indptr"):
+            assert not getattr(csr, name).flags.writeable
+        blocks = split_columns(csr, n_blocks)
         assert len(blocks) == n_blocks
-        for got, ref in zip(blocks, want):
-            for name in ("data", "indices", "indptr"):
-                np.testing.assert_array_equal(getattr(got, name),
-                                              getattr(ref, name))
-                assert not getattr(got, name).flags.writeable
-        again = ds.feature_blocks(n_blocks)
-        assert all(a is b for a, b in zip(again, blocks))
-        assert (ds.feature_blocks(1)[0] is ds.features_csr())
+        for got, (c0, c1) in zip(blocks, block_bounds(17, n_blocks)):
+            np.testing.assert_array_equal(got.toarray(), f[:, c0:c1])
+        assert ds.features_csr() is csr
 
     def test_converted_once_per_features_array(self):
         ds = self._ds(np.eye(5))

@@ -5,9 +5,9 @@ The expected keep value of a layer is the same in every GDC block, so the
 deterministic pass runs each layer as one block, in float32, and finishes
 in float64. Its probabilities must stay within 1e-5 of the float64
 per-block pass, with the same argmax, for every mask kind and flag that
-changes what the pass multiplies. Training hands the next epoch float64
-layer-0 products, and its logs and parameters must be bit for bit those of
-a training run whose deterministic evaluation is the float64 per-block one.
+changes what the pass multiplies. A training run's logs and parameters
+must be bit for bit those of a run whose deterministic evaluation is the
+float64 per-block one.
 """
 
 import dataclasses
@@ -20,9 +20,9 @@ import gdcn.training as gtraining
 from gdcn.masks import EdgeMask, MaskKind
 from gdcn.metrics import accuracy
 from gdcn.model import (GCNConfig, PreparedGraph, forward,
-                        forward_deterministic, init_params, layer0_products,
+                        forward_deterministic, init_params,
                         sample_step_masks, sparse_input)
-from gdcn.tape import block_products, constant, split_columns
+from gdcn.tape import constant
 from gdcn.training import TrainConfig, train
 
 from test_mc_precision import DIMS, dataset, layers, spec
@@ -71,8 +71,7 @@ def setup(name):
     return cfg, ds, graph, params
 
 
-def per_block_det_pass(params, x, graph, config, capture_hidden=False,
-                       layer0=None):
+def per_block_det_pass(params, x, graph, config, capture_hidden=False):
     """The float64 deterministic pass with one product per GDC block: each
     block of a GDC layer takes the layer's expected-keep mask."""
     draws = sample_step_masks(config, params, graph, mode="det")
@@ -80,19 +79,18 @@ def per_block_det_pass(params, x, graph, config, capture_hidden=False,
         lm, edge=EdgeMask(blocks=lm.edge.blocks * s.n_blocks))
         for s, lm in zip(config.masks, draws.layer_masks)]
     return forward(params, sparse_input(x), graph, masks, tape=None,
-                   capture_hidden=capture_hidden, layer0=layer0)
+                   capture_hidden=capture_hidden)
 
 
-def per_block_det_eval(params, x, graph, config, labels, split, blocks,
+def per_block_det_eval(params, x, graph, config, labels, split,
                        capture_hidden=False):
     """``training._det_eval`` with the float64 per-block pass."""
-    layer0 = layer0_products(config, params, x, blocks)
     res = per_block_det_pass(params, x, graph, config,
-                             capture_hidden=capture_hidden, layer0=layer0)
+                             capture_hidden=capture_hidden)
     logprobs, hidden = res if capture_hidden else (res, None)
     pred = logprobs.data.argmax(axis=1)
     return (accuracy(pred, labels, split.val),
-            accuracy(pred, labels, split.test), hidden, layer0)
+            accuracy(pred, labels, split.test), hidden)
 
 
 @pytest.mark.parametrize("sparse_x", [False, True])
@@ -151,52 +149,6 @@ def test_hidden_outputs_are_float64(name):
           hidden_hook=lambda epoch, hs: seen.extend(hs))
     assert len(seen) == 2 * (cfg.n_layers - 1)
     assert all(h.dtype == np.float64 for h in seen)
-
-
-def test_merged_products_are_the_one_block_product():
-    rng = np.random.default_rng(4)
-    h = rng.normal(size=(9, 7))
-    h[rng.random(h.shape) < 0.5] = 0.0
-    x = sparse_input(constant(h)).data
-    w = rng.normal(size=(7, 5))
-    products = block_products(split_columns(x, 3), w)
-    merged = products.merged(x.astype(np.float32))
-    assert len(merged.h_blocks) == len(merged.products) == 1
-    assert merged.h_blocks[0].dtype == merged.products[0].dtype == np.float32
-    s = products.products
-    assert np.array_equal(merged.products[0],
-                          (((s[0] + s[1]) + s[2])).astype(np.float32))
-    np.testing.assert_allclose(merged.products[0], h @ w, rtol=1e-6,
-                               atol=1e-6)
-    # one block stays one block, in the new dtype
-    one = block_products([x], w).merged(x)
-    assert np.array_equal(one.products[0], x @ w)
-
-
-@pytest.mark.parametrize("name", ["gdc3-protected", "gdc2-learned",
-                                  "dropedge"])
-def test_det_eval_hands_on_float64_layer0_products(name, monkeypatch):
-    cfg, ds, graph, params = setup(name)
-    x = constant(ds.features_csr())
-    blocks = ds.feature_blocks(cfg.masks[0].n_blocks)
-    supplied = []
-
-    def spy(params, x, graph, config, capture_hidden=False, layer0=None):
-        supplied.append(layer0)
-        return det(params, x, graph, config, capture_hidden, layer0)
-
-    det = gtraining.forward_deterministic
-    monkeypatch.setattr(gtraining, "forward_deterministic", spy)
-    *_, layer0 = gtraining._det_eval(params, x, graph, cfg, ds.labels,
-                                     ds.split, blocks)
-    want = layer0_products(cfg, params, x, blocks)
-    assert len(layer0.products) == cfg.masks[0].n_blocks
-    for s_b, w_b in zip(layer0.products, want.products):
-        assert s_b.dtype == np.float64 and s_b.tobytes() == w_b.tobytes()
-    # the pass itself took their sum as one float32 block
-    (merged,) = supplied
-    assert len(merged.products) == 1
-    assert merged.products[0].dtype == np.float32
 
 
 TRAIN_CASES = {

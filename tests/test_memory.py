@@ -2,8 +2,8 @@
 
 The loader returns bool features, ``row_normalize`` and the CSR conversion
 make no float64 copy of them, and ``train`` frees each step (its tape, its
-masks and gradients, and the layer-0 products of the weights from before
-its Adam step) before the deterministic evaluation that follows it.
+masks, block products and gradients) before the deterministic evaluation
+that follows it.
 """
 
 import gc
@@ -13,9 +13,11 @@ import weakref
 import numpy as np
 import pytest
 
+import gdcn.tape as gtape
 import gdcn.training as training
 from gdcn.data import Dataset, load_content_cites, row_normalize
 from gdcn.masks import MaskKind
+from gdcn.tape import split_columns
 from gdcn.training import TrainConfig, train
 
 from test_training import small_config, synthetic_dataset
@@ -78,16 +80,16 @@ class TestRowNormalize:
         f = binary((2000, 600))
         ds = Dataset(features=f, labels=np.zeros(len(f), int),
                      edges=np.zeros((0, 2), dtype=np.int64), class_count=1)
-        blocks, peak = traced_peak(ds.feature_blocks, 4)
+        blocks, peak = traced_peak(
+            lambda: split_columns(ds.features_csr(), 4))
         assert peak < f.size * 8 // 4
         assert sum(b.nnz for b in blocks) == np.count_nonzero(f)
 
 
 class TestStepFreedBeforeDetEval:
-    """Without a garbage collection, no tape and no layer-0 products built
-    before a det-eval may be alive when it starts: the tapes belong to its
-    epoch's step or an earlier one, the products to weights from before
-    the step's Adam update."""
+    """Without a garbage collection, no tape and no block products built
+    before a det-eval may be alive when it starts: they belong to its
+    epoch's step, an earlier one or an earlier det-eval."""
 
     @pytest.mark.parametrize("kind,estimator,n_blocks", [
         (MaskKind.GDC, "arm", 4), (MaskKind.GDC, "concrete", 4),
@@ -95,28 +97,28 @@ class TestStepFreedBeforeDetEval:
     def test_nothing_of_the_step_is_alive(self, monkeypatch, kind, estimator,
                                           n_blocks):
         real_tape = training.Tape
-        real_products = training.layer0_products
+        real_products = gtape.block_products
         real_det_eval = training._det_eval
-        tapes, products, alive = [], [], []
+        tapes, products, alive, built = [], [], [], []
 
         def tape():
             t = real_tape()
             tapes.append(weakref.ref(t))
             return t
 
-        def layer0_products(*args, **kwargs):
+        def block_products(*args, **kwargs):
             out = real_products(*args, **kwargs)
-            if out is not None:
-                products.append(weakref.ref(out))
+            products.append(weakref.ref(out))
             return out
 
         def det_eval(*args, **kwargs):
             alive.append((sum(r() is not None for r in tapes),
                           sum(r() is not None for r in products)))
+            built.append(len(products))
             return real_det_eval(*args, **kwargs)
 
         monkeypatch.setattr(training, "Tape", tape)
-        monkeypatch.setattr(training, "layer0_products", layer0_products)
+        monkeypatch.setattr(gtape, "block_products", block_products)
         monkeypatch.setattr(training, "_det_eval", det_eval)
         ds = synthetic_dataset()
         cfg = small_config(ds.n_features, ds.class_count, kind=kind,
@@ -132,5 +134,6 @@ class TestStepFreedBeforeDetEval:
             if enabled:
                 gc.enable()
         assert len(tapes) == epochs
-        assert len(products) == (epochs + 1 if kind == MaskKind.GDC else 0)
         assert alive == [(0, 0)] * epochs
+        # every step built products of its own
+        assert 0 < built[0] and all(a < b for a, b in zip(built, built[1:]))

@@ -210,7 +210,8 @@ class TestForwardOracles:
         can = np.flatnonzero(g.edges.canonical() & ~g.edges.is_diag)
         vals = np.ones(g.edges.n_entries)
         vals[can] = (rng.random(len(can)) < 0.6).astype(np.float64)
-        g.edges.symmetrize(vals)
+        lower = ~g.edges.canonical()  # each mirror takes its edge's value
+        vals[lower] = vals[g.edges.mirror[lower]]
         masks = [LayerMasks(edge=EdgeMask(blocks=[constant(vals)])),
                  LayerMasks()]
         got = forward(params, constant(x), renormalizing(g), masks).data
@@ -537,14 +538,6 @@ class TestLayer0Products:
                 assert (h_b != want).nnz == 0
                 assert np.array_equal(s_b, want @ w[c0:c1])
 
-    def test_supplied_blocks_are_used(self):
-        cfg = self._gdc()
-        params = init_params(cfg, np.random.default_rng(0))
-        x = sparse_input(constant(self._input()))
-        blocks = split_columns(x.data, 3)
-        products = layer0_products(cfg, params, x, blocks)
-        assert all(a is b for a, b in zip(products.h_blocks, blocks))
-
     def test_aggregate_first_input_does_not_qualify(self):
         # dense 7 < 3 * 4 aggregates first; the CSR input multiplies first
         x = constant(self._input())
@@ -563,8 +556,8 @@ class TestLayer0Products:
         x = constant(self._input())
         supplied = []
 
-        def spy(config, params, x, blocks=None):
-            out = layer0_products(config, params, x, blocks)
+        def spy(config, params, x):
+            out = layer0_products(config, params, x)
             supplied.append(out is not None)
             return out
 

@@ -305,37 +305,6 @@ class TestTrain:
                 assert pi.requires_grad and 0.0 < pi.item() < 1.0
                 assert g.shape == (1, 1) and np.isfinite(g[0, 0])
 
-    @pytest.mark.parametrize("estimator", ["arm", "concrete"])
-    def test_reused_layer0_products_change_nothing(self, monkeypatch,
-                                                   estimator):
-        # Products reused across passes must give, bit for bit, the run in
-        # which every pass computes its own; products left stale by an
-        # Adam step would not.
-        import gdcn.training as training
-        real = training.layer0_products
-        supplied = []
-
-        def spy(config, params, x, blocks=None):
-            out = real(config, params, x, blocks)
-            supplied.append(out is not None)
-            return out
-
-        ds = synthetic_dataset()
-        cfg = small_config(ds.n_features, ds.class_count, kind=MaskKind.GDC,
-                           learned=True, estimator=estimator, n_blocks=2)
-        tc = TrainConfig(epochs=4, lr=0.05, patience=4, seeds=(0,))
-        monkeypatch.setattr(training, "layer0_products", spy)
-        reused = train(ds, cfg, tc, seed=0)
-        assert supplied == [True] * 5  # before the loop, then each epoch
-        monkeypatch.setattr(training, "layer0_products",
-                            lambda *args: None)
-        plain = train(ds, cfg, tc, seed=0)
-        assert [dataclasses.replace(e, wall_time=0.0) for e in reused.logs] \
-            == [dataclasses.replace(e, wall_time=0.0) for e in plain.logs]
-        for a, b in zip(reused.params, plain.params):
-            for t, u in zip(a.tensors(), b.tensors()):
-                assert np.array_equal(t.data, u.data)
-
     @pytest.mark.parametrize("kind,estimator", [
         (MaskKind.GDC, "arm"), (MaskKind.GDC, "concrete"),
         (MaskKind.DROPOUT, "none")])
