@@ -79,9 +79,10 @@ def cmd_train(args) -> int:
     train_config = cfg.train_config(seed_override=args.seed_override)
     out = _outdir(cfg, args)
     summary = run_seeds(ds, gcn_config, train_config, graph=graph)
-    rows = ["seed,best_val_acc,test_acc"]
+    rows = ["seed,best_val_acc,test_acc,stop_reason"]
     for r in summary.results:
-        rows.append(f"{r.seed},{r.best_val_acc!r},{r.test_acc!r}")
+        rows.append(f"{r.seed},{r.best_val_acc!r},{r.test_acc!r},"
+                    f"{r.result.stop_reason}")
     _write_rows(os.path.join(out, "summary.csv"), rows)
     for r in summary.results:
         _write_rows(os.path.join(out, f"epochs_seed{r.seed}.csv"),
@@ -249,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, checkpoint=False, min_samples=None):
         p.add_argument("--config", required=True, help="INI config path")
         p.add_argument("--out", default=None, help="output directory override")
-        p.add_argument("--seed-override", type=int, default=None)
+        p.add_argument("--seed-override", type=_at_least(0), default=None)
         if min_samples is not None:
             p.add_argument("--samples", type=_at_least(min_samples),
                            default=20,

@@ -8,6 +8,7 @@ materialized; re-running from that file reproduces the run bit for bit.
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -79,10 +80,14 @@ def _parse_bool(raw: str, where: str) -> bool:
 
 
 def _int_list(raw: str, where: str):
+    """Comma-separated integers; an empty value is the empty list."""
+    if raw.strip() == "":
+        return []
     try:
-        return [int(v) for v in raw.split(",") if v.strip() != ""]
+        return [int(v) for v in raw.split(",")]
     except ValueError as exc:
-        raise ConfigError(f"{where}: expected comma-separated integers") from exc
+        raise ConfigError(f"{where}: expected comma-separated integers, "
+                          f"got {raw!r}") from exc
 
 
 @dataclass
@@ -108,6 +113,8 @@ class RunConfig:
         seeds = _int_list(self.values["train.seeds"], "train.seeds")
         if not seeds:
             raise ConfigError("train.seeds must list at least one seed")
+        if min(seeds) < 0:
+            raise ConfigError(f"train.seeds must be non-negative, got {seeds}")
         return seeds
 
     @property
@@ -259,6 +266,9 @@ def load_config(path) -> RunConfig:
                         values[where] = float(raw)
                     except ValueError as exc:
                         raise ConfigError(f"{where}: expected a number") from exc
+                    if not math.isfinite(values[where]):
+                        raise ConfigError(
+                            f"{where}: expected a finite number, got {raw!r}")
                 else:
                     values[where] = raw
             else:

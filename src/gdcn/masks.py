@@ -92,7 +92,7 @@ class MaskSpec:
         if self.n_blocks != 1 and self.kind != MaskKind.GDC:
             raise ContractViolation(f"n_blocks {self.n_blocks} needs kind "
                                     f"gdc, got {self.kind.value}")
-        if self.relaxed and self.temperature <= 0:
+        if self.relaxed and not self.temperature > 0:   # NaN fails too
             raise ContractViolation("relaxed masks require temperature > 0")
         if self.dropout_keep is not None and not 0.0 <= self.dropout_keep <= 1.0:
             raise ContractViolation("dropout_keep must lie in [0, 1]")

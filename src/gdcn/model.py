@@ -95,12 +95,11 @@ from .masks import (EdgeMask, MaskKind, MaskSpec, bernoulli,
                     sample_dropedge_mask, sample_dropout_mask,
                     sample_gdc_masks, sample_node_mask,
                     sample_randomwalk_mask)
-from .tape import (BlockProducts, CompactRows, Tensor, block_products,
-                   constant, multiplies_first, parameter, record_add,
-                   record_add_rowvec, record_frobenius_sq,
-                   record_gdc_aggregate, record_log_softmax_rows,
-                   record_masked_nll, record_mul, record_relu, record_scale,
-                   split_columns)
+from .tape import (BlockProducts, Tensor, block_products, constant,
+                   multiplies_first, parameter, record_add, record_add_rowvec,
+                   record_frobenius_sq, record_gdc_aggregate,
+                   record_log_softmax_rows, record_masked_nll, record_mul,
+                   record_relu, record_scale, split_columns)
 from .variational import (KumaraswamyParams, kuma_mean, record_kl_kuma_beta,
                           record_kuma_sample)
 
@@ -152,6 +151,10 @@ class GCNConfig:
             )
         if self.estimator not in ("none", "concrete", "arm"):
             raise ContractViolation(f"unknown estimator '{self.estimator}'")
+        for name in ("beta_prior_c", "kuma_init_b"):
+            value = getattr(self, name)
+            if not value > 0:   # NaN fails too
+                raise ContractViolation(f"{name} must be > 0, got {value}")
         for l, spec in enumerate(self.masks):
             if spec.n_blocks > self.layer_dims[l]:
                 raise ContractViolation(
@@ -311,7 +314,7 @@ def layer0_products(config: GCNConfig, params: list,
 
 
 @dataclass(frozen=True)
-class LayerRows(CompactRows):
+class LayerRows:
     """One layer of a ``LossRows`` plan.
 
     The layer computes output rows ``out`` (sorted node ids) from input
@@ -323,6 +326,8 @@ class LayerRows(CompactRows):
     ``inp``.
     """
 
+    out: np.ndarray
+    inp: np.ndarray | None
     entries: np.ndarray
     a: csr_array
 
@@ -352,7 +357,10 @@ def loss_rows(graph: PreparedGraph, observed, n_layers: int) -> LossRows:
 
     Walking back from the last layer, a layer's input rows are the columns
     its output rows store. Masks never change the pattern, so one plan
-    serves every draw.
+    serves every draw. A pass on the plan (``forward(..., rows=plan)``)
+    computes the loss rows and dH as the full pass does, row by row; its
+    dW and dL/dpi sum over the plan's rows only, so they agree with the
+    full pass's to rounding.
     """
     a = graph.a_norm
     n = a.shape[0]
@@ -386,7 +394,7 @@ def loss_rows(graph: PreparedGraph, observed, n_layers: int) -> LossRows:
         idx = index_dtype(len(entries), width)
         mat = csr_array((a.data[entries], cols.astype(idx), indptr.astype(idx)),
                         shape=(len(out), width))
-        layers.append(LayerRows(n=n, out=out, inp=inp, entries=entries, a=mat))
+        layers.append(LayerRows(out=out, inp=inp, entries=entries, a=mat))
         out = inp
     layers.reverse()
     return LossRows(layers=tuple(layers), observed=last_position[observed])
@@ -416,8 +424,13 @@ def forward(params: list, x: Tensor, graph: PreparedGraph, masks: list,
     the result holds the last layer's plan rows (read them through
     ``rows.observed``) and hidden outputs hold their layer's rows. The
     masks stay drawn over all n rows and the whole pattern; each layer
-    takes its rows and entries of them. The result rows, and every
-    gradient through them, are bit for bit those of the full pass.
+    takes its rows and entries of them, and the fused op runs on the plan's
+    rectangular (len(out), len(inp)) matrix. Its products run row by row,
+    so the result rows and each layer's dH equal the full pass's wherever
+    the BLAS rounds a dense product's row alike at either height (the
+    tests hold them bit for bit), and agree to rounding otherwise. The
+    dense reductions over rows (dW and dL/dpi) sum over the plan's rows
+    only, so they agree with the full pass's to rounding.
     """
     n_layers = len(params)
     if len(masks) != n_layers:
@@ -468,8 +481,7 @@ def forward(params: list, x: Tensor, graph: PreparedGraph, masks: list,
                 pi = edge.pi
                 tangents = [a.data * _at_plan(plan, t) for t in edge.tangents]
         out = record_gdc_aggregate(tape, a, values, h, p.m, pi=pi,
-                                   tangents=tangents, products=products,
-                                   rows=plan)
+                                   tangents=tangents, products=products)
         if p.bias is not None:
             out = record_add_rowvec(tape, out, p.bias)
         if l < n_layers - 1:

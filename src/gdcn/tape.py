@@ -37,10 +37,15 @@ builds its own. Ops keep no cache: a weight update such as Adam's changes
 ``W.data`` in place, so reuse keyed on array identity would serve stale
 products.
 
-A compact ``record_gdc_aggregate`` call (``CompactRows``) computes only
-some rows of an n-row layer, such as the rows a loss reads, from a
-rectangular matrix; its value rows and its gradients are bit for bit those
-of the n-row call.
+``record_gdc_aggregate`` knows nothing of the graph's size: a call on a
+rectangular (rows_out, rows_in) matrix, such as the rows a loss reads
+(``model.loss_rows``), is an ordinary call. Its sparse products run row by
+row, and so do its dense products (``H_b W_b``, ``M W``, ``G W^T``) up to
+how the BLAS tiles them: its value rows and dH equal the matching rows of a
+call on the whole graph with the same entries wherever the BLAS rounds a
+row alike at either height, and agree to rounding otherwise. Its dense
+reductions over rows (dW and dL/dpi) sum over the rows it has, so they
+agree with that call's to rounding.
 """
 
 from __future__ import annotations
@@ -211,41 +216,17 @@ def block_products(h_blocks, w_data: np.ndarray) -> BlockProducts:
         h_b @ w_data[c0:c1] for h_b, (c0, c1) in zip(h_blocks, bounds)))
 
 
-@dataclass(frozen=True)
-class CompactRows:
-    """Where the rows of a compact ``record_gdc_aggregate`` call sit in an
-    n-row pass.
-
-    ``out`` holds the sorted node ids of the op's output rows, ``inp`` those
-    of its input rows, or None when the input holds all n rows in order.
-    """
-
-    n: int
-    out: np.ndarray
-    inp: np.ndarray | None
-
-
-def _padded(x: np.ndarray, ids: np.ndarray | None, n: int) -> np.ndarray:
-    """``x``'s rows placed at rows ``ids`` of n zero rows; ``x`` if ids is
-    None."""
-    if ids is None:
-        return x
-    full = np.zeros((n, x.shape[1]))
-    full[ids] = x
-    return full
-
-
 def record_gdc_aggregate(tape, a: csr_array, values: list, h: Tensor,
                          w: Tensor, pi: Tensor | None = None,
                          tangents: list | None = None,
-                         products: BlockProducts | None = None,
-                         rows: CompactRows | None = None) -> Tensor:
+                         products: BlockProducts | None = None) -> Tensor:
     """``sum_b A_b (H[:, blk_b] W[blk_b, :])`` as one op.
 
     ``A_b`` is the CSR pattern ``a`` carrying ``values[b]``, block b's
     stored entries (``model.forward`` builds them from the masks), and
     ``blk_b`` is ``block_bounds(f_in, len(values))[b]``. ``a`` may be
-    rectangular, (rows_out, rows_in) with rows_in the rows of H. No block
+    rectangular, (rows_out, rows_in) with rows_in the rows of H, and every
+    reduction over rows sums over the rows the op has. No block
     builds a matrix of its own: each product takes ``values[b]`` on ``a``,
     zeros stored, and a stored zero adds an exact zero on finite operands.
 
@@ -266,13 +247,6 @@ def record_gdc_aggregate(tape, a: csr_array, values: list, h: Tensor,
     without them. Nothing here can tell stale products from fresh ones.
     Supplying them in the aggregate-first order, or with another block
     count, raises ``ContractViolation``.
-
-    ``rows`` marks a compact call: ``a`` holds rows ``rows.out`` of an
-    n-row pass, with columns renumbered into ``rows.inp``. The value rows
-    equal those rows of the n-row call. The dense reductions over rows
-    (``M^T G``, ``H_b^T dS_b`` and dL/dpi's inner products) are padded to
-    the n rows, zeros elsewhere, so that they group their sums as the n-row
-    call does and the gradients are bit for bit its own.
 
     The entries are constants. Concrete blocks hang off one keep
     probability ``pi``, and ``tangents[b]`` holds ``dA_b/dpi`` per stored
@@ -297,16 +271,12 @@ def record_gdc_aggregate(tape, a: csr_array, values: list, h: Tensor,
     if grad_pi and len(tangents) != nb:
         raise ContractViolation(f"{len(tangents)} tangents for {nb} blocks")
     inputs = (h, w) + ((pi,) if grad_pi else ())
-    n, out_ids, in_ids = ((a.shape[0], None, None) if rows is None
-                          else (rows.n, rows.out, rows.inp))
 
     def acc_pi(acc, lefts, rights):
-        """Add ``sum_b <lefts[b], T_b rights[b]>`` to pi's grad; ``lefts``
-        hold n rows."""
+        """Add ``sum_b <lefts[b], T_b rights[b]>`` to pi's grad."""
         dpi = 0.0
         for t_b, left, right in zip(tangents, lefts, rights):
-            dpi += np.vdot(left, _padded(spmm(a, right, values=t_b),
-                                         out_ids, n))
+            dpi += np.vdot(left, spmm(a, right, values=t_b))
         acc(pi, np.array([[dpi]]))
 
     if not multiplies_first(hd, f_out, nb):
@@ -320,13 +290,12 @@ def record_gdc_aggregate(tape, a: csr_array, values: list, h: Tensor,
 
         def bwd(g, acc):
             if w.requires_grad:
-                acc(w, _padded(m, out_ids, n).T @ _padded(g, out_ids, n))
+                acc(w, m.T @ g)
             if not (h.requires_grad or grad_pi):
                 return
             dm = g @ wd.T
             if grad_pi:
-                dm_n = _padded(dm, out_ids, n)
-                acc_pi(acc, [dm_n[:, c0:c1] for c0, c1 in bounds], h_blocks)
+                acc_pi(acc, [dm[:, c0:c1] for c0, c1 in bounds], h_blocks)
             if h.requires_grad:
                 dh = np.empty_like(hd)
                 for v, (c0, c1) in zip(values, bounds):
@@ -346,24 +315,18 @@ def record_gdc_aggregate(tape, a: csr_array, values: list, h: Tensor,
         spmm(a, s_b, values=v, out=out_data)
     # The S_b stay reachable from the backward only where dL/dpi needs them.
     kept_products = products.products if grad_pi else None
-    # A CSR H_b^T dS_b adds its terms row by row, compact or not.
-    pad_in = in_ids if not issparse(hd) else None
 
     def bwd(g, acc):
         dh = np.empty_like(hd) if h.requires_grad else None
         dw = np.empty_like(wd) if w.requires_grad else None
         if grad_pi:
-            acc_pi(acc, [_padded(g, out_ids, n)] * nb, kept_products)
+            acc_pi(acc, [g] * nb, kept_products)
         if dh is None and dw is None:
             return
-        if dw is not None and pad_in is not None:
-            h_n = split_columns(_padded(hd, pad_in, n), nb)
-        else:
-            h_n = h_blocks
         for b, (c0, c1) in enumerate(bounds):
             ds = spmm_t(a, g, values=values[b])
             if dw is not None:
-                dw[c0:c1] = h_n[b].T @ _padded(ds, pad_in, n)
+                dw[c0:c1] = h_blocks[b].T @ ds
             if dh is not None:
                 dh[:, c0:c1] = ds @ wd[c0:c1].T
         if dh is not None:

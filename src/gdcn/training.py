@@ -35,8 +35,10 @@ Z1 pass compute only the rows the loss can reach (``forward(...,
 rows=plan)``). The loss reads their log-probabilities through the plan's
 ``observed`` positions and the labels of the plan's rows
 (``LossRows.loss_inputs``). The masks are still drawn over the whole
-graph, so the random stream, the loss and every gradient are bit for bit
-those of full passes. The deterministic evaluation keeps all rows.
+graph, so the random stream is that of full passes; the loss rows are
+computed as full passes compute them, and the gradients agree with theirs
+to rounding (``model.forward``). The deterministic evaluation keeps all
+rows.
 ``train`` calls ``forward``, and through it ``spmm`` and ``spmm_t``, by
 module name, so that a tracer replacing those names still counts every
 pass and product.
@@ -76,8 +78,12 @@ class TrainConfig:
         # lr == 0 is tolerated (a frozen run) so no-op training is testable
         if self.epochs < 0:
             raise ContractViolation("epochs must be non-negative")
-        if self.lr < 0:
-            raise ContractViolation("lr must be non-negative")
+        # not >= rather than <, so that NaN fails too
+        if not self.lr >= 0:
+            raise ContractViolation(f"lr must be non-negative, got {self.lr}")
+        if not self.l2_factor >= 0:
+            raise ContractViolation(
+                f"l2_factor must be non-negative, got {self.l2_factor}")
         if self.patience < 1:
             raise ContractViolation("patience must be >= 1")
 

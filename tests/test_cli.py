@@ -190,6 +190,46 @@ class TestConfigErrors:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not os.path.exists(tmp_path / "o")
 
+    # Each once ended in a traceback or trained on a value outside its
+    # domain; ``16,,16`` read as ``16,16``.
+    @pytest.mark.parametrize("key, value, message", [
+        ("train.lr", "nan", "train.lr: expected a finite number, got 'nan'"),
+        ("train.lr", "inf", "train.lr: expected a finite number, got 'inf'"),
+        ("train.l2_factor", "nan",
+         "train.l2_factor: expected a finite number, got 'nan'"),
+        ("train.l2_factor", "-1", "l2_factor must be non-negative, got -1.0"),
+        ("train.seeds", "-1", "train.seeds must be non-negative, got [-1]"),
+        ("model.beta_prior_c", "0", "beta_prior_c must be > 0, got 0.0"),
+        ("model.beta_prior_c", "nan",
+         "model.beta_prior_c: expected a finite number, got 'nan'"),
+        ("model.kuma_init_b", "0", "kuma_init_b must be > 0, got 0.0"),
+        ("model.kuma_init_b", "nan",
+         "model.kuma_init_b: expected a finite number, got 'nan'"),
+        ("model.temperature", "nan",
+         "model.temperature: expected a finite number, got 'nan'"),
+        ("model.hidden_dims", "16,,16",
+         "model.hidden_dims: expected comma-separated integers, "
+         "got '16,,16'"),
+    ])
+    def test_invalid_number_exit_2(self, tmp_path, synthetic_files, capsys,
+                                   key, value, message):
+        content, cites = synthetic_files
+        cfg = write_config(tmp_path / "bad.ini", content, cites,
+                           tmp_path / "o", **{key: value})
+        rc = main(["train", "--config", cfg])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+        assert key.split(".")[1] in err and "Traceback" not in err
+        assert not os.path.exists(tmp_path / "o")
+
+    def test_empty_list_value_is_empty(self, tmp_path, synthetic_files):
+        content, cites = synthetic_files
+        cfg = load_config(write_config(tmp_path / "run.ini", content, cites,
+                                       tmp_path / "o",
+                                       **{"sweep.blocks": " "}))
+        assert cfg.sweep_blocks == []
+
     def test_non_ascii_feature_exit_2(self, tmp_path, synthetic_files,
                                       capsys):
         content, cites = synthetic_files
@@ -221,6 +261,20 @@ class TestFlags:
                   "--samples", value])
         assert exc.value.code == 2
         assert f"--samples: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "eval", "uq", "diagnose",
+                                         "sweep-blocks"])
+    def test_negative_seed_override_exit_2(self, config, capsys, command):
+        # numpy's generators take no negative seed
+        cfg, _ = config
+        checkpoint = ["--checkpoint", "c.bin"] if command in ("eval",
+                                                             "uq") else []
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", cfg, "--seed-override", "-1"]
+                 + checkpoint)
+        assert exc.value.code == 2
+        assert ("--seed-override: must be at least 0, got -1"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("command", ["train", "diagnose", "sweep-blocks"])
     def test_samples_only_where_read(self, config, capsys, command):
@@ -261,12 +315,23 @@ class TestTrain:
         printed = capsys.readouterr().out
         assert "+/-" in printed
         summary = open(os.path.join(out, "summary.csv")).read().splitlines()
-        assert summary[0] == "seed,best_val_acc,test_acc"
+        assert summary[0] == "seed,best_val_acc,test_acc,stop_reason"
         assert len(summary) == 3
         for seed in (0, 1):
             assert os.path.exists(os.path.join(out, f"epochs_seed{seed}.csv"))
             assert os.path.exists(os.path.join(out, f"ckpt_seed{seed}.bin"))
         assert os.path.exists(os.path.join(out, "config_resolved.ini"))
+
+    def test_summary_stop_reason(self, tmp_path, synthetic_files):
+        content, cites = synthetic_files
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path / "run.ini", content, cites, out,
+                           **{"train.epochs": "3", "train.patience": "3"})
+        assert main(["train", "--config", cfg]) == 0
+        rows = (out / "summary.csv").read_text().splitlines()
+        assert [r.split(",")[0] for r in rows[1:]] == ["0", "1"]
+        for row in rows[1:]:
+            assert row.split(",")[-1] in ("max_epochs", "patience")
 
     def test_deterministic_rerun_bitwise(self, config):
         cfg, out = config

@@ -293,6 +293,10 @@ class TestMaskSpec:
         with pytest.raises(ContractViolation):
             MaskSpec(kind=MaskKind.GDC, relaxed=True, temperature=0.0)
 
+    def test_nan_temperature_rejected(self):
+        with pytest.raises(ContractViolation):
+            MaskSpec(kind=MaskKind.GDC, relaxed=True, temperature=float("nan"))
+
     def test_blocks_require_gdc_kind(self):
         for kind in MaskKind:
             if kind != MaskKind.GDC:

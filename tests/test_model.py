@@ -344,6 +344,13 @@ class TestBlocks:
         with pytest.raises(ContractViolation, match="estimator"):
             GCNConfig(layer_dims=[3, 4, 2], masks=masks, estimator=estimator)
 
+    @pytest.mark.parametrize("key", ["beta_prior_c", "kuma_init_b"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
+    def test_prior_and_init_must_be_positive(self, key, value):
+        masks = [MaskSpec(kind=MaskKind.NONE)] * 2
+        with pytest.raises(ContractViolation, match=f"{key} must be > 0"):
+            GCNConfig(layer_dims=[3, 4, 2], masks=masks, **{key: value})
+
 
 class TestKeepProbOne:
     def test_every_sampler_reduces_to_plain_layer(self):

@@ -121,6 +121,12 @@ class TestTrain:
         with pytest.raises(ContractViolation, match="epochs must be non-negative"):
             TrainConfig(epochs=-1)
 
+    @pytest.mark.parametrize("key", ["lr", "l2_factor"])
+    @pytest.mark.parametrize("value", [-1.0, float("nan")])
+    def test_negative_or_nan_step_sizes_rejected(self, key, value):
+        with pytest.raises(ContractViolation, match=f"{key} must be"):
+            TrainConfig(**{key: value})
+
     @pytest.mark.parametrize("flag", ["renorm_trick", "renorm_after_mask"])
     def test_graph_must_follow_config_rules(self, flag):
         ds = synthetic_dataset()
