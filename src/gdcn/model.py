@@ -40,13 +40,13 @@ per stored entry. ``forward`` never converts: a dense input keeps the
 dense path.
 
 A pass computes in the dtype of its operands (``tape``'s dtype rule).
-Every taped pass (training's recorded pass, ARM's second pass) is float64,
-and so are the loss and every gradient. Every pass without a tape,
-``predict_mc``'s and the deterministic evaluation's, runs in float32 on
-``float32_operands``: float32 copies of the weights, biases, input and
-``a_norm``, with the masks applied in float32 and the masks drawn as a
-float64 pass draws them. Each pass finishes in float64, where the
-log-softmax casts its (n, C) logits, so both return float64 probabilities.
+Training's passes, ``predict_mc``'s and the deterministic evaluation's run
+in float32 on ``float32_operands``: float32 copies of the weights, biases,
+input and ``a_norm``, with the masks applied in float32 and the masks
+drawn as a float64 pass draws them. Concrete tangents are applied in
+float32 too. Each pass finishes in float64, where the log-softmax casts its
+(n, C) logits, so every pass returns float64 log-probabilities and the
+loss on them is float64. A pass on float64 operands stays float64.
 
 The deterministic evaluation scales each connection by its layer's
 expected keep probability pi. That value is the same for every GDC block,
@@ -100,7 +100,8 @@ from .tape import (BlockProducts, Tensor, block_products, constant,
                    record_frobenius_sq, record_gdc_aggregate,
                    record_log_softmax_rows, record_masked_nll, record_mul,
                    record_relu, record_scale, split_columns)
-from .variational import (KumaraswamyParams, kuma_mean, record_kl_kuma_beta,
+from .variational import (KumaraswamyParams, kuma_mean,
+                          median_draw_unclamped, record_kl_kuma_beta,
                           record_kuma_sample)
 
 CHECKPOINT_MAGIC = b"GDCN"
@@ -155,6 +156,10 @@ class GCNConfig:
             value = getattr(self, name)
             if not value > 0:   # NaN fails too
                 raise ContractViolation(f"{name} must be > 0, got {value}")
+        if not median_draw_unclamped(1.0, self.kuma_init_b):
+            raise ContractViolation(
+                f"kuma_init_b {self.kuma_init_b} puts the median initial "
+                f"keep draw on its clamp, where it has no gradient")
         for l, spec in enumerate(self.masks):
             if spec.n_blocks > self.layer_dims[l]:
                 raise ContractViolation(
@@ -479,7 +484,9 @@ def forward(params: list, x: Tensor, graph: PreparedGraph, masks: list,
                       for blk in edge.blocks]
             if edge.tangents is not None:
                 pi = edge.pi
-                tangents = [a.data * _at_plan(plan, t) for t in edge.tangents]
+                tangents = [np.multiply(a.data, _at_plan(plan, t),
+                                        dtype=a.dtype, casting="same_kind")
+                            for t in edge.tangents]
         out = record_gdc_aggregate(tape, a, values, h, p.m, pi=pi,
                                    tangents=tangents, products=products)
         if p.bias is not None:
@@ -685,18 +692,28 @@ def forward_deterministic(params, x, graph, config, capture_hidden=False):
                    capture_hidden=capture_hidden)
 
 
-def float32_operands(params: list, x: Tensor, graph: PreparedGraph):
-    """The operands of a float32 pass: ``(params, x, graph)`` with float32
-    constant copies of every weight and bias, ``x`` as a float32 CSR
-    constant (``sparse_input``) and ``graph`` sharing everything but a
-    float32 copy of ``a_norm``. The arguments are left unchanged; the drop
-    parameters are shared."""
+def float32_params(params: list) -> list:
+    """``params`` with every weight and bias a float32 parameter copy, so
+    that a taped pass on them records float32 gradients; the drop
+    parameters are shared. Float32 data is wrapped, not copied."""
     def f32(t):
-        return None if t is None else constant(t.data.astype(np.float32))
+        return None if t is None else parameter(
+            t.data.astype(np.float32, copy=False))
 
-    params32 = [replace(p, m=f32(p.m), bias=f32(p.bias)) for p in params]
-    graph32 = replace(graph, a_norm=graph.a_norm.astype(np.float32))
-    return params32, sparse_input(x, np.float32), graph32
+    return [replace(p, m=f32(p.m), bias=f32(p.bias)) for p in params]
+
+
+def float32_operands(params: list, x: Tensor, graph: PreparedGraph):
+    """The operands of a float32 pass: ``(params, x, graph)`` with
+    ``float32_params``' copies of the weights and biases, ``x`` as a
+    float32 CSR constant (``sparse_input``) and ``graph`` sharing
+    everything but a float32 copy of ``a_norm``. The arguments are left
+    unchanged. Operands that are float32 already are shared, not copied,
+    so ``training.train`` casts once and every pass on its operands reuses
+    that cast."""
+    graph32 = replace(graph, a_norm=graph.a_norm.astype(np.float32,
+                                                        copy=False))
+    return float32_params(params), sparse_input(x, np.float32), graph32
 
 
 def predict_mc(params, x, graph, config, s: int, rng: np.random.Generator):

@@ -14,13 +14,16 @@ Concrete-relaxed entries are constants too: the op takes their keep
 probability pi and per block the entries of ``dA_b/dpi``, and gives pi its
 gradient directly.
 
-The dtype rule: a tensor that does not require grad keeps float32 data as
-float32; any other data, and every tensor that requires grad, is float64.
-Ops compute in their operands' dtype, so a pass over float32 constants runs
-in float32 (``model.predict_mc``, ``model.forward_deterministic``) and a
-taped pass stays float64 from end to end. ``record_gdc_aggregate``
-computes in its block entries' dtype. ``record_log_softmax_rows`` always
-computes in float64.
+The dtype rule, one for every tensor: float32 data stays float32, and any
+other data becomes float64. Ops compute in their operands' dtype, so a pass
+over float32 operands runs in float32, taped or not (``training.train``,
+``model.predict_mc``, ``model.forward_deterministic``), and a pass over
+float64 operands, such as a finite-difference check's, stays float64.
+``record_gdc_aggregate`` computes in its block entries' dtype, and
+accumulates its inner products for dL/dpi in float64.
+``record_log_softmax_rows`` always computes in float64, so the loss after
+it is float64; its backward hands its input a gradient in the input's
+dtype, so a float32 pass's backward stays float32 down to the parameters.
 
 Ops are free functions ``record_*(tape, ...) -> Tensor``; passing
 ``tape=None`` computes the value without recording, which is how inference
@@ -63,8 +66,8 @@ from .graph import float_array, spmm, spmm_t
 class Tensor:
     """2-D array (or CSR constant) with a grad-requirement flag.
 
-    The data is float64, except that a constant keeps float32 data as it
-    is. Hashed by identity.
+    The data is float32 when it was given as float32, float64 otherwise.
+    Hashed by identity.
     """
 
     __slots__ = ("data", "requires_grad")
@@ -78,8 +81,7 @@ class Tensor:
                          else data.astype(np.float64, copy=False))
             self.requires_grad = False
             return
-        arr = (np.asarray(data, dtype=np.float64) if requires_grad
-               else float_array(data))
+        arr = float_array(data)
         if arr.ndim == 0:
             arr = arr.reshape(1, 1)
         elif arr.ndim == 1:
@@ -273,11 +275,14 @@ def record_gdc_aggregate(tape, a: csr_array, values: list, h: Tensor,
     inputs = (h, w) + ((pi,) if grad_pi else ())
 
     def acc_pi(acc, lefts, rights):
-        """Add ``sum_b <lefts[b], T_b rights[b]>`` to pi's grad."""
+        """Add ``sum_b <lefts[b], T_b rights[b]>`` to pi's grad. The
+        products ``T_b rights[b]`` run in the operands' dtype; the inner
+        products sum in float64, since their terms cancel."""
         dpi = 0.0
         for t_b, left, right in zip(tangents, lefts, rights):
-            dpi += np.vdot(left, spmm(a, right, values=t_b))
-        acc(pi, np.array([[dpi]]))
+            dpi += np.einsum("ij,ij->", left, spmm(a, right, values=t_b),
+                             dtype=np.float64)
+        acc(pi, np.array([[dpi]], dtype=pi.data.dtype))
 
     if not multiplies_first(hd, f_out, nb):
         if products is not None:
@@ -426,14 +431,16 @@ def record_frobenius_sq(tape, x: Tensor) -> Tensor:
 def record_log_softmax_rows(tape, x: Tensor) -> Tensor:
     """Row-wise log-softmax, max-subtracted for stability, always computed
     in float64: the probabilities of a row sum to 1 within 1e-9 also when
-    ``x`` is float32."""
+    ``x`` is float32. The backward computes in float64 too and hands ``x``
+    its gradient in ``x``'s dtype."""
     xd = x.data.astype(np.float64, copy=False)
     shifted = xd - xd.max(axis=1, keepdims=True)
     out_data = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
     def bwd(g, acc):
         if x.requires_grad:
-            acc(x, g - np.exp(out_data) * g.sum(axis=1, keepdims=True))
+            dx = g - np.exp(out_data) * g.sum(axis=1, keepdims=True)
+            acc(x, dx.astype(x.data.dtype, copy=False))
 
     return _maybe_record(tape, out_data, (x,), bwd)
 

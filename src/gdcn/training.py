@@ -3,9 +3,20 @@
 Each epoch rebuilds a fresh tape, samples masks (recording the keep
 probability draw of every learned layer), and takes one Adam step. Model
 selection uses a deterministic expected-keep evaluation pass so that early
-stopping does not chase mask noise. It needs only an argmax, so it runs in
-float32 with one product per layer (``model.forward_deterministic``); the
-loss, every gradient and Adam's state stay float64.
+stopping does not chase mask noise, with one product per layer
+(``model.forward_deterministic``).
+
+Training is mixed precision (Micikevicius et al., arXiv 1710.03740): every
+pass runs in float32 on float64 master weights. ``train`` casts the CSR
+input, ``a_norm`` and the loss-row plan's matrices to float32 once per
+call, and the weights and biases once at the start and after each Adam
+step (``model.float32_params``); the deterministic evaluation of epoch e
+and the passes of step e + 1 share that one cast. The log-softmax, the NLL,
+the KL and the weight penalty are float64, and the penalty is taken on the
+master weights. Concrete's dL/dpi sums its inner products in float64. The
+float32 gradients are cast to float64 and added to the masters' own before
+``adam_step``, so Adam's weights and moments stay float64. ARM's L(Z1) and
+L(Z2) both come from float32 passes, so they round alike.
 
 Both estimators reach (log a, log b) through the recorded Kumaraswamy draw
 and one backward pass. Concrete's masks carry the draw and their tangents
@@ -25,9 +36,17 @@ steps could share them, and the benchmark measured no gain from that;
 Each step (masks, recorded pass, loss, backward with ARM's Z1 pass, Adam)
 runs in ``_train_step``, so its tape, masks, activations, products and
 gradients are freed when it returns. During the deterministic evaluation
-that follows only the parameters, Adam's moments, the input, the best
-snapshot and the evaluation's own arrays are alive, so the float64 step
-and the evaluation never hold memory at the same time.
+that follows only the parameters and their float32 copies, Adam's moments,
+the input, the best snapshot and the evaluation's own arrays are alive, so
+the step and the evaluation never hold memory at the same time.
+
+A run diverges (``DivergenceError``) when its loss is non-finite for
+``_DIVERGENCE_LIMIT`` consecutive epochs, or in every epoch of a shorter
+run. A float32 pass or a loss that overflows gives such a loss, so the
+passes do not warn on overflow. A step that takes a weight or bias outside
+float32's range, or a learned layer's Kumaraswamy a or b to 0 or infinity,
+diverges at once: every later pass would be non-finite, and a non-finite
+loss takes no step, so nothing could bring the run back.
 
 The loss reads only the training nodes, so ``train`` builds their loss-row
 plan once per call (``model.loss_rows``), and the recorded pass and ARM's
@@ -56,11 +75,11 @@ from .errors import ContractViolation, DivergenceError
 from .estimators import arm_gradient, arm_pi_grad
 from .metrics import accuracy
 from .model import (GCNConfig, PreparedGraph, arm_masks, check_graph,
-                    expected_keep, forward, forward_deterministic,
-                    init_params, loss_rows, record_kl_terms,
-                    sample_step_masks, training_loss)
+                    expected_keep, float32_operands, float32_params, forward,
+                    forward_deterministic, init_params, loss_rows,
+                    record_kl_terms, sample_step_masks, training_loss)
 from .tape import Tape, backward, constant, record_masked_nll, record_scale
-from .variational import WarmupSchedule, warmup_factor
+from .variational import WarmupSchedule, finite_scales, warmup_factor
 
 _DIVERGENCE_LIMIT = 5
 
@@ -197,52 +216,110 @@ def _det_eval(params, x, graph, config, labels, split, capture_hidden=False):
             accuracy(pred, labels, split.test), hidden)
 
 
-def _train_step(gcn_config, train_config, epoch, params, tensors, state,
+def _overflow_allowed():
+    """Silence overflow and invalid-value warnings: a float32 pass or a
+    loss that overflows gives a non-finite loss or gradient, which the
+    divergence check and ``adam_step``'s rejection handle."""
+    return np.errstate(over="ignore", invalid="ignore")
+
+
+def step_gradients(gcn_config, train_config, epoch, params, params32, rng,
+                   x, graph, plan, plan_labels, observed):
+    """One step's loss and gradients: sample the masks, run the recorded
+    pass on ``params32``, ``x``, ``graph`` and ``plan``, take the loss and,
+    where it is finite, backward (with ARM's Z1 pass).
+
+    ``params32`` are ``params`` with their own weight and bias tensors
+    (``model.float32_params``), on which the passes run; the weight
+    penalty and the KL are taken on ``params``. Returns the (loss, NLL,
+    KL) floats and the float64 gradient of every tensor of ``params``, or
+    None where the loss is not finite.
+    """
+    tape = Tape()
+    draws = sample_step_masks(gcn_config, params32, graph, rng, tape=tape,
+                              mode="train", input_nnz=x.data.nnz)
+    with _overflow_allowed():
+        logprobs = forward(params32, x, graph, draws.layer_masks, tape=tape,
+                           rows=plan)
+        kl_terms = record_kl_terms(tape, gcn_config, params)
+        wf = warmup_factor(epoch, train_config.warmup)
+        weight_coefs = None
+        if gcn_config.kl_weight_scaling:
+            weight_coefs = [record_scale(tape, pi,
+                                         graph.edges.n_entries / 2.0)
+                            for pi in draws.pi_tensors]
+        loss = training_loss(tape, logprobs, plan_labels, observed, params,
+                             kl_terms, train_config.l2_factor, wf,
+                             weight_coefs=weight_coefs)
+        loss_val = loss.item()
+        nll_val = -float(np.mean(logprobs.data[observed,
+                                               plan_labels[observed]]))
+        kl_val = float(sum(k.item() for k in kl_terms))
+        if not np.isfinite(loss_val):
+            return loss_val, nll_val, kl_val, None
+
+        seeds = None
+        if draws.arm is not None:
+            def loss_eval(z_drop):
+                lp = forward(params32, x, graph,
+                             arm_masks(draws, graph, z_drop), tape=None,
+                             rows=plan)
+                return record_masked_nll(None, lp, plan_labels,
+                                         observed).item()
+
+            # The recorded pass ran on Z2, so its NLL is L(Z2).
+            est = arm_gradient(loss_eval, draws.arm, nll_val)
+            pis = [draws.pi_tensors[l] for l, *_ in draws.arm_layers]
+            seeds = {pi: arm_pi_grad(pi.item(), g_alpha)
+                     for pi, g_alpha in zip(pis, est.grad_alpha)}
+        grads = backward(tape, loss, seeds)
+    out = {}
+    for p, q in zip(params, params32):
+        for t, t32 in ((p.m, q.m), (p.bias, q.bias)):
+            if t is not None:
+                out[t] = grads.get(t) + grads.get(t32)
+        if p.kuma is not None:
+            out.update((t, grads.get(t)) for t in p.kuma.tensors())
+    return loss_val, nll_val, kl_val, out
+
+
+def _train_step(gcn_config, train_config, epoch, params, params32, state,
                 rng, x, graph, plan, plan_labels, observed):
-    """One training step: sample the masks, run the recorded pass and the
-    loss, and, where the loss is finite, backward (with ARM's Z1 pass) and
-    one Adam step. Returns the (loss, NLL, KL) floats.
+    """One training step: ``step_gradients`` and, where the loss is finite,
+    one Adam step on ``params``. Returns the (loss, NLL, KL) floats and
+    whether Adam changed ``params``.
 
     The tape, the masks, the block products and the gradients are this
     function's locals, so they are freed when it returns, before the
     det-eval allocates its own arrays.
     """
-    tape = Tape()
-    draws = sample_step_masks(gcn_config, params, graph, rng, tape=tape,
-                              mode="train", input_nnz=x.data.nnz)
-    logprobs = forward(params, x, graph, draws.layer_masks, tape=tape,
-                       rows=plan)
-    kl_terms = record_kl_terms(tape, gcn_config, params)
-    wf = warmup_factor(epoch, train_config.warmup)
-    weight_coefs = None
-    if gcn_config.kl_weight_scaling:
-        weight_coefs = [record_scale(tape, pi, graph.edges.n_entries / 2.0)
-                        for pi in draws.pi_tensors]
-    loss = training_loss(tape, logprobs, plan_labels, observed, params,
-                         kl_terms, train_config.l2_factor, wf,
-                         weight_coefs=weight_coefs)
-    loss_val = loss.item()
-    nll_val = -float(np.mean(logprobs.data[observed, plan_labels[observed]]))
-    kl_val = float(sum(k.item() for k in kl_terms))
-    if not np.isfinite(loss_val):
-        return loss_val, nll_val, kl_val
+    loss_val, nll_val, kl_val, grads = step_gradients(
+        gcn_config, train_config, epoch, params, params32, rng, x, graph,
+        plan, plan_labels, observed)
+    stepped = grads is not None and adam_step(
+        [t for p in params for t in p.tensors()], grads, state,
+        train_config.lr)
+    return loss_val, nll_val, kl_val, stepped
 
-    seeds = None
-    if draws.arm is not None:
-        def loss_eval(z_drop):
-            lp = forward(params, x, graph, arm_masks(draws, graph, z_drop),
-                         tape=None, rows=plan)
-            return record_masked_nll(None, lp, plan_labels, observed).item()
 
-        # The recorded pass ran on Z2, so its NLL is L(Z2).
-        est = arm_gradient(loss_eval, draws.arm, nll_val)
-        pis = [draws.pi_tensors[l] for l, *_ in draws.arm_layers]
-        seeds = {pi: arm_pi_grad(pi.item(), g_alpha)
-                 for pi, g_alpha in zip(pis, est.grad_alpha)}
-    grads = backward(tape, loss, seeds)
-    adam_step(tensors, {t: grads.get(t) for t in tensors}, state,
-              train_config.lr)
-    return loss_val, nll_val, kl_val
+def _cast_weights(params, epoch):
+    """``float32_params(params)`` after the step of ``epoch``; raises
+    ``DivergenceError`` when a weight or bias left float32's range or a
+    learned layer's Kumaraswamy a or b is 0 or infinite."""
+    with np.errstate(over="ignore"):
+        params32 = float32_params(params)
+    for l, (p, q) in enumerate(zip(params, params32)):
+        if not all(np.isfinite(t.data).all()
+                   for t in (q.m, q.bias) if t is not None):
+            raise DivergenceError(
+                f"layer {l}: a weight left float32's range (epoch {epoch})")
+        if p.kuma is not None and not finite_scales(p.kuma.log_a.item(),
+                                                    p.kuma.log_b.item()):
+            raise DivergenceError(
+                f"layer {l}: Kumaraswamy (log a, log b) = "
+                f"({p.kuma.log_a.item()}, {p.kuma.log_b.item()}) gives no "
+                f"positive finite (a, b) (epoch {epoch})")
+    return params32
 
 
 def train(dataset: Dataset, gcn_config: GCNConfig, train_config: TrainConfig,
@@ -252,7 +329,9 @@ def train(dataset: Dataset, gcn_config: GCNConfig, train_config: TrainConfig,
 
     The layer-0 input is ``dataset.features_csr()``, converted to CSR once
     per features array, so training again on the same dataset (another
-    seed, another config) skips the conversion.
+    seed, another config) skips the conversion; ``train`` casts it to
+    float32 once per call. The returned parameters are the float64 master
+    weights.
 
     ``hidden_hook(epoch, hidden)`` receives the deterministic pass's hidden
     activations each epoch (used by the over-smoothing diagnostics).
@@ -268,37 +347,42 @@ def train(dataset: Dataset, gcn_config: GCNConfig, train_config: TrainConfig,
     params = init_params(gcn_config, rng)
     tensors = [t for p in params for t in p.tensors()]
     state = AdamState()
-    x = constant(dataset.features_csr())
+    params32, x, graph32 = float32_operands(
+        params, constant(dataset.features_csr()), graph)
     labels = dataset.labels
     split = dataset.split
-    plan = loss_rows(graph, split.train, gcn_config.n_layers)
+    plan = loss_rows(graph32, split.train, gcn_config.n_layers)
     plan_labels, observed = plan.loss_inputs(labels)
 
     logs = []
     best = {"val": -1.0, "test": 0.0, "epoch": -1,
             "snapshot": [t.data.copy() for t in tensors]}
     nonfinite_run = 0
+    divergence_limit = min(_DIVERGENCE_LIMIT, train_config.epochs)
     stop_reason = "max_epochs"
     capture = hidden_hook is not None
 
     for epoch in range(train_config.epochs):
         t0 = time.perf_counter()
-        loss_val, nll_val, kl_val = _train_step(
-            gcn_config, train_config, epoch, params, tensors, state, rng, x,
-            graph, plan, plan_labels, observed)
+        loss_val, nll_val, kl_val, stepped = _train_step(
+            gcn_config, train_config, epoch, params, params32, state, rng, x,
+            graph32, plan, plan_labels, observed)
         if not np.isfinite(loss_val):
             nonfinite_run += 1
-            if nonfinite_run >= _DIVERGENCE_LIMIT:
+            if nonfinite_run >= divergence_limit:
                 raise DivergenceError(
                     f"non-finite loss for {nonfinite_run} consecutive epochs "
                     f"(epoch {epoch})"
                 )
         else:
             nonfinite_run = 0
+        if stepped:
+            params32 = _cast_weights(params, epoch)
 
-        val_acc, test_acc, hidden = _det_eval(
-            params, x, graph, gcn_config, labels, split,
-            capture_hidden=capture)
+        with _overflow_allowed():
+            val_acc, test_acc, hidden = _det_eval(
+                params32, x, graph32, gcn_config, labels, split,
+                capture_hidden=capture)
         if capture:
             hidden_hook(epoch, hidden)
         logs.append(EpochLog(

@@ -78,9 +78,7 @@ class KumaraswamyParams:
     @classmethod
     def from_logs(cls, log_a: float, log_b: float) -> "KumaraswamyParams":
         """Parameters from their log values, kept bit for bit."""
-        with np.errstate(over="ignore"):
-            scale = np.exp([log_a, log_b])
-        if not np.all((scale > 0.0) & (scale < np.inf)):  # NaN fails too
+        if not finite_scales(log_a, log_b):
             raise ContractViolation(
                 f"Kumaraswamy (log a, log b) = ({log_a}, {log_b}) gives no "
                 f"positive finite (a, b)")
@@ -100,13 +98,30 @@ class KumaraswamyParams:
         return [self.log_a, self.log_b]
 
 
+def finite_scales(log_a: float, log_b: float) -> bool:
+    """Whether ``exp`` gives a positive finite a and b from their logs."""
+    with np.errstate(over="ignore"):
+        scale = np.exp([log_a, log_b])
+    return bool(np.all((scale > 0.0) & (scale < np.inf)))  # NaN fails too
+
+
+def median_draw_unclamped(a: float, b: float) -> bool:
+    """Whether the median Kumaraswamy(a, b) draw, (1 - 2^(-1/b))^(1/a),
+    lies inside the clamp of ``record_kuma_sample`` (_EPS, 1 - _EPS); a
+    clamped draw carries no gradient."""
+    with np.errstate(over="ignore", divide="ignore"):
+        median = (-np.expm1(-np.log(2.0) / b)) ** (1.0 / a)
+    return bool(_EPS < median < 1.0 - _EPS)
+
+
 def _clamp_unit(x: float) -> float:
     return min(max(x, _EPS), 1.0 - _EPS)
 
 
 def kuma_mean(a: float, b: float) -> float:
-    """E[pi] = b * B(1 + 1/a, b)."""
-    return float(b * beta_fn(1.0 + 1.0 / a, b))
+    """E[pi] = b * B(1 + 1/a, b), which rounding can put above 1 for an
+    extreme (a, b); it is capped there (NaN stays NaN)."""
+    return min(float(b * beta_fn(1.0 + 1.0 / a, b)), 1.0)
 
 
 def kl_kuma_beta(a: float, b: float, c: float, L: int,

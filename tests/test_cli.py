@@ -205,6 +205,12 @@ class TestConfigErrors:
         ("model.kuma_init_b", "0", "kuma_init_b must be > 0, got 0.0"),
         ("model.kuma_init_b", "nan",
          "model.kuma_init_b: expected a finite number, got 'nan'"),
+        ("model.kuma_init_b", "1e308",
+         "kuma_init_b 1e+308 puts the median initial keep draw on its "
+         "clamp, where it has no gradient"),
+        ("model.kuma_init_b", "1e-308",
+         "kuma_init_b 1e-308 puts the median initial keep draw on its "
+         "clamp, where it has no gradient"),
         ("model.temperature", "nan",
          "model.temperature: expected a finite number, got 'nan'"),
         ("model.hidden_dims", "16,,16",
@@ -309,6 +315,30 @@ class TestFlags:
 
 
 class TestTrain:
+    # Each once ended in a traceback (train.lr = 1e6: ZeroDivisionError in
+    # kuma_mean) or exited 0 after three non-finite epochs (l2_factor).
+    # lr = 1e39 takes a weight outside float32's range in one Adam step.
+    @pytest.mark.parametrize("overrides, message", [
+        ({"train.lr": "1e6"}, "gives no positive finite (a, b) (epoch 0)"),
+        ({"train.l2_factor": "1e308"},
+         "non-finite loss for 3 consecutive epochs (epoch 2)"),
+        ({"train.lr": "1e39", "model.regularizer": "dropout",
+          "model.learned": "false", "model.estimator": "none",
+          "model.n_blocks": "1"},
+         "layer 0: a weight left float32's range (epoch 0)"),
+    ])
+    def test_large_value_diverges_exit_3(self, tmp_path, synthetic_files,
+                                         capsys, overrides, message):
+        content, cites = synthetic_files
+        cfg = write_config(tmp_path / "run.ini", content, cites,
+                           tmp_path / "o", **{"train.epochs": "3",
+                                              "train.seeds": "0",
+                                              **overrides})
+        assert main(["train", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("training diverged: ") and message in err
+        assert "Traceback" not in err
+
     def test_artifacts_and_summary(self, config, capsys):
         cfg, out = config
         assert main(["train", "--config", cfg]) == 0

@@ -56,15 +56,15 @@ class TestSparseTensor:
             parameter(x)
 
     def test_constant_holds_csr_array(self):
-        # float32 constants stay float32, any other dtype becomes float64,
-        # and a parameter is float64 whatever it is given
+        # one rule for constants and parameters: float32 stays float32,
+        # any other dtype becomes float64
         for dtype, want in ((np.float32, np.float32), (np.int64, np.float64),
                             (np.float64, np.float64)):
             t = constant(csr_array(np.eye(3, dtype=dtype)))
             assert isinstance(t.data, csr_array)
             assert t.data.dtype == want and not t.requires_grad
             assert constant(np.eye(3, dtype=dtype)).data.dtype == want
-            assert parameter(np.eye(3, dtype=dtype)).data.dtype == np.float64
+            assert parameter(np.eye(3, dtype=dtype)).data.dtype == want
 
     def test_sparse_input_converts_dense_only(self):
         x = constant(np.eye(3))

@@ -439,6 +439,29 @@ class TestPiTangent:
                                                 s_blocks)
         assert abs(got - want) <= 1e-12 * magnitude
 
+    @pytest.mark.parametrize("f_out", [1, 2])   # multiply / aggregate first
+    def test_float32_inner_products_sum_in_float64(self, f_out):
+        # Every product is exact in float32 and the sum is 64. Summed in
+        # float32, each of up to 64 partial sums starts at 2^24, where
+        # adding 1 changes nothing, so the ones are lost.
+        k = 64
+        g = np.zeros((3 * k, f_out), dtype=np.float32)
+        g[:, 0] = [2.0 ** 24] * k + [1.0] * k + [-2.0 ** 24] * k
+        n = len(g)
+        assert np.vdot(g, np.ones_like(g)) != k
+        one = np.ones(n, dtype=np.float32)
+        t = Tape()
+        pi = parameter(0.5)
+        out = record_gdc_aggregate(
+            t, _eye(n).astype(np.float32), [one],
+            constant(np.ones((n, 1), dtype=np.float32)),
+            parameter(np.ones((1, f_out), dtype=np.float32)), pi=pi,
+            tangents=[one])
+        assert out.data.dtype == np.float32
+        # G reaches the op as the seed on ``out``, in float32
+        got = backward(t, record_scale(t, pi, 0.0), seeds={out: g}).get(pi)
+        assert got.dtype == np.float64 and got[0, 0] == k
+
 
 class TestElementwise:
     def test_relu_values(self):

@@ -316,22 +316,38 @@ class TestTrain:
         (MaskKind.DROPOUT, "none")])
     def test_loss_row_plan_changes_nothing(self, monkeypatch, kind,
                                            estimator):
-        # Passes restricted to the training nodes' receptive fields must
-        # give, bit for bit, the run whose passes compute every row: here a
-        # plan over all nodes that reads the training rows.
+        # Every step of a run on the training nodes' receptive fields must
+        # give, on its parameters and draws, the loss and gradients of a
+        # step whose passes compute every row (a plan over all nodes that
+        # reads the training rows). Their sums run over other rows, which
+        # a GEMM may block otherwise, so they agree to rounding: within
+        # BOUND of the sum of the absolute values of their terms, the float32
+        # step's bound (tests/test_train_precision.py), as TestPiTangent's.
         import gdcn.training as training
-        from gdcn.model import LossRows
-        real = training.loss_rows
-        restricted = []
+        from gdcn.model import LossRows, loss_rows
+        from test_train_precision import (BOUND, recorded_step, scales,
+                                          within_bound)
+        real = training.step_gradients
+        checked = []
 
-        def spy(graph, observed, n_layers):
-            plan = real(graph, observed, n_layers)
-            restricted.append(len(plan.layers[0].out) < graph.edges.n)
-            return plan
-
-        def every_row(graph, observed, n_layers):
-            plan = real(graph, np.arange(graph.edges.n), n_layers)
-            return LossRows(layers=plan.layers, observed=observed)
+        def step(cfg, tc, epoch, params, params32, rng, x, graph, plan,
+                 labels, observed):
+            every = loss_rows(graph, np.arange(graph.edges.n), cfg.n_layers)
+            full = LossRows(layers=every.layers, observed=ds.split.train)
+            full_inputs = full.loss_inputs(ds.labels)
+            twin = np.random.default_rng()
+            twin.bit_generator.state = rng.bit_generator.state
+            with recorded_step() as seen:
+                want = real(cfg, tc, epoch, params, params32, twin, x, graph,
+                            full, *full_inputs)
+            got = real(cfg, tc, epoch, params, params32, rng, x, graph, plan,
+                       labels, observed)
+            assert len(plan.layers[0].out) < graph.edges.n
+            assert rng.bit_generator.state == twin.bit_generator.state
+            scale = scales(cfg, tc.l2_factor, graph, params, seen, want,
+                           full_inputs)
+            checked.append(within_bound(got, want, scale, BOUND))
+            return got
 
         ds = synthetic_dataset(n_per=20, intra_prob=0.15)
         learned = estimator != "none"
@@ -339,16 +355,39 @@ class TestTrain:
                            learned=learned, estimator=estimator,
                            n_blocks=2 if kind == MaskKind.GDC else 1)
         tc = TrainConfig(epochs=4, lr=0.05, patience=4, seeds=(0,))
-        monkeypatch.setattr(training, "loss_rows", spy)
-        compact = train(ds, cfg, tc, seed=0)
-        assert restricted == [True]
-        monkeypatch.setattr(training, "loss_rows", every_row)
-        full = train(ds, cfg, tc, seed=0)
-        assert [dataclasses.replace(e, wall_time=0.0) for e in compact.logs] \
-            == [dataclasses.replace(e, wall_time=0.0) for e in full.logs]
-        for a, b in zip(compact.params, full.params):
-            for t, u in zip(a.tensors(), b.tensors()):
-                assert np.array_equal(t.data, u.data)
+        monkeypatch.setattr(training, "step_gradients", step)
+        train(ds, cfg, tc, seed=0)
+        assert checked == [True] * tc.epochs
+
+    def test_step_gradients_add_the_master_penalty(self):
+        # The passes run on float32 copies and the weight penalty on the
+        # float64 masters: on the same draws, raising l2_factor by c adds
+        # exactly 2 c W to every weight's gradient, and nothing elsewhere.
+        from gdcn.model import float32_operands, init_params, loss_rows
+        from gdcn.tape import constant
+        from gdcn.training import step_gradients
+        ds = synthetic_dataset()
+        graph = PreparedGraph.from_edges(ds.edges, ds.n_nodes)
+        cfg = small_config(ds.n_features, ds.class_count, kind=MaskKind.GDC,
+                           learned=True, estimator="concrete", n_blocks=2)
+        params = init_params(cfg, np.random.default_rng(0))
+        params32, x, graph32 = float32_operands(
+            params, constant(ds.features_csr()), graph)
+        plan = loss_rows(graph32, ds.split.train, cfg.n_layers)
+
+        def grads(l2):
+            *_, g = step_gradients(cfg, TrainConfig(l2_factor=l2), 0, params,
+                                   params32, np.random.default_rng(1), x,
+                                   graph32, plan, *plan.loss_inputs(ds.labels))
+            return g
+
+        base, more = grads(0.0), grads(0.25)
+        for p in params:
+            assert more[p.m].dtype == np.float64
+            np.testing.assert_allclose(more[p.m] - base[p.m], 0.5 * p.m.data,
+                                       rtol=1e-12, atol=1e-15)
+            for t in p.kuma.tensors():
+                assert np.array_equal(more[t], base[t])
 
     def test_kl_weight_scaling_loss(self, monkeypatch):
         # One epoch at lr 0 on one draw: with the flag the weight penalty is

@@ -56,6 +56,14 @@ class TestKumaSample:
         draws = (1.0 - u ** (1.0 / b)) ** (1.0 / a)
         assert draws.mean() == pytest.approx(kuma_mean(a, b), abs=0.002)
 
+    def test_mean_capped_at_one(self):
+        # b B(1 + 1/a, b) rounds to 1 + 2^-52 here; a keep probability
+        # above 1 once ended a run with a large step size in a traceback.
+        a, b = np.exp(-50.0), np.exp(-57.5)
+        assert float(b * beta_fn(1.0 + 1.0 / a, b)) > 1.0
+        assert kuma_mean(a, b) == 1.0
+        assert np.isnan(kuma_mean(np.exp(-300.0), np.exp(180.0)))
+
     def test_invalid_params(self):
         # Log values make every finite (a, b) positive; a = exp(-inf) = 0
         # and a negative a are rejected when the parameters are made.
