@@ -22,13 +22,14 @@ naming it.
 The loader returns the features as a bool (n, f) array: the file holds only
 0 and 1, so a bool holds exactly what it says, in an eighth of a float64
 array's memory; a ``-0`` token loads as False, so its row normalizes to
-+0.0 there. ``row_normalize`` turns them into the float64 (n, f) array
-that ``gdcn train`` and ``uq`` use by default. ``Dataset.features`` is a
-dense (n, f) array, raw or normalized, and stays the public form of the
++0.0 there. ``row_normalize`` turns them into the float32 (n, f) array
+that ``gdcn train`` and ``uq`` use by default: every pass computes in
+float32, so no float64 copy of the input is kept. ``Dataset.features`` is
+a dense (n, f) array, raw or normalized, and stays the public form of the
 input. ``train`` and the CLI's evaluation commands read
-``Dataset.features_csr()``, which converts it once per features array, so
-training several seeds on one dataset converts it once; ``predict_mc`` and
-``forward_deterministic`` cast that CSR form to float32 once per call.
+``Dataset.features_csr()``, a float32 CSR array converted once per
+features array, so training several seeds on one dataset converts it once
+and no pass casts it again.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ class Split:
 
 @dataclass
 class Dataset:
-    """A citation graph: dense (n, f) ``features`` (bool as loaded, float64
+    """A citation graph: dense (n, f) ``features`` (bool as loaded, float32
     after ``row_normalize``), int64 labels in ``[0, class_count)``, and the
     undirected edges."""
 
@@ -66,8 +67,10 @@ class Dataset:
                                compare=False)
 
     def features_csr(self) -> csr_array:
-        """``features`` as a float64 CSR array (``graph.dense_to_csr``),
-        converted once per features array.
+        """``features`` as a float32 CSR array (``graph.dense_to_csr``),
+        whatever their dtype, converted once per features array. It is the
+        one float32 copy of the input: ``model.float32_operands`` shares it
+        rather than casting it.
 
         The CSR form is kept while ``features`` is the same array object.
         That array becomes read-only, and so do the CSR form's arrays, so
@@ -76,7 +79,7 @@ class Dataset:
         """
         feats = self.features
         if self._csr is None or self._csr[0] is not feats:
-            csr = dense_to_csr(feats)
+            csr = dense_to_csr(feats, np.float32)
             for arr in (csr.data, csr.indices, csr.indptr):
                 arr.flags.writeable = False
             feats.flags.writeable = False
@@ -236,19 +239,28 @@ def _parse_row(path, lineno: int, field: str) -> np.ndarray:
 
 
 def row_normalize(features: np.ndarray) -> np.ndarray:
-    """Divide each row by its sum; all-zero rows stay zero.
+    """Divide each row by its sum; a row whose sum is not positive (all
+    zero, NaN or negative) becomes +0.0.
 
-    Returns a new float64 array and leaves ``features`` unchanged. The sums
-    are taken in float64 and the division writes straight into the output,
-    so a bool or integer input (the loader's bool features) is cast in
-    numpy's small buffers and never copied whole to float64. A float64
-    input gives the bits of ``where(sums > 0, features / sums, 0)``.
+    Returns a new float32 array and leaves ``features`` unchanged: each
+    value is ``where(sums > 0, features / sums, 0)`` computed in float64
+    and rounded once to float32, the bits every float32 pass reads. The
+    sums are taken in float64 and the division writes straight into the
+    uninitialized output, so a bool or integer input (the loader's bool
+    features) is cast in numpy's small buffers and never copied whole to
+    float64; only the rows that are not positive are written again.
     """
     features = np.asarray(features)
-    sums = features.sum(axis=1, keepdims=True, dtype=np.float64)
-    out = np.zeros(features.shape)
+    out = np.empty(features.shape, dtype=np.float32)
+    # inf - inf in a sum, or inf / inf in a quotient, gives a NaN that the
+    # rule above handles, so neither warns.
     with np.errstate(invalid="ignore"):
-        return np.divide(features, sums, out=out, where=sums > 0)
+        sums = features.sum(axis=1, keepdims=True, dtype=np.float64)
+        zero = ~(sums[:, 0] > 0)
+        sums[zero] = 1.0        # no 0/0 in rows that are written again
+        np.divide(features, sums, out=out)
+    out[zero] = 0.0
+    return out
 
 
 def make_split(dataset: Dataset, per_class_train: int, n_val: int,

@@ -39,9 +39,10 @@ def entry_rows(a: sp.csr_array) -> np.ndarray:
 
 def dense_to_csr(dense: np.ndarray, dtype=np.float64) -> sp.csr_array:
     """``csr_array(dense.astype(np.float64)).astype(dtype)`` for a 2-D
-    float64, bool or integer array, read as it is, with no float64 copy:
-    the same arrays, index dtype included, from one ``flatnonzero`` scan in
-    about a third of its time."""
+    float64, float32, bool or integer array, read as it is, with no float64
+    copy: the same arrays, index dtype included, from one ``flatnonzero``
+    scan in about a third of its time. A float32 array converted to float32
+    reads half the bytes of a float64 one and casts nothing."""
     n, f = dense.shape
     flat = np.flatnonzero(dense != 0.0)
     idx = index_dtype(len(flat), n, f)

@@ -31,22 +31,24 @@ adjacency entry for (v, u) and then applying W equals aggregating with the
 per-edge weight diag(z_vu) W. The test suite checks this identity against a
 dense per-edge oracle.
 
-``Dataset.features`` stays a dense array. The entry points ``predict_mc``
-and ``forward_deterministic`` convert it to a float32 CSR constant once
-per call, and ``training.train`` reads the dataset's own CSR form,
-converted once per features array (``Dataset.features_csr``), so the
+``Dataset.features`` stays a dense array, float32 once row-normalized.
+``training.train`` and the CLI read the dataset's own float32 CSR form,
+converted once per features array (``Dataset.features_csr``), and every
+pass shares it uncast; ``predict_mc`` and ``forward_deterministic``
+convert a dense input to a float32 CSR constant once per call. So the
 layer-0 matmuls run on sparse kernels and layer-0 DropOut draws one value
 per stored entry. ``forward`` never converts: a dense input keeps the
 dense path.
 
 A pass computes in the dtype of its operands (``tape``'s dtype rule).
 Training's passes, ``predict_mc``'s and the deterministic evaluation's run
-in float32 on ``float32_operands``: float32 copies of the weights, biases,
-input and ``a_norm``, with the masks applied in float32 and the masks
-drawn as a float64 pass draws them. Concrete tangents are applied in
-float32 too. Each pass finishes in float64, where the log-softmax casts its
-(n, C) logits, so every pass returns float64 log-probabilities and the
-loss on them is float64. A pass on float64 operands stays float64.
+in float32 on ``float32_operands``: float32 copies of the weights, biases
+and ``a_norm`` and the float32 CSR input, with the masks applied in
+float32 and the masks drawn as a float64 pass draws them. Concrete
+tangents are applied in float32 too. Each pass finishes in float64, where
+the log-softmax casts its (n, C) logits, so every pass returns float64
+log-probabilities and the loss on them is float64. A pass on float64
+operands stays float64.
 
 The deterministic evaluation scales each connection by its layer's
 expected keep probability pi. That value is the same for every GDC block,
@@ -708,9 +710,10 @@ def float32_operands(params: list, x: Tensor, graph: PreparedGraph):
     ``float32_params``' copies of the weights and biases, ``x`` as a
     float32 CSR constant (``sparse_input``) and ``graph`` sharing
     everything but a float32 copy of ``a_norm``. The arguments are left
-    unchanged. Operands that are float32 already are shared, not copied,
-    so ``training.train`` casts once and every pass on its operands reuses
-    that cast."""
+    unchanged. Operands that are float32 already are shared, not copied:
+    ``Dataset.features_csr()``'s float32 CSR input is passed through as
+    it is, and ``training.train`` casts the rest once, so every pass on its
+    operands reuses that cast."""
     graph32 = replace(graph, a_norm=graph.a_norm.astype(np.float32,
                                                         copy=False))
     return float32_params(params), sparse_input(x, np.float32), graph32

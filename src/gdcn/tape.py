@@ -76,7 +76,8 @@ class Tensor:
         if issparse(data):
             if requires_grad:
                 raise ContractViolation("a sparse tensor cannot require grad")
-            data = csr_array(data)
+            if not isinstance(data, csr_array):
+                data = csr_array(data)
             self.data = (data if data.dtype == np.float32
                          else data.astype(np.float64, copy=False))
             self.requires_grad = False
@@ -419,11 +420,15 @@ def record_mul(tape, x: Tensor, y: Tensor) -> Tensor:
 
 
 def record_frobenius_sq(tape, x: Tensor) -> Tensor:
+    """``||x||^2`` as a (1, 1) tensor. The backward computes ``2 g x`` in
+    float64 and hands ``x`` its gradient in ``x``'s dtype, so a float32
+    input's gradient does not promote the gradients upstream of it."""
     out_data = np.array([[np.sum(x.data * x.data)]])
 
     def bwd(g, acc):
         if x.requires_grad:
-            acc(x, 2.0 * g[0, 0] * x.data)
+            dx = 2.0 * np.float64(g[0, 0]) * x.data
+            acc(x, dx.astype(x.data.dtype, copy=False))
 
     return _maybe_record(tape, out_data, (x,), bwd)
 

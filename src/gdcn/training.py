@@ -7,11 +7,12 @@ stopping does not chase mask noise, with one product per layer
 (``model.forward_deterministic``).
 
 Training is mixed precision (Micikevicius et al., arXiv 1710.03740): every
-pass runs in float32 on float64 master weights. ``train`` casts the CSR
-input, ``a_norm`` and the loss-row plan's matrices to float32 once per
-call, and the weights and biases once at the start and after each Adam
-step (``model.float32_params``); the deterministic evaluation of epoch e
-and the passes of step e + 1 share that one cast. The log-softmax, the NLL,
+pass runs in float32 on float64 master weights. ``train`` reads the
+dataset's float32 CSR input as it is, casts ``a_norm`` and the loss-row
+plan's matrices to float32 once per call, and casts the weights and
+biases once at the start and after each Adam step
+(``model.float32_params``); the deterministic evaluation of epoch e and
+the passes of step e + 1 share that one cast. The log-softmax, the NLL,
 the KL and the weight penalty are float64, and the penalty is taken on the
 master weights. Concrete's dL/dpi sums its inner products in float64. The
 float32 gradients are cast to float64 and added to the masters' own before
@@ -327,11 +328,11 @@ def train(dataset: Dataset, gcn_config: GCNConfig, train_config: TrainConfig,
           hidden_hook=None) -> TrainResult:
     """Train one model; returns the parameters of the best validation epoch.
 
-    The layer-0 input is ``dataset.features_csr()``, converted to CSR once
-    per features array, so training again on the same dataset (another
-    seed, another config) skips the conversion; ``train`` casts it to
-    float32 once per call. The returned parameters are the float64 master
-    weights.
+    The layer-0 input is ``dataset.features_csr()``, a float32 CSR array
+    converted once per features array, so training again on the same
+    dataset (another seed, another config) skips the conversion, and every
+    pass reads it without a cast. The returned parameters are the float64
+    master weights.
 
     ``hidden_hook(epoch, hidden)`` receives the deterministic pass's hidden
     activations each epoch (used by the over-smoothing diagnostics).

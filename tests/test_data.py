@@ -1,5 +1,7 @@
 """Content/cites ingestion, splits, and the binary dataset cache."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.sparse import csr_array
@@ -195,6 +197,22 @@ class TestLoadContentCites:
         assert len(np.unique(keys)) == len(keys)
 
 
+def where_formula(f):
+    """``where(sums > 0, f / sums, 0)`` in float64, rounded once to
+    float32."""
+    f = np.asarray(f, dtype=np.float64)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        sums = f.sum(axis=1, keepdims=True)
+        return np.where(sums > 0, f / sums, 0.0).astype(np.float32)
+
+
+def quiet_row_normalize(f):
+    """``row_normalize(f)``, failing on any warning it raises."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return row_normalize(f)
+
+
 class TestRowNormalize:
     def test_basic(self):
         out = row_normalize(np.array([[1.0, 1.0, 0.0, 0.0]]))
@@ -216,12 +234,42 @@ class TestRowNormalize:
             f = (rng.random(shape) < 0.1).astype(np.float64)
             f[::3] = 0.0
             before = f.copy()
-            sums = f.sum(axis=1, keepdims=True)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                want = np.where(sums > 0, f / sums, 0.0)
             got = row_normalize(f)
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert got.dtype == np.float32
+            assert np.array_equal(got.view(np.uint32),
+                                  where_formula(f).view(np.uint32))
             assert np.array_equal(f.view(np.uint64), before.view(np.uint64))
+
+    def test_rows_not_summing_above_zero_give_positive_zero(self):
+        # Sums 0 (all +0.0, all -0.0, mixed), NaN, NaN (inf - inf), 0 and
+        # negative; the last row sums to 1 and keeps its negative entry and
+        # its -0.0.
+        f = np.array([[0.0, 0.0, 0.0], [-0.0, -0.0, -0.0], [-0.0, 0.0, -0.0],
+                      [np.nan, 1.0, 0.0], [np.inf, -np.inf, 1.0],
+                      [1.0, -1.0, 0.0], [-1.0, -2.0, 0.0],
+                      [2.0, -1.0, -0.0]])
+        got = quiet_row_normalize(f)
+        assert np.array_equal(got.view(np.uint32),
+                              where_formula(f).view(np.uint32))
+        assert np.array_equal(got[:7], np.zeros((7, 3)))
+        assert not np.signbit(got[:7]).any()
+        assert got[7].tolist() == [2.0, -1.0, 0.0] and np.signbit(got[7, 2])
+
+    @pytest.mark.parametrize("dtype", [bool, np.int64, np.float32,
+                                       np.float64])
+    def test_input_unchanged_and_equal_to_its_float64_formula(self, dtype):
+        rng = np.random.default_rng(8)
+        f = (rng.random((30, 12)) < 0.3).astype(dtype)
+        if dtype is not bool:
+            f *= rng.integers(1, 4, size=f.shape).astype(dtype)
+        f[::4] = 0
+        before = f.copy()
+        got = quiet_row_normalize(f)
+        assert got.dtype == np.float32 and got is not f
+        assert np.array_equal(got.view(np.uint32),
+                              where_formula(f).view(np.uint32))
+        assert f.dtype == before.dtype
+        assert f.tobytes() == before.tobytes()
 
 
 class TestFeaturesCsr:
@@ -229,33 +277,34 @@ class TestFeaturesCsr:
         return Dataset(features=features, labels=np.zeros(len(features), int),
                        edges=np.zeros((0, 2), dtype=np.int64), class_count=1)
 
+    @staticmethod
+    def assert_float32_conversion(got, f):
+        """``got`` equals ``csr_array(f).astype(np.float32)`` in shape and
+        in the dtype and bits of data, indices and indptr."""
+        want = csr_array(f).astype(np.float32)
+        assert got.dtype == np.float32 and got.shape == want.shape
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
     def test_equals_scipy_conversion(self):
         rng = np.random.default_rng(4)
         f = rng.random((40, 25)) * (rng.random((40, 25)) < 0.2)
         f[3] = 0.0
         f[5, 7] = -0.0
-        got, want = self._ds(f.copy()).features_csr(), csr_array(f)
-        assert got.dtype == np.float64 and got.shape == want.shape
-        for name in ("data", "indices", "indptr"):
-            assert getattr(got, name).dtype == getattr(want, name).dtype
-            np.testing.assert_array_equal(getattr(got, name),
-                                          getattr(want, name))
+        self.assert_float32_conversion(self._ds(f.copy()).features_csr(), f)
 
     def test_integer_features_become_float(self):
         got = self._ds(np.eye(4, dtype=np.int64)).features_csr()
-        assert got.dtype == np.float64
+        self.assert_float32_conversion(got, np.eye(4, dtype=np.int64))
         np.testing.assert_array_equal(got.toarray(), np.eye(4))
 
     def test_bool_features_equal_their_float_conversion(self):
         rng = np.random.default_rng(6)
         f = rng.random((40, 25)) < 0.2
         f[3] = False
-        want = csr_array(f.astype(np.float64))
         got = self._ds(f).features_csr()
-        assert got.dtype == np.float64 and got.shape == want.shape
-        for name in ("data", "indices", "indptr"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        self.assert_float32_conversion(got, f.astype(np.float64))
 
     @pytest.mark.parametrize("n_blocks", [1, 3, 4])
     def test_feature_blocks_equal_column_slices(self, n_blocks):
@@ -265,17 +314,20 @@ class TestFeaturesCsr:
         f = rng.random((30, 17)) * (rng.random((30, 17)) < 0.3)
         ds = self._ds(f)
         csr = ds.features_csr()
+        self.assert_float32_conversion(csr, f)
         for name in ("data", "indices", "indptr"):
             assert not getattr(csr, name).flags.writeable
         blocks = split_columns(csr, n_blocks)
         assert len(blocks) == n_blocks
+        f32 = f.astype(np.float32)
         for got, (c0, c1) in zip(blocks, block_bounds(17, n_blocks)):
-            np.testing.assert_array_equal(got.toarray(), f[:, c0:c1])
+            np.testing.assert_array_equal(got.toarray(), f32[:, c0:c1])
         assert ds.features_csr() is csr
 
     def test_converted_once_per_features_array(self):
         ds = self._ds(np.eye(5))
         first = ds.features_csr()
+        self.assert_float32_conversion(first, np.eye(5))
         assert ds.features_csr() is first
         with pytest.raises(ValueError, match="read-only"):
             ds.features[0, 1] = 1.0
@@ -284,7 +336,7 @@ class TestFeaturesCsr:
         ds.features = 2.0 * np.eye(5)
         again = ds.features_csr()
         assert again is not first
-        np.testing.assert_array_equal(again.toarray(), 2.0 * np.eye(5))
+        self.assert_float32_conversion(again, 2.0 * np.eye(5))
 
 
 class TestMakeSplit:

@@ -141,9 +141,15 @@ def test_train_after_predict_mc_unchanged(name):
     cfg, ds, graph, _ = setup(name)
     tc = TrainConfig(epochs=3, seeds=(0,))
     first = train(ds, cfg, tc, seed=0, graph=graph)
-    x = constant(ds.features_csr())
+    csr = ds.features_csr()
+    before = csr.copy()
+    x = constant(csr)
     predict_mc(first.params, x, graph, cfg, S, np.random.default_rng(3))
-    assert ds.features_csr().dtype == np.float64
+    assert ds.features_csr() is csr
+    assert csr.dtype == before.dtype == np.float32
+    for attr in ("data", "indices", "indptr"):
+        a, b = getattr(csr, attr), getattr(before, attr)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), attr
     assert all(t.data.dtype == np.float64
                for p in first.params for t in p.tensors())
     second = train(ds, cfg, tc, seed=0, graph=graph)

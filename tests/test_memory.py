@@ -1,7 +1,8 @@
 """What loading, normalizing and training keep in memory.
 
 The loader returns bool features, ``row_normalize`` and the CSR conversion
-make no float64 copy of them, and ``train`` frees each step (its tape, its
+make no float64 copy of them, every pass of ``train`` reads the dataset's
+one float32 CSR input, and ``train`` frees each step (its tape, its
 masks, block products and gradients) before the deterministic evaluation
 that follows it.
 """
@@ -13,11 +14,13 @@ import weakref
 import numpy as np
 import pytest
 
+import gdcn.model as gmodel
 import gdcn.tape as gtape
 import gdcn.training as training
 from gdcn.data import Dataset, load_content_cites, row_normalize
 from gdcn.masks import MaskKind
-from gdcn.tape import split_columns
+from gdcn.model import PreparedGraph, float32_operands, init_params
+from gdcn.tape import constant, split_columns
 from gdcn.training import TrainConfig, train
 
 from test_training import small_config, synthetic_dataset
@@ -69,11 +72,12 @@ class TestRowNormalize:
         f = binary(shape)
         before = f.copy()
         out, peak = traced_peak(row_normalize, f)
-        assert out.dtype == np.float64
-        # O(n) beyond the output: the row sums and where they are positive.
+        assert out.dtype == np.float32
+        # O(n) beyond the float32 output: the row sums and the rows whose
+        # sum is not positive.
         assert peak <= out.nbytes + 16 * shape[0] + _BUFFERS
         want = row_normalize(f.astype(np.float64))
-        assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(out.view(np.uint32), want.view(np.uint32))
         assert np.array_equal(f, before)
 
     def test_feature_blocks_make_no_float64_copy(self):
@@ -84,6 +88,43 @@ class TestRowNormalize:
             lambda: split_columns(ds.features_csr(), 4))
         assert peak < f.size * 8 // 4
         assert sum(b.nnz for b in blocks) == np.count_nonzero(f)
+
+
+class TestInputShared:
+    def test_float32_operands_share_the_dataset_csr(self):
+        ds = synthetic_dataset()
+        cfg = small_config(ds.n_features, ds.class_count)
+        graph = PreparedGraph.from_edges(ds.edges, ds.n_nodes)
+        params = init_params(cfg, np.random.default_rng(0))
+        csr = ds.features_csr()
+        assert csr.dtype == np.float32
+        assert float32_operands(params, constant(csr), graph)[1].data is csr
+
+    @pytest.mark.parametrize("kind,estimator", [
+        (MaskKind.GDC, "arm"), (MaskKind.DROPOUT, "none")])
+    def test_every_train_pass_reads_the_dataset_csr(self, monkeypatch, kind,
+                                                    estimator):
+        ds = synthetic_dataset()
+        ds.features = row_normalize(ds.features)
+        cfg = small_config(ds.n_features, ds.class_count, kind=kind,
+                           learned=estimator != "none", estimator=estimator)
+        real_forward = gmodel.forward
+        inputs = []
+
+        def forward(params, x, *args, **kwargs):
+            inputs.append(x.data)
+            return real_forward(params, x, *args, **kwargs)
+
+        # the passes of a step call training.forward, the det-eval's
+        # model.forward
+        monkeypatch.setattr(training, "forward", forward)
+        monkeypatch.setattr(gmodel, "forward", forward)
+        epochs = 3
+        train(ds, cfg, TrainConfig(epochs=epochs, patience=epochs,
+                                   seeds=(0,)), seed=0)
+        # the recorded pass and the det-eval per epoch, ARM's Z1 pass too
+        assert len(inputs) == (3 if estimator == "arm" else 2) * epochs
+        assert all(x is ds.features_csr() for x in inputs)
 
 
 class TestStepFreedBeforeDetEval:

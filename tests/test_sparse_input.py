@@ -1,5 +1,7 @@
 """CSR layer-0 input: equivalence with the dense path and sparse DropOut."""
 
+import itertools
+
 import numpy as np
 import pytest
 from scipy.sparse import csr_array
@@ -88,9 +90,11 @@ class TestSparseTensor:
             x[2] = 0.0                   # an empty row
         if x.size > 2:
             x.flat[1], x.flat[-1] = -0.0, np.inf  # -0.0 is not stored, inf is
-        for dtype in (np.float64, np.float32):
-            got = sparse_input(constant(x), dtype).data
-            want = csr_array(x).astype(dtype)
+        # a float32 dense input, as row_normalize returns, too
+        for dense, dtype in itertools.product((x, x.astype(np.float32)),
+                                              (np.float64, np.float32)):
+            got = sparse_input(constant(dense), dtype).data
+            want = csr_array(dense).astype(dtype)
             assert got.shape == want.shape
             for name in ("data", "indices", "indptr"):
                 assert np.array_equal(getattr(got, name), getattr(want, name))

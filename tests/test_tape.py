@@ -614,6 +614,23 @@ class TestBackward:
         loss = record_frobenius_sq(t, w)
         np.testing.assert_allclose(backward(t, loss).get(w), 2.0 * w.data)
 
+    def test_frobenius_gradient_of_float32_is_float32(self):
+        # 2 g x in float64, rounded once; the ReLU upstream of it then
+        # hands w a float32 gradient too.
+        rng = np.random.default_rng(7)
+        t = Tape()
+        w = parameter(rng.normal(size=(3, 4)).astype(np.float32))
+        h = record_relu(t, w)
+        loss = record_scale(t, record_frobenius_sq(t, h), 0.3)
+        grads = backward(t, loss)
+        dh = grads.get(h)
+        want = (2.0 * 0.3 * h.data.astype(np.float64)).astype(np.float32)
+        assert dh.dtype == np.float32
+        assert np.array_equal(dh.view(np.uint32), want.view(np.uint32))
+        dw = grads.get(w)
+        assert dw.dtype == np.float32
+        assert np.array_equal(dw, want * (w.data > 0))
+
     def test_unused_parameter_gets_zeros(self):
         t = Tape()
         w = parameter(np.ones((2, 2)))
