@@ -280,4 +280,6 @@ def load_config(path) -> RunConfig:
     for key in ("data.content", "data.cites"):
         if not os.path.exists(cfg.values[key]):
             raise ConfigError(f"{key}: path does not exist: {cfg.values[key]}")
+    if not cfg.values["output.dir"]:
+        raise ConfigError("output.dir: expected a directory path, got ''")
     return cfg

@@ -20,13 +20,10 @@ ARM's, whose uniforms ``model.sample_step_masks`` draws (``free_uniforms``)
 and whose keep masks ``model.arm_masks`` builds (``keep_mask``).
 
 Binary masks (DropOut, node, DropEdge, GDC and random-walk) draw through
-one of two exact Bernoulli rules, passed to each sampler as ``draw``:
-``bernoulli_uniform`` compares one float64 uniform per entry with p, and
-``bernoulli`` compares one random byte per entry with 256 p, drawing a
-uniform only on a tie. ``model.sample_step_masks`` picks the rule from its
-mode: ``mc`` passes use ``bernoulli``, ``train`` steps
-``bernoulli_uniform``. Concrete and ARM uniforms and the Kumaraswamy draw
-of a learned keep probability use ``rng.random`` in every mode.
+one exact Bernoulli rule, ``bernoulli``, in training steps and Monte
+Carlo passes alike: one random byte per entry, compared with 256 p, and a
+uniform only on a tie. Concrete and ARM uniforms and the Kumaraswamy draw
+of a learned keep probability use ``rng.random``.
 """
 
 from __future__ import annotations
@@ -40,6 +37,11 @@ from scipy.special import expit
 from .errors import ContractViolation
 from .graph import EdgeSet
 from .tape import Tensor, constant
+
+
+# Inside the clamps of pi and u, a relaxed mask's logit is at most 46.06 / t
+# in magnitude, which overflows float64 for t below about 2.6e-307.
+MIN_TEMPERATURE = 1e-300
 
 
 class MaskKind(enum.Enum):
@@ -94,6 +96,10 @@ class MaskSpec:
                                     f"gdc, got {self.kind.value}")
         if self.relaxed and not self.temperature > 0:   # NaN fails too
             raise ContractViolation("relaxed masks require temperature > 0")
+        if self.relaxed and self.temperature < MIN_TEMPERATURE:
+            raise ContractViolation(
+                f"relaxed masks require temperature >= {MIN_TEMPERATURE}, "
+                f"got {self.temperature}")
         if self.dropout_keep is not None and not 0.0 <= self.dropout_keep <= 1.0:
             raise ContractViolation("dropout_keep must lie in [0, 1]")
         if self.learned and self.kind not in (MaskKind.DROPEDGE, MaskKind.GDC):
@@ -127,17 +133,9 @@ def _check_prob(p: float) -> None:
         raise ContractViolation(f"keep probability {p} outside [0, 1]")
 
 
-def bernoulli_uniform(shape, p: float,
-                      rng: np.random.Generator) -> np.ndarray:
-    """I.i.d. Bernoulli(p) booleans from one float64 uniform per entry,
-    ``rng.random(shape) < p``: the training rule."""
-    _check_prob(p)
-    return rng.random(shape) < p
-
-
 def bernoulli(shape, p: float, rng: np.random.Generator) -> np.ndarray:
     """I.i.d. Bernoulli(p) booleans from one random byte per entry: the
-    Monte Carlo rule.
+    rule of every binary mask.
 
     With ``t = 256 p`` (exact in float64) and ``k = floor(t)``, an entry
     keeps where its byte ``u < k``. Only where ``u == k``, and only if
@@ -164,18 +162,15 @@ def bernoulli(shape, p: float, rng: np.random.Generator) -> np.ndarray:
 
 
 def sample_dropout_mask(n: int, f: int, keep_prob: float,
-                        rng: np.random.Generator,
-                        draw=bernoulli_uniform) -> np.ndarray:
-    """I.i.d. Bernoulli(keep_prob) boolean feature mask, applied as H * Z.
-    ``draw`` is the Bernoulli rule (``bernoulli_uniform`` or
-    ``bernoulli``), here and in every binary sampler below."""
-    return draw((n, f), keep_prob, rng)
+                        rng: np.random.Generator) -> np.ndarray:
+    """I.i.d. Bernoulli(keep_prob) boolean feature mask, applied as H * Z."""
+    return bernoulli((n, f), keep_prob, rng)
 
 
-def sample_node_mask(n: int, keep_prob: float, rng: np.random.Generator,
-                     draw=bernoulli_uniform) -> np.ndarray:
+def sample_node_mask(n: int, keep_prob: float,
+                     rng: np.random.Generator) -> np.ndarray:
     """I.i.d. Bernoulli(keep_prob) boolean node mask, applied as diag(z) H."""
-    return draw(n, keep_prob, rng)
+    return bernoulli(n, keep_prob, rng)
 
 
 def free_entries(edges: EdgeSet, spec: MaskSpec) -> np.ndarray | None:
@@ -230,26 +225,24 @@ def keep_mask(edges: EdgeSet, free: np.ndarray | None,
 
 
 def sample_gdc_masks(edges: EdgeSet, spec: MaskSpec, keep_prob: float,
-                     rng: np.random.Generator,
-                     draw=bernoulli_uniform) -> EdgeMask:
+                     rng: np.random.Generator) -> EdgeMask:
     """``spec.n_blocks`` independent Bernoulli(keep_prob) masks, one per
     feature block; with one block, DropEdge's (``sample_dropedge_mask``)."""
     free = free_entries(edges, spec)
-    keep = draw((spec.n_blocks, _n_free(edges, free)), keep_prob, rng)
+    keep = bernoulli((spec.n_blocks, _n_free(edges, free)), keep_prob, rng)
     return keep_mask(edges, free, keep.astype(np.float64))
 
 
 def sample_dropedge_mask(edges: EdgeSet, spec: MaskSpec, keep_prob: float,
-                         rng: np.random.Generator,
-                         draw=bernoulli_uniform) -> EdgeMask:
+                         rng: np.random.Generator) -> EdgeMask:
     """DropEdge's mask: GDC with the one block of a DropEdge ``spec``
     (``sample_gdc_masks``), draw for draw."""
-    return sample_gdc_masks(edges, spec, keep_prob, rng, draw)
+    return sample_gdc_masks(edges, spec, keep_prob, rng)
 
 
 def sample_randomwalk_mask(edges: EdgeSet, keep_prob: float,
-                           prev: EdgeMask | None, rng: np.random.Generator,
-                           draw=bernoulli_uniform) -> EdgeMask:
+                           prev: EdgeMask | None,
+                           rng: np.random.Generator) -> EdgeMask:
     """Bernoulli draw gated by connectivity surviving the previous layer.
 
     Entry (v, u) can only be kept if node v retained at least one incoming
@@ -257,7 +250,7 @@ def sample_randomwalk_mask(edges: EdgeSet, keep_prob: float,
     connected subgraph. The first random-walk layer takes ``prev=None``:
     nothing was dropped before it, so no entry is gated.
     """
-    vals = draw(edges.n_entries, keep_prob, rng).astype(np.float64)
+    vals = bernoulli(edges.n_entries, keep_prob, rng).astype(np.float64)
     if prev is None:
         return EdgeMask(blocks=[constant(vals)])
     if prev.n_blocks != 1:

@@ -110,6 +110,9 @@ class TrainConfig:
 
 @dataclass
 class EpochLog:
+    """One epoch's scores and health counters: the step's clamped keep
+    draws (``Tape.clamp_events``) and rejected Adam steps."""
+
     epoch: int
     train_loss: float
     nll: float
@@ -118,9 +121,12 @@ class EpochLog:
     test_acc: float
     keep_probs: list
     wall_time: float
+    clamp_events: int
+    adam_rejected: int
 
 
-EPOCH_CSV_HEADER = "epoch,train_loss,nll,kl,val_acc,test_acc,keep_probs,wall_time"
+EPOCH_CSV_HEADER = ("epoch,train_loss,nll,kl,val_acc,test_acc,keep_probs,"
+                    "wall_time,clamp_events,adam_rejected")
 
 
 def epoch_log_rows(logs: list) -> list:
@@ -128,7 +134,8 @@ def epoch_log_rows(logs: list) -> list:
     for e in logs:
         keeps = ";".join(repr(k) for k in e.keep_probs)
         rows.append(f"{e.epoch},{e.train_loss!r},{e.nll!r},{e.kl!r},"
-                    f"{e.val_acc!r},{e.test_acc!r},{keeps},{e.wall_time!r}")
+                    f"{e.val_acc!r},{e.test_acc!r},{keeps},{e.wall_time!r},"
+                    f"{e.clamp_events},{e.adam_rejected}")
     return rows
 
 
@@ -233,8 +240,8 @@ def step_gradients(gcn_config, train_config, epoch, params, params32, rng,
     ``params32`` are ``params`` with their own weight and bias tensors
     (``model.float32_params``), on which the passes run; the weight
     penalty and the KL are taken on ``params``. Returns the (loss, NLL,
-    KL) floats and the float64 gradient of every tensor of ``params``, or
-    None where the loss is not finite.
+    KL) floats, the float64 gradient of every tensor of ``params`` (None
+    where the loss is not finite) and the tape's ``clamp_events``.
     """
     tape = Tape()
     draws = sample_step_masks(gcn_config, params32, graph, rng, tape=tape,
@@ -257,7 +264,7 @@ def step_gradients(gcn_config, train_config, epoch, params, params32, rng,
                                                plan_labels[observed]]))
         kl_val = float(sum(k.item() for k in kl_terms))
         if not np.isfinite(loss_val):
-            return loss_val, nll_val, kl_val, None
+            return loss_val, nll_val, kl_val, None, tape.clamp_events
 
         seeds = None
         if draws.arm is not None:
@@ -281,26 +288,26 @@ def step_gradients(gcn_config, train_config, epoch, params, params32, rng,
                 out[t] = grads.get(t) + grads.get(t32)
         if p.kuma is not None:
             out.update((t, grads.get(t)) for t in p.kuma.tensors())
-    return loss_val, nll_val, kl_val, out
+    return loss_val, nll_val, kl_val, out, tape.clamp_events
 
 
 def _train_step(gcn_config, train_config, epoch, params, params32, state,
                 rng, x, graph, plan, plan_labels, observed):
     """One training step: ``step_gradients`` and, where the loss is finite,
-    one Adam step on ``params``. Returns the (loss, NLL, KL) floats and
-    whether Adam changed ``params``.
+    one Adam step on ``params``. Returns the (loss, NLL, KL) floats,
+    whether Adam changed ``params`` and the step's clamp events.
 
     The tape, the masks, the block products and the gradients are this
     function's locals, so they are freed when it returns, before the
     det-eval allocates its own arrays.
     """
-    loss_val, nll_val, kl_val, grads = step_gradients(
+    loss_val, nll_val, kl_val, grads, clamps = step_gradients(
         gcn_config, train_config, epoch, params, params32, rng, x, graph,
         plan, plan_labels, observed)
     stepped = grads is not None and adam_step(
         [t for p in params for t in p.tensors()], grads, state,
         train_config.lr)
-    return loss_val, nll_val, kl_val, stepped
+    return loss_val, nll_val, kl_val, stepped, clamps
 
 
 def _cast_weights(params, epoch):
@@ -365,7 +372,8 @@ def train(dataset: Dataset, gcn_config: GCNConfig, train_config: TrainConfig,
 
     for epoch in range(train_config.epochs):
         t0 = time.perf_counter()
-        loss_val, nll_val, kl_val, stepped = _train_step(
+        rejected = state.rejected
+        loss_val, nll_val, kl_val, stepped, clamps = _train_step(
             gcn_config, train_config, epoch, params, params32, state, rng, x,
             graph32, plan, plan_labels, observed)
         if not np.isfinite(loss_val):
@@ -391,7 +399,8 @@ def train(dataset: Dataset, gcn_config: GCNConfig, train_config: TrainConfig,
             val_acc=val_acc, test_acc=test_acc,
             keep_probs=[expected_keep(spec, p) for spec, p
                         in zip(gcn_config.masks, params)],
-            wall_time=time.perf_counter() - t0))
+            wall_time=time.perf_counter() - t0, clamp_events=clamps,
+            adam_rejected=state.rejected - rejected))
         if val_acc > best["val"]:
             best.update(val=val_acc, test=test_acc, epoch=epoch,
                         snapshot=[t.data.copy() for t in tensors])

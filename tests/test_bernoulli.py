@@ -2,8 +2,9 @@
 
 ``masks.bernoulli`` keeps an entry where its random byte lies below
 ``floor(256 p)`` and draws a uniform only on a tie, one per tie in position
-order. Monte Carlo passes (``sample_step_masks(mode="mc")``) draw every
-binary mask through it; training keeps ``rng.random(shape) < p``.
+order. It is the one rule of every binary mask: training steps
+(``sample_step_masks(mode="train")``) and Monte Carlo passes (``mode="mc"``)
+draw every DropOut, node, DropEdge, GDC and random-walk mask through it.
 """
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 import gdcn.model as gmodel
 from gdcn.errors import ContractViolation
-from gdcn.masks import MaskKind, MaskSpec, bernoulli, bernoulli_uniform
+from gdcn.masks import MaskKind, MaskSpec, bernoulli
 from gdcn.model import GCNConfig, PreparedGraph, init_params, sample_step_masks
 from gdcn.variational import KumaraswamyParams
 
@@ -106,7 +107,7 @@ class TestBernoulli:
         np.testing.assert_array_equal(
             a.ravel(), bernoulli(910, 0.3333, np.random.default_rng(9)))
 
-    @pytest.mark.parametrize("rule", [bernoulli, bernoulli_uniform])
+    @pytest.mark.parametrize("rule", [bernoulli])
     @pytest.mark.parametrize("p", [-0.01, 1.01, np.nan])
     def test_rejects_probability_outside_unit_interval(self, rule, p):
         rng = np.random.default_rng(0)
@@ -114,12 +115,6 @@ class TestBernoulli:
         with pytest.raises(ContractViolation, match="outside"):
             rule(5, p, rng)
         assert rng.bit_generator.state == state
-
-
-def mc_draws(cfg, params, g, seed, input_nnz=None):
-    rng = np.random.default_rng(seed)
-    return rng, sample_step_masks(cfg, params, g, rng, mode="mc",
-                                  input_nnz=input_nnz)
 
 
 def edge_values(edges, free, z, symmetric):
@@ -134,9 +129,17 @@ def edge_values(edges, free, z, symmetric):
     return vals
 
 
-class TestMcStepMasks:
-    """Each binary mask of an MC pass is ``bernoulli`` on a reference
-    generator, drawn in the order training draws its masks."""
+class TestStepMasks:
+    """Each binary mask of a training step is ``bernoulli`` on a reference
+    generator, drawn in layer order. ``TestMcStepMasks`` runs the same
+    checks on an MC pass."""
+
+    mode = "train"
+
+    def draws(self, cfg, params, g, seed, input_nnz=None):
+        rng = np.random.default_rng(seed)
+        return rng, sample_step_masks(cfg, params, g, rng, mode=self.mode,
+                                      input_nnz=input_nnz)
 
     @pytest.mark.parametrize("input_nnz", [None, 37])
     def test_dropout(self, input_nnz):
@@ -144,7 +147,7 @@ class TestMcStepMasks:
             MaskSpec(kind=MaskKind.DROPOUT, keep_prob=0.6),
             MaskSpec(kind=MaskKind.DROPOUT, keep_prob=0.3333)])
         params = init_params(cfg, np.random.default_rng(0))
-        rng, draws = mc_draws(cfg, params, graph(), 1, input_nnz)
+        rng, draws = self.draws(cfg, params, graph(), 1, input_nnz)
         ref = np.random.default_rng(1)
         first = (bernoulli(input_nnz, 0.6, ref) if input_nnz is not None
                  else bernoulli((N, 40), 0.6, ref))
@@ -162,7 +165,7 @@ class TestMcStepMasks:
         cfg = GCNConfig(layer_dims=[40, 3], masks=[
             MaskSpec(kind=kind, keep_prob=0.55, dropout_keep=0.8)])
         params = init_params(cfg, np.random.default_rng(0))
-        rng, draws = mc_draws(cfg, params, g, 3, input_nnz)
+        rng, draws = self.draws(cfg, params, g, 3, input_nnz)
         lm = draws.layer_masks[0]
         ref = np.random.default_rng(3)
         extra_shape = (N, 40)
@@ -187,7 +190,7 @@ class TestMcStepMasks:
             MaskSpec(kind=MaskKind.NODE_SAMPLING, keep_prob=0.7),
             MaskSpec(kind=MaskKind.NODE_SAMPLING, keep_prob=0.45)])
         params = init_params(cfg, np.random.default_rng(0))
-        rng, draws = mc_draws(cfg, params, graph(), 4, input_nnz=37)
+        rng, draws = self.draws(cfg, params, graph(), 4, input_nnz=37)
         ref = np.random.default_rng(4)
         for lm, p in zip(draws.layer_masks, (0.7, 0.45)):
             np.testing.assert_array_equal(
@@ -203,7 +206,7 @@ class TestMcStepMasks:
             MaskSpec(kind=kind, keep_prob=0.35, n_blocks=n_blocks, **flags),
             MaskSpec(kind=kind, keep_prob=0.9, n_blocks=n_blocks, **flags)])
         params = init_params(cfg, np.random.default_rng(0))
-        rng, draws = mc_draws(cfg, params, g, 6)
+        rng, draws = self.draws(cfg, params, g, 6)
         ref = np.random.default_rng(6)
         free = free_positions(g.edges, **flags)
         for lm, p in zip(draws.layer_masks, (0.35, 0.9)):
@@ -218,7 +221,7 @@ class TestMcStepMasks:
             MaskSpec(kind=MaskKind.RANDOM_WALK, keep_prob=0.4),
             MaskSpec(kind=MaskKind.RANDOM_WALK, keep_prob=0.5)])
         params = init_params(cfg, np.random.default_rng(0))
-        rng, draws = mc_draws(cfg, params, g, 8)
+        rng, draws = self.draws(cfg, params, g, 8)
         ref = np.random.default_rng(8)
         nnz = g.edges.n_entries
         first = bernoulli(nnz, 0.4, ref).astype(np.float64)
@@ -228,31 +231,6 @@ class TestMcStepMasks:
                                       [first])
         np.testing.assert_array_equal(mask_values(draws.layer_masks[1].edge),
                                       [second])
-        assert rng.bit_generator.state == ref.bit_generator.state
-
-    @pytest.mark.parametrize("estimator", ["concrete", "arm"])
-    def test_learned_gdc_draws_its_keep_probability_first(self, estimator):
-        g = graph(9)
-        cfg = GCNConfig(layer_dims=[6, 5, 3], estimator=estimator, masks=[
-            MaskSpec(kind=MaskKind.GDC, learned=True, n_blocks=2),
-            MaskSpec(kind=MaskKind.GDC, learned=True, n_blocks=2,
-                     symmetric=True)])
-        params = init_params(cfg, np.random.default_rng(0))
-        for p, (a, b) in zip(params, [(1.4, 2.2), (0.9, 3.3)]):
-            p.kuma = KumaraswamyParams(a, b)
-        rng, draws = mc_draws(cfg, params, g, 10)
-        ref = np.random.default_rng(10)
-        for spec, p, lm, pi in zip(cfg.masks, params, draws.layer_masks,
-                                   draws.pi_tensors):
-            want_pi = kuma_draw(p.kuma.log_a.item(), p.kuma.log_b.item(),
-                                float(ref.random()))
-            assert pi.item() == want_pi
-            free = free_positions(g.edges, symmetric=spec.symmetric)
-            z = bernoulli((2, len(free)), want_pi, ref).astype(np.float64)
-            want = edge_values(g.edges, free, z, spec.symmetric)
-            assert mask_values(lm.edge).tobytes() == want.tobytes()
-            assert lm.edge.pi is None  # binary in MC passes
-        assert draws.arm is None
         assert rng.bit_generator.state == ref.bit_generator.state
 
     @pytest.mark.parametrize("name, spec", [
@@ -269,7 +247,7 @@ class TestMcStepMasks:
     ])
     def test_samplers_are_called_through_the_model_namespace(
             self, monkeypatch, name, spec):
-        # Wrapping a sampler by its name in gdcn.model sees each MC draw.
+        # Wrapping a sampler by its name in gdcn.model sees each of its draws.
         calls = []
         original = getattr(gmodel, name)
 
@@ -280,5 +258,70 @@ class TestMcStepMasks:
         monkeypatch.setattr(gmodel, name, counted)
         cfg = GCNConfig(layer_dims=[6, 3], masks=[spec])
         params = init_params(cfg, np.random.default_rng(0))
-        mc_draws(cfg, params, graph(), 0)
+        self.draws(cfg, params, graph(), 0)
         assert calls == [name]
+
+
+class TestMcStepMasks(TestStepMasks):
+    """``TestStepMasks``' checks on an MC pass, and a learned layer's binary
+    edge masks, which only MC passes draw."""
+
+    mode = "mc"
+
+    @pytest.mark.parametrize("estimator", ["concrete", "arm"])
+    def test_learned_gdc_draws_its_keep_probability_first(self, estimator):
+        g = graph(9)
+        cfg = GCNConfig(layer_dims=[6, 5, 3], estimator=estimator, masks=[
+            MaskSpec(kind=MaskKind.GDC, learned=True, n_blocks=2),
+            MaskSpec(kind=MaskKind.GDC, learned=True, n_blocks=2,
+                     symmetric=True)])
+        params = init_params(cfg, np.random.default_rng(0))
+        for p, (a, b) in zip(params, [(1.4, 2.2), (0.9, 3.3)]):
+            p.kuma = KumaraswamyParams(a, b)
+        rng, draws = self.draws(cfg, params, g, 10)
+        ref = np.random.default_rng(10)
+        for spec, p, lm, pi in zip(cfg.masks, params, draws.layer_masks,
+                                   draws.pi_tensors):
+            want_pi = kuma_draw(p.kuma.log_a.item(), p.kuma.log_b.item(),
+                                float(ref.random()))
+            assert pi.item() == want_pi
+            free = free_positions(g.edges, symmetric=spec.symmetric)
+            z = bernoulli((2, len(free)), want_pi, ref).astype(np.float64)
+            want = edge_values(g.edges, free, z, spec.symmetric)
+            assert mask_values(lm.edge).tobytes() == want.tobytes()
+            assert lm.edge.pi is None  # binary in MC passes
+        assert draws.arm is None
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("input_nnz", [None, 37])
+def test_train_and_mc_draw_the_same_masks_without_learned_layers(input_nnz):
+    # With no learned layer, a training step and an MC pass draw the same
+    # masks, in the same order, from one seed.
+    g = graph(11)
+    cfg = GCNConfig(layer_dims=[40, 8, 8, 8, 8, 3], masks=[
+        MaskSpec(kind=MaskKind.DROPOUT, keep_prob=0.6, dropout_keep=0.8),
+        MaskSpec(kind=MaskKind.NODE_SAMPLING, keep_prob=0.7,
+                 dropout_keep=0.9),
+        MaskSpec(kind=MaskKind.DROPEDGE, keep_prob=0.55, symmetric=True),
+        MaskSpec(kind=MaskKind.GDC, keep_prob=0.35, n_blocks=2,
+                 protect_self_loops=True),
+        MaskSpec(kind=MaskKind.RANDOM_WALK, keep_prob=0.5)])
+    params = init_params(cfg, np.random.default_rng(0))
+    rngs, draws = {}, {}
+    for mode in ("train", "mc"):
+        rngs[mode] = np.random.default_rng(12)
+        draws[mode] = sample_step_masks(cfg, params, g, rngs[mode],
+                                        mode=mode, input_nnz=input_nnz)
+    for got, want in zip(draws["train"].layer_masks,
+                         draws["mc"].layer_masks):
+        assert (got.feature is None) == (want.feature is None)
+        if want.feature is not None:
+            assert got.feature.tobytes() == want.feature.tobytes()
+        assert (got.edge is None) == (want.edge is None)
+        if want.edge is not None:
+            assert (mask_values(got.edge).tobytes()
+                    == mask_values(want.edge).tobytes())
+    assert draws["train"].arm is None
+    assert (rngs["train"].bit_generator.state
+            == rngs["mc"].bit_generator.state)

@@ -3,16 +3,17 @@
 A symmetric mask draws one value per undirected edge and a protected
 self-loop draws none (``free_entries``); every other entry follows from
 those. GDC, DropEdge, concrete, ARM's Z1/Z2 and the deterministic masks all
-keep that rule, and a spec with neither flag draws one uniform per entry,
-block after block, as the samplers always have.
+keep that rule, and a spec with neither flag draws a value for every entry,
+block after block: one ``bernoulli`` call over all blocks for a binary
+mask, one uniform per entry for a concrete one.
 """
 
 import numpy as np
 import pytest
 
 from gdcn.estimators import arm_z1
-from gdcn.masks import (MaskKind, MaskSpec, concrete_mask, expected_keep_mask,
-                        free_entries, sample_concrete_mask,
+from gdcn.masks import (MaskKind, MaskSpec, bernoulli, concrete_mask,
+                        expected_keep_mask, free_entries, sample_concrete_mask,
                         sample_dropedge_mask, sample_gdc_masks)
 from gdcn.model import (GCNConfig, PreparedGraph, arm_masks, init_params,
                         sample_step_masks)
@@ -59,8 +60,10 @@ class TestFreeEntries:
 
 
 class TestUnflaggedStream:
-    """Without flags, block b is drawn from ``rng.random(nnz)``, in block
-    order, bit for bit as before the samplers shared one rule."""
+    """Without flags, a binary mask's blocks are one ``bernoulli`` draw of
+    shape (n_blocks, nnz), and concrete block b is drawn from
+    ``rng.random(nnz)``, in block order, bit for bit as before the samplers
+    shared one rule."""
 
     @pytest.mark.parametrize("seed", [0, 3])
     @pytest.mark.parametrize("n_blocks", [1, 3])
@@ -70,9 +73,8 @@ class TestUnflaggedStream:
         got = sample_gdc_masks(
             edges, MaskSpec(kind=MaskKind.GDC, n_blocks=n_blocks), 0.4, rng)
         ref = np.random.default_rng(seed)
-        want = [(ref.random(edges.n_entries) < 0.4).astype(np.float64)
-                for _ in range(n_blocks)]
-        assert mask_values(got).tobytes() == np.stack(want).tobytes()
+        want = bernoulli((n_blocks, edges.n_entries), 0.4, ref)
+        assert mask_values(got).tobytes() == want.astype(np.float64).tobytes()
         assert rng.bit_generator.state == ref.bit_generator.state
 
     @pytest.mark.parametrize("standard", [False, True])
@@ -94,9 +96,9 @@ class TestUnflaggedStream:
 
 @pytest.mark.parametrize("flags", FLAGS, ids=FLAG_IDS)
 class TestSharedRule:
-    """For every flag combination and mask: the rng advances by exactly
-    ``n_blocks * len(free)``, the values at the free positions are those
-    draws, and the rule fills in the rest."""
+    """For every flag combination and mask: the rng draws exactly
+    ``n_blocks * len(free)`` values, the values at the free positions are
+    those draws, and the rule fills in the rest."""
 
     @pytest.mark.parametrize("kind, n_blocks", [(MaskKind.GDC, 3),
                                                 (MaskKind.DROPEDGE, 1)])
@@ -108,9 +110,10 @@ class TestSharedRule:
         rng = np.random.default_rng(9)
         vals = mask_values(sampler(edges, spec, 0.5, rng))
         free = free_positions(edges, **flags)
-        assert advanced_by(rng, 9, n_blocks * len(free))
-        u = np.random.default_rng(9).random((n_blocks, len(free)))
-        np.testing.assert_array_equal(vals[:, free], u < 0.5)
+        ref = np.random.default_rng(9)
+        want = bernoulli((n_blocks, len(free)), 0.5, ref)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        np.testing.assert_array_equal(vals[:, free], want)
         check_rule(edges, flags, vals)
 
     def test_concrete(self, flags):

@@ -9,7 +9,7 @@ import pytest
 from scipy.special import logit
 
 from gdcn.estimators import ArmDraw, arm_z1, arm_z2
-from gdcn.masks import (MaskKind, MaskSpec, sample_dropout_mask,
+from gdcn.masks import (MaskKind, MaskSpec, bernoulli, sample_dropout_mask,
                         sample_node_mask)
 from gdcn.model import (GCNConfig, PreparedGraph, arm_masks, forward,
                         init_params, sample_step_masks, sparse_input)
@@ -75,7 +75,7 @@ class TestArmDraws:
             pis.append(kuma_draw(p.kuma.log_a.item(), p.kuma.log_b.item(),
                                  float(ref.random())))
             if spec.dropout_keep is not None:
-                features.append(ref.random((N, 6)) < spec.dropout_keep)
+                features.append(bernoulli((N, 6), spec.dropout_keep, ref))
             else:
                 features.append(None)
         free = [free_positions(g.edges, s.symmetric, s.protect_self_loops)

@@ -376,10 +376,10 @@ class TestTrain:
         plan = loss_rows(graph32, ds.split.train, cfg.n_layers)
 
         def grads(l2):
-            *_, g = step_gradients(cfg, TrainConfig(l2_factor=l2), 0, params,
-                                   params32, np.random.default_rng(1), x,
-                                   graph32, plan, *plan.loss_inputs(ds.labels))
-            return g
+            return step_gradients(cfg, TrainConfig(l2_factor=l2), 0, params,
+                                  params32, np.random.default_rng(1), x,
+                                  graph32, plan,
+                                  *plan.loss_inputs(ds.labels))[3]
 
         base, more = grads(0.0), grads(0.25)
         for p in params:
@@ -569,7 +569,42 @@ class TestEpochCsv:
     def test_header_and_row_order(self):
         logs = [EpochLog(epoch=0, train_loss=1.5, nll=1.0, kl=0.25,
                          val_acc=0.5, test_acc=0.4, keep_probs=[0.9, 0.8],
-                         wall_time=0.01)]
+                         wall_time=0.01, clamp_events=3, adam_rejected=1)]
         rows = epoch_log_rows(logs)
-        assert rows[0].startswith("epoch,train_loss,nll,kl,val_acc,test_acc")
-        assert rows[1].startswith("0,1.5,1.0,0.25,0.5,0.4,0.9;0.8,")
+        assert rows[0] == ("epoch,train_loss,nll,kl,val_acc,test_acc,"
+                           "keep_probs,wall_time,clamp_events,adam_rejected")
+        assert rows[1] == "0,1.5,1.0,0.25,0.5,0.4,0.9;0.8,0.01,3,1"
+
+
+class TestHealthCounters:
+    def test_clamped_keep_draws_are_counted(self):
+        # At kuma_init_b = 0.05 a keep draw hits its upper clamp wherever
+        # its uniform lies below 1e-10 ** 0.05, about 0.32 of the draws.
+        ds = synthetic_dataset()
+        cfg = dataclasses.replace(
+            small_config(ds.n_features, ds.class_count, kind=MaskKind.GDC,
+                         learned=True, estimator="concrete"),
+            kuma_init_b=0.05)
+        res = train(ds, cfg, TrainConfig(epochs=6, patience=6), seed=0)
+        assert sum(e.clamp_events for e in res.logs) > 0
+        assert all(0 <= e.clamp_events <= 2 for e in res.logs)
+        assert all(e.adam_rejected == 0 for e in res.logs)
+
+    def test_rejected_adam_steps_are_counted(self, monkeypatch):
+        # A NaN gradient in epoch 1 makes adam_step reject that step only.
+        import gdcn.training as training
+        real = training.step_gradients
+
+        def step(*args):
+            loss, nll, kl, grads, clamps = real(*args)
+            if args[2] == 1:
+                t = next(iter(grads))
+                grads[t] = np.full_like(grads[t], np.nan)
+            return loss, nll, kl, grads, clamps
+
+        monkeypatch.setattr(training, "step_gradients", step)
+        ds = synthetic_dataset()
+        cfg = small_config(ds.n_features, ds.class_count)
+        res = train(ds, cfg, TrainConfig(epochs=3, patience=3), seed=0)
+        assert [e.adam_rejected for e in res.logs] == [0, 1, 0]
+        assert all(e.clamp_events == 0 for e in res.logs)
