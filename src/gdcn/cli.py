@@ -2,8 +2,8 @@
 
 Every run writes its artifacts (CSV files, checkpoints, and a
 ``config_resolved.ini`` capturing all defaults) into the output directory.
-Exit codes: 0 success, 2 configuration or input error (a malformed
-data file or checkpoint included), 3 training divergence.
+Exit codes: 0 success, 2 bad input (a config error, a malformed data file
+or checkpoint, a checkpoint that does not fit the config), 3 divergence.
 """
 
 from __future__ import annotations
@@ -15,12 +15,12 @@ import sys
 import numpy as np
 
 from . import data as data_io
+from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig, load_config
 from .errors import DivergenceError, MalformedInputError
 from .graph import lambda_max
 from .metrics import accuracy, total_variation, uncertainty_report
-from .model import (PreparedGraph, forward_deterministic, load_checkpoint,
-                    predict_mc, save_checkpoint)
+from .model import PreparedGraph, forward_deterministic, predict_mc
 from .tape import constant
 from .training import epoch_log_rows, run_seeds, train
 
@@ -50,28 +50,6 @@ def _write_rows(path, rows) -> None:
         fh.write("\n".join(rows) + "\n")
 
 
-def _load_params_checked(cfg, ds, checkpoint_path):
-    params = load_checkpoint(checkpoint_path)
-    expected = [ds.n_features] + cfg.hidden_dims + [ds.class_count]
-    got = [p.m.data.shape[0] for p in params] + [params[-1].m.data.shape[1]]
-    if got != expected:
-        raise ConfigError(
-            f"checkpoint dims {got} do not match config/data dims {expected}"
-        )
-    gcn_config = cfg.gcn_config(ds.n_features, ds.class_count)
-    for l, (spec, p) in enumerate(zip(gcn_config.masks, params)):
-        if spec.learned != (p.kuma is not None):
-            raise ConfigError(
-                f"layer {l}: checkpoint drop parameterization does not match config"
-            )
-        if not spec.learned and p.fixed_keep != spec.keep_prob:
-            raise ConfigError(
-                f"layer {l}: checkpoint keep probability {p.fixed_keep} does "
-                f"not match config keep_prob {spec.keep_prob}"
-            )
-    return params, gcn_config
-
-
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
     ds, graph = _load_dataset(cfg)
@@ -81,14 +59,14 @@ def cmd_train(args) -> int:
     summary = run_seeds(ds, gcn_config, train_config, graph=graph)
     rows = ["seed,best_val_acc,test_acc,stop_reason"]
     for r in summary.results:
-        rows.append(f"{r.seed},{r.best_val_acc!r},{r.test_acc!r},"
-                    f"{r.result.stop_reason}")
+        rows.append(f"{r.seed},{r.result.best_val_acc!r},"
+                    f"{r.result.best_test_acc!r},{r.result.stop_reason}")
     _write_rows(os.path.join(out, "summary.csv"), rows)
     for r in summary.results:
         _write_rows(os.path.join(out, f"epochs_seed{r.seed}.csv"),
                     epoch_log_rows(r.result.logs))
         save_checkpoint(os.path.join(out, f"ckpt_seed{r.seed}.bin"),
-                        r.result.params)
+                        r.result.params, gcn_config)
     cfg.write_resolved(os.path.join(out, "config_resolved.ini"))
     print(f"test accuracy: {summary.mean_acc:.4f} +/- {summary.std_acc:.4f} "
           f"over {len(summary.results)} seeds")
@@ -98,7 +76,8 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg = load_config(args.config)
     ds, graph = _load_dataset(cfg)
-    params, gcn_config = _load_params_checked(cfg, ds, args.checkpoint)
+    gcn_config = cfg.gcn_config(ds.n_features, ds.class_count)
+    params = load_checkpoint(args.checkpoint, gcn_config)
     x = constant(ds.features_csr())
     logprobs = forward_deterministic(params, x, graph, gcn_config)
     det_acc = accuracy(logprobs.data.argmax(axis=1), ds.labels, ds.split.test)
@@ -122,7 +101,8 @@ def cmd_eval(args) -> int:
 def cmd_uq(args) -> int:
     cfg = load_config(args.config)
     ds, graph = _load_dataset(cfg)
-    params, gcn_config = _load_params_checked(cfg, ds, args.checkpoint)
+    gcn_config = cfg.gcn_config(ds.n_features, ds.class_count)
+    params = load_checkpoint(args.checkpoint, gcn_config)
     x = constant(ds.features_csr())
     rng = np.random.default_rng(args.seed_override or 0)
     mean_probs, _ = predict_mc(params, x, graph, gcn_config, args.samples, rng)
@@ -145,11 +125,6 @@ def cmd_uq(args) -> int:
     return 0
 
 
-def _tv_rows_for_hidden(hidden, graph, lam) -> list:
-    return [total_variation(h, graph.a_raw, lam, normalized=True)
-            for h in hidden]
-
-
 def cmd_diagnose(args) -> int:
     cfg = load_config(args.config)
     ds, graph = _load_dataset(cfg)
@@ -167,25 +142,24 @@ def cmd_diagnose(args) -> int:
              for depth in depths]
     sweep_train = (cfg.train_config(seed_override=args.seed_override)
                    if sweep else None)
+    gcn_config = cfg.gcn_config(ds.n_features, ds.class_count)
     if args.checkpoint:
-        params, gcn_config = _load_params_checked(cfg, ds, args.checkpoint)
+        params = load_checkpoint(args.checkpoint, gcn_config)
     else:
-        gcn_config = cfg.gcn_config(ds.n_features, ds.class_count)
         seed = args.seed_override if args.seed_override is not None else cfg.seeds[0]
         train_config = cfg.train_config(seed_override=seed)
     out = _outdir(cfg, args)
     rows = ["epoch,layer,tv_normalized"]
-    if args.checkpoint:
-        x = constant(ds.features_csr())
-        _, hidden = forward_deterministic(params, x, graph, gcn_config,
-                                          capture_hidden=True)
-        for l, tv in enumerate(_tv_rows_for_hidden(hidden, graph, lam)):
-            rows.append(f"0,{l},{tv!r}")
-    else:
-        def hook(epoch, hidden):
-            for l, tv in enumerate(_tv_rows_for_hidden(hidden, graph, lam)):
-                rows.append(f"{epoch},{l},{tv!r}")
 
+    def hook(epoch, hidden):
+        for l, h in enumerate(hidden):
+            tv = total_variation(h, graph.a_raw, lam, normalized=True)
+            rows.append(f"{epoch},{l},{tv!r}")
+
+    if args.checkpoint:
+        hook(0, forward_deterministic(params, constant(ds.features_csr()),
+                                      graph, gcn_config, capture_hidden=True)[1])
+    else:
         train(ds, gcn_config, train_config, seed, graph=graph,
               hidden_hook=hook)
     _write_rows(os.path.join(out, "tv.csv"), rows)

@@ -66,9 +66,9 @@ class MaskSpec:
       of an undirected graph (the paper's citation graphs) stays symmetric.
       Read by DropEdge and GDC masks only; other kinds reject it.
     - ``relaxed``: declares concrete-relaxed masks, the paper's continuous
-      relaxation that lets gradients reach the drop rate. Sampling follows
-      the estimator instead (relaxed for learned layers under ``concrete``),
-      so the flag only enables the temperature check.
+      relaxation that lets gradients reach the drop rate. ``GCNConfig``
+      requires it exactly on learned layers under ``concrete``, the layers
+      whose masks sampling relaxes; it enables the temperature check.
     - ``protect_self_loops``: self-loops are never dropped, so the mask
       covers only the graph's edges and each node keeps its own features.
       Read by DropEdge and GDC masks only; other kinds reject it.

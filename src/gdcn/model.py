@@ -80,14 +80,13 @@ features it drops.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.sparse import csr_array, issparse
 from scipy.special import logit
 
-from .errors import ContractViolation, MalformedInputError
+from .errors import ContractViolation
 from .estimators import ArmDraw, arm_z2
 from .graph import (EdgeSet, build_adjacency, dense_to_csr, entry_rows,
                     index_dtype, kept, normalize_with_edges)
@@ -104,8 +103,6 @@ from .tape import (BlockProducts, Tensor, block_products, constant,
 from .variational import (KumaraswamyParams, kuma_mean,
                           median_draw_unclamped, record_kl_kuma_beta,
                           record_kuma_sample)
-
-CHECKPOINT_MAGIC = b"GDCN"
 
 
 @dataclass
@@ -167,6 +164,10 @@ class GCNConfig:
                     f"layer {l}: n_blocks {spec.n_blocks} exceeds input width "
                     f"{self.layer_dims[l]}"
                 )
+            if spec.relaxed != (spec.learned and self.estimator == "concrete"):
+                raise ContractViolation(
+                    f"layer {l}: relaxed={spec.relaxed}, but masks are relaxed "
+                    f"exactly on learned layers under the concrete estimator")
         if self.renorm_after_mask:
             if self.estimator == "concrete":
                 raise ContractViolation(
@@ -194,7 +195,6 @@ class LayerParams:
     m: Tensor
     bias: Tensor | None = None
     kuma: KumaraswamyParams | None = None
-    fixed_keep: float = 1.0
 
     def tensors(self):
         out = [self.m]
@@ -265,8 +265,7 @@ def init_params(config: GCNConfig, rng: np.random.Generator) -> list:
         bias = parameter(np.zeros((1, f_out))) if config.use_bias else None
         spec = config.masks[l]
         kuma = KumaraswamyParams(1.0, config.kuma_init_b) if spec.learned else None
-        params.append(LayerParams(m=m, bias=bias, kuma=kuma,
-                                  fixed_keep=spec.keep_prob))
+        params.append(LayerParams(m=m, bias=bias, kuma=kuma))
     return params
 
 
@@ -743,99 +742,3 @@ def predict_mc(params, x, graph, config, s: int, rng: np.random.Generator):
                            layer0=layer0)
         per_sample[i] = np.exp(logprobs.data)
     return per_sample.mean(axis=0), per_sample
-
-
-# ---------------------------------------------------------------------------
-# checkpoints: magic "GDCN", u32 version, u32 layer count, u32 dims,
-# row-major float64 weight matrices, then per-layer drop parameters.
-# Version 2 appends a bias vector after each weight matrix.
-
-
-def save_checkpoint(path, params: list) -> None:
-    version = 2 if any(p.bias is not None for p in params) else 1
-    dims = [p.m.data.shape[0] for p in params] + [params[-1].m.data.shape[1]]
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<II", version, len(params)))
-        fh.write(struct.pack(f"<{len(dims)}I", *dims))
-        for p in params:
-            fh.write(p.m.data.astype("<f8").tobytes())
-            if version == 2:
-                bias = p.bias.data if p.bias is not None else np.zeros(
-                    (1, p.m.data.shape[1]))
-                fh.write(bias.astype("<f8").tobytes())
-        for p in params:
-            if p.kuma is not None:
-                fh.write(struct.pack("<Bdd", 1, p.kuma.log_a.item(),
-                                     p.kuma.log_b.item()))
-            else:
-                fh.write(struct.pack("<Bd", 0, p.fixed_keep))
-
-
-def load_checkpoint(path) -> list:
-    """Parameters from ``save_checkpoint``'s file.
-
-    An unreadable file, a bad magic number, an unknown version or layer
-    kind, a short read or trailing bytes raise ``MalformedInputError``, and
-    so do values no model can hold: a non-finite weight or bias, a
-    Kumaraswamy ``log a`` or ``log b`` whose ``exp`` is not a positive
-    finite number, or a fixed keep probability outside [0, 1]. The stored
-    log values are kept bit for bit.
-    """
-    try:
-        with open(path, "rb") as fh:
-            buf = fh.read()
-    except OSError as exc:
-        raise MalformedInputError(f"cannot read checkpoint {path}: {exc}")
-    pos = 0
-
-    def take(size: int) -> bytes:
-        nonlocal pos
-        if size > len(buf) - pos:
-            raise MalformedInputError(
-                f"checkpoint {path} is truncated: {size} bytes needed at "
-                f"offset {pos}, {len(buf) - pos} left")
-        pos += size
-        return buf[pos - size:pos]
-
-    def unpack(fmt):
-        return struct.unpack(fmt, take(struct.calcsize(fmt)))
-
-    def floats(rows: int, cols: int, what: str) -> Tensor:
-        arr = np.frombuffer(take(8 * rows * cols), dtype="<f8")
-        if not np.all(np.isfinite(arr)):
-            raise MalformedInputError(
-                f"checkpoint {path}: {what} holds a non-finite value")
-        return parameter(arr.reshape(rows, cols).copy())
-
-    magic = take(4)
-    if magic != CHECKPOINT_MAGIC:
-        raise MalformedInputError(f"bad checkpoint magic {magic!r}")
-    version, n_layers = unpack("<II")
-    if version not in (1, 2) or n_layers < 1:
-        raise MalformedInputError(
-            f"unsupported checkpoint version {version} with {n_layers} layers")
-    dims = np.frombuffer(take(4 * (n_layers + 1)), dtype="<u4").tolist()
-    params = [LayerParams(
-        m=floats(f_in, f_out, f"layer {l} weights"),
-        bias=floats(1, f_out, f"layer {l} bias") if version == 2 else None)
-        for l, (f_in, f_out) in enumerate(zip(dims, dims[1:]))]
-    for l, p in enumerate(params):
-        (kind,) = unpack("<B")
-        if kind == 1:
-            try:
-                p.kuma = KumaraswamyParams.from_logs(*unpack("<dd"))
-            except ContractViolation as exc:
-                raise MalformedInputError(f"layer {l}: {exc}") from exc
-        elif kind == 0:
-            (p.fixed_keep,) = unpack("<d")
-            if not 0.0 <= p.fixed_keep <= 1.0:  # NaN fails too
-                raise MalformedInputError(
-                    f"layer {l}: keep probability {p.fixed_keep} outside "
-                    f"[0, 1]")
-        else:
-            raise MalformedInputError(f"layer {l}: unknown drop kind {kind}")
-    if pos != len(buf):
-        raise MalformedInputError(
-            f"checkpoint {path} has {len(buf) - pos} trailing bytes")
-    return params

@@ -67,7 +67,7 @@ pass and product.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -125,18 +125,19 @@ class EpochLog:
     adam_rejected: int
 
 
-EPOCH_CSV_HEADER = ("epoch,train_loss,nll,kl,val_acc,test_acc,keep_probs,"
-                    "wall_time,clamp_events,adam_rejected")
+EPOCH_CSV_HEADER = ",".join(f.name for f in fields(EpochLog))
 
 
 def epoch_log_rows(logs: list) -> list:
-    rows = [EPOCH_CSV_HEADER]
-    for e in logs:
-        keeps = ";".join(repr(k) for k in e.keep_probs)
-        rows.append(f"{e.epoch},{e.train_loss!r},{e.nll!r},{e.kl!r},"
-                    f"{e.val_acc!r},{e.test_acc!r},{keeps},{e.wall_time!r},"
-                    f"{e.clamp_events},{e.adam_rejected}")
-    return rows
+    """The epoch CSV, one column per ``EpochLog`` field in field order:
+    each value's ``repr``, a list's joined by ``;``."""
+    def cell(value) -> str:
+        return (";".join(map(repr, value)) if isinstance(value, list)
+                else repr(value))
+
+    return [EPOCH_CSV_HEADER] + [
+        ",".join(cell(getattr(e, f.name)) for f in fields(EpochLog))
+        for e in logs]
 
 
 class AdamState:
@@ -419,10 +420,7 @@ def train(dataset: Dataset, gcn_config: GCNConfig, train_config: TrainConfig,
 @dataclass
 class SeedResult:
     seed: int
-    best_val_acc: float
-    test_acc: float
-    epochs_run: int
-    result: TrainResult = field(repr=False)
+    result: TrainResult
 
 
 @dataclass
@@ -447,9 +445,7 @@ def run_seeds(dataset: Dataset, gcn_config: GCNConfig,
     results = []
     for seed in seeds:
         res = train(dataset, gcn_config, train_config, seed, graph=graph)
-        results.append(SeedResult(seed=seed, best_val_acc=res.best_val_acc,
-                                  test_acc=res.best_test_acc,
-                                  epochs_run=len(res.logs), result=res))
-    accs = np.array([r.test_acc for r in results])
+        results.append(SeedResult(seed, res))
+    accs = np.array([r.result.best_test_acc for r in results])
     std = float(np.std(accs, ddof=1)) if len(accs) > 1 else 0.0
     return RunSummary(results=results, mean_acc=float(accs.mean()), std_acc=std)

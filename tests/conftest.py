@@ -11,8 +11,9 @@ import struct
 import numpy as np
 import pytest
 
+from gdcn.checkpoint import save_checkpoint
 from gdcn.masks import MaskKind, MaskSpec
-from gdcn.model import GCNConfig, init_params, save_checkpoint
+from gdcn.model import GCNConfig, init_params
 from gdcn.tape import parameter, record_gdc_aggregate
 from gdcn.variational import record_kuma_sample
 
@@ -94,19 +95,24 @@ def dense_normalize(a_dense: np.ndarray, renorm_trick: bool = False) -> np.ndarr
     return np.eye(n) + np.diag(inv) @ a @ np.diag(inv)
 
 
+# The model of ``small_checkpoint``: dims 3-4-2, biases, one learned and
+# one fixed layer, so that every section of the file is present.
+SMALL_CHECKPOINT_CONFIG = GCNConfig(
+    layer_dims=[3, 4, 2], estimator="concrete", use_bias=True,
+    masks=[MaskSpec(kind=MaskKind.GDC, learned=True, relaxed=True),
+           MaskSpec(kind=MaskKind.DROPEDGE, keep_prob=0.4)])
+
+
 def small_checkpoint(tmp_path) -> bytes:
-    """A version-2 (bias) checkpoint of dims 3-4-2 with one learned and one
-    fixed layer, so that every section is present. Its 258 bytes: header
-    [0, 24), layer 0 weights [24, 120) and bias [120, 152), layer 1
-    weights [152, 216) and bias [216, 232), layer 0 kind byte 232 with
-    log a [233, 241) and log b [241, 249), layer 1 kind byte 249 with its
-    keep probability [250, 258)."""
-    masks = [MaskSpec(kind=MaskKind.GDC, learned=True, relaxed=True),
-             MaskSpec(kind=MaskKind.DROPEDGE, keep_prob=0.4)]
-    cfg = GCNConfig(layer_dims=[3, 4, 2], masks=masks,
-                    estimator="concrete", use_bias=True)
+    """A version-2 checkpoint of ``SMALL_CHECKPOINT_CONFIG``. Its 258
+    bytes: header [0, 24), layer 0 weights [24, 120) and bias [120, 152),
+    layer 1 weights [152, 216) and bias [216, 232), layer 0 kind byte 232
+    with log a [233, 241) and log b [241, 249), layer 1 kind byte 249 with
+    its keep probability [250, 258)."""
     path = tmp_path / "small.bin"
-    save_checkpoint(path, init_params(cfg, np.random.default_rng(0)))
+    save_checkpoint(path, init_params(SMALL_CHECKPOINT_CONFIG,
+                                      np.random.default_rng(0)),
+                    SMALL_CHECKPOINT_CONFIG)
     return path.read_bytes()
 
 

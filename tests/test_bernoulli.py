@@ -271,10 +271,12 @@ class TestMcStepMasks(TestStepMasks):
     @pytest.mark.parametrize("estimator", ["concrete", "arm"])
     def test_learned_gdc_draws_its_keep_probability_first(self, estimator):
         g = graph(9)
+        relaxed = estimator == "concrete"
         cfg = GCNConfig(layer_dims=[6, 5, 3], estimator=estimator, masks=[
-            MaskSpec(kind=MaskKind.GDC, learned=True, n_blocks=2),
             MaskSpec(kind=MaskKind.GDC, learned=True, n_blocks=2,
-                     symmetric=True)])
+                     relaxed=relaxed),
+            MaskSpec(kind=MaskKind.GDC, learned=True, n_blocks=2,
+                     symmetric=True, relaxed=relaxed)])
         params = init_params(cfg, np.random.default_rng(0))
         for p, (a, b) in zip(params, [(1.4, 2.2), (0.9, 3.3)]):
             p.kuma = KumaraswamyParams(a, b)

@@ -442,8 +442,10 @@ class TestEvalUq:
                              tmp_path / "o2", **{"model.hidden_dims": "8"})
         rc = main(["uq", "--config", other, "--checkpoint", ckpt])
         assert rc == 2
-        assert "dims" in capsys.readouterr().err
-
+        err = capsys.readouterr().err
+        assert err.startswith("error: checkpoint dims ") and "dims" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o2").exists()
 
     def test_eval_keep_prob_mismatch_exit_2(self, tmp_path, synthetic_files,
                                             capsys):
@@ -464,6 +466,35 @@ class TestEvalUq:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "keep probability 0.5" in err
         assert "Traceback" not in err
+        assert not (tmp_path / "b").exists()
+
+    # A checkpoint loads only into the model it was written for: train
+    # under ``trained``, then run ``command`` under ``trained`` and ``other``.
+    @pytest.mark.parametrize("command, trained, other, message", [
+        ("eval", {}, {"model.learned": "false", "model.estimator": "none"},
+         "layer 0: checkpoint drop parameterization does not match config"),
+        ("eval", {"model.use_bias": "true"}, {"model.use_bias": "false"},
+         "checkpoint version 2 does not match config use_bias = False"),
+        ("uq", {"model.use_bias": "false"}, {"model.use_bias": "true"},
+         "checkpoint version 1 does not match config use_bias = True"),
+    ], ids=["drop-parameterization", "bias-eval", "bias-uq"])
+    def test_checkpoint_of_another_model_exit_2(
+            self, tmp_path, synthetic_files, capsys, command, trained, other,
+            message):
+        content, cites = synthetic_files
+        short = {"train.epochs": "3", "train.seeds": "0", **trained}
+        first = write_config(tmp_path / "a.ini", content, cites,
+                             tmp_path / "a", **short)
+        assert main(["train", "--config", first]) == 0
+        second = write_config(tmp_path / "b.ini", content, cites,
+                              tmp_path / "b", **{**short, **other})
+        rc = main([command, "--config", second, "--checkpoint",
+                   str(tmp_path / "a" / "ckpt_seed0.bin")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "b").exists()
 
     @pytest.mark.parametrize("raw, message", [
         (b"GDCN\x01\x00", "truncated"),

@@ -1,29 +1,26 @@
 """Forward pass against dense oracles of all regularizer forms."""
 
 import dataclasses
-import re
 
 import numpy as np
 import pytest
 
-from gdcn.errors import ContractViolation, MalformedInputError
+from gdcn.errors import ContractViolation
 from gdcn.graph import EdgeSet, build_adjacency, normalize
 from gdcn.masks import (EdgeMask, MaskKind, MaskSpec, expected_keep_mask,
                         sample_dropedge_mask, sample_dropout_mask,
                         sample_gdc_masks, sample_node_mask)
 from gdcn.model import (GCNConfig, LayerMasks, PreparedGraph, float32_operands,
                         forward, forward_deterministic, glorot_bound,
-                        init_params, layer0_products,
-                        load_checkpoint, predict_mc, record_kl_terms,
-                        sample_step_masks, save_checkpoint, sparse_input,
+                        init_params, layer0_products, predict_mc,
+                        record_kl_terms, sample_step_masks, sparse_input,
                         training_loss)
 from gdcn.tape import (Tape, backward, block_bounds, block_products,
                        constant, split_columns)
 from gdcn.variational import kl_kuma_beta
 
-from conftest import (CHECKPOINT_VALUE_FAULTS, dense_normalize, finite_diff,
-                      mask_values, random_edges, rel_err, small_checkpoint,
-                      with_float)
+from conftest import (dense_normalize, finite_diff, mask_values, random_edges,
+                      rel_err)
 
 
 def prepared(n=5, seed=0, p=0.6):
@@ -344,6 +341,25 @@ class TestBlocks:
         with pytest.raises(ContractViolation, match="estimator"):
             GCNConfig(layer_dims=[3, 4, 2], masks=masks, estimator=estimator)
 
+    # Sampling relaxes exactly the learned layers under concrete, so a
+    # layer's flag must say so in both directions.
+    @pytest.mark.parametrize("estimator, learned, relaxed", [
+        ("concrete", True, False),
+        ("concrete", False, True),
+        ("arm", True, True),
+    ])
+    def test_relaxed_must_match_what_the_layer_trains(self, estimator,
+                                                      learned, relaxed):
+        masks = [MaskSpec(kind=MaskKind.GDC, learned=True,
+                          relaxed=estimator == "concrete"),
+                 MaskSpec(kind=MaskKind.GDC, learned=learned, keep_prob=0.5,
+                          relaxed=relaxed)]
+        with pytest.raises(ContractViolation,
+                           match=f"layer 1: relaxed={relaxed}, but"):
+            GCNConfig(layer_dims=[3, 4, 2], masks=masks, estimator=estimator)
+        masks[1] = dataclasses.replace(masks[1], relaxed=not relaxed)
+        GCNConfig(layer_dims=[3, 4, 2], masks=masks, estimator=estimator)
+
     @pytest.mark.parametrize("key", ["beta_prior_c", "kuma_init_b"])
     @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
     def test_prior_and_init_must_be_positive(self, key, value):
@@ -605,103 +621,3 @@ class TestLayer0Products:
             with pytest.raises(ContractViolation, match="unmasked, unscaled"):
                 forward(params, x, g, draws.layer_masks, layer0=products)
 
-
-class TestCheckpoint:
-    def test_roundtrip(self, tmp_path):
-        masks = [MaskSpec(kind=MaskKind.GDC, learned=True, relaxed=True),
-                 MaskSpec(kind=MaskKind.DROPEDGE, keep_prob=0.4)]
-        cfg = GCNConfig(layer_dims=[3, 4, 2], masks=masks, estimator="concrete")
-        params = init_params(cfg, np.random.default_rng(0))
-        path = tmp_path / "model.bin"
-        save_checkpoint(path, params)
-        loaded = load_checkpoint(path)
-        for a, b in zip(params, loaded):
-            assert np.array_equal(a.m.data, b.m.data)
-        assert loaded[0].kuma is not None
-        assert loaded[0].kuma.a == pytest.approx(params[0].kuma.a)
-        assert loaded[1].kuma is None
-        assert loaded[1].fixed_keep == pytest.approx(0.4)
-
-    def test_bias_roundtrip_version_2(self, tmp_path):
-        cfg = GCNConfig(layer_dims=[3, 4, 2], use_bias=True,
-                        masks=[MaskSpec(), MaskSpec()])
-        params = init_params(cfg, np.random.default_rng(0))
-        rng = np.random.default_rng(1)
-        for p in params:
-            p.bias.data[:] = rng.normal(size=p.bias.data.shape)
-        path = tmp_path / "model.bin"
-        save_checkpoint(path, params)
-        import struct
-        assert struct.unpack("<I", path.read_bytes()[4:8]) == (2,)
-        loaded = load_checkpoint(path)
-        for a, b in zip(params, loaded):
-            assert np.array_equal(a.m.data, b.m.data)
-            assert np.array_equal(a.bias.data, b.bias.data)
-
-    def test_magic_enforced(self, tmp_path):
-        path = tmp_path / "bad.bin"
-        path.write_bytes(b"NOPE" + b"\x00" * 32)
-        with pytest.raises(MalformedInputError):
-            load_checkpoint(path)
-
-    def test_every_truncation_is_malformed(self, tmp_path):
-        raw = small_checkpoint(tmp_path)
-        path = tmp_path / "cut.bin"
-        for length in range(len(raw)):
-            path.write_bytes(raw[:length])
-            with pytest.raises(MalformedInputError, match="truncated"):
-                load_checkpoint(path)
-
-    def test_trailing_byte_is_malformed(self, tmp_path):
-        path = tmp_path / "long.bin"
-        path.write_bytes(small_checkpoint(tmp_path) + b"\x00")
-        with pytest.raises(MalformedInputError, match="1 trailing bytes"):
-            load_checkpoint(path)
-
-    @pytest.mark.parametrize("offset, value, message", [
-        (4, b"\x03\x00\x00\x00", "version 3"),
-        (8, b"\x00\x00\x00\x00", "0 layers"),
-        (-26, b"\x02", "layer 0: unknown drop kind 2"),  # 17 + 9 bytes left
-    ])
-    def test_bad_header_field_is_malformed(self, tmp_path, offset, value,
-                                           message):
-        raw = bytearray(small_checkpoint(tmp_path))
-        raw[offset:offset + len(value) or None] = value
-        path = tmp_path / "bad.bin"
-        path.write_bytes(bytes(raw))
-        with pytest.raises(MalformedInputError, match=message):
-            load_checkpoint(path)
-
-    @pytest.mark.parametrize("offset, value, message", CHECKPOINT_VALUE_FAULTS)
-    def test_bad_value_is_malformed(self, tmp_path, offset, value, message):
-        path = tmp_path / "bad.bin"
-        path.write_bytes(with_float(small_checkpoint(tmp_path), offset, value))
-        with pytest.raises(MalformedInputError, match=re.escape(message)):
-            load_checkpoint(path)
-
-    def test_log_values_roundtrip_bitwise(self, tmp_path):
-        cfg = GCNConfig(layer_dims=[3, 2], estimator="concrete",
-                        masks=[MaskSpec(kind=MaskKind.GDC, learned=True,
-                                        relaxed=True)])
-        params = init_params(cfg, np.random.default_rng(0))
-        path = tmp_path / "model.bin"
-        for log_a, log_b in np.random.default_rng(31).normal(
-                scale=3.0, size=(100, 2)):
-            params[0].kuma.log_a.data[0, 0] = log_a
-            params[0].kuma.log_b.data[0, 0] = log_b
-            save_checkpoint(path, params)
-            kuma = load_checkpoint(path)[0].kuma
-            assert (kuma.log_a.item(), kuma.log_b.item()) == (log_a, log_b)
-
-    def test_header_layout(self, tmp_path):
-        cfg = plain_config([3, 4, 2])
-        params = init_params(cfg, np.random.default_rng(0))
-        path = tmp_path / "model.bin"
-        save_checkpoint(path, params)
-        raw = path.read_bytes()
-        assert raw[:4] == b"GDCN"
-        import struct
-        version, n_layers = struct.unpack("<II", raw[4:12])
-        assert version == 1 and n_layers == 2
-        dims = struct.unpack("<III", raw[12:24])
-        assert dims == (3, 4, 2)

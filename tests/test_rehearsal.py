@@ -82,7 +82,8 @@ def rehearsal():
                                   == ds.labels[test]))
             pavpu.append(rep.pavpu)
             sums.append(mean.sum(axis=1))
-        out[key] = (np.array([r.test_acc for r in summary.results]),
+        out[key] = (np.array([r.result.best_test_acc
+                              for r in summary.results]),
                     np.array(mc_acc), np.array(pavpu), np.array(sums))
     return out
 

@@ -126,7 +126,8 @@ class TestArmDraws:
                           keep_prob=0.5, relaxed=estimator == "concrete"),
                  MaskSpec(kind=MaskKind.DROPEDGE, keep_prob=0.5),
                  MaskSpec(kind=MaskKind.DROPEDGE, learned=learned,
-                          keep_prob=0.5, symmetric=True)]
+                          keep_prob=0.5, symmetric=True,
+                          relaxed=estimator == "concrete")]
         cfg = GCNConfig(layer_dims=[6, 5, 4, 3], masks=masks,
                         estimator=estimator)
         params = init_params(cfg, np.random.default_rng(0))

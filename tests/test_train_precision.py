@@ -54,6 +54,10 @@ L2 = 5e-3
 GDC = spec(MaskKind.GDC, n_blocks=2, keep_prob=0.6, symmetric=True)
 GDC_LEARNED = spec(MaskKind.GDC, n_blocks=2, learned=True, symmetric=True)
 DROPEDGE_LEARNED = spec(MaskKind.DROPEDGE, learned=True)
+# The concrete estimator trains relaxed masks on learned layers.
+GDC_RELAXED = spec(MaskKind.GDC, n_blocks=2, learned=True, relaxed=True,
+                   symmetric=True)
+DROPEDGE_RELAXED = spec(MaskKind.DROPEDGE, learned=True, relaxed=True)
 
 # name -> GCNConfig keyword arguments
 CASES = {
@@ -66,13 +70,13 @@ CASES = {
     "gdc": dict(masks=layers(GDC), use_bias=True),
     "randomwalk": dict(masks=layers(spec(MaskKind.RANDOM_WALK,
                                          keep_prob=0.7))),
-    "gdc-concrete": dict(masks=layers(GDC_LEARNED), estimator="concrete"),
-    "gdc-concrete-kl-weight": dict(masks=layers(GDC_LEARNED),
+    "gdc-concrete": dict(masks=layers(GDC_RELAXED), estimator="concrete"),
+    "gdc-concrete-kl-weight": dict(masks=layers(GDC_RELAXED),
                                    estimator="concrete",
                                    kl_weight_scaling=True),
     "gdc-arm": dict(masks=layers(GDC_LEARNED), estimator="arm",
                     use_bias=True),
-    "dropedge-concrete": dict(masks=layers(DROPEDGE_LEARNED),
+    "dropedge-concrete": dict(masks=layers(DROPEDGE_RELAXED),
                               estimator="concrete"),
     "dropedge-arm": dict(masks=layers(DROPEDGE_LEARNED), estimator="arm"),
 }

@@ -547,7 +547,8 @@ class TestRunSeeds:
         cfg = small_config(ds.n_features, ds.class_count)
         tc = TrainConfig(epochs=5, seeds=(3, 3))
         summary = run_seeds(ds, cfg, tc)
-        assert summary.results[0].test_acc == summary.results[1].test_acc
+        assert (summary.results[0].result.best_test_acc
+                == summary.results[1].result.best_test_acc)
         assert summary.std_acc == 0.0
 
     def test_rerun_bitwise_identical(self):
