@@ -6,6 +6,9 @@ L + 1 dims as u32; per layer its row-major float64 weights and, in version
 2, its float64 bias row; then per layer a drop-kind byte, 1 (learned)
 followed by the float64 Kumaraswamy log a and log b, or 0 (fixed) followed
 by the float64 keep probability.
+
+Weights and biases load rounded to float32, the model's dtype, which a
+float64 holds exactly; one beyond float32's finite range is a fault.
 """
 
 from __future__ import annotations
@@ -42,15 +45,17 @@ def save_checkpoint(path, params: list, config: GCNConfig) -> None:
 
 
 def load_checkpoint(path, config: GCNConfig) -> list:
-    """The parameters in ``path``, the stored log values bit for bit, for
-    the model ``config`` describes.
+    """The parameters in ``path`` for the model ``config`` describes: the
+    weights and biases rounded to float32, the stored log values bit for
+    bit.
 
     Every fault raises ``MalformedInputError``, the file's own first: it is
     unreadable, truncated or too long, or has a bad magic, version or drop
-    kind, a non-finite weight or bias, a Kumaraswamy (log a, log b) with no
-    positive finite (a, b), or a keep probability outside [0, 1]. Then its
-    dims, its biases (version 2), each layer's drop kind and each fixed
-    layer's keep probability must be the config's.
+    kind, a non-finite weight or bias, or one beyond float32's range, a
+    Kumaraswamy (log a, log b) with no positive finite (a, b), or a keep
+    probability outside [0, 1]. Then its dims, its biases (version 2), each
+    layer's drop kind and each fixed layer's keep probability must be the
+    config's.
     """
     try:
         with open(path, "rb") as fh:
@@ -73,10 +78,14 @@ def load_checkpoint(path, config: GCNConfig) -> list:
 
     def floats(rows: int, cols: int, what: str):
         arr = np.frombuffer(take(8 * rows * cols), dtype="<f8")
-        if not np.all(np.isfinite(arr)):
+        with np.errstate(over="ignore"):
+            arr32 = arr.astype(np.float32)
+        if not np.all(np.isfinite(arr32)):
+            fault = ("a non-finite value" if not np.all(np.isfinite(arr))
+                     else "a value outside float32's range")
             raise MalformedInputError(
-                f"checkpoint {path}: {what} holds a non-finite value")
-        return parameter(arr.reshape(rows, cols).copy())
+                f"checkpoint {path}: {what} holds {fault}")
+        return parameter(arr32.reshape(rows, cols))
 
     magic = take(4)
     if magic != MAGIC:

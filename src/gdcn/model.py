@@ -41,14 +41,15 @@ per stored entry. ``forward`` never converts: a dense input keeps the
 dense path.
 
 A pass computes in the dtype of its operands (``tape``'s dtype rule).
-Training's passes, ``predict_mc``'s and the deterministic evaluation's run
-in float32 on ``float32_operands``: float32 copies of the weights, biases
-and ``a_norm`` and the float32 CSR input, with the masks applied in
-float32 and the masks drawn as a float64 pass draws them. Concrete
-tangents are applied in float32 too. Each pass finishes in float64, where
-the log-softmax casts its (n, C) logits, so every pass returns float64
-log-probabilities and the loss on them is float64. A pass on float64
-operands stays float64.
+Weights and biases are float32 (``init_params``), and the Kumaraswamy
+(log a, log b) float64. Training's passes, ``predict_mc``'s and the
+deterministic evaluation's run in float32 on ``float32_operands``: the
+weights and biases, a float32 copy of ``a_norm`` and the float32 CSR input,
+with the masks applied in float32 and the masks drawn as a float64 pass
+draws them. Concrete tangents are applied in float32 too. Each pass
+finishes in float64, where the log-softmax casts its (n, C) logits, so
+every pass returns float64 log-probabilities and the loss on them is
+float64. A pass on float64 operands stays float64.
 
 The deterministic evaluation scales each connection by its layer's
 expected keep probability pi. That value is the same for every GDC block,
@@ -256,13 +257,16 @@ def glorot_bound(f_in: int, f_out: int) -> float:
 
 
 def init_params(config: GCNConfig, rng: np.random.Generator) -> list:
-    """Glorot-uniform weights plus per-layer drop parameterization."""
+    """Glorot-uniform float32 weights (float64 draws, rounded), float32 zero
+    biases where the config has them, and per-layer drop parameterization."""
     params = []
     for l in range(config.n_layers):
         f_in, f_out = config.layer_dims[l], config.layer_dims[l + 1]
         bound = glorot_bound(f_in, f_out)
-        m = parameter(rng.uniform(-bound, bound, size=(f_in, f_out)))
-        bias = parameter(np.zeros((1, f_out))) if config.use_bias else None
+        m = parameter(rng.uniform(-bound, bound, size=(f_in, f_out))
+                      .astype(np.float32))
+        bias = (parameter(np.zeros((1, f_out), dtype=np.float32))
+                if config.use_bias else None)
         spec = config.masks[l]
         kuma = KumaraswamyParams(1.0, config.kuma_init_b) if spec.learned else None
         params.append(LayerParams(m=m, bias=bias, kuma=kuma))
@@ -687,29 +691,21 @@ def forward_deterministic(params, x, graph, config, capture_hidden=False):
                    capture_hidden=capture_hidden)
 
 
-def float32_params(params: list) -> list:
-    """``params`` with every weight and bias a float32 parameter copy, so
-    that a taped pass on them records float32 gradients; the drop
-    parameters are shared. Float32 data is wrapped, not copied."""
-    def f32(t):
-        return None if t is None else parameter(
-            t.data.astype(np.float32, copy=False))
-
-    return [replace(p, m=f32(p.m), bias=f32(p.bias)) for p in params]
-
-
 def float32_operands(params: list, x: Tensor, graph: PreparedGraph):
-    """The operands of a float32 pass: ``(params, x, graph)`` with
-    ``float32_params``' copies of the weights and biases, ``x`` as a
-    float32 CSR constant (``sparse_input``) and ``graph`` sharing
-    everything but a float32 copy of ``a_norm``. The arguments are left
-    unchanged. Operands that are float32 already are shared, not copied:
-    ``Dataset.features_csr()``'s float32 CSR input is passed through as
-    it is, and ``training.train`` casts the rest once, so every pass on its
-    operands reuses that cast."""
+    """The operands of a float32 pass: ``(params, x, graph)`` with float32
+    weights and biases, ``x`` as a float32 CSR constant (``sparse_input``)
+    and ``graph`` sharing everything but a float32 copy of ``a_norm``; the
+    arguments are left unchanged. Operands that are float32 already, such
+    as trained or loaded weights and ``Dataset.features_csr()``, are
+    passed through, not copied."""
+    def f32(t):
+        return (t if t is None or t.data.dtype == np.float32
+                else parameter(t.data.astype(np.float32)))
+
     graph32 = replace(graph, a_norm=graph.a_norm.astype(np.float32,
                                                         copy=False))
-    return float32_params(params), sparse_input(x, np.float32), graph32
+    return ([replace(p, m=f32(p.m), bias=f32(p.bias)) for p in params],
+            sparse_input(x, np.float32), graph32)
 
 
 def predict_mc(params, x, graph, config, s: int, rng: np.random.Generator):
@@ -724,9 +720,9 @@ def predict_mc(params, x, graph, config, s: int, rng: np.random.Generator):
     The passes compute in float32 on ``float32_operands``, from the masks
     and draws a float64 pass would use, and each finishes in float64: the
     log-softmax casts its (n, C) logits, so that every row's probabilities
-    sum to 1 within 1e-9. ``params`` keep their float64 values. The weights
-    are fixed for the call, so where layer 0 draws edge masks only its
-    block products are computed once and shared by every pass.
+    sum to 1 within 1e-9. ``params`` are left as they are. The weights are
+    fixed for the call, so where layer 0 draws edge masks only its block
+    products are computed once and shared by every pass.
     """
     if s < 1:
         raise ContractViolation("need at least one Monte Carlo sample")

@@ -420,15 +420,15 @@ def record_mul(tape, x: Tensor, y: Tensor) -> Tensor:
 
 
 def record_frobenius_sq(tape, x: Tensor) -> Tensor:
-    """``||x||^2`` as a (1, 1) tensor. The backward computes ``2 g x`` in
-    float64 and hands ``x`` its gradient in ``x``'s dtype, so a float32
-    input's gradient does not promote the gradients upstream of it."""
-    out_data = np.array([[np.sum(x.data * x.data)]])
+    """``||x||^2`` as a float64 (1, 1) tensor: the sum of the float64
+    squares of ``x``'s entries, whatever ``x``'s dtype. The backward
+    computes ``2 g x`` in ``x``'s dtype, so a float32 input's gradient does
+    not promote the gradients upstream of it."""
+    out_data = np.array([[np.sum(np.square(x.data, dtype=np.float64))]])
 
     def bwd(g, acc):
         if x.requires_grad:
-            dx = 2.0 * np.float64(g[0, 0]) * x.data
-            acc(x, dx.astype(x.data.dtype, copy=False))
+            acc(x, x.data * (2.0 * float(g[0, 0])))
 
     return _maybe_record(tape, out_data, (x,), bwd)
 

@@ -6,18 +6,17 @@ selection uses a deterministic expected-keep evaluation pass so that early
 stopping does not chase mask noise, with one product per layer
 (``model.forward_deterministic``).
 
-Training is mixed precision (Micikevicius et al., arXiv 1710.03740): every
-pass runs in float32 on float64 master weights. ``train`` reads the
-dataset's float32 CSR input as it is, casts ``a_norm`` and the loss-row
-plan's matrices to float32 once per call, and casts the weights and
-biases once at the start and after each Adam step
-(``model.float32_params``); the deterministic evaluation of epoch e and
-the passes of step e + 1 share that one cast. The log-softmax, the NLL,
-the KL and the weight penalty are float64, and the penalty is taken on the
-master weights. Concrete's dL/dpi sums its inner products in float64. The
-float32 gradients are cast to float64 and added to the masters' own before
-``adam_step``, so Adam's weights and moments stay float64. ARM's L(Z1) and
-L(Z2) both come from float32 passes, so they round alike.
+Weights and biases are float32 from ``model.init_params`` on: the passes,
+the weight penalty, the backward and Adam all work on the same tensors,
+and Adam's moments take each tensor's dtype. No float64 master copy is
+kept: masters guard fp16 updates that fall below half precision's
+resolution (Micikevicius et al., arXiv 1710.03740, Sec. 3.1), and a
+float32 weight of 0.05 resolves steps down to 3.7e-9, far below Adam's
+step of about ``lr``. The Kumaraswamy (log a, log b), the log-softmax, the
+NLL, the KL and the sum of the weights' squares are float64, and
+concrete's dL/dpi sums its inner products in float64. ``train`` casts
+``a_norm`` and the loss-row plan's matrices to float32 once per call. ARM's
+L(Z1) and L(Z2) both come from float32 passes, so they round alike.
 
 Both estimators reach (log a, log b) through the recorded Kumaraswamy draw
 and one backward pass. Concrete's masks carry the draw and their tangents
@@ -37,9 +36,9 @@ steps could share them, and the benchmark measured no gain from that;
 Each step (masks, recorded pass, loss, backward with ARM's Z1 pass, Adam)
 runs in ``_train_step``, so its tape, masks, activations, products and
 gradients are freed when it returns. During the deterministic evaluation
-that follows only the parameters and their float32 copies, Adam's moments,
-the input, the best snapshot and the evaluation's own arrays are alive, so
-the step and the evaluation never hold memory at the same time.
+that follows only the parameters, Adam's moments, the input, the best
+snapshot and the evaluation's own arrays are alive, so the step and the
+evaluation never hold memory at the same time.
 
 A run diverges (``DivergenceError``) when its loss is non-finite for
 ``_DIVERGENCE_LIMIT`` consecutive epochs, or in every epoch of a shorter
@@ -76,7 +75,7 @@ from .errors import ContractViolation, DivergenceError
 from .estimators import arm_gradient, arm_pi_grad
 from .metrics import accuracy
 from .model import (GCNConfig, PreparedGraph, arm_masks, check_graph,
-                    expected_keep, float32_operands, float32_params, forward,
+                    expected_keep, float32_operands, forward,
                     forward_deterministic, init_params, loss_rows,
                     record_kl_terms, sample_step_masks, training_loss)
 from .tape import Tape, backward, constant, record_masked_nll, record_scale
@@ -141,8 +140,8 @@ def epoch_log_rows(logs: list) -> list:
 
 
 class AdamState:
-    """First/second moments per parameter tensor plus the step counter, and
-    two scratch arrays per tensor for the update's intermediates."""
+    """Per parameter tensor, first/second moments and two scratch arrays for
+    the update's intermediates in the tensor's dtype; the step counter."""
 
     def __init__(self, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8):
@@ -155,47 +154,52 @@ class AdamState:
 
 
 def adam_step(tensors: list, grads: dict, state: AdamState, lr: float) -> bool:
-    """One Adam update over ``tensors``; returns False on non-finite grads.
-
-    A step with any non-finite gradient changes nothing but
-    ``state.rejected``. Otherwise every tensor takes
-    ``lr * (m / bc1) / (sqrt(v / bc2) + eps)`` off its data, computed in
-    place in the state's scratch arrays with the operations and order of
+    """One Adam update over ``tensors``; returns False on a gradient it
+    cannot take: one that is not finite, or whose square could overflow its
+    dtype. Such a step changes nothing but ``state.rejected``. Otherwise
+    every tensor takes ``lr * (m / bc1) / (sqrt(v / bc2) + eps)`` off its
+    data in its own dtype (``bc1`` and ``bc2`` are Python floats), computed
+    in place in the state's scratch arrays with the operations and order of
     that formula, so the result is bit for bit the formula's and a step
-    allocates no full-size temporary.
+    allocates no full-size temporary. An update that overflows (an ``lr``
+    beyond the dtype's range) leaves a non-finite value, without a warning.
     """
     for t in tensors:
-        if not np.all(np.isfinite(grads[t])):
+        g = grads[t]
+        # |g| <= sqrt(max) / 2 keeps g * g, v and v / bc2 finite with room
+        # for rounding; NaN fails the comparison.
+        if not np.abs(g).max() <= np.sqrt(np.finfo(g.dtype).max) / 2:
             state.rejected += 1
             return False
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
-    for t in tensors:
-        g = grads[t]
-        m = state.m.get(t)
-        if m is None:
-            m = np.zeros_like(t.data)
-            state.m[t] = m
-            state.v[t] = np.zeros_like(t.data)
-            state.scratch[t] = (np.empty_like(t.data), np.empty_like(t.data))
-        v = state.v[t]
-        a, b = state.scratch[t]
-        m *= b1
-        np.multiply(g, 1.0 - b1, out=a)
-        m += a
-        v *= b2
-        np.multiply(g, 1.0 - b2, out=a)
-        a *= g
-        v += a
-        np.divide(v, bc2, out=a)
-        np.sqrt(a, out=a)
-        a += state.eps
-        np.divide(m, bc1, out=b)
-        b *= lr
-        b /= a
-        t.data -= b
+    with _overflow_allowed():
+        for t in tensors:
+            g = grads[t]
+            m = state.m.get(t)
+            if m is None:
+                m = np.zeros_like(t.data)
+                state.m[t] = m
+                state.v[t] = np.zeros_like(m)
+                state.scratch[t] = (np.empty_like(m), np.empty_like(m))
+            v = state.v[t]
+            a, b = state.scratch[t]
+            m *= b1
+            np.multiply(g, 1.0 - b1, out=a)
+            m += a
+            v *= b2
+            np.multiply(g, 1.0 - b2, out=a)
+            a *= g
+            v += a
+            np.divide(v, bc2, out=a)
+            np.sqrt(a, out=a)
+            a += state.eps
+            np.divide(m, bc1, out=b)
+            b *= lr
+            b /= a
+            t.data -= b
     return True
 
 
@@ -226,29 +230,28 @@ def _det_eval(params, x, graph, config, labels, split, capture_hidden=False):
 
 
 def _overflow_allowed():
-    """Silence overflow and invalid-value warnings: a float32 pass or a
-    loss that overflows gives a non-finite loss or gradient, which the
-    divergence check and ``adam_step``'s rejection handle."""
+    """Silence overflow and invalid-value warnings: a float32 pass, a loss
+    or an Adam update that overflows gives a non-finite loss, gradient or
+    weight, which the divergence checks and ``adam_step``'s rejection
+    handle."""
     return np.errstate(over="ignore", invalid="ignore")
 
 
-def step_gradients(gcn_config, train_config, epoch, params, params32, rng,
-                   x, graph, plan, plan_labels, observed):
+def step_gradients(gcn_config, train_config, epoch, params, rng, x, graph,
+                   plan, plan_labels, observed):
     """One step's loss and gradients: sample the masks, run the recorded
-    pass on ``params32``, ``x``, ``graph`` and ``plan``, take the loss and,
+    pass on ``params``, ``x``, ``graph`` and ``plan``, take the loss and,
     where it is finite, backward (with ARM's Z1 pass).
 
-    ``params32`` are ``params`` with their own weight and bias tensors
-    (``model.float32_params``), on which the passes run; the weight
-    penalty and the KL are taken on ``params``. Returns the (loss, NLL,
-    KL) floats, the float64 gradient of every tensor of ``params`` (None
-    where the loss is not finite) and the tape's ``clamp_events``.
+    Returns the (loss, NLL, KL) floats, the gradient of every tensor of
+    ``params`` in that tensor's dtype (None where the loss is not finite)
+    and the tape's ``clamp_events``.
     """
     tape = Tape()
-    draws = sample_step_masks(gcn_config, params32, graph, rng, tape=tape,
+    draws = sample_step_masks(gcn_config, params, graph, rng, tape=tape,
                               mode="train", input_nnz=x.data.nnz)
     with _overflow_allowed():
-        logprobs = forward(params32, x, graph, draws.layer_masks, tape=tape,
+        logprobs = forward(params, x, graph, draws.layer_masks, tape=tape,
                            rows=plan)
         kl_terms = record_kl_terms(tape, gcn_config, params)
         wf = warmup_factor(epoch, train_config.warmup)
@@ -270,7 +273,7 @@ def step_gradients(gcn_config, train_config, epoch, params, params32, rng,
         seeds = None
         if draws.arm is not None:
             def loss_eval(z_drop):
-                lp = forward(params32, x, graph,
+                lp = forward(params, x, graph,
                              arm_masks(draws, graph, z_drop), tape=None,
                              rows=plan)
                 return record_masked_nll(None, lp, plan_labels,
@@ -282,18 +285,12 @@ def step_gradients(gcn_config, train_config, epoch, params, params32, rng,
             seeds = {pi: arm_pi_grad(pi.item(), g_alpha)
                      for pi, g_alpha in zip(pis, est.grad_alpha)}
         grads = backward(tape, loss, seeds)
-    out = {}
-    for p, q in zip(params, params32):
-        for t, t32 in ((p.m, q.m), (p.bias, q.bias)):
-            if t is not None:
-                out[t] = grads.get(t) + grads.get(t32)
-        if p.kuma is not None:
-            out.update((t, grads.get(t)) for t in p.kuma.tensors())
+    out = {t: grads.get(t) for p in params for t in p.tensors()}
     return loss_val, nll_val, kl_val, out, tape.clamp_events
 
 
-def _train_step(gcn_config, train_config, epoch, params, params32, state,
-                rng, x, graph, plan, plan_labels, observed):
+def _train_step(gcn_config, train_config, epoch, params, state, rng, x,
+                graph, plan, plan_labels, observed):
     """One training step: ``step_gradients`` and, where the loss is finite,
     one Adam step on ``params``. Returns the (loss, NLL, KL) floats,
     whether Adam changed ``params`` and the step's clamp events.
@@ -303,23 +300,21 @@ def _train_step(gcn_config, train_config, epoch, params, params32, state,
     det-eval allocates its own arrays.
     """
     loss_val, nll_val, kl_val, grads, clamps = step_gradients(
-        gcn_config, train_config, epoch, params, params32, rng, x, graph,
-        plan, plan_labels, observed)
+        gcn_config, train_config, epoch, params, rng, x, graph, plan,
+        plan_labels, observed)
     stepped = grads is not None and adam_step(
         [t for p in params for t in p.tensors()], grads, state,
         train_config.lr)
     return loss_val, nll_val, kl_val, stepped, clamps
 
 
-def _cast_weights(params, epoch):
-    """``float32_params(params)`` after the step of ``epoch``; raises
-    ``DivergenceError`` when a weight or bias left float32's range or a
-    learned layer's Kumaraswamy a or b is 0 or infinite."""
-    with np.errstate(over="ignore"):
-        params32 = float32_params(params)
-    for l, (p, q) in enumerate(zip(params, params32)):
+def _check_weights(params, epoch):
+    """Raise ``DivergenceError`` when the step of ``epoch`` took a weight or
+    bias outside float32's range or a learned layer's Kumaraswamy a or b
+    to 0 or infinity."""
+    for l, p in enumerate(params):
         if not all(np.isfinite(t.data).all()
-                   for t in (q.m, q.bias) if t is not None):
+                   for t in (p.m, p.bias) if t is not None):
             raise DivergenceError(
                 f"layer {l}: a weight left float32's range (epoch {epoch})")
         if p.kuma is not None and not finite_scales(p.kuma.log_a.item(),
@@ -328,7 +323,6 @@ def _cast_weights(params, epoch):
                 f"layer {l}: Kumaraswamy (log a, log b) = "
                 f"({p.kuma.log_a.item()}, {p.kuma.log_b.item()}) gives no "
                 f"positive finite (a, b) (epoch {epoch})")
-    return params32
 
 
 def train(dataset: Dataset, gcn_config: GCNConfig, train_config: TrainConfig,
@@ -339,8 +333,8 @@ def train(dataset: Dataset, gcn_config: GCNConfig, train_config: TrainConfig,
     The layer-0 input is ``dataset.features_csr()``, a float32 CSR array
     converted once per features array, so training again on the same
     dataset (another seed, another config) skips the conversion, and every
-    pass reads it without a cast. The returned parameters are the float64
-    master weights.
+    pass reads it without a cast. The returned parameters are the ones
+    trained: float32 weights and biases, float64 Kumaraswamy logs.
 
     ``hidden_hook(epoch, hidden)`` receives the deterministic pass's hidden
     activations each epoch (used by the over-smoothing diagnostics).
@@ -356,7 +350,7 @@ def train(dataset: Dataset, gcn_config: GCNConfig, train_config: TrainConfig,
     params = init_params(gcn_config, rng)
     tensors = [t for p in params for t in p.tensors()]
     state = AdamState()
-    params32, x, graph32 = float32_operands(
+    _, x, graph32 = float32_operands(
         params, constant(dataset.features_csr()), graph)
     labels = dataset.labels
     split = dataset.split
@@ -375,8 +369,8 @@ def train(dataset: Dataset, gcn_config: GCNConfig, train_config: TrainConfig,
         t0 = time.perf_counter()
         rejected = state.rejected
         loss_val, nll_val, kl_val, stepped, clamps = _train_step(
-            gcn_config, train_config, epoch, params, params32, state, rng, x,
-            graph32, plan, plan_labels, observed)
+            gcn_config, train_config, epoch, params, state, rng, x, graph32,
+            plan, plan_labels, observed)
         if not np.isfinite(loss_val):
             nonfinite_run += 1
             if nonfinite_run >= divergence_limit:
@@ -387,11 +381,11 @@ def train(dataset: Dataset, gcn_config: GCNConfig, train_config: TrainConfig,
         else:
             nonfinite_run = 0
         if stepped:
-            params32 = _cast_weights(params, epoch)
+            _check_weights(params, epoch)
 
         with _overflow_allowed():
             val_acc, test_acc, hidden = _det_eval(
-                params32, x, graph32, gcn_config, labels, split,
+                params, x, graph32, gcn_config, labels, split,
                 capture_hidden=capture)
         if capture:
             hidden_hook(epoch, hidden)

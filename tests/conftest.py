@@ -7,6 +7,7 @@ compare the package's sparse/taped paths against these.
 
 import os
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,6 +32,17 @@ def finite_diff(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
         xm.flat[i] -= h
         g.flat[i] = (f(xp) - f(xm)) / (2.0 * h)
     return g
+
+
+def float64_params(params: list) -> list:
+    """``params`` with float64 copies of the weights and biases, which are
+    float32 from ``init_params`` on; the drop parameters are shared. A
+    pass on them and a float64 input stays float64, as a finite-difference
+    check or a float64 reference pass needs."""
+    def f64(t):
+        return None if t is None else parameter(t.data.astype(np.float64))
+
+    return [replace(p, m=f64(p.m), bias=f64(p.bias)) for p in params]
 
 
 def kuma_draw(log_a: float, log_b: float, u: float) -> float:
@@ -121,6 +133,8 @@ CHECKPOINT_VALUE_FAULTS = [
     (24, np.inf, "layer 0 weights holds a non-finite value"),
     (200, np.nan, "layer 1 weights holds a non-finite value"),
     (120, -np.inf, "layer 0 bias holds a non-finite value"),
+    (24, 1e300, "layer 0 weights holds a value outside float32's range"),
+    (216, -1e39, "layer 1 bias holds a value outside float32's range"),
     (233, -1000.0, "layer 0: Kumaraswamy"),
     (233, np.nan, "layer 0: Kumaraswamy"),
     (241, 1000.0, "layer 0: Kumaraswamy"),

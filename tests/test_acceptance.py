@@ -29,8 +29,9 @@ from gdcn.tape import Tape, backward, constant
 from gdcn.training import TrainConfig, run_seeds
 from gdcn.variational import WarmupSchedule, kl_kuma_beta
 
-from conftest import (cora_dir, dense_normalize, finite_diff, mask_values,
-                      random_edges, requires_cora)
+from conftest import (cora_dir, dense_normalize, finite_diff,
+                      float64_params, mask_values, random_edges,
+                      requires_cora)
 from synthetic import make_synthetic_files
 from test_variational import kl_quadrature
 
@@ -60,7 +61,8 @@ def test_criterion_1_gradient_correctness():
                            n_blocks=nb) for nb in (1, 2)]
     config = GCNConfig(layer_dims=[f_in, hidden, classes], masks=masks_spec,
                        estimator="concrete")
-    params = init_params(config, rng)
+    # float64 weights, so that the pass and its gradients stay float64
+    params = float64_params(init_params(config, rng))
     tensors = [t for p in params for t in p.tensors()]
 
     # frozen noise so the loss is a deterministic function of the parameters

@@ -39,12 +39,14 @@ def write(path, config, params=None):
 
 
 def assert_same_tensors(saved, loaded):
+    """Equal tensors, bit for bit and dtype for dtype: float32 weights and
+    biases, float64 Kumaraswamy logs."""
     assert len(saved) == len(loaded)
     for a, b in zip(saved, loaded):
         ta, tb = a.tensors(), b.tensors()
         assert len(ta) == len(tb)
         for x, y in zip(ta, tb):
-            assert x.data.dtype == y.data.dtype == np.float64
+            assert x.data.dtype == y.data.dtype
             assert x.data.shape == y.data.shape
             assert x.data.tobytes() == y.data.tobytes()
 
@@ -118,6 +120,27 @@ class TestCheckpoint:
         path = tmp_path / "bad.bin"
         path.write_bytes(with_float(small_checkpoint(tmp_path), offset, value))
         with pytest.raises(MalformedInputError, match=re.escape(message)):
+            load_checkpoint(path, SMALL_CHECKPOINT_CONFIG)
+
+    def test_weights_load_rounded_to_float32(self, tmp_path):
+        # A float64 weight loads as its float32 rounding. Halfway between
+        # float32's largest value and the next power of two, a value rounds
+        # to infinity and is out of range; just below, it loads as the
+        # largest value.
+        raw = small_checkpoint(tmp_path)
+        path = tmp_path / "model.bin"
+        top = float(np.finfo(np.float32).max)
+        half = top + 2.0 ** 103
+        for value, want in ((0.1, np.float32(0.1)),
+                            (float(np.nextafter(half, 0.0)), np.float32(top)),
+                            (-1e-50, np.float32(-0.0))):
+            path.write_bytes(with_float(raw, 24, value))
+            got = load_checkpoint(path, SMALL_CHECKPOINT_CONFIG)[0].m.data
+            assert got.dtype == np.float32
+            assert got[0, 0].tobytes() == want.tobytes()
+        path.write_bytes(with_float(raw, 24, half))
+        with pytest.raises(MalformedInputError, match=re.escape(
+                "layer 0 weights holds a value outside float32's range")):
             load_checkpoint(path, SMALL_CHECKPOINT_CONFIG)
 
     def test_log_values_roundtrip_bitwise(self, tmp_path):
@@ -229,16 +252,17 @@ def models(draw):
 
 
 def random_params(config, seed):
-    """Parameters whose every float64 is a random finite bit pattern, and
-    Kumaraswamy logs anywhere ``exp`` stays positive and finite."""
+    """Parameters whose every float32 weight and bias is a random finite
+    bit pattern, and Kumaraswamy logs anywhere ``exp`` stays positive and
+    finite."""
     rng = np.random.default_rng(seed)
     params = init_params(config, rng)
     for p in params:
         for t in (p.m, p.bias):
             if t is not None:
-                bits = rng.integers(0, 2 ** 64, size=t.data.shape,
-                                    dtype=np.uint64).view(np.float64)
-                t.data = np.where(np.isfinite(bits), bits, -0.0)
+                bits = rng.integers(0, 2 ** 32, size=t.data.shape,
+                                    dtype=np.uint32).view(np.float32)
+                t.data = np.where(np.isfinite(bits), bits, np.float32(-0.0))
         if p.kuma is not None:
             p.kuma = KumaraswamyParams.from_logs(*rng.uniform(-700, 700, 2))
     return params

@@ -2,6 +2,8 @@
 
 import copy
 import os
+import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -444,6 +446,30 @@ class TestEvalUq:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: checkpoint dims ") and "dims" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o2").exists()
+
+    # A v1 file whose first weight is 1e300 once loaded: eval warned of
+    # overflow and exited 0 with an accuracy, and uq ended in a traceback.
+    @pytest.mark.parametrize("command", ["eval", "uq"])
+    def test_weight_beyond_float32_exit_2(self, trained, tmp_path,
+                                          synthetic_files, capsys, command):
+        cfg, out, ckpt = trained
+        raw = open(ckpt, "rb").read()
+        version, n_layers = struct.unpack("<II", raw[4:12])
+        assert version == 1
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(with_float(raw, 12 + 4 * (n_layers + 1), 1e300))
+        content, cites = synthetic_files
+        other = write_config(tmp_path / "other.ini", content, cites,
+                             tmp_path / "o2")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main([command, "--config", other, "--checkpoint", str(bad)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and (
+            "layer 0 weights holds a value outside float32's range" in err)
         assert "Traceback" not in err
         assert not (tmp_path / "o2").exists()
 

@@ -25,6 +25,7 @@ from gdcn.model import (GCNConfig, PreparedGraph, forward,
 from gdcn.tape import constant
 from gdcn.training import TrainConfig, train
 
+from conftest import float64_params
 from test_mc_precision import DIMS, dataset, layers, spec
 
 GDC2_SYM = spec(MaskKind.GDC, n_blocks=2, keep_prob=0.6, symmetric=True)
@@ -74,6 +75,7 @@ def setup(name):
 def per_block_det_pass(params, x, graph, config, capture_hidden=False):
     """The float64 deterministic pass with one product per GDC block: each
     block of a GDC layer takes the layer's expected-keep mask."""
+    params = float64_params(params)
     draws = sample_step_masks(config, params, graph, mode="det")
     masks = [lm if lm.edge is None else dataclasses.replace(
         lm, edge=EdgeMask(blocks=lm.edge.blocks * s.n_blocks))
@@ -128,7 +130,7 @@ def test_one_block_float32_within_bound_of_per_block(name, sparse_x,
     again = forward_deterministic(params, x, graph, cfg)
     assert np.array_equal(again.data, got.data)
     after = [t.data for p in params for t in p.tensors()]
-    assert all(a.dtype == np.float64 and np.array_equal(a, b)
+    assert all(a.dtype == b.dtype and np.array_equal(a, b)
                for a, b in zip(after, before))
     assert graph.a_norm.dtype == np.float64
 

@@ -20,6 +20,7 @@ from gdcn.model import (GCNConfig, PreparedGraph, forward, init_params,
 from gdcn.tape import constant
 from gdcn.training import TrainConfig, train
 
+from conftest import float64_params
 from synthetic import cluster_graph
 
 DIMS = [15, 8, 6, 3]
@@ -92,6 +93,7 @@ def setup(name):
 def float64_mean(params, x, graph, cfg, rng):
     """The mean of ``S`` passes through ``forward`` on float64 operands,
     with the draws ``predict_mc`` makes."""
+    params = float64_params(params)
     xs = sparse_input(x)
     per = []
     for _ in range(S):
@@ -126,9 +128,9 @@ def test_float32_mean_within_bound_of_float64(name, monkeypatch):
     assert np.all(np.abs(mean.sum(axis=1) - 1.0) <= 1e-9)
     again = predict_mc(params, x, graph, cfg, S, np.random.default_rng(3))
     assert np.array_equal(again[0], mean) and np.array_equal(again[1], per)
-    # the caller's parameters and graph keep their float64 values
+    # the caller's parameters and graph keep their dtypes and values
     after = [t.data for p in params for t in p.tensors()]
-    assert all(a.dtype == np.float64 and np.array_equal(a, b)
+    assert all(a.dtype == b.dtype and np.array_equal(a, b)
                for a, b in zip(after, before))
     assert graph.a_norm.dtype == np.float64
     assert np.array_equal(graph.a_norm.data, a_norm.data)
@@ -150,8 +152,11 @@ def test_train_after_predict_mc_unchanged(name):
     for attr in ("data", "indices", "indptr"):
         a, b = getattr(csr, attr), getattr(before, attr)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), attr
-    assert all(t.data.dtype == np.float64
-               for p in first.params for t in p.tensors())
+    for p in first.params:
+        assert all(t.data.dtype == np.float32
+                   for t in (p.m, p.bias) if t is not None)
+        assert all(t.data.dtype == np.float64
+                   for t in (p.kuma.tensors() if p.kuma else ()))
     second = train(ds, cfg, tc, seed=0, graph=graph)
 
     def logs(result):

@@ -19,8 +19,8 @@ from gdcn.tape import (Tape, backward, block_bounds, block_products,
                        constant, split_columns)
 from gdcn.variational import kl_kuma_beta
 
-from conftest import (dense_normalize, finite_diff, mask_values, random_edges,
-                      rel_err)
+from conftest import (dense_normalize, finite_diff, float64_params,
+                      mask_values, random_edges, rel_err)
 
 
 def prepared(n=5, seed=0, p=0.6):
@@ -420,7 +420,8 @@ class TestTrainingLoss:
         l2, wf = 0.01, 0.35
         loss = training_loss(t, lp, labels, observed, params, kl_terms, l2, wf)
         nll = -np.mean(lp.data[observed, labels[observed]])
-        fro = sum(np.sum(p.m.data ** 2) for p in params)
+        # the penalty sums the float64 squares of the float32 weights
+        fro = sum(np.sum(p.m.data.astype(np.float64) ** 2) for p in params)
         kl = sum(kl_kuma_beta(p.kuma.a, p.kuma.b, 2.0, 2) for p in params)
         assert loss.item() == pytest.approx(nll + l2 * fro + wf * kl, rel=1e-12)
 
@@ -444,7 +445,7 @@ class TestBias:
         g = prepared(5, seed=7)
         cfg = GCNConfig(layer_dims=[3, 4, 2], use_bias=True,
                         masks=[MaskSpec(), MaskSpec()])
-        params = init_params(cfg, np.random.default_rng(0))
+        params = float64_params(init_params(cfg, np.random.default_rng(0)))
         rng = np.random.default_rng(1)
         x = constant(rng.normal(size=(5, 3)))
         labels = np.array([0, 1, 1, 0, 1])

@@ -18,7 +18,7 @@ from gdcn.model import (GCNConfig, LayerMasks, PreparedGraph, _mask_csr,
 from gdcn.tape import Tape, Tensor, backward, constant, parameter
 from gdcn.training import TrainConfig, train
 
-from conftest import finite_diff, random_edges, rel_err
+from conftest import finite_diff, float64_params, random_edges, rel_err
 
 N, F_IN, HIDDEN, CLASSES = 9, 8, 6, 3
 SYM_DROPEDGE = MaskSpec(kind=MaskKind.DROPEDGE, symmetric=True)
@@ -161,7 +161,7 @@ def test_weight_gradient_matches_finite_differences_on_csr_input():
     per-entry DropOut mask and 2-block GDC column slices at layer 0."""
     g = prepared(3)
     rng = np.random.default_rng(3)
-    params = init_params(config(), rng)
+    params = float64_params(init_params(config(), rng))
     x = sparse_input(constant(sparse_features(rng)))
     labels = rng.integers(0, CLASSES, size=N)
     observed = np.arange(0, N, 2)

@@ -615,16 +615,19 @@ class TestBackward:
         np.testing.assert_allclose(backward(t, loss).get(w), 2.0 * w.data)
 
     def test_frobenius_gradient_of_float32_is_float32(self):
-        # 2 g x in float64, rounded once; the ReLU upstream of it then
-        # hands w a float32 gradient too.
+        # The value sums the float64 squares; the backward computes 2 g x
+        # in float32, and the ReLU upstream of it then hands w a float32
+        # gradient too.
         rng = np.random.default_rng(7)
         t = Tape()
         w = parameter(rng.normal(size=(3, 4)).astype(np.float32))
         h = record_relu(t, w)
-        loss = record_scale(t, record_frobenius_sq(t, h), 0.3)
-        grads = backward(t, loss)
+        fro = record_frobenius_sq(t, h)
+        assert fro.data.dtype == np.float64
+        assert fro.item() == np.sum(h.data.astype(np.float64) ** 2)
+        grads = backward(t, record_scale(t, fro, 0.3))
         dh = grads.get(h)
-        want = (2.0 * 0.3 * h.data.astype(np.float64)).astype(np.float32)
+        want = h.data * np.float32(2.0 * 0.3)
         assert dh.dtype == np.float32
         assert np.array_equal(dh.view(np.uint32), want.view(np.uint32))
         dw = grads.get(w)

@@ -1,10 +1,10 @@
 """A float32 training step's gradients against the float64 step's on the
 same draws.
 
-``training.train`` runs every pass in float32 on float32 copies of the
-float64 master weights and casts their gradients to float64 for Adam. One
-step's loss and gradients (dW, db, d(log a) and d(log b)) must stay
-within a bound of the float64 step's, for every mask kind and both
+``training.train`` runs every pass on float32 weights and biases, and
+takes their gradients in float32. One step's loss and gradients (dW, db,
+d(log a) and d(log b)) must stay within a bound of those of the same step
+on float64 copies of the same weights, for every mask kind and both
 estimators. As in ``tests/test_tape.py::TestPiTangent``, the bound is
 relative to the sum of the absolute values of the terms each quantity
 sums, taken from the float64 step. H and G are float32 results themselves,
@@ -14,7 +14,9 @@ mask pattern.
 
 - dW of a layer sums ``H[i, f] A_b[j, i] G[j, o]`` over the block b of
   feature f, so its scale is ``|H_b|^T |A_b|^T |G|``, with G the gradient
-  at the layer's aggregation output; db sums G's rows, scale ``sum |G|``.
+  at the layer's aggregation output, plus the weight penalty's ``|2 c W|``
+  (c the flat ``l2_factor``, or ``|E| pi / 2`` under
+  ``kl_weight_scaling``); db sums G's rows, scale ``sum |G|``.
 - The loss's scale is the sum of its parts' magnitudes and, for the NLL,
   the mean over the loss rows of the absolute logit of the label and the
   largest absolute logit.
@@ -39,9 +41,10 @@ from gdcn.graph import spmm, spmm_t
 from gdcn.masks import MaskKind
 from gdcn.model import (GCNConfig, PreparedGraph, float32_operands,
                         init_params, loss_rows)
-from gdcn.tape import backward, block_bounds, constant, parameter
+from gdcn.tape import backward, block_bounds, constant
 from gdcn.training import TrainConfig, step_gradients
 
+from conftest import float64_params
 from test_mc_precision import DIMS, dataset, layers, spec
 
 # |float32 - float64| <= BOUND * (sum of absolute terms). float32's unit
@@ -136,16 +139,16 @@ def recorded_step():
         yield seen
 
 
-def run_step(cfg, ds, graph, params, pass_params, x):
-    """``step_gradients`` on ``pass_params``, ``x`` and ``graph``, on the
+def run_step(cfg, ds, graph, params, x):
+    """``step_gradients`` on ``params``, ``x`` and ``graph``, on the
     training nodes' plan, with the draws of rng 7; returns its result, the
     plan's labels and observed positions, and what it recorded."""
     plan = loss_rows(graph, ds.split.train, cfg.n_layers)
     labels, observed = plan.loss_inputs(ds.labels)
     with recorded_step() as seen:
         result = step_gradients(cfg, TrainConfig(l2_factor=L2), 0, params,
-                                pass_params, np.random.default_rng(7), x,
-                                graph, plan, labels, observed)
+                                np.random.default_rng(7), x, graph, plan,
+                                labels, observed)
     return result, (labels, observed), seen
 
 
@@ -202,7 +205,7 @@ def pi_scale(cfg, graph, p, seen, l, a, tangents, hs, w, gs):
 
 
 def scales(cfg, l2, graph, params, seen, result, loss_inputs):
-    """The sum of the absolute terms of every master gradient, and under
+    """The sum of the absolute terms of every gradient, and under
     the key ``"loss"`` of the loss: its parts, and for the NLL the absolute
     logits of each loss row's label and of its largest entry."""
     out = {}
@@ -215,7 +218,11 @@ def scales(cfg, l2, graph, params, seen, result, loss_inputs):
         for v, (c0, c1) in zip(values, bounds):
             dw[c0:c1] = hs[l][:, c0:c1].T @ spmm_t(a, gs[l],
                                                    values=np.abs(v))
-        out[p.m] = dw + np.abs(2.0 * l2 * p.m.data)
+        # the weight penalty's term: 2 c W with c = l2, or |E| pi_l / 2
+        # under kl_weight_scaling
+        c = (graph.edges.n_entries / 2.0 * seen["draws"].pi_tensors[l].item()
+             if cfg.kl_weight_scaling else l2)
+        out[p.m] = dw + np.abs(2.0 * c * p.m.data)
         if p.bias is not None:
             out[p.bias] = gs[l].sum(axis=0, keepdims=True)
         if p.kuma is not None:
@@ -246,24 +253,25 @@ def within_bound(got, want, scale, bound):
 def test_float32_step_within_bound_of_float64(name):
     cfg, ds, graph, params = setup(name)
     x = constant(ds.features_csr())
-    params32, x32, graph32 = float32_operands(params, x, graph)
-    got, _, seen32 = run_step(cfg, ds, graph32, params, params32, x32)
+    _, x32, graph32 = float32_operands(params, x, graph)
+    got, _, seen32 = run_step(cfg, ds, graph32, params, x32)
     # the passes ran in float32, and so did their backward down to the
-    # weights' and biases' float32 copies
+    # weights and biases
     assert all(agg.data.dtype == seen32["grads"].get(agg).dtype == np.float32
                for *_, agg in seen32["aggregates"])
-    assert all(seen32["grads"].get(t).dtype == np.float32
-               for p in params32 for t in (p.m, p.bias) if t is not None)
-    params64 = [replace(p, m=parameter(p.m.data.copy()),
-                        bias=None if p.bias is None
-                        else parameter(p.bias.data.copy()))
-                for p in params]
-    want, loss_inputs, seen = run_step(cfg, ds, graph, params, params64, x)
+    tensors = [t for p in params for t in p.tensors()]
+    assert set(got[3]) == set(tensors)
+    assert all(got[3][t].dtype == t.data.dtype for t in tensors)
+    assert all(t.data.dtype == np.float32
+               for p in params for t in (p.m, p.bias) if t is not None)
+    params64 = float64_params(params)
+    want, loss_inputs, seen = run_step(cfg, ds, graph, params64, x)
     assert all(agg.data.dtype == np.float64 for *_, agg in seen["aggregates"])
-    masters = [t for p in params for t in p.tensors()]
-    assert set(got[3]) == set(masters)
-    assert all(got[3][t].dtype == np.float64 for t in masters)
-    scale = scales(cfg, L2, graph, params, seen, want, loss_inputs)
+    # the same tensors' gradients, keyed by the float64 copies
+    tensors64 = [t for p in params64 for t in p.tensors()]
+    got = (*got[:3], {t64: got[3][t] for t, t64 in zip(tensors, tensors64)},
+           got[4])
+    scale = scales(cfg, L2, graph, params64, seen, want, loss_inputs)
     assert within_bound(got, want, scale, BOUND)
     # the float32 step is no float64 step: some gradient differs
-    assert any(not np.array_equal(got[3][t], want[3][t]) for t in masters)
+    assert any(not np.array_equal(got[3][t], want[3][t]) for t in tensors64)

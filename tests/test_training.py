@@ -1,14 +1,16 @@
 """Adam, the training loop, early stopping, and seed summaries."""
 
 import dataclasses
+import re
+import warnings
 
 import numpy as np
 import pytest
 
 from gdcn.data import Dataset, Split, load_content_cites, make_split
-from gdcn.errors import ContractViolation
+from gdcn.errors import ContractViolation, DivergenceError
 from gdcn.masks import MaskKind, MaskSpec
-from gdcn.model import GCNConfig, PreparedGraph
+from gdcn.model import GCNConfig, PreparedGraph, init_params
 from gdcn.tape import parameter
 from gdcn.training import (AdamState, EpochLog, TrainConfig, adam_step,
                            epoch_log_rows, run_seeds, train)
@@ -85,6 +87,111 @@ class TestAdam:
                 assert state.m[t].tobytes() == m[i].tobytes()
                 assert state.v[t].tobytes() == v[i].tobytes()
         assert state.t == 49 and state.rejected == 1
+
+    def test_moments_take_their_tensors_dtype(self):
+        # float32 weights and biases, float64 Kumaraswamy logs
+        cfg = dataclasses.replace(
+            small_config(5, 2, kind=MaskKind.GDC, learned=True,
+                         estimator="concrete", n_blocks=2), use_bias=True)
+        params = init_params(cfg, np.random.default_rng(0))
+        tensors = [t for p in params for t in p.tensors()]
+        state = AdamState()
+        assert adam_step(tensors, {t: np.ones_like(t.data) for t in tensors},
+                         state, lr=0.01)
+        for p in params:
+            for t in (p.m, p.bias):
+                assert t.data.dtype == np.float32
+                assert all(a.dtype == np.float32 for a in (
+                    state.m[t], state.v[t], *state.scratch[t]))
+            for t in p.kuma.tensors():
+                assert t.data.dtype == np.float64
+                assert all(a.dtype == np.float64 for a in (
+                    state.m[t], state.v[t], *state.scratch[t]))
+
+    def test_float32_step_equals_the_formula_in_float32(self):
+        # Two steps on a float32 tensor, against Adam's formula evaluated
+        # in float32 with Python-float bias corrections: bit for bit.
+        rng = np.random.default_rng(4)
+        w = parameter(rng.normal(size=(6, 5)).astype(np.float32))
+        want = w.data.copy()
+        m = np.zeros_like(want)
+        v = np.zeros_like(want)
+        state = AdamState()
+        b1, b2, eps, lr = 0.9, 0.999, 1e-8, 0.005
+        for step in (1, 2):
+            g = (rng.normal(size=(6, 5)) * 1e-3).astype(np.float32)
+            assert adam_step([w], {w: g}, state, lr)
+            bc1, bc2 = 1.0 - b1 ** step, 1.0 - b2 ** step
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * g * g
+            want = want - lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+            assert want.dtype == np.float32
+            assert w.data.dtype == state.m[w].dtype == np.float32
+            assert w.data.tobytes() == want.tobytes()
+            assert state.m[w].tobytes() == m.tobytes()
+            assert state.v[w].tobytes() == v.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gradient_whose_square_overflows_is_rejected(self, dtype):
+        # A finite gradient whose square overflows the dtype would leave
+        # v = inf and freeze its entry; the step is rejected instead, with
+        # no warning, and nothing changes.
+        huge = 2.0 * float(np.sqrt(np.finfo(dtype).max))
+        w = parameter(np.array([[1.0, -2.0]], dtype=dtype))
+        state = AdamState()
+        assert adam_step([w], {w: np.array([[0.5, 0.25]], dtype=dtype)},
+                         state, lr=0.1)
+        before = (w.data.copy(), state.m[w].copy(), state.v[w].copy())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ok = adam_step([w], {w: np.array([[huge, 0.25]], dtype=dtype)},
+                           state, lr=0.1)
+        assert not ok and state.rejected == 1 and state.t == 1
+        for got, want in zip((w.data, state.m[w], state.v[w]), before):
+            assert got.tobytes() == want.tobytes()
+
+    def test_update_overflow_is_silent_and_non_finite(self):
+        # lr beyond float32's range overflows inside the update: no warning,
+        # and the weight is no longer finite, which train's check after the
+        # step reports as a divergence.
+        w = parameter(np.array([[1.0, 0.5]], dtype=np.float32))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert adam_step([w], {w: np.array([[0.3, 0.0]], np.float32)},
+                             AdamState(), lr=1e39)
+        assert not np.isfinite(w.data[0, 0])
+
+    def test_float32_steps_within_bound_of_float64(self):
+        # 50 steps on the benchmark's weight shapes with fixed gradients:
+        # float32 Adam against float64 Adam from the same starting values,
+        # on the same gradients. Each float32 step rounds the weight (half
+        # an ulp of it) and its update (a few ulps of a value of about lr),
+        # so after n steps the gap stays below n * eps32 * (peak + lr), with
+        # peak the largest |w| the entry took. The largest ratio measured
+        # is 0.16.
+        rng = np.random.default_rng(11)
+        shapes = [(1433, 128), (128, 128), (128, 7)]
+        lr, steps = 0.005, 50
+        w32 = [parameter(rng.uniform(-0.06, 0.06, size=s).astype(np.float32))
+               for s in shapes]
+        w64 = [parameter(t.data.astype(np.float64)) for t in w32]
+        start = [t.data.copy() for t in w64]
+        peak = [np.abs(t.data) for t in w64]
+        s32, s64 = AdamState(), AdamState()
+        for _ in range(steps):
+            grads = [(rng.normal(size=s) * 10.0 ** rng.uniform(-5, -2))
+                     .astype(np.float32) for s in shapes]
+            assert adam_step(w32, dict(zip(w32, grads)), s32, lr)
+            assert adam_step(w64, {t: g.astype(np.float64)
+                                   for t, g in zip(w64, grads)}, s64, lr)
+            peak = [np.maximum(p, np.abs(t.data)) for p, t in zip(peak, w64)]
+        eps32 = float(np.finfo(np.float32).eps)
+        for a, b, w0, top in zip(w32, w64, start, peak):
+            assert a.data.dtype == np.float32
+            bound = steps * eps32 * (top + lr)
+            assert np.all(np.abs(a.data.astype(np.float64) - b.data) <= bound)
+            # the weights moved by far more than the bound
+            assert np.median(np.abs(b.data - w0)) > 100 * bound.max()
 
 
 def synthetic_dataset(n_per=10, clusters=2, seed=3, **kwargs):
@@ -330,18 +437,18 @@ class TestTrain:
         real = training.step_gradients
         checked = []
 
-        def step(cfg, tc, epoch, params, params32, rng, x, graph, plan,
-                 labels, observed):
+        def step(cfg, tc, epoch, params, rng, x, graph, plan, labels,
+                 observed):
             every = loss_rows(graph, np.arange(graph.edges.n), cfg.n_layers)
             full = LossRows(layers=every.layers, observed=ds.split.train)
             full_inputs = full.loss_inputs(ds.labels)
             twin = np.random.default_rng()
             twin.bit_generator.state = rng.bit_generator.state
             with recorded_step() as seen:
-                want = real(cfg, tc, epoch, params, params32, twin, x, graph,
-                            full, *full_inputs)
-            got = real(cfg, tc, epoch, params, params32, rng, x, graph, plan,
-                       labels, observed)
+                want = real(cfg, tc, epoch, params, twin, x, graph, full,
+                            *full_inputs)
+            got = real(cfg, tc, epoch, params, rng, x, graph, plan, labels,
+                       observed)
             assert len(plan.layers[0].out) < graph.edges.n
             assert rng.bit_generator.state == twin.bit_generator.state
             scale = scales(cfg, tc.l2_factor, graph, params, seen, want,
@@ -359,10 +466,10 @@ class TestTrain:
         train(ds, cfg, tc, seed=0)
         assert checked == [True] * tc.epochs
 
-    def test_step_gradients_add_the_master_penalty(self):
-        # The passes run on float32 copies and the weight penalty on the
-        # float64 masters: on the same draws, raising l2_factor by c adds
-        # exactly 2 c W to every weight's gradient, and nothing elsewhere.
+    def test_step_gradients_add_the_weight_penalty(self):
+        # On the same draws, raising l2_factor by c adds 2 c W to every
+        # float32 weight's gradient, within the rounding of that float32
+        # sum, and changes no other gradient.
         from gdcn.model import float32_operands, init_params, loss_rows
         from gdcn.tape import constant
         from gdcn.training import step_gradients
@@ -371,21 +478,23 @@ class TestTrain:
         cfg = small_config(ds.n_features, ds.class_count, kind=MaskKind.GDC,
                            learned=True, estimator="concrete", n_blocks=2)
         params = init_params(cfg, np.random.default_rng(0))
-        params32, x, graph32 = float32_operands(
+        _, x, graph32 = float32_operands(
             params, constant(ds.features_csr()), graph)
         plan = loss_rows(graph32, ds.split.train, cfg.n_layers)
 
         def grads(l2):
             return step_gradients(cfg, TrainConfig(l2_factor=l2), 0, params,
-                                  params32, np.random.default_rng(1), x,
-                                  graph32, plan,
+                                  np.random.default_rng(1), x, graph32, plan,
                                   *plan.loss_inputs(ds.labels))[3]
 
         base, more = grads(0.0), grads(0.25)
         for p in params:
-            assert more[p.m].dtype == np.float64
-            np.testing.assert_allclose(more[p.m] - base[p.m], 0.5 * p.m.data,
-                                       rtol=1e-12, atol=1e-15)
+            assert more[p.m].dtype == base[p.m].dtype == np.float32
+            w = p.m.data.astype(np.float64)
+            b, m = base[p.m].astype(np.float64), more[p.m].astype(np.float64)
+            assert np.all(np.abs(m - b - 0.5 * w)
+                          <= np.finfo(np.float32).eps * np.abs(b + 0.5 * w))
+            assert not np.array_equal(m, b)
             for t in p.kuma.tensors():
                 assert np.array_equal(more[t], base[t])
 
@@ -412,7 +521,9 @@ class TestTrain:
             res = train(ds, cfg, tc, seed=0, graph=graph)
             logs.append(res.logs[0])
             pis.append([pi.item() for pi in drawn[0].pi_tensors])
-            fros.append([np.sum(p.m.data ** 2) for p in res.params])
+            # ||M||^2 in float64 from the float32 weights, as the penalty
+            fros.append([np.sum(p.m.data.astype(np.float64) ** 2)
+                         for p in res.params])
         assert pis[0] == pis[1] and fros[0] == fros[1]
         flat_log, scaled_log = logs
         n_e = graph.edges.n_entries
@@ -590,6 +701,41 @@ class TestHealthCounters:
         assert sum(e.clamp_events for e in res.logs) > 0
         assert all(0 <= e.clamp_events <= 2 for e in res.logs)
         assert all(e.adam_rejected == 0 for e in res.logs)
+
+    def test_gradient_whose_square_overflows_is_counted(self, monkeypatch):
+        # A finite float32 gradient of 1e20 in epoch 1: its square would
+        # overflow, so Adam rejects that step, the weights stay finite and
+        # the next step is taken.
+        import gdcn.training as training
+        real = training.step_gradients
+
+        def step(*args):
+            loss, nll, kl, grads, clamps = real(*args)
+            if args[2] == 1:
+                w = args[3][0].m
+                grads[w] = np.full_like(grads[w], 1e20)
+            return loss, nll, kl, grads, clamps
+
+        monkeypatch.setattr(training, "step_gradients", step)
+        ds = synthetic_dataset()
+        cfg = small_config(ds.n_features, ds.class_count)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = train(ds, cfg, TrainConfig(epochs=3, patience=3), seed=0)
+        assert [e.adam_rejected for e in res.logs] == [0, 1, 0]
+        assert all(np.isfinite(t.data).all()
+                   for p in res.params for t in p.tensors())
+
+    def test_update_overflow_diverges(self):
+        # lr = 1e39 overflows float32 inside the first Adam step: the run
+        # diverges with the layer named, and nothing warns.
+        ds = synthetic_dataset()
+        cfg = small_config(ds.n_features, ds.class_count)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DivergenceError, match=re.escape(
+                    "layer 0: a weight left float32's range (epoch 0)")):
+                train(ds, cfg, TrainConfig(epochs=3, lr=1e39), seed=0)
 
     def test_rejected_adam_steps_are_counted(self, monkeypatch):
         # A NaN gradient in epoch 1 makes adam_step reject that step only.
