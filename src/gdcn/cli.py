@@ -2,8 +2,14 @@
 
 Every run writes its artifacts (CSV files, checkpoints, and a
 ``config_resolved.ini`` capturing all defaults) into the output directory.
-Exit codes: 0 success, 2 bad input (a config error, a malformed data file
-or checkpoint, a checkpoint that does not fit the config), 3 divergence.
+``gdcn --help`` ends with the exit codes below.
+
+Exit codes:
+  0  success
+  2  bad input: a config error, a malformed data file or checkpoint, a
+     checkpoint that does not fit the config, or sizes whose arrays
+     cannot be allocated (MemoryError)
+  3  training diverged
 """
 
 from __future__ import annotations
@@ -33,9 +39,8 @@ def _load_dataset(cfg: RunConfig):
         ds.features = data_io.row_normalize(ds.features)
     ds = data_io.make_split(ds, cfg["data.per_class_train"],
                             cfg["data.n_val"], cfg["data.n_test"])
-    graph = PreparedGraph.from_edges(
-        ds.edges, ds.n_nodes, renorm_trick=cfg["model.renorm_trick"],
-        renorm_after_mask=cfg["model.renorm_after_mask"])
+    graph = PreparedGraph.from_edges(ds.edges, ds.n_nodes,
+                                     renorm_trick=cfg["model.renorm_trick"])
     return ds, graph
 
 
@@ -216,9 +221,13 @@ def _at_least(minimum: int):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # The epilog is the docstring's exit-code section (none under -OO).
+    _, head, codes = (__doc__ or "").partition("Exit codes:")
     parser = argparse.ArgumentParser(
         prog="gdcn",
-        description="GCN training with adaptive connection sampling")
+        description="GCN training with adaptive connection sampling",
+        epilog=head + codes or None,
+        formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, checkpoint=False, min_samples=None):
@@ -260,6 +269,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except (ConfigError, MalformedInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except DivergenceError as exc:
         print(f"training diverged: {exc}", file=sys.stderr)

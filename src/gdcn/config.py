@@ -3,6 +3,9 @@
 Unknown sections or keys are errors so that typos in sweep configs fail
 fast. Every run writes back a ``config_resolved.ini`` with all defaults
 materialized; re-running from that file reproduces the run bit for bit.
+``model.renorm_trick`` selects the graph's normalization, which the CLI
+passes to ``PreparedGraph.from_edges``; every other ``[model]`` key becomes
+a field of ``GCNConfig`` or of each layer's ``MaskSpec``.
 """
 
 from __future__ import annotations
@@ -180,7 +183,6 @@ class RunConfig:
                 beta_prior_c=self.values["model.beta_prior_c"],
                 kuma_init_b=self.values["model.kuma_init_b"],
                 use_bias=self.values["model.use_bias"],
-                renorm_trick=self.values["model.renorm_trick"],
                 renorm_after_mask=self.values["model.renorm_after_mask"],
                 concrete_standard=self.values["model.concrete_standard"],
                 kl_weight_scaling=self.values["model.kl_weight_scaling"],

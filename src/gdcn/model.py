@@ -8,12 +8,13 @@ where Z_b is the edge mask of feature block b. The whole block sum is one
 tape op, ``tape.record_gdc_aggregate``, on one CSR pattern (``a_norm``, or
 a loss-row plan's compact part of it) and each block's stored entries.
 ``forward`` builds the entries, in the pattern's dtype: ``a.data ⊙ z_b``
-by default; under ``renorm_after_mask`` ``EdgeSet.normalized_values(z_b)``,
-the normalization rule's values for the edges the mask keeps (the graph
-owns both rules); ``a.data`` itself, one block, for a layer with no edge
-mask. Concrete masks carry the recorded keep probability pi and tangents
-``dZ_b/dpi``; the op gets ``a.data ⊙ dZ_b/dpi`` and turns it into
-``dL/dpi`` with one product per block. Hidden activations use ReLU, the
+by default; for a layer whose masks say ``renormalize``
+``EdgeSet.normalized_values(z_b)``, the values the graph's normalization
+(``PreparedGraph.renorm_trick``) gives the edges the mask keeps;
+``a.data`` itself, one block, for a layer with no edge mask. Concrete
+masks carry the recorded keep probability pi and tangents ``dZ_b/dpi``;
+the op gets ``a.data ⊙ dZ_b/dpi`` and turns it into ``dL/dpi`` with one
+product per block. Hidden activations use ReLU, the
 head is a row-wise log-softmax.
 
 Both product orders cost the same dense work, n * f_in * f_out; the sparse
@@ -114,11 +115,10 @@ class GCNConfig:
 
     - ``use_bias``: a per-layer bias row; the paper's layer is bias-free,
       so it is off by default.
-    - ``renorm_trick``: normalize ``A + I`` by ``D + I`` (Kipf and Welling)
-      instead of adding ``I`` to the normalized ``A``.
     - ``renorm_after_mask``: normalize each masked adjacency again, as
       DropEdge does, instead of masking the normalized one. It needs binary
-      symmetric masks: no concrete estimator, no random-walk layer.
+      symmetric masks: no concrete estimator, no random-walk layer. The
+      normalization is the graph's own (``PreparedGraph.renorm_trick``).
     - ``concrete_standard``: divide the whole concrete logit by the
       temperature, the standard relaxation, instead of the paper's form
       that tempers only the probability logit.
@@ -135,7 +135,6 @@ class GCNConfig:
     beta_prior_c: float = 2.0
     kuma_init_b: float = 3.0
     use_bias: bool = False
-    renorm_trick: bool = False
     renorm_after_mask: bool = False
     concrete_standard: bool = False
     kl_weight_scaling: bool = False
@@ -210,35 +209,24 @@ class LayerParams:
 class PreparedGraph:
     """Raw adjacency, its normalization, and the aligned edge set.
 
-    ``renorm_trick`` records which normalization ``a_norm`` holds, and
-    ``renorm_after_mask`` whether ``forward`` renormalizes each block's
-    masked adjacency by that rule; both must match the config's.
+    ``renorm_trick`` records which normalization ``a_norm`` holds:
+    ``D~^{-1/2} (A + I) D~^{-1/2}`` (Kipf and Welling) when set, the
+    normalized ``A`` plus ``I`` otherwise. A layer that renormalizes its
+    masked adjacency (``LayerMasks.renormalize``) uses the same rule.
     """
 
     a_raw: csr_array
     a_norm: csr_array
     edges: EdgeSet
     renorm_trick: bool = False
-    renorm_after_mask: bool = False
 
     @classmethod
-    def from_edges(cls, edge_list, n: int, renorm_trick: bool = False,
-                   renorm_after_mask: bool = False) -> "PreparedGraph":
+    def from_edges(cls, edge_list, n: int,
+                   renorm_trick: bool = False) -> "PreparedGraph":
         a_raw = build_adjacency(edge_list, n)
         a_norm, edges = normalize_with_edges(a_raw, renorm_trick=renorm_trick)
         return cls(a_raw=a_raw, a_norm=a_norm, edges=edges,
-                   renorm_trick=renorm_trick,
-                   renorm_after_mask=renorm_after_mask)
-
-
-def check_graph(graph: PreparedGraph, config: GCNConfig) -> None:
-    """Raise ``ContractViolation`` when ``graph`` was prepared with another
-    ``renorm_trick`` or ``renorm_after_mask`` than ``config`` asks for."""
-    for name in ("renorm_trick", "renorm_after_mask"):
-        have, want = getattr(graph, name), getattr(config, name)
-        if have != want:
-            raise ContractViolation(
-                f"graph was prepared with {name}={have}, config has {want}")
+                   renorm_trick=renorm_trick)
 
 
 @dataclass
@@ -250,6 +238,8 @@ class LayerMasks:
     # deterministic pass.
     feature: np.ndarray | float | None = None
     edge: EdgeMask | None = None         # None keeps every entry, 1 block
+    # Renormalize each block's masked adjacency (``renorm_after_mask``).
+    renormalize: bool = False
 
 
 def glorot_bound(f_in: int, f_out: int) -> float:
@@ -478,7 +468,7 @@ def forward(params: list, x: Tensor, graph: PreparedGraph, masks: list,
             raise ContractViolation(
                 f"layer {l}: {edge.n_blocks} mask blocks exceed width {f_in}"
             )
-        elif graph.renorm_after_mask:
+        elif lm.renormalize:
             values = [_at_plan(plan, graph.edges.normalized_values(
                 blk.data, graph.renorm_trick)).astype(a.dtype, copy=False)
                 for blk in edge.blocks]
@@ -580,7 +570,7 @@ def sample_step_masks(config: GCNConfig, params: list, graph: PreparedGraph,
     prev_edge = None  # random-walk layer coupling; None: all kept
     for l, spec in enumerate(config.masks):
         f_in = config.layer_dims[l]
-        lm = LayerMasks()
+        lm = LayerMasks(renormalize=config.renorm_after_mask)
         entries = input_nnz if l == 0 else None  # per-entry DropOut
         pi_tensor = _keep_prob_for(spec, params[l], mode, rng, tape)
         pi_val = pi_tensor.item()
@@ -634,7 +624,8 @@ def sample_step_masks(config: GCNConfig, params: list, graph: PreparedGraph,
 def arm_masks(draws: StepDraws, graph: PreparedGraph, z_drop: list) -> list:
     """The step's layer masks with each ARM layer's edge mask set to the
     keep mask of its drop indicators in ``z_drop`` (``arm_z1`` or
-    ``arm_z2`` of ``draws.arm``)."""
+    ``arm_z2`` of ``draws.arm``); each layer keeps its other factors and
+    its ``renormalize``."""
     masks = list(draws.layer_masks)
     for (l, spec, free), z in zip(draws.arm_layers, z_drop):
         keep = 1.0 - z.reshape(spec.n_blocks, -1)
@@ -684,7 +675,6 @@ def forward_deterministic(params, x, graph, config, capture_hidden=False):
     computed in float32 on ``float32_operands``; the log-softmax finishes
     each row in float64, and hidden outputs are float64 copies.
     """
-    check_graph(graph, config)
     draws = sample_step_masks(config, params, graph, mode="det")
     params, x, graph = float32_operands(params, x, graph)
     return forward(params, x, graph, draws.layer_masks, tape=None,
@@ -726,7 +716,6 @@ def predict_mc(params, x, graph, config, s: int, rng: np.random.Generator):
     """
     if s < 1:
         raise ContractViolation("need at least one Monte Carlo sample")
-    check_graph(graph, config)
     params, x, graph = float32_operands(params, x, graph)
     nnz = x.data.nnz if issparse(x.data) else None
     layer0 = layer0_products(config, params, x)

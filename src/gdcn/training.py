@@ -74,10 +74,10 @@ from .data import Dataset
 from .errors import ContractViolation, DivergenceError
 from .estimators import arm_gradient, arm_pi_grad
 from .metrics import accuracy
-from .model import (GCNConfig, PreparedGraph, arm_masks, check_graph,
-                    expected_keep, float32_operands, forward,
-                    forward_deterministic, init_params, loss_rows,
-                    record_kl_terms, sample_step_masks, training_loss)
+from .model import (GCNConfig, PreparedGraph, arm_masks, expected_keep,
+                    float32_operands, forward, forward_deterministic,
+                    init_params, loss_rows, record_kl_terms,
+                    sample_step_masks, training_loss)
 from .tape import Tape, backward, constant, record_masked_nll, record_scale
 from .variational import WarmupSchedule, finite_scales, warmup_factor
 
@@ -336,16 +336,17 @@ def train(dataset: Dataset, gcn_config: GCNConfig, train_config: TrainConfig,
     pass reads it without a cast. The returned parameters are the ones
     trained: float32 weights and biases, float64 Kumaraswamy logs.
 
+    ``graph`` defaults to the dataset's edges under the default
+    normalization; a run that wants ``renorm_trick`` passes its own
+    ``PreparedGraph``, whose normalization every pass then uses.
+
     ``hidden_hook(epoch, hidden)`` receives the deterministic pass's hidden
     activations each epoch (used by the over-smoothing diagnostics).
     """
     if dataset.split is None:
         raise ContractViolation("dataset has no split")
     if graph is None:
-        graph = PreparedGraph.from_edges(
-            dataset.edges, dataset.n_nodes, renorm_trick=gcn_config.renorm_trick,
-            renorm_after_mask=gcn_config.renorm_after_mask)
-    check_graph(graph, gcn_config)
+        graph = PreparedGraph.from_edges(dataset.edges, dataset.n_nodes)
     rng = np.random.default_rng(seed)
     params = init_params(gcn_config, rng)
     tensors = [t for p in params for t in p.tensors()]
@@ -427,15 +428,11 @@ class RunSummary:
 def run_seeds(dataset: Dataset, gcn_config: GCNConfig,
               train_config: TrainConfig,
               graph: PreparedGraph | None = None) -> RunSummary:
-    """Train once per seed; summary is mean +/- sample std of test accuracy."""
+    """Train once per seed on ``graph`` (``train``'s default when None);
+    summary is mean +/- sample std of test accuracy."""
     seeds = list(train_config.seeds)
     if not seeds:
         raise ContractViolation("at least one seed is required")
-    if graph is None:
-        graph = PreparedGraph.from_edges(
-            dataset.edges, dataset.n_nodes, renorm_trick=gcn_config.renorm_trick,
-            renorm_after_mask=gcn_config.renorm_after_mask)
-    check_graph(graph, gcn_config)
     results = []
     for seed in seeds:
         res = train(dataset, gcn_config, train_config, seed, graph=graph)

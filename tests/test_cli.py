@@ -62,6 +62,17 @@ def config(tmp_path, synthetic_files):
     return write_config(tmp_path / "run.ini", content, cites, out), str(out)
 
 
+def test_help_lists_the_exit_codes(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.rstrip().endswith(cli.__doc__[cli.__doc__.index("Exit codes:"):]
+                                 .rstrip())
+    for code in ("0  success", "2  bad input", "3  training diverged"):
+        assert f"\n  {code}" in out
+
+
 class TestConfigErrors:
     def test_missing_config_exit_2(self, capsys):
         rc = main(["train", "--config", "/nonexistent/run.ini"])
@@ -341,6 +352,42 @@ class TestTrain:
         assert err.startswith("training diverged: ") and message in err
         assert "Traceback" not in err
 
+    # numpy refuses the (f_in, 10**13) weight array; this once ended in a
+    # traceback and exit 1.
+    def test_unallocatable_width_exit_2(self, tmp_path, synthetic_files,
+                                        capsys):
+        content, cites = synthetic_files
+        cfg = write_config(tmp_path / "run.ini", content, cites,
+                           tmp_path / "o", **{"model.hidden_dims":
+                                              "10000000000000",
+                                              "train.seeds": "0"})
+        assert main(["train", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    # Each key reaches the model: renorm_trick through the graph the CLI
+    # prepares, renorm_after_mask through GCNConfig.
+    @pytest.mark.parametrize("key", ["model.renorm_trick",
+                                     "model.renorm_after_mask"])
+    def test_renorm_key_changes_the_losses(self, tmp_path, synthetic_files,
+                                           key):
+        content, cites = synthetic_files
+        losses = {}
+        for value in ("false", "true"):
+            out = tmp_path / value
+            cfg = write_config(
+                tmp_path / f"{value}.ini", content, cites, out,
+                **{"model.regularizer": "dropedge", "model.learned": "false",
+                   "model.estimator": "none", "model.n_blocks": "1",
+                   "model.keep_prob": "0.5", "model.symmetric": "true",
+                   "train.epochs": "4", "train.seeds": "0", key: value})
+            assert main(["train", "--config", cfg]) == 0
+            rows = (out / "epochs_seed0.csv").read_text().splitlines()
+            column = rows[0].split(",").index("train_loss")
+            losses[value] = [row.split(",")[column] for row in rows[1:]]
+        assert len(losses["true"]) == 4
+        assert all(a != b for a, b in zip(losses["true"], losses["false"]))
+
     def test_artifacts_and_summary(self, config, capsys):
         cfg, out = config
         assert main(["train", "--config", cfg]) == 0
@@ -424,6 +471,18 @@ class TestEvalUq:
         last = rows[-1].split(",")
         assert float(last[0]) == 1.0
         assert float(last[1]) == pytest.approx(correct.mean())
+
+    # numpy refuses the (10**12, n, C) array of per-sample probabilities;
+    # this once ended in a traceback and exit 1.
+    @pytest.mark.parametrize("command", ["eval", "uq"])
+    def test_unallocatable_sample_count_exit_2(self, trained, capsys,
+                                               command):
+        cfg, out, ckpt = trained
+        capsys.readouterr()
+        assert main([command, "--config", cfg, "--checkpoint", ckpt,
+                     "--samples", "1000000000000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_train_and_uq_on_raw_features(self, tmp_path, synthetic_files):
         # Without row normalization the features stay the loader's bools.

@@ -33,7 +33,7 @@ GDC3_PROTECTED = spec(MaskKind.GDC, n_blocks=3, keep_prob=0.5,
                       protect_self_loops=True)
 DROPEDGE_SYM = spec(MaskKind.DROPEDGE, keep_prob=0.6, symmetric=True)
 
-# name -> GCNConfig keyword arguments
+# name -> GCNConfig keyword arguments, and the graph's renorm_trick
 CASES = {
     "gdc2-symmetric": dict(masks=layers(GDC2_SYM)),
     "gdc3-protected": dict(masks=layers(GDC3_PROTECTED)),
@@ -59,11 +59,12 @@ CASES = {
 
 
 def setup(name):
-    cfg = GCNConfig(layer_dims=DIMS, **CASES[name])
+    kw = dict(CASES[name])
+    renorm_trick = kw.pop("renorm_trick", False)   # the graph's rule
+    cfg = GCNConfig(layer_dims=DIMS, **kw)
     ds = dataset()
-    graph = PreparedGraph.from_edges(
-        ds.edges, ds.n_nodes, renorm_trick=cfg.renorm_trick,
-        renorm_after_mask=cfg.renorm_after_mask)
+    graph = PreparedGraph.from_edges(ds.edges, ds.n_nodes,
+                                     renorm_trick=renorm_trick)
     params = init_params(cfg, np.random.default_rng(1))
     for p in params:
         if p.bias is not None:

@@ -9,6 +9,8 @@ CSR that stores only its nonzero entries (``graph.kept``) must multiply bit
 for bit like the one that stores the zeros.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.sparse import csr_array
@@ -153,8 +155,11 @@ CASES = {
     "randomwalk": ([spec(MaskKind.RANDOM_WALK, keep_prob=0.6)] * 3, {}, {}),
     "renorm-after-mask": (
         [spec(MaskKind.DROPEDGE, keep_prob=0.5, symmetric=True)] * 3,
-        {"renorm_after_mask": True, "renorm_trick": True},
-        {"renorm_after_mask": True, "renorm_trick": True}),
+        {"renorm_after_mask": True}, {"renorm_trick": True}),
+    "arm-renorm-after-mask": (
+        [spec(MaskKind.GDC, learned=True, n_blocks=2, symmetric=True)] * 3,
+        {"estimator": "arm", "renorm_after_mask": True},
+        {"renorm_trick": True}),
     "bias": ([spec(MaskKind.GDC, keep_prob=0.5, n_blocks=2)] * 3,
              {"use_bias": True}, {}),
     "dropout-keep": (
@@ -251,6 +256,23 @@ class TestCompactPass:
             assert compact[1] == full[1]
             for got, want in zip(compact[2], full[2]):
                 assert_grads_close(got, want)
+
+    @pytest.mark.parametrize("sparse_x", [False, True])
+    def test_arm_settings_keep_renormalize(self, sparse_x):
+        # Both ARM settings' masks, Z2's for the recorded pass and Z1's for
+        # the second pass, renormalize like the masks they replace.
+        cfg, g, params, x = case_setup("arm-renorm-after-mask",
+                                       [7, 6, 5, 2], sparse_x)
+        nnz = x.data.nnz if sparse_x else None
+        draws = sample_step_masks(cfg, params, g, np.random.default_rng(3),
+                                  mode="train", input_nnz=nnz)
+        for masks in (draws.layer_masks,
+                      arm_masks(draws, g, arm_z1(draws.arm))):
+            got = forward(params, x, g, masks).data
+            for renormalize in (True, False):
+                other = forward(params, x, g, [
+                    replace(lm, renormalize=renormalize) for lm in masks]).data
+                assert np.array_equal(got, other) == renormalize
 
     def test_all_nodes_observed_is_the_full_pass(self):
         cfg, g, params, x = case_setup("gdc-concrete", [7, 6, 5, 2], True)

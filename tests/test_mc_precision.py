@@ -41,7 +41,7 @@ GDC_LEARNED = spec(MaskKind.GDC, n_blocks=2, learned=True, relaxed=True,
                    symmetric=True)
 DROPEDGE_SYM = spec(MaskKind.DROPEDGE, keep_prob=0.6, symmetric=True)
 
-# name -> GCNConfig keyword arguments
+# name -> GCNConfig keyword arguments, and the graph's renorm_trick
 CASES = {
     "dropout": dict(masks=layers(spec(MaskKind.DROPOUT, keep_prob=0.6))),
     "node": dict(masks=layers(spec(MaskKind.NODE_SAMPLING, keep_prob=0.7))),
@@ -77,11 +77,12 @@ def dataset():
 
 
 def setup(name):
-    cfg = GCNConfig(layer_dims=DIMS, **CASES[name])
+    kw = dict(CASES[name])
+    renorm_trick = kw.pop("renorm_trick", False)   # the graph's rule
+    cfg = GCNConfig(layer_dims=DIMS, **kw)
     ds = dataset()
-    graph = PreparedGraph.from_edges(
-        ds.edges, ds.n_nodes, renorm_trick=cfg.renorm_trick,
-        renorm_after_mask=cfg.renorm_after_mask)
+    graph = PreparedGraph.from_edges(ds.edges, ds.n_nodes,
+                                     renorm_trick=renorm_trick)
     params = init_params(cfg, np.random.default_rng(1))
     for p in params:
         if p.bias is not None:

@@ -28,9 +28,9 @@ def prepared(n=5, seed=0, p=0.6):
     return PreparedGraph.from_edges(random_edges(rng, n, p), n)
 
 
-def renormalizing(g: PreparedGraph) -> PreparedGraph:
-    """``g`` with ``renorm_after_mask`` set."""
-    return dataclasses.replace(g, renorm_after_mask=True)
+def renormalizing(masks: list) -> list:
+    """``masks`` with every layer renormalizing its masked adjacency."""
+    return [dataclasses.replace(lm, renormalize=True) for lm in masks]
 
 
 def dense_mask(es: EdgeSet, vals: np.ndarray) -> np.ndarray:
@@ -186,7 +186,7 @@ class TestForwardOracles:
         vals[idx] = vals[g.edges.mirror[idx]]
         em = EdgeMask(blocks=[constant(vals)])
         masks = [LayerMasks(edge=em), LayerMasks()]
-        got = forward(params, constant(x), renormalizing(g), masks).data
+        got = forward(params, constant(x), g, renormalizing(masks)).data
 
         a_raw = g.a_raw.toarray()
         z_off = dense_mask(g.edges, vals) * (1 - np.eye(5))
@@ -211,7 +211,7 @@ class TestForwardOracles:
         vals[lower] = vals[g.edges.mirror[lower]]
         masks = [LayerMasks(edge=EdgeMask(blocks=[constant(vals)])),
                  LayerMasks()]
-        got = forward(params, constant(x), renormalizing(g), masks).data
+        got = forward(params, constant(x), g, renormalizing(masks)).data
 
         a_raw = g.a_raw.toarray()
         z_off = dense_mask(g.edges, vals) * (1 - np.eye(6))
@@ -234,7 +234,7 @@ class TestForwardOracles:
             g.edges, MaskSpec(kind=MaskKind.DROPEDGE, symmetric=True), 1.0, rng)
         masks = [LayerMasks(edge=keep), LayerMasks()]
         plain = forward(params, x, g, masks).data
-        renormed = forward(params, x, renormalizing(g), masks).data
+        renormed = forward(params, x, g, renormalizing(masks)).data
         np.testing.assert_allclose(renormed, plain, atol=1e-12)
 
 
@@ -244,8 +244,6 @@ class TestForwardOracles:
         """``LayerMasks()`` aggregates with the adjacency's own entries: the
         values and gradients equal, bit for bit, a keep-everything mask."""
         g = prepared(7, seed=14, p=0.5)
-        if renorm:
-            g = renormalizing(g)
         cfg, params = self._params([5, 6, 3], seed=4)
         x0 = np.random.default_rng(8).normal(size=(7, 5))
         x0[np.random.default_rng(9).random(x0.shape) < 0.4] = 0.0
@@ -260,7 +258,8 @@ class TestForwardOracles:
             return [lp.data] + [grads.get(p.m) for p in params]
 
         ones = LayerMasks(edge=expected_keep_mask(
-            g.edges, MaskSpec(kind=MaskKind.DROPEDGE), 1.0))
+            g.edges, MaskSpec(kind=MaskKind.DROPEDGE), 1.0),
+            renormalize=renorm)
         for got, want in zip(run([LayerMasks()] * 2), run([ones] * 2)):
             assert got.tobytes() == want.tobytes()
 
@@ -505,18 +504,6 @@ class TestPredictMc:
         assert np.all(mean >= 0)
         max_prob_var = per.max(axis=2).var(axis=0)
         assert np.any(max_prob_var > 0)
-
-
-    @pytest.mark.parametrize("flag", ["renorm_trick", "renorm_after_mask"])
-    def test_graph_with_other_rules_rejected(self, flag):
-        g = prepared(5, seed=4)
-        cfg = dataclasses.replace(plain_config([3, 4, 2]), **{flag: True})
-        params = init_params(cfg, np.random.default_rng(0))
-        x = constant(np.random.default_rng(1).normal(size=(5, 3)))
-        with pytest.raises(ContractViolation, match=flag):
-            predict_mc(params, x, g, cfg, 2, np.random.default_rng(2))
-        with pytest.raises(ContractViolation, match=flag):
-            forward_deterministic(params, x, g, cfg)
 
 
 class TestLayer0Products:

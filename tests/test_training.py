@@ -234,22 +234,6 @@ class TestTrain:
         with pytest.raises(ContractViolation, match=f"{key} must be"):
             TrainConfig(**{key: value})
 
-    @pytest.mark.parametrize("flag", ["renorm_trick", "renorm_after_mask"])
-    def test_graph_must_follow_config_rules(self, flag):
-        ds = synthetic_dataset()
-        cfg = dataclasses.replace(small_config(ds.n_features, ds.class_count),
-                                  **{flag: True})
-        tc = TrainConfig(epochs=2, seeds=(0,))
-        default = PreparedGraph.from_edges(ds.edges, ds.n_nodes)
-        with pytest.raises(ContractViolation, match=flag):
-            train(ds, cfg, tc, seed=0, graph=default)
-        with pytest.raises(ContractViolation, match=flag):
-            run_seeds(ds, cfg, tc, graph=default)
-        matching = PreparedGraph.from_edges(ds.edges, ds.n_nodes, **{flag: True})
-        assert ([log.train_loss for log in train(ds, cfg, tc, 0).logs]
-                == [log.train_loss for log in
-                    train(ds, cfg, tc, 0, graph=matching).logs])
-
     def test_lr_zero_leaves_params_unchanged(self):
         ds = synthetic_dataset()
         cfg = small_config(ds.n_features, ds.class_count)
