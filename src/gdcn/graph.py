@@ -226,6 +226,20 @@ def _operands(a: sp.csr_array, x, values, n_in: int):
             np.ascontiguousarray(x, dtype=dtype))
 
 
+def _output(out, shape, dtype) -> np.ndarray:
+    """A zeroed output, or ``out`` once it is a writeable C-contiguous
+    array of ``shape`` and ``dtype``; otherwise ``ContractViolation``."""
+    if out is None:
+        return np.zeros(shape, dtype=dtype)
+    if (not isinstance(out, np.ndarray) or out.shape != shape
+            or out.dtype != dtype or not out.flags.c_contiguous
+            or not out.flags.writeable):
+        raise ContractViolation(
+            f"output must be a writeable C-contiguous {shape} {dtype} "
+            f"array, got {np.shape(out)} {getattr(out, 'dtype', None)}")
+    return out
+
+
 def spmm(a: sp.csr_array, h, values: np.ndarray | None = None,
          out: np.ndarray | None = None) -> np.ndarray:
     """``out += A @ H``, with A the pattern ``a`` holding ``values`` (by
@@ -241,27 +255,23 @@ def spmm(a: sp.csr_array, h, values: np.ndarray | None = None,
     """
     values, h = _operands(a, h, values, a.shape[1])
     shape = (a.shape[0], h.shape[1])
-    if out is None:
-        out = np.zeros(shape, dtype=h.dtype)
-    elif (not isinstance(out, np.ndarray) or out.shape != shape
-          or out.dtype != h.dtype or not out.flags.c_contiguous
-          or not out.flags.writeable):
-        raise ContractViolation(
-            f"output must be a writeable C-contiguous {shape} {h.dtype} "
-            f"array, got {np.shape(out)} {getattr(out, 'dtype', None)}")
+    out = _output(out, shape, h.dtype)
     _sparsetools.csr_matvecs(shape[0], a.shape[1], shape[1], a.indptr,
                              a.indices, values, h, out)
     return out
 
 
-def spmm_t(a: sp.csr_array, g, values: np.ndarray | None = None) -> np.ndarray:
-    """Transposed product ``A.T @ G``, with A the pattern ``a`` holding
-    ``values`` (by default its own), as ``a.T @ g`` computes it; used by
-    reverse-mode adjoints."""
+def spmm_t(a: sp.csr_array, g, values: np.ndarray | None = None,
+           out: np.ndarray | None = None) -> np.ndarray:
+    """``out += A.T @ G``, with A the pattern ``a`` holding ``values`` (by
+    default its own), and returns ``out``; a zeroed output when ``out`` is
+    None, on which the result equals ``a.T @ g`` bit for bit. Used by
+    reverse-mode adjoints; ``out`` follows ``spmm``'s rule."""
     values, g = _operands(a, g, values, a.shape[0])
-    out = np.zeros((a.shape[1], g.shape[1]), dtype=g.dtype)
+    shape = (a.shape[1], g.shape[1])
+    out = _output(out, shape, g.dtype)
     # a's CSR arrays are the CSC arrays of its transpose
-    _sparsetools.csc_matvecs(a.shape[1], a.shape[0], g.shape[1], a.indptr,
+    _sparsetools.csc_matvecs(shape[0], a.shape[0], shape[1], a.indptr,
                              a.indices, values, g, out)
     return out
 

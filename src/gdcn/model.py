@@ -60,11 +60,15 @@ is a one-block layer on ``pi A``, one dense product and one ``spmm``.
 Layer 0's block products ``S_b = X[:, blk_b] W_0[blk_b]`` depend on the
 masks only when the layer-0 input is masked or scaled. When layer 0 draws
 edge masks only (no mask, DropEdge, GDC, random walk; no ``dropout_keep``)
-and multiplies first, ``layer0_products`` computes the products for the
-current weights (and None otherwise), and ``forward(..., layer0=...)``
-hands them to the fused op. Only ``predict_mc`` does this, once per call,
-because its passes share fixed weights; every training pass and the
-deterministic evaluation build their own. DropOut and node sampling at
+and multiplies first, ``layer0_blocks`` builds its input's block form
+once (a CSR input as one stacked array; None otherwise), and
+``forward(..., layer0=BlockProducts(...))`` hands it to the fused op,
+which builds the products on the first pass and shares them with every
+later pass given the same object. ``predict_mc`` shares one per call, its
+weights being fixed; ``training.train`` builds the block form once per
+call and shares one ``BlockProducts`` per step between the recorded pass
+and ARM's Z1 pass, which run on the same weights. The deterministic
+evaluation has one block and builds its own. DropOut and node sampling at
 layer 0 mask the input, so their products are computed in every pass.
 
 A loss that reads only some nodes, such as the semi-supervised NLL on the
@@ -82,6 +86,7 @@ features it drops.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -97,11 +102,11 @@ from .masks import (EdgeMask, MaskKind, MaskSpec, expected_keep_mask,
                     sample_dropedge_mask, sample_dropout_mask,
                     sample_gdc_masks, sample_node_mask,
                     sample_randomwalk_mask)
-from .tape import (BlockProducts, Tensor, block_products, constant,
+from .tape import (BlockProducts, Tensor, block_input, constant,
                    multiplies_first, parameter, record_add, record_add_rowvec,
                    record_frobenius_sq, record_gdc_aggregate,
                    record_log_softmax_rows, record_masked_nll, record_mul,
-                   record_relu, record_scale, split_columns)
+                   record_relu, record_scale)
 from .variational import (KumaraswamyParams, kuma_mean,
                           median_draw_unclamped, record_kl_kuma_beta,
                           record_kuma_sample)
@@ -286,21 +291,18 @@ def _mask_csr(x, mask):
                                casting="same_kind"))
 
 
-def layer0_products(config: GCNConfig, params: list,
-                    x: Tensor) -> BlockProducts | None:
-    """Layer 0's block products ``S_b = H_b W_0[blk_b]`` on the weights as
-    they are now, or None where they cannot be reused across passes.
+def layer0_blocks(config: GCNConfig, x: Tensor):
+    """Layer 0's input in block form (``tape.block_input``: a CSR input
+    stacked, a dense one as column views), from which a ``BlockProducts``
+    per weight state can serve every pass; None where no pass can take
+    them.
 
-    Reuse needs a layer-0 input that no mask touches and no factor scales,
-    in every mode: the layer-0 spec draws edge masks only (no mask,
+    Sharing needs a layer-0 input that no mask touches and no factor
+    scales, in every mode: the layer-0 spec draws edge masks only (no mask,
     DropEdge, GDC or random walk) and has no ``dropout_keep``. DropOut and
     node sampling mask the input of a stochastic pass and scale it in the
     deterministic one. It also needs the multiply-first product order,
     which a CSR input always takes.
-
-    The products hold the weights' current values: after any change to
-    ``params[0].m``, such as an Adam step, which updates it in place, they
-    are stale.
     """
     spec = config.masks[0]
     if (spec.kind in (MaskKind.DROPOUT, MaskKind.NODE_SAMPLING)
@@ -308,8 +310,7 @@ def layer0_products(config: GCNConfig, params: list,
             or not multiplies_first(x.data, config.layer_dims[1],
                                     spec.n_blocks)):
         return None
-    return block_products(split_columns(x.data, spec.n_blocks),
-                          params[0].m.data)
+    return block_input(x.data, spec.n_blocks)
 
 
 @dataclass(frozen=True)
@@ -414,9 +415,9 @@ def forward(params: list, x: Tensor, graph: PreparedGraph, masks: list,
     post-activation for the over-smoothing diagnostics, as float64 copies
     whatever the pass's dtype. A layer whose ``edge`` is None aggregates
     with the adjacency's own entries, one block. ``layer0`` holds layer 0's
-    precomputed block products (``layer0_products`` on this ``x`` and these
-    weights); they apply only to an unmasked, unscaled layer-0 input and
-    must have as many blocks as the layer-0 edge mask.
+    shared block products (a ``BlockProducts`` on ``layer0_blocks`` of this
+    ``x``, for these weights); they apply only to an unmasked, unscaled
+    layer-0 input and must have as many blocks as the layer-0 edge mask.
 
     ``rows`` (``loss_rows``) restricts the pass to the rows its loss can
     reach: each layer computes only its plan rows, into compact arrays, so
@@ -711,15 +712,27 @@ def predict_mc(params, x, graph, config, s: int, rng: np.random.Generator):
     and draws a float64 pass would use, and each finishes in float64: the
     log-softmax casts its (n, C) logits, so that every row's probabilities
     sum to 1 within 1e-9. ``params`` are left as they are. The weights are
-    fixed for the call, so where layer 0 draws edge masks only its block
-    products are computed once and shared by every pass.
+    fixed for the call, so where layer 0 draws edge masks only its input is
+    stacked once and its block products are built in the first pass and
+    shared by every pass.
+
+    A sample count whose ``(s, n, C)`` float64 result numpy cannot index
+    raises ``MemoryError`` before anything is allocated, as one it cannot
+    allocate does.
     """
     if s < 1:
         raise ContractViolation("need at least one Monte Carlo sample")
+    shape = (s, x.data.shape[0], params[-1].m.data.shape[1])
+    if math.prod(shape) * 8 > np.iinfo(np.intp).max:
+        raise MemoryError(
+            f"{s} Monte Carlo samples of {shape[1]} x {shape[2]} "
+            f"probabilities exceed the largest array numpy can index")
     params, x, graph = float32_operands(params, x, graph)
     nnz = x.data.nnz if issparse(x.data) else None
-    layer0 = layer0_products(config, params, x)
-    per_sample = np.empty((s, x.data.shape[0], params[-1].m.data.shape[1]))
+    blocks = layer0_blocks(config, x)
+    layer0 = (None if blocks is None
+              else BlockProducts(blocks, config.masks[0].n_blocks))
+    per_sample = np.empty(shape)
     for i in range(s):
         draws = sample_step_masks(config, params, graph, rng, tape=None,
                                   mode="mc", input_nnz=nnz)

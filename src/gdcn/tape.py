@@ -33,12 +33,15 @@ retained-graph machinery.
 Gradients for an op's inputs are only computed when that input (transitively)
 requires grad; constants cost nothing on the backward pass.
 
-``record_gdc_aggregate`` can take its multiply-first products ``H_b W[blk_b]``
-precomputed (``BlockProducts``). Only ``model.predict_mc`` does, because its
-passes share one input and one set of fixed weights; every other pass
-builds its own. Ops keep no cache: a weight update such as Adam's changes
-``W.data`` in place, so reuse keyed on array identity would serve stale
-products.
+Multiplying first, ``record_gdc_aggregate`` reads a CSR input as one
+stacked (nb * n, f) array (``stack_blocks``), so the S_b are row slices of
+one product and dW is one transposed product. It can take the block form
+and its products ``H_b W[blk_b]`` shared (``BlockProducts``): every pass
+given one object shares one product build. ``model.predict_mc`` shares one
+per call, where the weights are fixed, and a training step one per step,
+between its recorded pass and ARM's Z1 pass. Ops keep no cache of their
+own: a weight update such as Adam's changes ``W.data`` in place, so reuse
+keyed on array identity would serve stale products.
 
 ``record_gdc_aggregate`` knows nothing of the graph's size: a call on a
 rectangular (rows_out, rows_in) matrix, such as the rows a loss reads
@@ -53,14 +56,13 @@ agree with that call's to rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.sparse import csr_array, issparse
 
 from .errors import ContractViolation
-from .graph import float_array, spmm, spmm_t
+from .graph import entry_rows, float_array, index_dtype, spmm, spmm_t
 
 
 class Tensor:
@@ -197,26 +199,80 @@ def multiplies_first(h_data, f_out: int, n_blocks: int) -> bool:
     return issparse(h_data) or h_data.shape[1] >= n_blocks * f_out
 
 
-@dataclass(frozen=True)
-class BlockProducts:
-    """The column blocks ``H_b`` of a layer input and ``S_b = H_b W[blk_b]``.
+def stack_blocks(h: csr_array, n_blocks: int) -> csr_array:
+    """The (nb * n, f) CSR array whose row ``b * n + v`` holds
+    ``H[v, blk_b]`` at H's own column indices; one block is H itself.
 
-    ``record_gdc_aggregate`` builds these itself when multiplying first.
-    ``model.predict_mc``, whose passes share one input and fixed weights,
-    builds them once (``block_products``) and passes them in. The products
-    hold the weights' values at the time of the call, so they go stale when
-    the weights change, in place or not.
+    Each row's entries keep H's storage order, so row ``b * n + v`` stores
+    what row v of ``split_columns(H, nb)[b]`` stores, column indices
+    shifted by ``blk_b``'s start.
+    """
+    if n_blocks == 1:
+        return h
+    n, f = h.shape
+    # Each entry's block, in the smallest integer type, which numpy sorts
+    # stably by radix; the sort keeps storage order within a block.
+    block_of = np.repeat(np.arange(n_blocks,
+                                   dtype=np.min_scalar_type(n_blocks)),
+                         [c1 - c0 for c0, c1 in block_bounds(f, n_blocks)])
+    block = block_of.take(h.indices)
+    order = np.argsort(block, kind="stable")
+    counts = np.bincount(block.astype(np.intp) * n + entry_rows(h),
+                         minlength=n_blocks * n)
+    idx = index_dtype(h.nnz, n_blocks * n, f)
+    indptr = np.zeros(n_blocks * n + 1, dtype=idx)
+    np.cumsum(counts, out=indptr[1:])
+    return csr_array((h.data[order], h.indices[order].astype(idx), indptr),
+                     shape=(n_blocks * n, f))
+
+
+def block_input(h_data, n_blocks: int):
+    """H in the form the multiply-first products read: a CSR input's
+    ``stack_blocks``, a dense input's column views (``split_columns``)."""
+    if issparse(h_data):
+        return stack_blocks(h_data, n_blocks)
+    return tuple(split_columns(h_data, n_blocks))
+
+
+def block_products(blocks, w_data: np.ndarray, n_blocks: int) -> tuple:
+    """``S_b = H_b W[blk_b]`` for every block of ``blocks`` (``block_input``).
+
+    A stacked CSR input takes one product, ``(nb * n, f_out)``, and S_b is
+    its row slice b (``graph.spmm``, whose rows equal ``H_b @ W[blk_b]``'s
+    bit for bit); a dense input takes one product per column view.
+    """
+    if issparse(blocks):
+        s = spmm(blocks, w_data)
+        n = s.shape[0] // n_blocks
+        return tuple(s[b * n:(b + 1) * n] for b in range(n_blocks))
+    bounds = block_bounds(w_data.shape[0], n_blocks)
+    return tuple(h_b @ w_data[c0:c1] for h_b, (c0, c1) in zip(blocks, bounds))
+
+
+class BlockProducts:
+    """A multiply-first input in block form (``block_input``) and the block
+    products ``S_b = H_b W[blk_b]`` of one weight state.
+
+    The block form can be built once per input and shared by every
+    ``BlockProducts`` on it. The products are built by the first op that
+    takes this object (``get``, through ``block_products``) and handed
+    unchanged to every op after it, so all passes given one object share
+    one product build. They hold the weights' values at that first call and
+    go stale when the weights change, in place or not: make one object per
+    weight state (per training step; per ``model.predict_mc`` call).
     """
 
-    h_blocks: tuple
-    products: tuple
+    def __init__(self, blocks, n_blocks: int):
+        self.blocks = blocks
+        self.n_blocks = n_blocks
+        self._products = None
 
-
-def block_products(h_blocks, w_data: np.ndarray) -> BlockProducts:
-    """``S_b = H_b W[blk_b]`` for column blocks from ``split_columns``."""
-    bounds = block_bounds(w_data.shape[0], len(h_blocks))
-    return BlockProducts(tuple(h_blocks), tuple(
-        h_b @ w_data[c0:c1] for h_b, (c0, c1) in zip(h_blocks, bounds)))
+    def get(self, w_data: np.ndarray) -> tuple:
+        """The S_b on ``w_data``, built at the first call, then reused."""
+        if self._products is None:
+            self._products = block_products(self.blocks, w_data,
+                                            self.n_blocks)
+        return self._products
 
 
 def record_gdc_aggregate(tape, a: csr_array, values: list, h: Tensor,
@@ -239,17 +295,21 @@ def record_gdc_aggregate(tape, a: csr_array, values: list, h: Tensor,
       blocks ``A_b H[:, blk_b]`` fill one (rows_out, f_in) array M, and a
       single ``M @ W`` follows;
     - *multiply first* otherwise (a CSR H, or ``f_in >= nb * f_out``):
-      ``S_b = H_b W_b`` per block, and each ``A_b S_b`` adds into one
-      output, row by row in block order (``graph.spmm(..., out=)``). With
-      one block this is ``spmm(A_0, H @ W)``.
+      ``S_b = H_b W_b`` per block (``block_products``), and each
+      ``A_b S_b`` adds into one output, row by row in block order
+      (``graph.spmm(..., out=)``). With one block this is
+      ``spmm(A_0, H @ W)``. A CSR H is stacked (``stack_blocks``): the S_b
+      are row slices of one product, and dW is one transposed product of
+      the stack with the stacked ``A_b^T G``. A dense H is read through its
+      column views, one product per block each way.
 
-    ``products`` supplies the ``H_b`` and ``S_b`` of the multiply-first
-    order, built by ``block_products`` from this ``h`` and this ``w`` as
-    they are now; the op then uses them instead of computing them, with the
-    same arithmetic, so value and gradients are bit for bit those of a call
-    without them. Nothing here can tell stale products from fresh ones.
-    Supplying them in the aggregate-first order, or with another block
-    count, raises ``ContractViolation``.
+    ``products`` supplies the multiply-first block form of this ``h`` and,
+    once an op has built them on this ``w``, its products; the op then
+    uses them instead of computing them, with the same arithmetic, so value
+    and gradients are bit for bit those of a call without them. Nothing
+    here can tell stale products from fresh ones. Supplying them in the
+    aggregate-first order, or with another block count, raises
+    ``ContractViolation``.
 
     The entries are constants. Concrete blocks hang off one keep
     probability ``pi``, and ``tangents[b]`` holds ``dA_b/dpi`` per stored
@@ -311,34 +371,43 @@ def record_gdc_aggregate(tape, a: csr_array, values: list, h: Tensor,
         return _maybe_record(tape, out_data, inputs, bwd)
 
     if products is None:
-        products = block_products(split_columns(hd, nb), wd)
-    elif len(products.products) != nb:
+        products = BlockProducts(block_input(hd, nb), nb)
+    elif products.n_blocks != nb:
         raise ContractViolation(
-            f"{len(products.products)} block products for {nb} blocks")
-    h_blocks = products.h_blocks
-    out_data = spmm(a, products.products[0], values=values[0])
-    for v, s_b in zip(values[1:], products.products[1:]):
+            f"{products.n_blocks} block products for {nb} blocks")
+    blocks, s_blocks = products.blocks, products.get(wd)
+    out_data = spmm(a, s_blocks[0], values=values[0])
+    for v, s_b in zip(values[1:], s_blocks[1:]):
         spmm(a, s_b, values=v, out=out_data)
     # The S_b stay reachable from the backward only where dL/dpi needs them.
-    kept_products = products.products if grad_pi else None
+    kept_products = s_blocks if grad_pi else None
+
+    n_in = hd.shape[0]
 
     def bwd(g, acc):
-        dh = np.empty_like(hd) if h.requires_grad else None
-        dw = np.empty_like(wd) if w.requires_grad else None
         if grad_pi:
             acc_pi(acc, [g] * nb, kept_products)
-        if dh is None and dw is None:
+        if not (h.requires_grad or w.requires_grad):
             return
-        for b, (c0, c1) in enumerate(bounds):
-            ds = spmm_t(a, g, values=values[b])
-            if dw is not None:
-                dw[c0:c1] = h_blocks[b].T @ ds
-            if dh is not None:
-                dh[:, c0:c1] = ds @ wd[c0:c1].T
-        if dh is not None:
-            acc(h, dh)
-        if dw is not None:
+        # Row block b of dS holds A_b^T G.
+        ds = np.zeros((nb * n_in, f_out), dtype=np.result_type(values[0], g))
+        ds_blocks = [ds[b * n_in:(b + 1) * n_in] for b in range(nb)]
+        for v, ds_b in zip(values, ds_blocks):
+            spmm_t(a, g, values=v, out=ds_b)
+        if issparse(blocks):
+            # A CSR input never requires grad; dW = stack^T dS.
+            acc(w, spmm_t(blocks, ds).astype(wd.dtype, copy=False))
+            return
+        if w.requires_grad:
+            dw = np.empty_like(wd)
+            for h_b, ds_b, (c0, c1) in zip(blocks, ds_blocks, bounds):
+                dw[c0:c1] = h_b.T @ ds_b
             acc(w, dw)
+        if h.requires_grad:
+            dh = np.empty_like(hd)
+            for ds_b, (c0, c1) in zip(ds_blocks, bounds):
+                dh[:, c0:c1] = ds_b @ wd[c0:c1].T
+            acc(h, dh)
 
     return _maybe_record(tape, out_data, inputs, bwd)
 
@@ -437,9 +506,14 @@ def record_log_softmax_rows(tape, x: Tensor) -> Tensor:
     """Row-wise log-softmax, max-subtracted for stability, always computed
     in float64: the probabilities of a row sum to 1 within 1e-9 also when
     ``x`` is float32. The backward computes in float64 too and hands ``x``
-    its gradient in ``x``'s dtype."""
+    its gradient in ``x``'s dtype. The row max runs as a loop over the
+    few columns, which numpy runs faster than ``max(axis=1)`` over short
+    rows, with the same values, NaN included."""
     xd = x.data.astype(np.float64, copy=False)
-    shifted = xd - xd.max(axis=1, keepdims=True)
+    row_max = xd[:, 0].copy()
+    for c in range(1, xd.shape[1]):
+        np.maximum(row_max, xd[:, c], out=row_max)
+    shifted = xd - row_max[:, None]
     out_data = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
     def bwd(g, acc):

@@ -28,10 +28,13 @@ completes the estimate g_alpha, and ``backward`` takes g_alpha's
 dL/dpi = -g_alpha / (pi (1 - pi)) as a seed on the recorded draw
 (``estimators.arm_pi_grad``); the loss tensor holds the loss alone.
 
-Every pass builds its own layer-0 block products ``H_b W_0[blk_b]``. Adam
-updates ``W_0`` in place once per epoch, so only the passes between two
-steps could share them, and the benchmark measured no gain from that;
-``model.predict_mc``, whose passes share fixed weights, does share them.
+Where layer 0 takes no feature mask (``model.layer0_blocks``), ``train``
+stacks the CSR input's feature blocks once per call, and each step's
+passes share one ``tape.BlockProducts`` on it: ARM's recorded Z2 pass
+builds the block products ``H_b W_0[blk_b]`` and its Z1 pass, on the same
+weights, reuses them, bit for bit as if it built its own. Adam updates
+``W_0`` in place once per epoch, so no products outlive their step; the
+deterministic evaluation has one block and builds its own.
 
 Each step (masks, recorded pass, loss, backward with ARM's Z1 pass, Adam)
 runs in ``_train_step``, so its tape, masks, activations, products and
@@ -76,9 +79,10 @@ from .estimators import arm_gradient, arm_pi_grad
 from .metrics import accuracy
 from .model import (GCNConfig, PreparedGraph, arm_masks, expected_keep,
                     float32_operands, forward, forward_deterministic,
-                    init_params, loss_rows, record_kl_terms,
+                    init_params, layer0_blocks, loss_rows, record_kl_terms,
                     sample_step_masks, training_loss)
-from .tape import Tape, backward, constant, record_masked_nll, record_scale
+from .tape import (BlockProducts, Tape, backward, constant, record_masked_nll,
+                   record_scale)
 from .variational import WarmupSchedule, finite_scales, warmup_factor
 
 _DIVERGENCE_LIMIT = 5
@@ -238,10 +242,16 @@ def _overflow_allowed():
 
 
 def step_gradients(gcn_config, train_config, epoch, params, rng, x, graph,
-                   plan, plan_labels, observed):
+                   plan, plan_labels, observed, layer0_input=None):
     """One step's loss and gradients: sample the masks, run the recorded
     pass on ``params``, ``x``, ``graph`` and ``plan``, take the loss and,
     where it is finite, backward (with ARM's Z1 pass).
+
+    ``layer0_input`` is ``model.layer0_blocks(gcn_config, x)``. Given, the
+    step's passes share one ``BlockProducts`` on it: the recorded pass
+    builds layer 0's products inside its ``forward`` and ARM's Z1 pass
+    reuses them. None, each pass builds its own; the results are bit for
+    bit equal.
 
     Returns the (loss, NLL, KL) floats, the gradient of every tensor of
     ``params`` in that tensor's dtype (None where the loss is not finite)
@@ -250,9 +260,11 @@ def step_gradients(gcn_config, train_config, epoch, params, rng, x, graph,
     tape = Tape()
     draws = sample_step_masks(gcn_config, params, graph, rng, tape=tape,
                               mode="train", input_nnz=x.data.nnz)
+    layer0 = (None if layer0_input is None
+              else BlockProducts(layer0_input, gcn_config.masks[0].n_blocks))
     with _overflow_allowed():
         logprobs = forward(params, x, graph, draws.layer_masks, tape=tape,
-                           rows=plan)
+                           layer0=layer0, rows=plan)
         kl_terms = record_kl_terms(tape, gcn_config, params)
         wf = warmup_factor(epoch, train_config.warmup)
         weight_coefs = None
@@ -275,7 +287,7 @@ def step_gradients(gcn_config, train_config, epoch, params, rng, x, graph,
             def loss_eval(z_drop):
                 lp = forward(params, x, graph,
                              arm_masks(draws, graph, z_drop), tape=None,
-                             rows=plan)
+                             layer0=layer0, rows=plan)
                 return record_masked_nll(None, lp, plan_labels,
                                          observed).item()
 
@@ -290,7 +302,7 @@ def step_gradients(gcn_config, train_config, epoch, params, rng, x, graph,
 
 
 def _train_step(gcn_config, train_config, epoch, params, state, rng, x,
-                graph, plan, plan_labels, observed):
+                graph, plan, plan_labels, observed, layer0_input):
     """One training step: ``step_gradients`` and, where the loss is finite,
     one Adam step on ``params``. Returns the (loss, NLL, KL) floats,
     whether Adam changed ``params`` and the step's clamp events.
@@ -301,7 +313,7 @@ def _train_step(gcn_config, train_config, epoch, params, state, rng, x,
     """
     loss_val, nll_val, kl_val, grads, clamps = step_gradients(
         gcn_config, train_config, epoch, params, rng, x, graph, plan,
-        plan_labels, observed)
+        plan_labels, observed, layer0_input)
     stepped = grads is not None and adam_step(
         [t for p in params for t in p.tensors()], grads, state,
         train_config.lr)
@@ -357,6 +369,7 @@ def train(dataset: Dataset, gcn_config: GCNConfig, train_config: TrainConfig,
     split = dataset.split
     plan = loss_rows(graph32, split.train, gcn_config.n_layers)
     plan_labels, observed = plan.loss_inputs(labels)
+    layer0_input = layer0_blocks(gcn_config, x)
 
     logs = []
     best = {"val": -1.0, "test": 0.0, "epoch": -1,
@@ -371,7 +384,7 @@ def train(dataset: Dataset, gcn_config: GCNConfig, train_config: TrainConfig,
         rejected = state.rejected
         loss_val, nll_val, kl_val, stepped, clamps = _train_step(
             gcn_config, train_config, epoch, params, state, rng, x, graph32,
-            plan, plan_labels, observed)
+            plan, plan_labels, observed, layer0_input)
         if not np.isfinite(loss_val):
             nonfinite_run += 1
             if nonfinite_run >= divergence_limit:

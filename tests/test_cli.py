@@ -484,6 +484,19 @@ class TestEvalUq:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    # (10**17, n, C) float64 is past numpy's index range: np.empty raises
+    # ValueError there, not MemoryError, which once ended in a traceback
+    # and exit 1.
+    @pytest.mark.parametrize("command", ["eval", "uq"])
+    def test_unindexable_sample_count_exit_2(self, trained, capsys, command):
+        cfg, out, ckpt = trained
+        capsys.readouterr()
+        assert main([command, "--config", cfg, "--checkpoint", ckpt,
+                     "--samples", "100000000000000000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "100000000000000000 Monte Carlo samples" in err
+
     def test_train_and_uq_on_raw_features(self, tmp_path, synthetic_files):
         # Without row normalization the features stay the loader's bools.
         content, cites = synthetic_files

@@ -8,7 +8,7 @@ from scipy.sparse import csr_array
 
 from gdcn.data import Dataset, load_content_cites, make_split, row_normalize
 from gdcn.errors import MalformedInputError
-from gdcn.tape import block_bounds, split_columns
+from gdcn.tape import block_bounds, split_columns, stack_blocks
 
 
 def write(path, text):
@@ -308,8 +308,9 @@ class TestFeaturesCsr:
 
     @pytest.mark.parametrize("n_blocks", [1, 3, 4])
     def test_feature_blocks_equal_column_slices(self, n_blocks):
-        # Every multiply-first pass splits the read-only CSR form into the
-        # layer-0 feature blocks.
+        # The read-only CSR form splits into the layer-0 feature blocks,
+        # and stacks into them (row b * n + v holds X[v, blk_b]), as
+        # train and predict_mc stack it once per call.
         rng = np.random.default_rng(5)
         f = rng.random((30, 17)) * (rng.random((30, 17)) < 0.3)
         ds = self._ds(f)
@@ -320,8 +321,12 @@ class TestFeaturesCsr:
         blocks = split_columns(csr, n_blocks)
         assert len(blocks) == n_blocks
         f32 = f.astype(np.float32)
-        for got, (c0, c1) in zip(blocks, block_bounds(17, n_blocks)):
+        stacked = stack_blocks(csr, n_blocks).toarray()
+        for b, (got, (c0, c1)) in enumerate(
+                zip(blocks, block_bounds(17, n_blocks))):
             np.testing.assert_array_equal(got.toarray(), f32[:, c0:c1])
+            np.testing.assert_array_equal(stacked[b * 30:(b + 1) * 30, c0:c1],
+                                          f32[:, c0:c1])
         assert ds.features_csr() is csr
 
     def test_converted_once_per_features_array(self):

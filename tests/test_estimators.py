@@ -13,9 +13,10 @@ from gdcn.estimators import (ArmDraw, arm_gradient, arm_pi_grad, arm_z1,
 from gdcn.graph import build_adjacency, normalize
 from gdcn.masks import MaskKind, MaskSpec, sample_concrete_mask
 from gdcn.model import (GCNConfig, PreparedGraph, forward, init_params,
-                        layer0_products, sample_step_masks, sparse_input)
-from gdcn.tape import (Tape, backward, constant, parameter, record_add,
-                       record_frobenius_sq, record_masked_nll, record_scale)
+                        layer0_blocks, sample_step_masks, sparse_input)
+from gdcn.tape import (BlockProducts, Tape, backward, constant, parameter,
+                       record_add, record_frobenius_sq, record_masked_nll,
+                       record_scale)
 from gdcn.variational import KumaraswamyParams, record_kuma_sample
 
 from conftest import (finite_diff, kuma_draw, masked_aggregate, random_edges,
@@ -339,7 +340,7 @@ class TestConcreteForward:
             draws = sample_step_masks(cfg, params, graph,
                                       np.random.default_rng(3), tape=t)
             lp = forward(params, x, graph, draws.layer_masks, tape=t,
-                         layer0=layer0_products(cfg, params, x))
+                         layer0=BlockProducts(layer0_blocks(cfg, x), 4))
             return t, record_masked_nll(t, lp, labels, np.arange(n))
 
         t, loss = loss_at(logs0)

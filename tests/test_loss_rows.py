@@ -20,10 +20,10 @@ from gdcn.estimators import arm_z1, arm_z2
 from gdcn.graph import kept, spmm, spmm_t
 from gdcn.masks import MaskKind, MaskSpec, sample_dropout_mask
 from gdcn.model import (GCNConfig, PreparedGraph, _mask_csr, arm_masks,
-                        forward, init_params, layer0_products, loss_rows,
+                        forward, init_params, layer0_blocks, loss_rows,
                         sample_step_masks, sparse_input)
-from gdcn.tape import (Tape, backward, block_bounds, constant, parameter,
-                       record_gdc_aggregate, record_masked_nll)
+from gdcn.tape import (BlockProducts, Tape, backward, block_bounds, constant,
+                       parameter, record_gdc_aggregate, record_masked_nll)
 from gdcn.variational import KumaraswamyParams
 
 from conftest import masked_aggregate, random_edges
@@ -203,7 +203,9 @@ def one_pass(cfg, g, params, x, plan, seed, edit_masks=None):
                               tape=tape, mode="train", input_nnz=nnz)
     if edit_masks is not None:
         edit_masks(draws)
-    layer0 = layer0_products(cfg, params, x)
+    blocks = layer0_blocks(cfg, x)
+    layer0 = (None if blocks is None
+              else BlockProducts(blocks, cfg.masks[0].n_blocks))
     labels = np.arange(N) % params[-1].m.data.shape[1]
     logprobs = forward(params, x, g, draws.layer_masks, tape=tape,
                        layer0=layer0, rows=plan)

@@ -20,7 +20,7 @@ import gdcn.training as training
 from gdcn.data import Dataset, load_content_cites, row_normalize
 from gdcn.masks import MaskKind
 from gdcn.model import PreparedGraph, float32_operands, init_params
-from gdcn.tape import constant, split_columns
+from gdcn.tape import constant, stack_blocks
 from gdcn.training import TrainConfig, train
 
 from test_training import small_config, synthetic_dataset
@@ -84,10 +84,10 @@ class TestRowNormalize:
         f = binary((2000, 600))
         ds = Dataset(features=f, labels=np.zeros(len(f), int),
                      edges=np.zeros((0, 2), dtype=np.int64), class_count=1)
-        blocks, peak = traced_peak(
-            lambda: split_columns(ds.features_csr(), 4))
+        stacked, peak = traced_peak(
+            lambda: stack_blocks(ds.features_csr(), 4))
         assert peak < f.size * 8 // 4
-        assert sum(b.nnz for b in blocks) == np.count_nonzero(f)
+        assert stacked.nnz == np.count_nonzero(f)
 
 
 class TestInputShared:
@@ -149,7 +149,7 @@ class TestStepFreedBeforeDetEval:
 
         def block_products(*args, **kwargs):
             out = real_products(*args, **kwargs)
-            products.append(weakref.ref(out))
+            products.append(weakref.ref(out[0]))  # S_0, held by the tuple
             return out
 
         def det_eval(*args, **kwargs):

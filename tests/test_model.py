@@ -12,11 +12,11 @@ from gdcn.masks import (EdgeMask, MaskKind, MaskSpec, expected_keep_mask,
                         sample_gdc_masks, sample_node_mask)
 from gdcn.model import (GCNConfig, LayerMasks, PreparedGraph, float32_operands,
                         forward, forward_deterministic, glorot_bound,
-                        init_params, layer0_products, predict_mc,
+                        init_params, layer0_blocks, predict_mc,
                         record_kl_terms, sample_step_masks, sparse_input,
                         training_loss)
-from gdcn.tape import (Tape, backward, block_bounds, block_products,
-                       constant, split_columns)
+from gdcn.tape import (BlockProducts, Tape, backward, block_bounds,
+                       block_input, constant)
 from gdcn.variational import kl_kuma_beta
 
 from conftest import (dense_normalize, finite_diff, float64_params,
@@ -537,25 +537,23 @@ class TestLayer0Products:
         cfg = GCNConfig(layer_dims=[7, 4, 2], masks=[spec, MaskSpec()])
         params = init_params(cfg, np.random.default_rng(0))
         x = sparse_input(constant(self._input()))
-        products = layer0_products(cfg, params, x)
-        assert (products is not None) == reused
+        blocks = layer0_blocks(cfg, x)
+        assert (blocks is not None) == reused
         if reused:
             w = params[0].m.data
-            blocks = split_columns(x.data, spec.n_blocks)
-            assert len(products.products) == spec.n_blocks
-            for h_b, s_b, want, (c0, c1) in zip(
-                    products.h_blocks, products.products, blocks,
-                    block_bounds(7, spec.n_blocks)):
-                assert (h_b != want).nnz == 0
-                assert np.array_equal(s_b, want @ w[c0:c1])
+            products = BlockProducts(blocks, spec.n_blocks).get(w)
+            assert len(products) == spec.n_blocks
+            for s_b, (c0, c1) in zip(products,
+                                     block_bounds(7, spec.n_blocks)):
+                assert np.array_equal(s_b, x.data[:, c0:c1] @ w[c0:c1])
 
     def test_aggregate_first_input_does_not_qualify(self):
         # dense 7 < 3 * 4 aggregates first; the CSR input multiplies first
         x = constant(self._input())
         cfg = self._gdc()
         params = init_params(cfg, np.random.default_rng(0))
-        assert layer0_products(cfg, params, x) is None
-        assert layer0_products(cfg, params, sparse_input(x)) is not None
+        assert layer0_blocks(cfg, x) is None
+        assert layer0_blocks(cfg, sparse_input(x)) is not None
 
     @pytest.mark.parametrize("learned", [False, True])
     def test_predict_mc_equals_passes_without_products(self, monkeypatch,
@@ -567,12 +565,12 @@ class TestLayer0Products:
         x = constant(self._input())
         supplied = []
 
-        def spy(config, params, x):
-            out = layer0_products(config, params, x)
+        def spy(config, x):
+            out = layer0_blocks(config, x)
             supplied.append(out is not None)
             return out
 
-        monkeypatch.setattr(gmodel, "layer0_products", spy)
+        monkeypatch.setattr(gmodel, "layer0_blocks", spy)
         _, per = predict_mc(params, x, g, cfg, 5, np.random.default_rng(3))
         assert supplied == [True]
         # the passes run on float32 operands; forward takes the same ones
@@ -589,7 +587,7 @@ class TestLayer0Products:
         cfg = self._gdc()
         params = init_params(cfg, np.random.default_rng(0))
         x = sparse_input(constant(self._input()))
-        two = block_products(split_columns(x.data, 2), params[0].m.data)
+        two = BlockProducts(block_input(x.data, 2), 2)
         draws = sample_step_masks(cfg, params, g, np.random.default_rng(1),
                                   mode="mc", input_nnz=x.data.nnz)
         with pytest.raises(ContractViolation, match="2 block products"):
@@ -602,7 +600,7 @@ class TestLayer0Products:
                                MaskSpec()])
         params = init_params(cfg, np.random.default_rng(0))
         x = sparse_input(constant(self._input()))
-        products = block_products(split_columns(x.data, 1), params[0].m.data)
+        products = BlockProducts(block_input(x.data, 1), 1)
         for mode, rng in (("mc", np.random.default_rng(1)), ("det", None)):
             draws = sample_step_masks(cfg, params, g, rng, mode=mode,
                                       input_nnz=x.data.nnz)

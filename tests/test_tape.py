@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_array
 
 from gdcn.errors import ContractViolation
-from gdcn.graph import EdgeSet, build_adjacency, normalize, spmm
+from gdcn.graph import EdgeSet, build_adjacency, normalize, spmm, spmm_t
 from gdcn.masks import MaskKind, MaskSpec, sample_concrete_mask
-from gdcn.tape import (Tape, Tensor, backward, block_products, constant,
-                       parameter, record_add, record_frobenius_sq,
-                       record_gdc_aggregate, record_log_softmax_rows,
-                       record_masked_nll, record_mul, record_relu,
-                       multiplies_first, record_scale, split_columns)
+from gdcn.tape import (BlockProducts, Tape, Tensor, backward, block_bounds,
+                       block_input, block_products, constant, parameter,
+                       record_add, record_frobenius_sq, record_gdc_aggregate,
+                       record_log_softmax_rows, record_masked_nll, record_mul,
+                       record_relu, multiplies_first, record_scale,
+                       split_columns, stack_blocks)
 
 from conftest import finite_diff, masked_aggregate, rel_err, random_edges
 
@@ -221,7 +222,8 @@ class TestGdcAggregate:
         seen = self._spmm_widths(monkeypatch)
         out = masked_aggregate(Tape(), a, zs, constant(csr_array(h0)),
                                parameter(w0))
-        assert seen == [3, 3, 3]
+        # one product of the stacked input with W, then the 3 aggregations
+        assert seen == [3, 3, 3, 3]
         want = self._oracle(a, [a.data * z for z in zs], h0, w0)
         np.testing.assert_allclose(out.data, want, atol=1e-12)
 
@@ -324,6 +326,84 @@ class TestGdcAggregate:
                                  constant(np.ones((7, 2))))
 
 
+class TestStackedInput:
+    """A CSR input stacked once (``stack_blocks``) against the per-block
+    path it replaces: ``split_columns``' blocks, one product per block for
+    S_b and one transposed product per block for dW."""
+
+    N, F = 40, 1433
+
+    def _input(self, seed=0, empty_block=None, n_blocks=4):
+        rng = np.random.default_rng(seed)
+        x = (rng.random((self.N, self.F)) < 0.05) * rng.random((self.N, self.F))
+        if empty_block is not None:
+            c0, c1 = block_bounds(self.F, n_blocks)[empty_block]
+            x[:, c0:c1] = 0.0
+        return csr_array(x.astype(np.float32))
+
+    @pytest.mark.parametrize("empty_block", [None, 1])
+    def test_rows_hold_the_column_blocks(self, empty_block):
+        x = self._input(empty_block=empty_block)
+        stacked = stack_blocks(x, 4)
+        assert stacked.shape == (4 * self.N, self.F) and stacked.nnz == x.nnz
+        assert stacked.dtype == np.float32
+        dense, want = stacked.toarray(), x.toarray()
+        for b, (c0, c1) in enumerate(block_bounds(self.F, 4)):
+            rows = dense[b * self.N:(b + 1) * self.N]
+            assert np.array_equal(rows[:, c0:c1], want[:, c0:c1])
+            assert not rows[:, :c0].any() and not rows[:, c1:].any()
+        if empty_block is not None:
+            lo = empty_block * self.N
+            assert stacked.indptr[lo] == stacked.indptr[lo + self.N]
+
+    @pytest.mark.parametrize("n_blocks,empty_block", [
+        (4, None), (4, 1), (3, 2), (1, None)])
+    def test_products_and_dw_equal_the_per_block_path(self, n_blocks,
+                                                      empty_block):
+        # 1433 features over 4 blocks: widths 358, 358, 358, 359.
+        rng = np.random.default_rng(7)
+        x = self._input(seed=n_blocks, empty_block=empty_block,
+                        n_blocks=n_blocks)
+        a = normalize(build_adjacency(random_edges(rng, self.N, 0.2),
+                                      self.N)).astype(np.float32)
+        values = [a.data * rng.random(a.nnz).astype(np.float32)
+                  for _ in range(n_blocks)]
+        w0 = rng.normal(size=(self.F, 16)).astype(np.float32)
+        bounds = block_bounds(self.F, n_blocks)
+        h_blocks = split_columns(x, n_blocks)
+        old = [h_b @ w0[c0:c1] for h_b, (c0, c1) in zip(h_blocks, bounds)]
+        got = block_products(stack_blocks(x, n_blocks), w0, n_blocks)
+        assert len(got) == n_blocks
+        for s_b, want in zip(got, old):
+            assert s_b.dtype == np.float32 and np.array_equal(s_b, want)
+
+        t, w = Tape(), parameter(w0)
+        out = record_gdc_aggregate(t, a, values, constant(x), w)
+        want_out = spmm(a, old[0], values=values[0])
+        for v, s_b in zip(values[1:], old[1:]):
+            spmm(a, s_b, values=v, out=want_out)
+        assert np.array_equal(out.data, want_out)
+        g = rng.normal(size=out.shape).astype(np.float32)
+        grads = {}
+        t.records[-1][1](g, grads.__setitem__)
+        want_dw = np.empty_like(w0)
+        for v, h_b, (c0, c1) in zip(values, h_blocks, bounds):
+            want_dw[c0:c1] = h_b.T @ spmm_t(a, g, values=v)
+        assert grads[w].dtype == np.float32
+        assert np.array_equal(grads[w], want_dw)
+
+    def test_one_block_is_the_input_itself(self):
+        x = self._input()
+        assert stack_blocks(x, 1) is x
+        assert block_input(x, 1) is x
+
+    def test_dense_input_keeps_column_views(self):
+        h0 = self._input().toarray()
+        blocks = block_input(h0, 4)
+        assert len(blocks) == 4
+        assert all(np.shares_memory(h_b, h0) for h_b in blocks)
+
+
 class TestSuppliedProducts:
     """``record_gdc_aggregate`` with precomputed ``H_b`` and ``S_b``."""
 
@@ -348,8 +428,10 @@ class TestSuppliedProducts:
             h = constant(csr_array(h0)) if sparse else parameter(h0)
             w = parameter(w0)
             pi = parameter(0.5)
-            products = (block_products(split_columns(h.data, nb), w.data)
-                        if supply else None)
+            products = None
+            if supply:
+                products = BlockProducts(block_input(h.data, nb), nb)
+                products.get(w.data)  # built before the op takes them
             t = Tape()
             out = masked_aggregate(t, a, z0, h, w, pi=pi, tangents=list(t0),
                                    products=products)
@@ -364,7 +446,7 @@ class TestSuppliedProducts:
     def test_aggregate_first_rejects_products(self):
         rng, a, h0 = self._setup()
         w0 = rng.normal(size=(7, 3))  # 7 < 3 * 3: aggregate first
-        products = block_products(split_columns(h0, 3), w0)
+        products = BlockProducts(block_input(h0, 3), 3)
         with pytest.raises(ContractViolation, match="multiplying first"):
             record_gdc_aggregate(Tape(), a, [a.data] * 3, constant(h0),
                                  constant(w0), products=products)
@@ -372,7 +454,7 @@ class TestSuppliedProducts:
     def test_block_count_mismatch(self):
         rng, a, h0 = self._setup()
         w0 = rng.normal(size=(7, 2))
-        products = block_products(split_columns(h0, 2), w0)
+        products = BlockProducts(block_input(h0, 2), 2)
         with pytest.raises(ContractViolation, match="2 block products"):
             record_gdc_aggregate(Tape(), a, [a.data] * 3, constant(h0),
                                  constant(w0), products=products)
@@ -423,7 +505,8 @@ class TestPiTangent:
         h = constant(csr_array(h0) if sparse else h0)
         products = None
         if supply and multiplies_first(h.data, f_out, nb):
-            products = block_products(split_columns(h.data, nb), w0)
+            products = BlockProducts(block_input(h.data, nb), nb)
+            products.get(w0)
         t = Tape()
         out = masked_aggregate(t, a, mask.blocks, h, parameter(w0),
                                pi=mask.pi, tangents=mask.tangents,
@@ -542,6 +625,29 @@ class TestElementwise:
 
 
 class TestLogSoftmax:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("c", [2, 7, 8, 9, 16, 40])
+    def test_equals_the_row_max_formula(self, c, dtype):
+        # The column loop's row max gives, bit for bit, the values of the
+        # reduction it replaced, non-finite rows included.
+        rng = np.random.default_rng(c)
+        x = (rng.normal(size=(50, c)) * 30).astype(dtype)
+        x[3] = np.nan
+        x[4, c // 2] = np.nan
+        x[5, 0] = np.inf
+        x[6, -1] = -np.inf
+        x[7] = -np.inf
+        x[8, 1] = np.finfo(dtype).max
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = record_log_softmax_rows(Tape(), constant(x)).data
+            xd = x.astype(np.float64)
+            shifted = xd - xd.max(axis=1, keepdims=True)
+            want = shifted - np.log(np.exp(shifted).sum(axis=1,
+                                                        keepdims=True))
+        assert got.dtype == np.float64
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.isnan(got[3]).all() and np.isnan(got[4]).all()
+
     def test_uniform_row(self):
         out = record_log_softmax_rows(Tape(), constant([[0.0, 0.0]]))
         np.testing.assert_allclose(out.data, [[-np.log(2), -np.log(2)]])

@@ -422,7 +422,7 @@ class TestTrain:
         checked = []
 
         def step(cfg, tc, epoch, params, rng, x, graph, plan, labels,
-                 observed):
+                 observed, layer0_input):
             every = loss_rows(graph, np.arange(graph.edges.n), cfg.n_layers)
             full = LossRows(layers=every.layers, observed=ds.split.train)
             full_inputs = full.loss_inputs(ds.labels)
@@ -430,9 +430,9 @@ class TestTrain:
             twin.bit_generator.state = rng.bit_generator.state
             with recorded_step() as seen:
                 want = real(cfg, tc, epoch, params, twin, x, graph, full,
-                            *full_inputs)
+                            *full_inputs, layer0_input)
             got = real(cfg, tc, epoch, params, rng, x, graph, plan, labels,
-                       observed)
+                       observed, layer0_input)
             assert len(plan.layers[0].out) < graph.edges.n
             assert rng.bit_generator.state == twin.bit_generator.state
             scale = scales(cfg, tc.l2_factor, graph, params, seen, want,
@@ -739,3 +739,84 @@ class TestHealthCounters:
         res = train(ds, cfg, TrainConfig(epochs=3, patience=3), seed=0)
         assert [e.adam_rejected for e in res.logs] == [0, 1, 0]
         assert all(e.clamp_events == 0 for e in res.logs)
+
+
+class TestStepSharesLayer0Products:
+    """An ARM step's recorded Z2 pass and its Z1 pass run on the same
+    weights; given ``layer0_input``, they share one build of layer 0's
+    block products, and everything the step returns is bit for bit what a
+    step whose passes each build their own returns."""
+
+    @staticmethod
+    def _setup(estimator="arm", n_blocks=4):
+        from gdcn.model import float32_operands, loss_rows
+        from gdcn.tape import constant
+        ds = synthetic_dataset(n_per=15)
+        graph = PreparedGraph.from_edges(ds.edges, ds.n_nodes)
+        cfg = small_config(ds.n_features, ds.class_count, kind=MaskKind.GDC,
+                           learned=True, estimator=estimator,
+                           n_blocks=n_blocks)
+        params = init_params(cfg, np.random.default_rng(0))
+        _, x, graph32 = float32_operands(
+            params, constant(ds.features_csr()), graph)
+        plan = loss_rows(graph32, ds.split.train, cfg.n_layers)
+        return cfg, params, x, graph32, plan, plan.loss_inputs(ds.labels)
+
+    @staticmethod
+    def _step(setup, layer0_input, monkeypatch):
+        """The step's result and how many layer-0 products it built."""
+        import gdcn.tape as gtape
+        from gdcn.training import step_gradients
+        cfg, params, x, graph, plan, inputs = setup
+        real = gtape.block_products
+        built = []
+
+        def spy(blocks, w_data, n_blocks):
+            if w_data is params[0].m.data:
+                built.append(n_blocks)
+            return real(blocks, w_data, n_blocks)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(gtape, "block_products", spy)
+            result = step_gradients(cfg, TrainConfig(), 3, params,
+                                    np.random.default_rng(5), x, graph, plan,
+                                    *inputs, layer0_input=layer0_input)
+        return result, built
+
+    @pytest.mark.parametrize("estimator,unshared_builds", [
+        ("arm", 2), ("concrete", 1)])
+    def test_one_build_per_step_and_bitwise_equal(self, monkeypatch,
+                                                  estimator, unshared_builds):
+        from gdcn.model import layer0_blocks
+        setup = self._setup(estimator)
+        cfg, params, x = setup[:3]
+        shared, built = self._step(setup, layer0_blocks(cfg, x), monkeypatch)
+        alone, built_alone = self._step(setup, None, monkeypatch)
+        assert built == [4]
+        assert built_alone == [4] * unshared_builds
+        assert shared[:3] == alone[:3]  # loss, NLL, KL
+        assert shared[4] == alone[4]    # clamp events
+        tensors = [t for p in params for t in p.tensors()]
+        assert set(shared[3]) == set(alone[3]) == set(tensors)
+        for t in tensors:
+            assert shared[3][t].dtype == alone[3][t].dtype
+            assert np.array_equal(shared[3][t], alone[3][t])
+
+    def test_train_passes_the_stacked_input(self, monkeypatch):
+        # train stacks the input once per call and hands the same array
+        # to every step.
+        import gdcn.training as training
+        real = training.step_gradients
+        seen = []
+
+        def step(*args, **kwargs):
+            seen.append(args[-1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(training, "step_gradients", step)
+        ds = synthetic_dataset()
+        cfg = small_config(ds.n_features, ds.class_count, kind=MaskKind.GDC,
+                           learned=True, estimator="arm", n_blocks=2)
+        train(ds, cfg, TrainConfig(epochs=3, patience=3), seed=0)
+        assert len(seen) == 3 and all(s is seen[0] for s in seen)
+        assert seen[0].shape == (2 * ds.n_nodes, ds.n_features)
